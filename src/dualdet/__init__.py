@@ -12,11 +12,10 @@ from .core import (
     channel_transmittance,
     db_to_transmittance,
 )
-from .bb84 import Bb84Config, bb84_gain, bb84_qber, bb84_rate_dual, bb84_rate_single
+from .bb84 import Bb84Config, bb84_gain, bb84_qber, bb84_rate_dual
 from .decoy import (
     DecoyConfig,
     decoy_rate_dual,
-    decoy_rate_single,
     decoy_signal_gain,
     decoy_signal_qber,
     decoy_single_photon_gain,
@@ -24,12 +23,9 @@ from .decoy import (
     optimal_mu,
 )
 from .gmcs import (
-    GmcsNoiseBudget,
     MismatchedEfficiencyError,
     gmcs_dr_rate_dual,
-    gmcs_dr_rate_single,
     gmcs_rr_rate_dual,
-    gmcs_rr_rate_single,
     info_ae,
     info_be,
     mutual_info_ab,
@@ -51,7 +47,6 @@ from .sweep import (
     max_secure_distance,
     read_curves_csv,
     save_curves_csv,
-    sweep,
     sweep_preset,
     write_curves_csv,
 )
@@ -69,7 +64,6 @@ __all__ = [
     "GmcsSource",
     "Bb84Config",
     "DecoyConfig",
-    "GmcsNoiseBudget",
     "SchedulingParams",
     "Scenario",
     "FigurePreset",
@@ -80,29 +74,24 @@ __all__ = [
     "db_to_transmittance",
     "bb84_gain",
     "bb84_qber",
-    "bb84_rate_single",
     "bb84_rate_dual",
     "decoy_signal_gain",
     "decoy_signal_qber",
     "decoy_single_photon_gain",
     "decoy_single_photon_qber",
-    "decoy_rate_single",
     "decoy_rate_dual",
     "optimal_mu",
     "noise_budget",
     "mutual_info_ab",
     "info_ae",
     "info_be",
-    "gmcs_dr_rate_single",
     "gmcs_dr_rate_dual",
-    "gmcs_rr_rate_single",
     "gmcs_rr_rate_dual",
     "choice_probabilities",
     "multi_pulse_qber",
     "max_slow_probability",
     "accumulation_time",
     "evaluate",
-    "sweep",
     "sweep_preset",
     "max_secure_distance",
     "crossover_distance",

@@ -4,16 +4,25 @@ The rate bound charges f_ec*H2(e) for error correction and H2(e) for
 privacy amplification. In the dual-detector receiver the privacy
 amplification term uses the error rate seen by the quiet (slow) detector,
 which bounds the eavesdropper's information for the raw key produced by
-the fast detector.
+the fast detector. A single-detector receiver is the same formula with one
+detector on both arms and no switch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import E0, DomainError, LinkSpec, SpdSpec, binary_entropy, db_to_transmittance
+from .core import E0, DomainError, SpdSpec, binary_entropy, check_numbers
 
 BASIS_FACTORS = (0.5, 1.0)
+
+
+def check_sifting(cfg) -> None:
+    """Shared range check of basis_factor and f_ec for the BB84 configs."""
+    if cfg.basis_factor not in BASIS_FACTORS:
+        raise DomainError(f"basis_factor must be 0.5 or 1.0, got {cfg.basis_factor}")
+    if cfg.f_ec < 1.0:
+        raise DomainError(f"f_ec must be >= 1, got {cfg.f_ec}")
 
 
 @dataclass(frozen=True)
@@ -28,56 +37,37 @@ class Bb84Config:
     f_ec: float = 1.22
 
     def __post_init__(self) -> None:
-        if self.basis_factor not in BASIS_FACTORS:
-            raise DomainError(f"basis_factor must be 0.5 or 1.0, got {self.basis_factor}")
-        if self.f_ec < 1.0:
-            raise DomainError(f"f_ec must be >= 1, got {self.f_ec}")
+        check_numbers(self)
+        check_sifting(self)
 
 
-def _check_extra_loss(extra_loss: float) -> None:
-    if not 0.0 < extra_loss <= 1.0:
-        raise DomainError(f"extra_loss must be in (0, 1], got {extra_loss}")
+def bb84_gain(spd: SpdSpec, t: float) -> float:
+    """Detection probability per emitted pulse: Q = y0 + t*eta_d, with t the
+    transmittance from the source to the detector (switch included)."""
+    return spd.y0 + t * spd.eta_d
 
 
-def bb84_gain(spd: SpdSpec, link: LinkSpec, extra_loss: float = 1.0) -> float:
-    """Detection probability per emitted pulse: Q = y0 + g_ch*g_bob*extra*eta_d."""
-    _check_extra_loss(extra_loss)
-    return spd.y0 + link.g_ch * link.g_bob * extra_loss * spd.eta_d
-
-
-def bb84_qber(spd: SpdSpec, link: LinkSpec, extra_loss: float = 1.0) -> float:
+def bb84_qber(spd: SpdSpec, t: float) -> float:
     """Error rate of detected bits; dark counts contribute at rate E0."""
-    _check_extra_loss(extra_loss)
-    gain = bb84_gain(spd, link, extra_loss)
+    gain = bb84_gain(spd, t)
     if gain == 0.0:
         raise ZeroDivisionError("gain is zero; QBER undefined")
-    signal = link.g_ch * link.g_bob * extra_loss * spd.eta_d
-    return (E0 * spd.y0 + spd.e_det * signal) / gain
+    return (E0 * spd.y0 + spd.e_det * (t * spd.eta_d)) / gain
 
 
-def bb84_rate_single(spd: SpdSpec, link: LinkSpec, cfg: Bb84Config) -> float:
-    """Key rate in bits/s for one detector, no routing switch in the path.
+def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float, switch: float) -> float:
+    """Key rate in bits/s with `keyed` making the key and `bounding` bounding leakage.
 
-    May be negative when the error-correction and privacy-amplification
-    costs exceed one bit per detection; callers clamp for plotting.
+    t is the transmittance up to the routing switch (channel times receiver
+    optics) and switch the switch's own; the switch sits at the receiver
+    entrance, so it applies to both detectors' gain and QBER. May be
+    negative when the error-correction and privacy-amplification costs
+    exceed one bit per detection; callers clamp for plotting.
     """
-    gain = bb84_gain(spd, link)
-    err = bb84_qber(spd, link)
-    return cfg.basis_factor * spd.rep_rate * gain * (
-        1.0 - cfg.f_ec * binary_entropy(err) - binary_entropy(err)
-    )
-
-
-def bb84_rate_dual(fast: SpdSpec, slow: SpdSpec, link: LinkSpec, cfg: Bb84Config) -> float:
-    """Key rate in bits/s with the fast detector keyed and the slow one bounding leakage.
-
-    The routing switch sits at the receiver entrance, so its loss applies
-    to both detectors' gain and QBER.
-    """
-    extra = db_to_transmittance(link.switch_loss)
-    gain_fast = bb84_gain(fast, link, extra)
-    err_fast = bb84_qber(fast, link, extra)
-    err_slow = bb84_qber(slow, link, extra)
-    return cfg.basis_factor * fast.rep_rate * gain_fast * (
-        1.0 - cfg.f_ec * binary_entropy(err_fast) - binary_entropy(err_slow)
+    t = t * switch
+    gain = bb84_gain(keyed, t)
+    err_keyed = bb84_qber(keyed, t)
+    err_bounding = bb84_qber(bounding, t)
+    return cfg.basis_factor * keyed.rep_rate * gain * (
+        1.0 - cfg.f_ec * binary_entropy(err_keyed) - binary_entropy(err_bounding)
     )

@@ -7,6 +7,7 @@ bad flags), 3 for numeric/domain errors raised during evaluation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .core import DomainError, db_to_transmittance
@@ -27,6 +28,17 @@ from .sweep import (
 # Reference slow-arm efficiency for the schedule command: 21 dB channel,
 # 0.16 receiver optics, 3 dB switch, 0.5 detector efficiency.
 DEFAULT_OVERALL_ETA = db_to_transmittance(21.0) * 0.16 * db_to_transmittance(3.0) * 0.5
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: refuses nan and inf (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _fmt_distance(value: float | None) -> str:
@@ -94,14 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="raw key rate of a scenario at one length")
     p.add_argument("--config", required=True, help="scenario JSON file")
-    p.add_argument("--length", required=True, type=float, help="fiber length, km")
+    p.add_argument("--length", required=True, type=_finite_float, help="fiber length, km")
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("sweep", help="sweep a scenario over a length grid to CSV")
     p.add_argument("--config", required=True, help="scenario JSON file")
-    p.add_argument("--lmin", type=float, default=0.0)
-    p.add_argument("--lmax", type=float, default=250.0)
-    p.add_argument("--step", type=float, default=1.0)
+    p.add_argument("--lmin", type=_finite_float, default=0.0)
+    p.add_argument("--lmax", type=_finite_float, default=250.0)
+    p.add_argument("--step", type=_finite_float, default=1.0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
@@ -112,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxdist", help="largest length with a positive rate")
     p.add_argument("--config", required=True)
-    p.add_argument("--lmax", type=float, default=250.0, help="search limit, km")
+    p.add_argument("--lmax", type=_finite_float, default=250.0, help="search limit, km")
     p.set_defaults(func=_cmd_maxdist)
 
     p = sub.add_parser("crossover", help="where scenario A stops beating scenario B")
@@ -121,26 +133,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--config-b", required=True, action="append",
         help="may be given twice to compare against the best of two scenarios",
     )
-    p.add_argument("--lmax", type=float, default=250.0)
+    p.add_argument("--lmax", type=_finite_float, default=250.0)
     p.set_defaults(func=_cmd_crossover)
 
     p = sub.add_parser("mu-opt", help="self-consistent signal intensity for decoy BB84")
-    p.add_argument("--edet", required=True, type=float, help="misalignment error")
-    p.add_argument("--f", required=True, type=float, help="error-correction efficiency")
+    p.add_argument("--edet", required=True, type=_finite_float, help="misalignment error")
+    p.add_argument("--f", required=True, type=_finite_float, help="error-correction efficiency")
     p.set_defaults(func=_cmd_mu_opt)
 
     p = sub.add_parser("schedule", help="slow-detector routing probabilities and limits")
-    p.add_argument("--p", required=True, type=float, help="slow-arm routing probability")
+    p.add_argument("--p", required=True, type=_finite_float, help="slow-arm routing probability")
     p.add_argument("--k", required=True, type=int, help="pulses per response window")
-    p.add_argument("--qber-budget", type=float, default=0.01)
-    p.add_argument("--rep-rate", type=float, default=1e9, help="pulse rate, Hz")
-    p.add_argument("--mu", type=float, default=1.0, help="mean photons per pulse")
+    p.add_argument("--qber-budget", type=_finite_float, default=0.01)
+    p.add_argument("--rep-rate", type=_finite_float, default=1e9, help="pulse rate, Hz")
+    p.add_argument("--mu", type=_finite_float, default=1.0, help="mean photons per pulse")
     p.add_argument(
-        "--overall-eta", type=float, default=DEFAULT_OVERALL_ETA,
+        "--overall-eta", type=_finite_float, default=DEFAULT_OVERALL_ETA,
         help="source-to-click efficiency of the slow arm "
         "(default: 21 dB channel, 0.16 optics, 3 dB switch, 0.5 detector)",
     )
-    p.add_argument("--target-counts", type=float, default=1e6)
+    p.add_argument("--target-counts", type=_finite_float, default=1e6)
     p.set_defaults(func=_cmd_schedule)
 
     return parser

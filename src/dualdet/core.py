@@ -8,7 +8,7 @@ floats in [0, 1], homodyne variances in shot-noise units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class DomainError(ValueError):
@@ -40,16 +40,16 @@ def channel_transmittance(alpha: float, length: float) -> float:
         alpha: attenuation in dB/km.
         length: fiber length in km.
     """
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise DomainError(f"attenuation must be >= 0 dB/km, got {alpha}")
-    if length < 0.0:
+    if not length >= 0.0:
         raise DomainError(f"length must be >= 0 km, got {length}")
     return 10.0 ** (-alpha * length / 10.0)
 
 
 def db_to_transmittance(loss: float) -> float:
     """Convert an insertion loss in dB to a power transmittance."""
-    if loss < 0.0:
+    if not loss >= 0.0:
         raise DomainError(f"loss must be >= 0 dB, got {loss}")
     return 10.0 ** (-loss / 10.0)
 
@@ -75,6 +75,19 @@ def bisect_sign_change(
     return 0.5 * (lo + hi)
 
 
+def check_numbers(spec) -> None:
+    """Reject bools and non-finite values in a spec's numeric fields.
+
+    JSON admits NaN, Infinity and true where a number belongs; the specs'
+    range checks would let NaN through (every comparison with it is false)
+    and read True as 1. Fields annotated ``bool`` are left alone.
+    """
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type not in ("bool", bool) and (isinstance(value, bool) or not math.isfinite(value)):
+            raise DomainError(f"{f.name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpdSpec:
     """A gated single-photon detector.
@@ -93,6 +106,7 @@ class SpdSpec:
     e_det: float
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.rep_rate <= 0.0:
             raise DomainError(f"rep_rate must be > 0 Hz, got {self.rep_rate}")
         if not 0.0 <= self.eta_d <= 1.0:
@@ -117,6 +131,7 @@ class HomodyneSpec:
     eps_det: float
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.rep_rate <= 0.0:
             raise DomainError(f"rep_rate must be > 0 Hz, got {self.rep_rate}")
         if not 0.0 < self.g_det <= 1.0:
@@ -142,6 +157,7 @@ class LinkSpec:
     switch_loss: float = 0.0
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.alpha < 0.0:
             raise DomainError(f"alpha must be >= 0 dB/km, got {self.alpha}")
         if self.length < 0.0:
@@ -150,15 +166,6 @@ class LinkSpec:
             raise DomainError(f"g_bob must be in (0, 1], got {self.g_bob}")
         if self.switch_loss < 0.0:
             raise DomainError(f"switch_loss must be >= 0 dB, got {self.switch_loss}")
-
-    @property
-    def g_ch(self) -> float:
-        """Channel transmittance of the fiber span."""
-        return channel_transmittance(self.alpha, self.length)
-
-    @property
-    def switch_transmittance(self) -> float:
-        return db_to_transmittance(self.switch_loss)
 
 
 @dataclass(frozen=True)
@@ -175,6 +182,7 @@ class GmcsSource:
     eps_pre: float = 0.0
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.v <= 1.0:
             raise DomainError(f"v must be > 1 shot-noise unit, got {self.v}")
         if not 0.0 < self.beta <= 1.0:

@@ -12,16 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    E0,
-    DomainError,
-    LinkSpec,
-    SpdSpec,
-    binary_entropy,
-    bisect_sign_change,
-    db_to_transmittance,
-)
-from .bb84 import BASIS_FACTORS
+from .bb84 import check_sifting
+from .core import E0, DomainError, SpdSpec, binary_entropy, bisect_sign_change, check_numbers
 
 
 @dataclass(frozen=True)
@@ -39,79 +31,66 @@ class DecoyConfig:
     drop_pa: bool = False
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.mu <= 0.0:
             raise DomainError(f"mu must be > 0, got {self.mu}")
-        if self.basis_factor not in BASIS_FACTORS:
-            raise DomainError(f"basis_factor must be 0.5 or 1.0, got {self.basis_factor}")
-        if self.f_ec < 1.0:
-            raise DomainError(f"f_ec must be >= 1, got {self.f_ec}")
+        check_sifting(self)
 
 
-def _overall_eta(spd: SpdSpec, link: LinkSpec, extra_loss: float) -> float:
-    if not 0.0 < extra_loss <= 1.0:
-        raise DomainError(f"extra_loss must be in (0, 1], got {extra_loss}")
-    return link.g_ch * link.g_bob * extra_loss * spd.eta_d
+# In the four helpers below, t is the transmittance from the source to the
+# detector (channel, receiver optics and any switch); eta = t*eta_d.
 
 
-def decoy_signal_gain(mu: float, spd: SpdSpec, link: LinkSpec, extra_loss: float = 1.0) -> float:
+def decoy_signal_gain(mu: float, spd: SpdSpec, t: float) -> float:
     """Gain of the signal state: Q_mu = y0 + 1 - exp(-eta*mu)."""
-    eta = _overall_eta(spd, link, extra_loss)
+    eta = t * spd.eta_d
     return spd.y0 + 1.0 - math.exp(-eta * mu)
 
 
-def decoy_signal_qber(mu: float, spd: SpdSpec, link: LinkSpec, extra_loss: float = 1.0) -> float:
+def decoy_signal_qber(mu: float, spd: SpdSpec, t: float) -> float:
     """Overall QBER of the signal state."""
-    eta = _overall_eta(spd, link, extra_loss)
-    gain = decoy_signal_gain(mu, spd, link, extra_loss)
+    eta = t * spd.eta_d
+    gain = decoy_signal_gain(mu, spd, t)
     if gain == 0.0:
         raise ZeroDivisionError("signal gain is zero; QBER undefined")
     return (E0 * spd.y0 + spd.e_det * (1.0 - math.exp(-eta * mu))) / gain
 
 
-def decoy_single_photon_gain(mu: float, spd: SpdSpec, link: LinkSpec, extra_loss: float = 1.0) -> float:
+def decoy_single_photon_gain(mu: float, spd: SpdSpec, t: float) -> float:
     """Gain of the single-photon pulses: Q_1 = (y0 + eta) * mu * exp(-mu)."""
-    eta = _overall_eta(spd, link, extra_loss)
+    eta = t * spd.eta_d
     return (spd.y0 + eta) * mu * math.exp(-mu)
 
 
-def decoy_single_photon_qber(mu: float, spd: SpdSpec, link: LinkSpec, extra_loss: float = 1.0) -> float:
+def decoy_single_photon_qber(mu: float, spd: SpdSpec, t: float) -> float:
     """QBER of the single-photon pulses.
 
     The Poisson weight mu*exp(-mu) cancels against the same factor in the
     single-photon gain, so the result is independent of mu.
     """
-    eta = _overall_eta(spd, link, extra_loss)
-    gain_1 = decoy_single_photon_gain(mu, spd, link, extra_loss)
+    eta = t * spd.eta_d
+    gain_1 = decoy_single_photon_gain(mu, spd, t)
     if gain_1 == 0.0:
         raise ZeroDivisionError("single-photon gain is zero; QBER undefined")
     return (E0 * spd.y0 + spd.e_det * eta) * mu * math.exp(-mu) / gain_1
 
 
-def decoy_rate_single(spd: SpdSpec, link: LinkSpec, cfg: DecoyConfig) -> float:
-    """Key rate in bits/s for one detector, no routing switch in the path."""
-    q_mu = decoy_signal_gain(cfg.mu, spd, link)
-    e_mu = decoy_signal_qber(cfg.mu, spd, link)
-    q_1 = decoy_single_photon_gain(cfg.mu, spd, link)
-    per_pulse = q_1 - cfg.f_ec * q_mu * binary_entropy(e_mu)
-    if not cfg.drop_pa:
-        per_pulse -= q_1 * binary_entropy(decoy_single_photon_qber(cfg.mu, spd, link))
-    return cfg.basis_factor * spd.rep_rate * per_pulse
+def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: DecoyConfig, t: float, switch: float) -> float:
+    """Key rate in bits/s with gains and error correction from the keyed
+    detector and the privacy-amplification error bound from the bounding one.
 
-
-def decoy_rate_dual(fast: SpdSpec, slow: SpdSpec, link: LinkSpec, cfg: DecoyConfig) -> float:
-    """Key rate in bits/s with gains and error correction from the fast
-    detector and the privacy-amplification error bound from the slow one.
-
-    Switch loss applies to both detectors' parameters.
+    t is the transmittance up to the routing switch and switch the switch's
+    own; both detectors sit behind it. A single-detector receiver passes
+    one detector twice and switch = 1.
     """
-    extra = db_to_transmittance(link.switch_loss)
-    q_mu = decoy_signal_gain(cfg.mu, fast, link, extra)
-    e_mu = decoy_signal_qber(cfg.mu, fast, link, extra)
-    q_1 = decoy_single_photon_gain(cfg.mu, fast, link, extra)
+    t = t * switch
+    q_mu = decoy_signal_gain(cfg.mu, keyed, t)
+    e_mu = decoy_signal_qber(cfg.mu, keyed, t)
+    q_1 = decoy_single_photon_gain(cfg.mu, keyed, t)
     per_pulse = q_1 - cfg.f_ec * q_mu * binary_entropy(e_mu)
     if not cfg.drop_pa:
-        per_pulse -= q_1 * binary_entropy(decoy_single_photon_qber(cfg.mu, slow, link, extra))
-    return cfg.basis_factor * fast.rep_rate * per_pulse
+        per_pulse -= q_1 * binary_entropy(decoy_single_photon_qber(cfg.mu, bounding, t))
+    return cfg.basis_factor * keyed.rep_rate * per_pulse
 
 
 def optimal_mu(e_det: float, f_ec: float, residual_tol: float = 1e-10) -> float:

@@ -10,9 +10,8 @@ the time and uses that arm's noise budget to bound the eavesdropper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import DomainError, GmcsSource, HomodyneSpec, LinkSpec
+from .core import DomainError, GmcsSource, HomodyneSpec
 
 
 class MismatchedEfficiencyError(DomainError):
@@ -24,42 +23,21 @@ class MismatchedEfficiencyError(DomainError):
     """
 
 
-@dataclass(frozen=True)
-class GmcsNoiseBudget:
-    """Input-referred noise decomposition for one detector arm.
-
-    g: overall transmittance (channel * detector * optional switch).
-    chi_vac: vacuum noise (1-g)/g from transmission loss.
-    eps: total excess noise eps_pre + eps_det/g.
-    chi: equivalent input noise chi_vac + eps.
-    """
-
-    g: float
-    chi_vac: float
-    eps: float
-    chi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.g <= 1.0:
-            raise DomainError(f"g must be in (0, 1], got {self.g}")
-        if self.chi_vac < 0.0:
-            raise DomainError(f"chi_vac must be >= 0, got {self.chi_vac}")
-        if self.chi != self.chi_vac + self.eps:
-            raise DomainError("chi must equal chi_vac + eps")
-
-
 def noise_budget(
-    source: GmcsSource, det: HomodyneSpec, link: LinkSpec, include_switch: bool = False
-) -> GmcsNoiseBudget:
-    """Build the input-referred noise budget for one detector arm."""
-    g = link.g_ch * det.g_det
-    if include_switch:
-        g *= link.switch_transmittance
+    source: GmcsSource, det: HomodyneSpec, t: float, switch: float
+) -> tuple[float, float, float]:
+    """Input-referred noise budget (g, chi_vac, eps) of one detector arm.
+
+    g = t*g_det*switch is the arm's overall transmittance, with t the
+    channel transmittance and switch the routing switch's (1 without one).
+    chi_vac = (1-g)/g is the vacuum noise from transmission loss and
+    eps = eps_pre + eps_det/g the total excess noise; the equivalent input
+    noise is chi = chi_vac + eps.
+    """
+    g = t * det.g_det * switch
     if g == 0.0:
         raise DomainError("overall transmittance is zero")
-    chi_vac = (1.0 - g) / g
-    eps = source.eps_pre + det.eps_det / g
-    return GmcsNoiseBudget(g=g, chi_vac=chi_vac, eps=eps, chi=chi_vac + eps)
+    return g, (1.0 - g) / g, source.eps_pre + det.eps_det / g
 
 
 def mutual_info_ab(v: float, chi: float) -> float:
@@ -108,57 +86,40 @@ def info_be(v: float, chi: float, g: float) -> float:
     return 0.5 * math.log2(arg)
 
 
-def gmcs_dr_rate_single(source: GmcsSource, det: HomodyneSpec, link: LinkSpec) -> float:
-    """Direct-reconciliation rate in bits/s for one detector, no switch."""
-    budget = noise_budget(source, det, link)
-    return det.rep_rate * (
-        source.beta * mutual_info_ab(source.v, budget.chi) - info_ae(source.v, budget.chi)
-    )
-
-
 def gmcs_dr_rate_dual(
-    source: GmcsSource, fast: HomodyneSpec, slow: HomodyneSpec, link: LinkSpec
+    keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsSource, t: float, switch: float
 ) -> float:
-    """Direct-reconciliation rate in bits/s with the fast arm keyed.
+    """Direct-reconciliation rate in bits/s with the keyed arm making the key.
 
-    Both arms sit behind the switch, so both budgets include its loss. The
-    vacuum-noise term is shared (taken from the keyed arm); each arm
-    contributes its own excess noise.
+    t is the channel transmittance and switch the routing switch's; both
+    arms sit behind the switch. The vacuum-noise term is shared (taken from
+    the keyed arm); each arm contributes its own excess noise. A
+    single-detector receiver passes one detector twice and switch = 1.
     """
-    fast_budget = noise_budget(source, fast, link, include_switch=True)
-    slow_budget = noise_budget(source, slow, link, include_switch=True)
-    chi_vac = fast_budget.chi_vac
-    return fast.rep_rate * (
-        source.beta * mutual_info_ab(source.v, chi_vac + fast_budget.eps)
-        - info_ae(source.v, chi_vac + slow_budget.eps)
-    )
-
-
-def gmcs_rr_rate_single(source: GmcsSource, det: HomodyneSpec, link: LinkSpec) -> float:
-    """Reverse-reconciliation rate in bits/s for one detector, no switch."""
-    budget = noise_budget(source, det, link)
-    return det.rep_rate * (
-        source.beta * mutual_info_ab(source.v, budget.chi)
-        - info_be(source.v, budget.chi, budget.g)
+    _, chi_vac, eps_keyed = noise_budget(source, keyed, t, switch)
+    eps_bounding = noise_budget(source, bounding, t, switch)[2]
+    return keyed.rep_rate * (
+        source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
+        - info_ae(source.v, chi_vac + eps_bounding)
     )
 
 
 def gmcs_rr_rate_dual(
-    source: GmcsSource, fast: HomodyneSpec, slow: HomodyneSpec, link: LinkSpec
+    keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsSource, t: float, switch: float
 ) -> float:
-    """Reverse-reconciliation rate in bits/s with the fast arm keyed.
+    """Reverse-reconciliation rate in bits/s with the keyed arm making the key.
 
-    Requires identical detection efficiencies on the two arms; otherwise
-    the quiet arm's eavesdropper bound does not transfer to the keyed arm.
+    Arguments as for gmcs_dr_rate_dual. Requires identical detection
+    efficiencies on the two arms; otherwise the bounding arm's
+    eavesdropper bound does not transfer to the keyed arm.
     """
-    if fast.g_det != slow.g_det:
+    if keyed.g_det != bounding.g_det:
         raise MismatchedEfficiencyError(
-            f"detector efficiencies differ: {fast.g_det} vs {slow.g_det}"
+            f"detector efficiencies differ: {keyed.g_det} vs {bounding.g_det}"
         )
-    fast_budget = noise_budget(source, fast, link, include_switch=True)
-    slow_budget = noise_budget(source, slow, link, include_switch=True)
-    chi_vac = fast_budget.chi_vac
-    return fast.rep_rate * (
-        source.beta * mutual_info_ab(source.v, chi_vac + fast_budget.eps)
-        - info_be(source.v, chi_vac + slow_budget.eps, fast_budget.g)
+    g, chi_vac, eps_keyed = noise_budget(source, keyed, t, switch)
+    eps_bounding = noise_budget(source, bounding, t, switch)[2]
+    return keyed.rep_rate * (
+        source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
+        - info_be(source.v, chi_vac + eps_bounding, g)
     )

@@ -14,10 +14,27 @@ from pathlib import Path
 from typing import Any, Union
 
 from . import bb84, decoy, gmcs
-from .core import DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec
+from .core import (
+    DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance, db_to_transmittance,
+)
 
-PROTOCOLS = ("bb84_single_photon", "decoy_bb84", "gmcs_dr", "gmcs_rr")
-MODES = ("single_fast", "single_slow", "dual", "dual_no_pa")
+#: protocol -> (config type, rate kernel(keyed, bounding, config, t, switch)).
+_PROTOCOLS = {
+    "bb84_single_photon": (bb84.Bb84Config, bb84.bb84_rate_dual),
+    "decoy_bb84": (decoy.DecoyConfig, decoy.decoy_rate_dual),
+    "gmcs_dr": (GmcsSource, gmcs.gmcs_dr_rate_dual),
+    "gmcs_rr": (GmcsSource, gmcs.gmcs_rr_rate_dual),
+}
+#: mode -> (keyed arm, bounding arm, behind the switch). A single detector
+#: is the dual receiver with that detector on both arms and no switch.
+_ARMS = {
+    "single_fast": ("fast", "fast", False),
+    "single_slow": ("slow", "slow", False),
+    "dual": ("fast", "slow", True),
+    "dual_no_pa": ("fast", "slow", True),
+}
+PROTOCOLS = tuple(_PROTOCOLS)
+MODES = tuple(_ARMS)
 SPD_PROTOCOLS = ("bb84_single_photon", "decoy_bb84")
 
 Detector = Union[SpdSpec, HomodyneSpec]
@@ -39,10 +56,16 @@ class Scenario:
 
     def __post_init__(self) -> None:
         validate_scenario(self)
-
-    def at_length(self, length_km: float) -> "Scenario":
-        """Copy of this scenario with the link length replaced."""
-        return dataclasses.replace(self, link=dataclasses.replace(self.link, length=length_km))
+        # Resolve once what evaluate needs besides the length. dual_no_pa is
+        # dual with drop_pa set; GMCS ignores g_bob, and a factor 1.0 keeps
+        # its transmittance exact.
+        keyed, bounding, switched = _ARMS[self.mode]
+        config = dataclasses.replace(self.config, drop_pa=True) if self.mode == "dual_no_pa" else self.config
+        switch = db_to_transmittance(self.link.switch_loss) if switched else 1.0
+        g_bob = self.link.g_bob if self.protocol in SPD_PROTOCOLS else 1.0
+        plan = (_PROTOCOLS[self.protocol][1], getattr(self, keyed), getattr(self, bounding), config,
+                switch, self.link.alpha, g_bob)
+        object.__setattr__(self, "_plan", plan)
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -61,63 +84,27 @@ def validate_scenario(s: Scenario) -> None:
                 f"protocol {s.protocol!r} (expected {detector_cls.__name__})"
             )
 
-    config_cls = {
-        "bb84_single_photon": bb84.Bb84Config,
-        "decoy_bb84": decoy.DecoyConfig,
-        "gmcs_dr": GmcsSource,
-        "gmcs_rr": GmcsSource,
-    }[s.protocol]
+    config_cls = _PROTOCOLS[s.protocol][0]
     if not isinstance(s.config, config_cls):
         raise ConfigError(
             f"config kind {type(s.config).__name__} does not match protocol "
             f"{s.protocol!r} (expected {config_cls.__name__})"
         )
 
-    if s.mode in ("dual", "dual_no_pa"):
-        if s.fast is None or s.slow is None:
-            raise ConfigError(f"mode {s.mode!r} needs both a fast and a slow detector")
-        if s.protocol == "gmcs_rr" and s.fast.g_det != s.slow.g_det:
-            raise ConfigError(
-                "reverse reconciliation with dual detectors requires equal "
-                f"detection efficiencies, got {s.fast.g_det} and {s.slow.g_det}"
-            )
-    elif s.mode == "single_fast" and s.fast is None:
-        raise ConfigError("mode 'single_fast' needs a fast detector")
-    elif s.mode == "single_slow" and s.slow is None:
-        raise ConfigError("mode 'single_slow' needs a slow detector")
+    for arm in _ARMS[s.mode][:2]:
+        if getattr(s, arm) is None:
+            raise ConfigError(f"mode {s.mode!r} needs a {arm} detector")
+    if s.protocol == "gmcs_rr" and s.mode == "dual" and s.fast.g_det != s.slow.g_det:
+        raise ConfigError(
+            "reverse reconciliation with dual detectors requires equal "
+            f"detection efficiencies, got {s.fast.g_det} and {s.slow.g_det}"
+        )
 
 
 def evaluate(scenario: Scenario, length_km: float) -> float:
     """Raw (unclamped) key rate in bits/s at the given fiber length."""
-    s = scenario.at_length(length_km)
-    protocol, mode = s.protocol, s.mode
-
-    if protocol == "bb84_single_photon":
-        if mode == "dual":
-            return bb84.bb84_rate_dual(s.fast, s.slow, s.link, s.config)
-        det = s.fast if mode == "single_fast" else s.slow
-        return bb84.bb84_rate_single(det, s.link, s.config)
-
-    if protocol == "decoy_bb84":
-        cfg = s.config
-        if mode == "dual_no_pa":
-            cfg = dataclasses.replace(cfg, drop_pa=True)
-            mode = "dual"
-        if mode == "dual":
-            return decoy.decoy_rate_dual(s.fast, s.slow, s.link, cfg)
-        det = s.fast if mode == "single_fast" else s.slow
-        return decoy.decoy_rate_single(det, s.link, cfg)
-
-    if protocol == "gmcs_dr":
-        if mode == "dual":
-            return gmcs.gmcs_dr_rate_dual(s.config, s.fast, s.slow, s.link)
-        det = s.fast if mode == "single_fast" else s.slow
-        return gmcs.gmcs_dr_rate_single(s.config, det, s.link)
-
-    if mode == "dual":
-        return gmcs.gmcs_rr_rate_dual(s.config, s.fast, s.slow, s.link)
-    det = s.fast if mode == "single_fast" else s.slow
-    return gmcs.gmcs_rr_rate_single(s.config, det, s.link)
+    kernel, keyed, bounding, config, switch, alpha, g_bob = scenario._plan
+    return kernel(keyed, bounding, config, channel_transmittance(alpha, length_km) * g_bob, switch)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +113,7 @@ def evaluate(scenario: Scenario, length_km: float) -> float:
 _LINK_KEYS = {"alpha_db_per_km", "length_km", "g_bob", "switch_loss_db"}
 _SPD_KEYS = {"rep_rate_hz", "eta_d", "y0", "e_det"}
 _HOMODYNE_KEYS = {"rep_rate_hz", "g_det", "eps_det"}
+#: protocol -> (required, optional) keys of "config", named as the config fields.
 _CONFIG_KEYS = {
     "bb84_single_photon": ({"basis_factor", "f_ec"}, set()),
     "decoy_bb84": ({"mu", "basis_factor", "f_ec"}, {"drop_pa"}),
@@ -168,28 +156,20 @@ def _parse_detector(entry: Any, index: int) -> Detector:
     raise ConfigError(f"{where}: unknown detector kind {kind!r}; expected 'spd' or 'homodyne'")
 
 
-def _parse_config(obj: Any, protocol: str) -> ProtocolConfig:
-    required, optional = _CONFIG_KEYS[protocol]
-    _check_keys(obj, required, optional, "config")
-    if protocol == "bb84_single_photon":
-        return bb84.Bb84Config(basis_factor=obj["basis_factor"], f_ec=obj["f_ec"])
-    if protocol == "decoy_bb84":
-        return decoy.DecoyConfig(
-            mu=obj["mu"],
-            basis_factor=obj["basis_factor"],
-            f_ec=obj["f_ec"],
-            drop_pa=obj.get("drop_pa", False),
-        )
-    return GmcsSource(v=obj["v"], beta=obj["beta"], eps_pre=obj.get("eps_pre", 0.0))
+def _parse_config(obj: Any, protocol: str) -> ProtocolConfig | None:
+    """The protocol's config; None for an unknown protocol, which the
+    Scenario constructor then reports."""
+    keys = _CONFIG_KEYS.get(protocol)
+    if keys is None:
+        return None
+    _check_keys(obj, *keys, "config")
+    return _PROTOCOLS[protocol][0](**obj)
 
 
 def scenario_from_dict(data: Any) -> Scenario:
     """Build and validate a Scenario from decoded JSON."""
     _check_keys(data, {"protocol", "mode", "link", "detectors", "config"}, set(), "scenario")
     protocol = data["protocol"]
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-
     link_obj = data["link"]
     _check_keys(link_obj, {"alpha_db_per_km"}, _LINK_KEYS - {"alpha_db_per_km"}, "link")
     detectors = data["detectors"]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import mpmath
 
-from dualdet.core import HomodyneSpec, binary_entropy
+from dualdet.core import HomodyneSpec, binary_entropy, channel_transmittance
 from dualdet.gmcs import MismatchedEfficiencyError, gmcs_rr_rate_dual
 from dualdet.practical import (
     accumulation_time,
@@ -246,16 +246,17 @@ def test_criterion_12_property_suite():
                 failures.append(f"degeneracy figure {fig_id} at {length} km")
 
     fig4 = figure_preset(4)
-    link = dataclasses.replace(fig4.scenarios["dual"].link, length=50.0)
-    qbers = [decoy_single_photon_qber(mu, fig4.scenarios["dual"].fast, link) for mu in (0.1, 0.5, 0.9)]
+    link = fig4.scenarios["dual"].link
+    t = channel_transmittance(link.alpha, 50.0) * link.g_bob
+    qbers = [decoy_single_photon_qber(mu, fig4.scenarios["dual"].fast, t) for mu in (0.1, 0.5, 0.9)]
     if any(abs(q - qbers[0]) > 1e-12 * qbers[0] for q in qbers):
         failures.append("single-photon QBER depends on intensity")
 
-    fig6 = figure_preset(6)
+    dual6 = figure_preset(6).scenarios["dual"]
     mismatched = HomodyneSpec(rep_rate=1e6, g_det=0.75, eps_det=0.01)
+    t = channel_transmittance(dual6.link.alpha, dual6.link.length)
     try:
-        gmcs_rr_rate_dual(fig6.scenarios["dual"].config, fig6.scenarios["dual"].fast,
-                          mismatched, fig6.scenarios["dual"].link)
+        gmcs_rr_rate_dual(dual6.fast, mismatched, dual6.config, t, 1.0)
         failures.append("mismatched efficiency accepted")
     except MismatchedEfficiencyError:
         pass

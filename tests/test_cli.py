@@ -130,3 +130,16 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(tmp_path):
     assert main(["rate", "--config", str(tmp_path / "missing.json"), "--length", "10"]) == 2
+
+
+def test_non_finite_flag_exit_code(dual_config, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--config", dual_config, "--length", "nan"])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_scenario_exit_code(tmp_path, capsys):
+    bad = write_variant(tmp_path, "nan.json", link={**BB84_DUAL["link"], "alpha_db_per_km": float("nan")})
+    assert main(["rate", "--config", bad, "--length", "10"]) == 2
+    assert "configuration error" in capsys.readouterr().err

@@ -58,6 +58,10 @@ def test_channel_transmittance_examples():
         channel_transmittance(-0.1, 10.0)
     with pytest.raises(DomainError):
         channel_transmittance(0.21, -1.0)
+    with pytest.raises(DomainError):
+        channel_transmittance(math.nan, 10.0)
+    with pytest.raises(DomainError):
+        channel_transmittance(0.21, math.nan)
 
 
 @given(
@@ -77,6 +81,8 @@ def test_db_to_transmittance():
     assert db_to_transmittance(3.0) == pytest.approx(0.5011872336272722, rel=1e-12)
     with pytest.raises(DomainError):
         db_to_transmittance(-0.5)
+    with pytest.raises(DomainError):
+        db_to_transmittance(math.nan)
 
 
 @pytest.mark.parametrize(
@@ -103,8 +109,8 @@ def test_homodyne_spec_validation():
 
 def test_link_spec():
     link = LinkSpec(alpha=0.21, length=100.0, g_bob=0.16, switch_loss=3.0)
-    assert link.g_ch == pytest.approx(7.943282347242814e-3, rel=1e-12)
-    assert link.switch_transmittance == pytest.approx(0.5011872336272722, rel=1e-12)
+    assert channel_transmittance(link.alpha, link.length) == pytest.approx(7.943282347242814e-3, rel=1e-12)
+    assert db_to_transmittance(link.switch_loss) == pytest.approx(0.5011872336272722, rel=1e-12)
     with pytest.raises(DomainError):
         LinkSpec(alpha=0.21, length=10.0, g_bob=0.0)
 

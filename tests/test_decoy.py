@@ -3,11 +3,10 @@ import math
 import pytest
 from scipy.optimize import brentq
 
-from dualdet.core import DomainError, LinkSpec, SpdSpec, binary_entropy
+from dualdet.core import DomainError, SpdSpec, binary_entropy, channel_transmittance
 from dualdet.decoy import (
     DecoyConfig,
     decoy_rate_dual,
-    decoy_rate_single,
     decoy_signal_gain,
     decoy_signal_qber,
     decoy_single_photon_gain,
@@ -20,123 +19,133 @@ SLOW = SpdSpec(rep_rate=2.5e6, eta_d=0.5, y0=3e-7, e_det=0.018)
 CFG = DecoyConfig(mu=0.73, basis_factor=0.5, f_ec=1.22)
 
 
-def link_at(length_km, switch_loss=0.0):
-    return LinkSpec(alpha=0.21, length=length_km, g_bob=0.16, switch_loss=switch_loss)
+def t_at(length_km, alpha=0.21):
+    """Transmittance of the fiber and the 0.16 receiver optics."""
+    return channel_transmittance(alpha, length_km) * 0.16
+
+
+def single(spd, t, cfg=CFG):
+    """Single-detector rate: the detector on both arms, no switch."""
+    return decoy_rate_dual(spd, spd, cfg, t, 1.0)
+
+
+def single_by_terms(spd, t):
+    """Single-detector rate assembled from the gain and QBER terms."""
+    q_mu = decoy_signal_gain(0.73, spd, t)
+    e_mu = decoy_signal_qber(0.73, spd, t)
+    q_1 = decoy_single_photon_gain(0.73, spd, t)
+    e_1 = decoy_single_photon_qber(0.73, spd, t)
+    return 0.5 * spd.rep_rate * (
+        q_1 - 1.22 * q_mu * binary_entropy(e_mu) - q_1 * binary_entropy(e_1)
+    )
 
 
 def test_signal_gain_at_50km():
     # eta = 10^-1.05 * 0.16 * 0.059; Q_mu = y0 + 1 - exp(-eta*mu)
     eta = 10 ** -1.05 * 0.16 * 0.059
     expected = 1.3e-5 + 1.0 - math.exp(-eta * 0.73)
-    got = decoy_signal_gain(0.73, FAST, link_at(50.0))
+    got = decoy_signal_gain(0.73, FAST, t_at(50.0))
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(6.269902772660929e-4, rel=1e-12)
 
 
 def test_signal_gain_limits():
     # Vanishing intensity leaves only dark counts.
-    assert decoy_signal_gain(1e-15, FAST, link_at(0.0)) == pytest.approx(FAST.y0, abs=1e-12)
+    assert decoy_signal_gain(1e-15, FAST, t_at(0.0)) == pytest.approx(FAST.y0, abs=1e-12)
     # Bright source saturates at y0 + 1.
     bright = SpdSpec(rep_rate=1e9, eta_d=1.0, y0=1e-5, e_det=0.01)
-    saturating = LinkSpec(alpha=0.21, length=0.0, g_bob=1.0)
+    saturating = 1.0
     assert decoy_signal_gain(1e3, bright, saturating) == pytest.approx(1.0 + 1e-5, rel=1e-12)
 
 
 def test_signal_qber_at_50km():
-    assert decoy_signal_qber(0.73, FAST, link_at(50.0)) == pytest.approx(
+    assert decoy_signal_qber(0.73, FAST, t_at(50.0)) == pytest.approx(
         2.799377538567475e-2, rel=1e-12
     )
 
 
 def test_signal_qber_limits():
     clean = SpdSpec(rep_rate=1e9, eta_d=0.059, y0=0.0, e_det=0.018)
-    assert decoy_signal_qber(0.73, clean, link_at(20.0)) == pytest.approx(0.018, rel=1e-12)
-    far = LinkSpec(alpha=10.0, length=2000.0, g_bob=0.16)
+    assert decoy_signal_qber(0.73, clean, t_at(20.0)) == pytest.approx(0.018, rel=1e-12)
+    far = t_at(2000.0, alpha=10.0)
     assert decoy_signal_qber(0.73, FAST, far) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_single_photon_gain():
-    assert decoy_single_photon_gain(0.73, FAST, link_at(50.0)) == pytest.approx(
+    assert decoy_single_photon_gain(0.73, FAST, t_at(50.0)) == pytest.approx(
         3.0055162396113995e-4, rel=1e-12
     )
     # Poisson weight of exactly one photon at mu = 1 through a perfect system.
     perfect = SpdSpec(rep_rate=1e9, eta_d=1.0, y0=0.0, e_det=0.0)
-    ideal = LinkSpec(alpha=0.0, length=0.0, g_bob=1.0)
+    ideal = 1.0
     assert decoy_single_photon_gain(1.0, perfect, ideal) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_single_photon_qber():
-    assert decoy_single_photon_qber(0.73, FAST, link_at(50.0)) == pytest.approx(
+    assert decoy_single_photon_qber(0.73, FAST, t_at(50.0)) == pytest.approx(
         2.5334308945793e-2, rel=1e-12
     )
 
 
 def test_single_photon_qber_mu_independent():
     for length in (0.0, 50.0, 120.0):
-        link = link_at(length)
-        values = [decoy_single_photon_qber(mu, FAST, link) for mu in (0.1, 0.5, 0.9)]
+        t = t_at(length)
+        values = [decoy_single_photon_qber(mu, FAST, t) for mu in (0.1, 0.5, 0.9)]
         assert values[0] == pytest.approx(values[1], rel=1e-12)
         assert values[0] == pytest.approx(values[2], rel=1e-12)
 
 
 def test_rate_single_at_50km():
-    got = decoy_rate_single(FAST, link_at(50.0), CFG)
+    got = single(FAST, t_at(50.0))
     assert got == pytest.approx(54204.244674566915, rel=1e-12)
     assert got > 0.0
 
 
 def test_rate_single_matches_term_assembly():
-    link = link_at(75.0)
-    q_mu = decoy_signal_gain(0.73, FAST, link)
-    e_mu = decoy_signal_qber(0.73, FAST, link)
-    q_1 = decoy_single_photon_gain(0.73, FAST, link)
-    e_1 = decoy_single_photon_qber(0.73, FAST, link)
-    expected = 0.5 * 1e9 * (
-        q_1 - 1.22 * q_mu * binary_entropy(e_mu) - q_1 * binary_entropy(e_1)
-    )
-    assert decoy_rate_single(FAST, link, CFG) == pytest.approx(expected, rel=1e-12)
+    t = t_at(75.0)
+    assert single(FAST, t) == pytest.approx(single_by_terms(FAST, t), rel=1e-12)
 
 
 def test_drop_pa_never_lowers_rate():
     no_pa = DecoyConfig(mu=0.73, basis_factor=0.5, f_ec=1.22, drop_pa=True)
     for length in (0.0, 40.0, 80.0, 120.0):
-        link = link_at(length)
-        assert decoy_rate_single(FAST, link, no_pa) >= decoy_rate_single(FAST, link, CFG)
+        t = t_at(length)
+        assert single(FAST, t, no_pa) >= single(FAST, t)
 
 
 def test_single_photon_gain_below_signal_gain():
     for length in range(0, 251, 10):
-        link = link_at(float(length))
+        t = t_at(float(length))
         for spd in (FAST, SLOW):
-            q_1 = decoy_single_photon_gain(0.73, spd, link)
-            q_mu = decoy_signal_gain(0.73, spd, link)
+            q_1 = decoy_single_photon_gain(0.73, spd, t)
+            q_mu = decoy_signal_gain(0.73, spd, t)
             assert q_1 <= q_mu + 1e-18
 
 
 def test_slow_single_outlives_dual_advantage():
     # Past the crossover the quiet detector alone still makes key while the
     # dual configuration has gone negative.
-    assert decoy_rate_single(SLOW, link_at(90.0), CFG) > 0.0
-    assert decoy_rate_dual(FAST, SLOW, link_at(90.0), CFG) < 0.0
+    assert single(SLOW, t_at(90.0)) > 0.0
+    assert decoy_rate_dual(FAST, SLOW, CFG, t_at(90.0), 1.0) < 0.0
 
 
 def test_rate_dual_degenerates_to_single():
     for length in (0.0, 50.0, 100.0):
-        link = link_at(length)
-        assert decoy_rate_dual(FAST, FAST, link, CFG) == pytest.approx(
-            decoy_rate_single(FAST, link, CFG), rel=1e-12
+        t = t_at(length)
+        assert decoy_rate_dual(FAST, FAST, CFG, t, 1.0) == pytest.approx(
+            single_by_terms(FAST, t), rel=1e-12
         )
 
 
 def test_rate_dual_uses_slow_error_bound():
-    link = link_at(60.0)
-    dual = decoy_rate_dual(FAST, SLOW, link, CFG)
-    q_1 = decoy_single_photon_gain(0.73, FAST, link)
+    t = t_at(60.0)
+    dual = decoy_rate_dual(FAST, SLOW, CFG, t, 1.0)
+    q_1 = decoy_single_photon_gain(0.73, FAST, t)
     expected_gain = 0.5 * 1e9 * q_1 * (
-        binary_entropy(decoy_single_photon_qber(0.73, FAST, link))
-        - binary_entropy(decoy_single_photon_qber(0.73, SLOW, link))
+        binary_entropy(decoy_single_photon_qber(0.73, FAST, t))
+        - binary_entropy(decoy_single_photon_qber(0.73, SLOW, t))
     )
-    assert dual - decoy_rate_single(FAST, link, CFG) == pytest.approx(expected_gain, rel=1e-9)
+    assert dual - single(FAST, t) == pytest.approx(expected_gain, rel=1e-9)
 
 
 def test_optimal_mu_against_brentq():

@@ -3,13 +3,11 @@ import math
 import mpmath
 import pytest
 
-from dualdet.core import DomainError, GmcsSource, HomodyneSpec, LinkSpec
+from dualdet.core import DomainError, GmcsSource, HomodyneSpec, channel_transmittance, db_to_transmittance
 from dualdet.gmcs import (
     MismatchedEfficiencyError,
     gmcs_dr_rate_dual,
-    gmcs_dr_rate_single,
     gmcs_rr_rate_dual,
-    gmcs_rr_rate_single,
     info_ae,
     info_be,
     mutual_info_ab,
@@ -22,8 +20,23 @@ SOURCE = GmcsSource(v=40.0, beta=1.0, eps_pre=0.05)
 SOURCE_REALISTIC = GmcsSource(v=20.0, beta=0.8, eps_pre=0.05)
 
 
-def link_at(length_km, switch_loss=0.0):
-    return LinkSpec(alpha=0.21, length=length_km, g_bob=1.0, switch_loss=switch_loss)
+def t_at(length_km):
+    return channel_transmittance(0.21, length_km)
+
+
+def dr_single(source, det, t):
+    """Single-detector rate: the detector on both arms, no switch."""
+    return gmcs_dr_rate_dual(det, det, source, t, 1.0)
+
+
+def rr_single(source, det, t):
+    return gmcs_rr_rate_dual(det, det, source, t, 1.0)
+
+
+def chi_of(source, det, t):
+    """Equivalent input noise chi = chi_vac + eps of one arm without a switch."""
+    _, chi_vac, eps = noise_budget(source, det, t, 1.0)
+    return chi_vac + eps
 
 
 def mp_half_log2(x):
@@ -31,33 +44,32 @@ def mp_half_log2(x):
 
 
 def test_noise_budget_at_zero_length():
-    fast = noise_budget(SOURCE, FAST, link_at(0.0))
+    g, chi_vac, _ = noise_budget(SOURCE, FAST, t_at(0.0), 1.0)
     # chi = (1-0.8)/0.8 + 0.05 + 0.43/0.8 = 0.25 + 0.05 + 0.5375
-    assert fast.g == pytest.approx(0.8, rel=1e-15)
-    assert fast.chi_vac == pytest.approx(0.25, rel=1e-12)
-    assert fast.chi == pytest.approx(0.8375, rel=1e-12)
-    quiet = noise_budget(SOURCE, QUIET, link_at(0.0))
-    assert quiet.chi == pytest.approx(0.3125, rel=1e-12)
+    assert g == pytest.approx(0.8, rel=1e-15)
+    assert chi_vac == pytest.approx(0.25, rel=1e-12)
+    assert chi_of(SOURCE, FAST, t_at(0.0)) == pytest.approx(0.8375, rel=1e-12)
+    assert chi_of(SOURCE, QUIET, t_at(0.0)) == pytest.approx(0.3125, rel=1e-12)
 
 
 def test_noise_budget_lossless_noiseless():
     source = GmcsSource(v=10.0, beta=1.0, eps_pre=0.0)
     det = HomodyneSpec(rep_rate=1e6, g_det=1.0, eps_det=0.0)
-    budget = noise_budget(source, det, LinkSpec(alpha=0.0, length=0.0, g_bob=1.0))
-    assert budget.chi == 0.0
-    assert budget.chi_vac == 0.0
+    _, chi_vac, _ = noise_budget(source, det, 1.0, 1.0)
+    assert chi_of(source, det, 1.0) == 0.0
+    assert chi_vac == 0.0
 
 
 def test_noise_budget_switch_inclusion():
-    with_switch = noise_budget(SOURCE, FAST, link_at(10.0, switch_loss=3.0), include_switch=True)
-    without = noise_budget(SOURCE, FAST, link_at(10.0, switch_loss=3.0), include_switch=False)
-    assert with_switch.g == pytest.approx(without.g * 10 ** -0.3, rel=1e-12)
-    assert with_switch.chi_vac > without.chi_vac
+    with_switch = noise_budget(SOURCE, FAST, t_at(10.0), db_to_transmittance(3.0))
+    without = noise_budget(SOURCE, FAST, t_at(10.0), 1.0)
+    assert with_switch[0] == pytest.approx(without[0] * 10 ** -0.3, rel=1e-12)
+    assert with_switch[1] > without[1]
 
 
 def test_chi_vac_decreasing_in_transmittance():
-    budgets = [noise_budget(SOURCE, FAST, link_at(length)) for length in (0.0, 5.0, 20.0, 50.0)]
-    chi_vacs = [b.chi_vac for b in budgets]
+    budgets = [noise_budget(SOURCE, FAST, t_at(length), 1.0) for length in (0.0, 5.0, 20.0, 50.0)]
+    chi_vacs = [b[1] for b in budgets]
     assert all(b > a for a, b in zip(chi_vacs, chi_vacs[1:]))
 
 
@@ -109,68 +121,75 @@ def test_info_be_lossless_noiseless_is_exactly_zero(v):
 
 def test_dr_rate_single():
     # The quiet detector alone is profitable at zero distance.
-    assert gmcs_dr_rate_single(SOURCE, QUIET, link_at(0.0)) > 0.0
+    assert dr_single(SOURCE, QUIET, t_at(0.0)) > 0.0
     # The noisy one loses money within a few km.
-    assert gmcs_dr_rate_single(SOURCE, FAST, link_at(0.0)) > 0.0
-    assert gmcs_dr_rate_single(SOURCE, FAST, link_at(3.0)) < 0.0
+    assert dr_single(SOURCE, FAST, t_at(0.0)) > 0.0
+    assert dr_single(SOURCE, FAST, t_at(3.0)) < 0.0
 
 
 def test_dr_rate_breakeven():
-    budget = noise_budget(SOURCE, FAST, link_at(0.0))
-    beta_breakeven = info_ae(SOURCE.v, budget.chi) / mutual_info_ab(SOURCE.v, budget.chi)
+    chi = chi_of(SOURCE, FAST, t_at(0.0))
+    beta_breakeven = info_ae(SOURCE.v, chi) / mutual_info_ab(SOURCE.v, chi)
     source = GmcsSource(v=40.0, beta=beta_breakeven, eps_pre=0.05)
-    assert gmcs_dr_rate_single(source, FAST, link_at(0.0)) == pytest.approx(0.0, abs=1e-6)
+    assert dr_single(source, FAST, t_at(0.0)) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_dr_dual_degenerates_to_single():
+    # One detector on both arms: R = rep_rate * (beta*I_AB(chi) - I_AE(chi)).
     for length in (0.0, 2.0, 4.0):
-        link = link_at(length)
-        assert gmcs_dr_rate_dual(SOURCE, FAST, FAST, link) == pytest.approx(
-            gmcs_dr_rate_single(SOURCE, FAST, link), rel=1e-12
+        t = t_at(length)
+        chi = chi_of(SOURCE, FAST, t)
+        assert gmcs_dr_rate_dual(FAST, FAST, SOURCE, t, 1.0) == pytest.approx(
+            FAST.rep_rate * (SOURCE.beta * mutual_info_ab(SOURCE.v, chi) - info_ae(SOURCE.v, chi)),
+            rel=1e-12,
         )
 
 
 def test_dr_dual_beats_quiet_single_at_short_range():
-    link = link_at(1.0)
-    dual = gmcs_dr_rate_dual(SOURCE, FAST, QUIET, link)
-    assert dual > 10.0 * gmcs_dr_rate_single(SOURCE, QUIET, link)
+    t = t_at(1.0)
+    dual = gmcs_dr_rate_dual(FAST, QUIET, SOURCE, t, 1.0)
+    assert dual > 10.0 * dr_single(SOURCE, QUIET, t)
 
 
 def test_rr_rate_single():
     # beta*I_BA = 2.2370 falls just short of I_BE = 2.2473 for the noisy
     # detector, so reverse reconciliation never pays with it alone.
     for length in (0.0, 5.0, 20.0, 60.0, 200.0):
-        assert gmcs_rr_rate_single(SOURCE, FAST, link_at(length)) < 0.0
-    assert gmcs_rr_rate_single(SOURCE, QUIET, link_at(0.0)) > 0.0
+        assert rr_single(SOURCE, FAST, t_at(length)) < 0.0
+    assert rr_single(SOURCE, QUIET, t_at(0.0)) > 0.0
     expected = 1e6 * (2.470418963765928 - 1.5611292839059991)
-    assert gmcs_rr_rate_single(SOURCE, QUIET, link_at(0.0)) == pytest.approx(expected, rel=1e-9)
+    assert rr_single(SOURCE, QUIET, t_at(0.0)) == pytest.approx(expected, rel=1e-9)
 
 
 def test_rr_ideal_channel():
     source = GmcsSource(v=16.0, beta=1.0, eps_pre=0.0)
     det = HomodyneSpec(rep_rate=1e6, g_det=1.0, eps_det=0.0)
-    ideal = LinkSpec(alpha=0.0, length=0.0, g_bob=1.0)
-    assert gmcs_rr_rate_single(source, det, ideal) == pytest.approx(
+    ideal = 1.0
+    assert rr_single(source, det, ideal) == pytest.approx(
         1e6 * 0.5 * math.log2(16.0), rel=1e-12
     )
 
 
 def test_rr_dual_positive_at_zero_length():
-    assert gmcs_rr_rate_dual(SOURCE, FAST, QUIET, link_at(0.0)) > 0.0
+    assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE, t_at(0.0), 1.0) > 0.0
 
 
 def test_rr_dual_degenerates_to_single():
+    # One detector on both arms: R = rep_rate * (beta*I_AB(chi) - I_BE(chi, g)).
     for length in (0.0, 5.0, 10.0):
-        link = link_at(length)
-        assert gmcs_rr_rate_dual(SOURCE, FAST, FAST, link) == pytest.approx(
-            gmcs_rr_rate_single(SOURCE, FAST, link), rel=1e-12
+        t = t_at(length)
+        g, chi_vac, eps = noise_budget(SOURCE, FAST, t, 1.0)
+        chi = chi_vac + eps
+        assert gmcs_rr_rate_dual(FAST, FAST, SOURCE, t, 1.0) == pytest.approx(
+            FAST.rep_rate * (SOURCE.beta * mutual_info_ab(SOURCE.v, chi) - info_be(SOURCE.v, chi, g)),
+            rel=1e-12,
         )
 
 
 def test_rr_dual_rejects_mismatched_efficiency():
     other = HomodyneSpec(rep_rate=1e6, g_det=0.75, eps_det=0.01)
     with pytest.raises(MismatchedEfficiencyError):
-        gmcs_rr_rate_dual(SOURCE, FAST, other, link_at(5.0))
+        gmcs_rr_rate_dual(FAST, other, SOURCE, t_at(5.0), 1.0)
 
 
 @pytest.mark.parametrize("source", [SOURCE, SOURCE_REALISTIC])
@@ -178,18 +197,14 @@ def test_quieter_bound_never_hurts(source):
     # Replacing the quiet arm's noise with the noisy arm's value can only
     # lower the dual rate.
     for length in (0.0, 3.0, 8.0, 15.0):
-        link = link_at(length)
-        assert gmcs_dr_rate_dual(source, FAST, QUIET, link) >= gmcs_dr_rate_dual(
-            source, FAST, FAST, link
-        )
-        assert gmcs_rr_rate_dual(source, FAST, QUIET, link) >= gmcs_rr_rate_dual(
-            source, FAST, FAST, link
-        )
+        t = t_at(length)
+        assert gmcs_dr_rate_dual(FAST, QUIET, source, t, 1.0) >= gmcs_dr_rate_dual(FAST, FAST, source, t, 1.0)
+        assert gmcs_rr_rate_dual(FAST, QUIET, source, t, 1.0) >= gmcs_rr_rate_dual(FAST, FAST, source, t, 1.0)
 
 
 def test_realistic_rr_dual_positive_at_short_range_only():
-    link = link_at(1.0)
-    assert gmcs_rr_rate_dual(SOURCE_REALISTIC, FAST, QUIET, link) > 0.0
-    assert gmcs_rr_rate_dual(SOURCE_REALISTIC, FAST, QUIET, link_at(12.0)) < 0.0
+    t = t_at(1.0)
+    assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE_REALISTIC, t, 1.0) > 0.0
+    assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE_REALISTIC, t_at(12.0), 1.0) < 0.0
     for length in (0.0, 2.0, 10.0, 40.0):
-        assert gmcs_rr_rate_single(SOURCE_REALISTIC, FAST, link_at(length)) < 0.0
+        assert rr_single(SOURCE_REALISTIC, FAST, t_at(length)) < 0.0

@@ -1,12 +1,15 @@
 import copy
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dualdet.bb84 import Bb84Config, bb84_rate_dual, bb84_rate_single
-from dualdet.core import LinkSpec, SpdSpec
+from dualdet.bb84 import Bb84Config, bb84_rate_dual
+from dualdet.core import DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance
+from dualdet.decoy import DecoyConfig
 from dualdet.gmcs import gmcs_rr_rate_dual
-from dualdet.scenario import ConfigError, Scenario, evaluate, load_scenario, scenario_from_dict
+from dualdet.scenario import PROTOCOLS, ConfigError, Scenario, evaluate, load_scenario, scenario_from_dict
 
 BB84_DUAL = {
     "protocol": "bb84_single_photon",
@@ -45,13 +48,13 @@ def test_evaluate_dispatches_to_bb84():
     scenario = scenario_from_dict(BB84_DUAL)
     fast = SpdSpec(rep_rate=1e9, eta_d=0.059, y0=1.3e-5, e_det=0.018)
     slow = SpdSpec(rep_rate=2.5e6, eta_d=0.5, y0=3e-7, e_det=0.018)
-    link = LinkSpec(alpha=0.21, length=80.0, g_bob=0.16)
+    t = channel_transmittance(0.21, 80.0) * 0.16
     cfg = Bb84Config(basis_factor=0.5, f_ec=1.22)
-    assert evaluate(scenario, 80.0) == bb84_rate_dual(fast, slow, link, cfg)
+    assert evaluate(scenario, 80.0) == bb84_rate_dual(fast, slow, cfg, t, 1.0)
 
     single = copy.deepcopy(BB84_DUAL)
     single["mode"] = "single_slow"
-    assert evaluate(scenario_from_dict(single), 80.0) == bb84_rate_single(slow, link, cfg)
+    assert evaluate(scenario_from_dict(single), 80.0) == bb84_rate_dual(slow, slow, cfg, t, 1.0)
 
 
 def test_single_modes_ignore_switch_loss():
@@ -73,8 +76,8 @@ def test_single_modes_ignore_switch_loss():
 
 def test_evaluate_dispatches_to_gmcs_rr():
     scenario = scenario_from_dict(GMCS_RR_DUAL)
-    link = LinkSpec(alpha=0.21, length=5.0, g_bob=1.0, switch_loss=0.0)
-    expected = gmcs_rr_rate_dual(scenario.config, scenario.fast, scenario.slow, link)
+    t = channel_transmittance(0.21, 5.0)
+    expected = gmcs_rr_rate_dual(scenario.fast, scenario.slow, scenario.config, t, 1.0)
     assert evaluate(scenario, 5.0) == expected
 
 
@@ -89,6 +92,9 @@ def test_decoy_no_pa_mode():
     no_pa = scenario_from_dict(decoy)
     with_pa = scenario_from_dict({**decoy, "mode": "dual"})
     assert evaluate(no_pa, 60.0) > evaluate(with_pa, 60.0)
+    # Both spellings of "no privacy amplification" give the same rate.
+    drop_pa = scenario_from_dict({**decoy, "mode": "dual", "config": {**decoy["config"], "drop_pa": True}})
+    assert evaluate(no_pa, 60.0) == evaluate(drop_pa, 60.0)
 
 
 def test_unknown_top_level_key_rejected():
@@ -175,3 +181,86 @@ def test_scenario_constructor_validates():
     with pytest.raises(ConfigError):
         Scenario(protocol="bb84_single_photon", mode="dual", link=link,
                  config=Bb84Config(), fast=fast, slow=None)
+
+
+DECOY_DUAL = {
+    **BB84_DUAL, "protocol": "decoy_bb84", "config": {"mu": 0.73, "basis_factor": 0.5, "f_ec": 1.22},
+}
+GMCS_DR_DUAL = {**GMCS_RR_DUAL, "protocol": "gmcs_dr"}
+NUMERIC_FIELDS = [
+    (BB84_DUAL, ("link", key)) for key in ("alpha_db_per_km", "length_km", "g_bob", "switch_loss_db")
+] + [
+    (BB84_DUAL, ("detectors", 0, "spd", key)) for key in ("rep_rate_hz", "eta_d", "y0", "e_det")
+] + [
+    (GMCS_DR_DUAL, ("detectors", 1, "homodyne", key)) for key in ("rep_rate_hz", "g_det", "eps_det")
+] + [
+    (BB84_DUAL, ("config", key)) for key in ("basis_factor", "f_ec")
+] + [
+    (DECOY_DUAL, ("config", key)) for key in ("mu", "basis_factor", "f_ec")
+] + [
+    (GMCS_DR_DUAL, ("config", key)) for key in ("v", "beta", "eps_pre")
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True], ids=["NaN", "Infinity", "bool"])
+@pytest.mark.parametrize(
+    "spec, path", NUMERIC_FIELDS,
+    ids=[f"{spec['protocol']}-{'.'.join(map(str, path))}" for spec, path in NUMERIC_FIELDS],
+)
+def test_non_finite_and_bool_numbers_rejected(spec, path, value):
+    bad = copy.deepcopy(spec)
+    target = bad
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        scenario_from_dict(json.loads(json.dumps(bad)))
+
+
+SPDS = st.builds(
+    SpdSpec, rep_rate=st.floats(1e3, 1e11), eta_d=st.floats(0.0, 1.0),
+    y0=st.floats(0.0, 0.1), e_det=st.floats(0.0, 0.5),
+)
+HOMODYNES = st.builds(
+    HomodyneSpec, rep_rate=st.floats(1e3, 1e9), g_det=st.floats(0.01, 1.0), eps_det=st.floats(0.0, 1.0)
+)
+SIFTING = dict(basis_factor=st.sampled_from((0.5, 1.0)), f_ec=st.floats(1.0, 2.0))
+SOURCES = st.builds(
+    GmcsSource, v=st.floats(1.01, 100.0), beta=st.floats(0.01, 1.0), eps_pre=st.floats(0.0, 0.2)
+)
+PROTOCOL_PARTS = {
+    "bb84_single_photon": (SPDS, st.builds(Bb84Config, **SIFTING)),
+    "decoy_bb84": (SPDS, st.builds(DecoyConfig, mu=st.floats(0.01, 2.0), drop_pa=st.booleans(), **SIFTING)),
+    "gmcs_dr": (HOMODYNES, SOURCES),
+    "gmcs_rr": (HOMODYNES, SOURCES),
+}
+LINKS = st.builds(
+    LinkSpec, alpha=st.floats(0.0, 1.0), length=st.floats(0.0, 300.0),
+    g_bob=st.floats(0.01, 1.0), switch_loss=st.floats(0.0, 10.0),
+)
+
+
+def _outcome(scenario, length):
+    try:
+        return evaluate(scenario, length)
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("mode", ["single_fast", "single_slow"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_single_equals_dual_with_one_detector(protocol, mode, data):
+    # The single-detector receiver is the dual receiver with the same
+    # detector on both arms and no switch, bit for bit.
+    detectors, configs = PROTOCOL_PARTS[protocol]
+    fast, slow, config = data.draw(detectors), data.draw(detectors), data.draw(configs)
+    link, length = data.draw(LINKS), data.draw(st.floats(0.0, 300.0))
+    single = Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast, slow=slow)
+    det = fast if mode == "single_fast" else slow
+    dual = Scenario(
+        protocol=protocol, mode="dual", link=dataclasses.replace(link, switch_loss=0.0),
+        config=config, fast=det, slow=det,
+    )
+    assert _outcome(single, length) == _outcome(dual, length)

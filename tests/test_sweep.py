@@ -136,3 +136,10 @@ def test_csv_rejects_mismatched_grids(tmp_path, fig1):
     b = sweep(fig1.scenarios["fast"], 0.0, 10.0, 2.0)
     with pytest.raises(DomainError):
         save_curves_csv({"dual": a, "fast": b}, tmp_path / "bad.csv")
+
+
+def test_sweep_submodule_is_not_shadowed():
+    import dualdet.sweep as m
+
+    assert m.sweep_preset is sweep_preset
+    assert m.sweep is sweep
