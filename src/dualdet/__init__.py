@@ -32,7 +32,6 @@ from .gmcs import (
     noise_budget,
 )
 from .practical import (
-    SchedulingParams,
     accumulation_time,
     choice_probabilities,
     max_slow_probability,
@@ -64,7 +63,6 @@ __all__ = [
     "GmcsSource",
     "Bb84Config",
     "DecoyConfig",
-    "SchedulingParams",
     "Scenario",
     "FigurePreset",
     "RateCurve",

@@ -33,8 +33,8 @@ class Bb84Config:
     variant with biased bases. f_ec >= 1 multiplies the Shannon limit.
     """
 
-    basis_factor: float = 0.5
-    f_ec: float = 1.22
+    basis_factor: float
+    f_ec: float
 
     def __post_init__(self) -> None:
         check_numbers(self)

@@ -145,15 +145,16 @@ class LinkSpec:
     """Fiber link plus the receiver's passive optics.
 
     alpha: fiber attenuation, dB/km.
-    length: fiber length, km.
+    length: fiber length, km. Nothing reads it: evaluate and the searches
+        take the length as an argument.
     g_bob: optical transmittance of the receiver (before the detector).
     switch_loss: insertion loss of the routing switch, dB. Applied only in
         dual-detector configurations; single-detector setups have no switch.
     """
 
     alpha: float
-    length: float
-    g_bob: float
+    length: float = 0.0
+    g_bob: float = 1.0
     switch_loss: float = 0.0
 
     def __post_init__(self) -> None:

@@ -26,8 +26,8 @@ class DecoyConfig:
     """
 
     mu: float
-    basis_factor: float = 0.5
-    f_ec: float = 1.22
+    basis_factor: float
+    f_ec: float
     drop_pa: bool = False
 
     def __post_init__(self) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .core import DomainError
 
@@ -21,33 +20,6 @@ MESSED_DETECTION_ERROR = 0.25
 
 #: Above this value of k*p the first-order expressions degrade.
 KP_VALIDITY_LIMIT = 0.1
-
-
-@dataclass(frozen=True)
-class SchedulingParams:
-    """Routing probability and timing of the slow detector.
-
-    p: probability that a pulse is routed to the slow detector.
-    t_sig: signal period, seconds.
-    t_det: slow-detector response window (time jitter), seconds.
-    """
-
-    p: float
-    t_sig: float
-    t_det: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"p must be in [0, 1], got {self.p}")
-        if self.t_sig <= 0.0:
-            raise DomainError(f"t_sig must be > 0 s, got {self.t_sig}")
-        if self.t_det < self.t_sig:
-            raise DomainError("t_det must be >= t_sig (at least one pulse per window)")
-
-    @property
-    def k(self) -> float:
-        """Pulses per response window, t_det / t_sig."""
-        return self.t_det / self.t_sig
 
 
 def choice_probabilities(p: float, k: int) -> tuple[float, float, float]:

@@ -16,8 +16,6 @@ from .core import GmcsSource, HomodyneSpec, LinkSpec, SpdSpec
 from .decoy import DecoyConfig
 from .scenario import ConfigError, Scenario
 
-FIGURE_IDS = tuple(range(1, 10))
-
 # Single-photon detectors: a GHz up-conversion detector, a transition-edge
 # sensor, and a 10 GHz low-jitter up-conversion detector whose adjacent-pulse
 # cross-talk shows up as a large e_det. The slow variant of the low-jitter
@@ -32,8 +30,8 @@ FAST_HOMODYNE = HomodyneSpec(rep_rate=82e6, g_det=0.8, eps_det=0.43)
 QUIET_HOMODYNE = HomodyneSpec(rep_rate=1e6, g_det=0.8, eps_det=0.01)
 
 FIBER_ALPHA = 0.21  # dB/km, telecom fiber
-BB84_LINK = LinkSpec(alpha=FIBER_ALPHA, length=0.0, g_bob=0.16)
-GMCS_LINK = LinkSpec(alpha=FIBER_ALPHA, length=0.0, g_bob=1.0)
+BB84_LINK = LinkSpec(alpha=FIBER_ALPHA, g_bob=0.16)
+GMCS_LINK = LinkSpec(alpha=FIBER_ALPHA)
 
 BB84_CONFIG = Bb84Config(basis_factor=0.5, f_ec=1.22)
 # The decoy presets pin the signal intensity at the published 0.73; see
@@ -56,73 +54,39 @@ class FigurePreset:
     step: float
 
 
-def _trio(
-    protocol: str,
-    fast,
-    slow,
-    config,
-    link: LinkSpec,
-    grid: tuple[float, float, float],
-    description: str,
-    fig_id: int,
-    dual_switch_loss_db: float = 0.0,
-) -> FigurePreset:
-    dual_link = dataclasses.replace(link, switch_loss=dual_switch_loss_db)
+#: fig_id -> (protocol, fast, slow, config, link, grid, dual-receiver switch loss in dB, description).
+_FIGURES = {
+    1: ("bb84_single_photon", UPCONVERSION_SPD, TES_SPD, BB84_CONFIG, BB84_LINK, SPD_GRID, 0.0,
+        "single-photon BB84, GHz up-conversion SPD + TES"),
+    2: ("bb84_single_photon", LOW_JITTER_SPD_FAST, TES_SPD, BB84_CONFIG, BB84_LINK, SPD_GRID, 0.0,
+        "single-photon BB84, 10 GHz low-jitter SPD + TES"),
+    3: ("bb84_single_photon", LOW_JITTER_SPD_FAST, LOW_JITTER_SPD_SLOW, BB84_CONFIG, BB84_LINK, SPD_GRID, 0.0,
+        "single-photon BB84, two low-jitter SPDs"),
+    4: ("decoy_bb84", UPCONVERSION_SPD, TES_SPD, DECOY_CONFIG, BB84_LINK, SPD_GRID, 0.0,
+        "decoy-state BB84, GHz up-conversion SPD + TES"),
+    5: ("gmcs_dr", FAST_HOMODYNE, QUIET_HOMODYNE, GMCS_SOURCE_IDEAL, GMCS_LINK, GMCS_GRID, 0.0,
+        "GMCS direct reconciliation, V=40, beta=1"),
+    6: ("gmcs_rr", FAST_HOMODYNE, QUIET_HOMODYNE, GMCS_SOURCE_IDEAL, GMCS_LINK, GMCS_GRID, 0.0,
+        "GMCS reverse reconciliation, V=40, beta=1"),
+    7: ("gmcs_rr", FAST_HOMODYNE, QUIET_HOMODYNE, GMCS_SOURCE_REALISTIC, GMCS_LINK, GMCS_GRID, 0.0,
+        "GMCS reverse reconciliation, V=20, beta=0.8"),
+    8: ("bb84_single_photon", LOW_JITTER_SPD_FAST, TES_SPD, BB84_CONFIG, BB84_LINK, SPD_GRID, 3.0,
+        "as figure 2 with a 3 dB switch on the dual receiver"),
+    9: ("bb84_single_photon", LOW_JITTER_SPD_FAST, LOW_JITTER_SPD_SLOW, BB84_CONFIG, BB84_LINK, SPD_GRID, 3.0,
+        "as figure 3 with a 3 dB switch on the dual receiver"),
+}
+FIGURE_IDS = tuple(_FIGURES)
+
+
+def figure_preset(fig_id: int) -> FigurePreset:
+    """Return the scenarios and sweep grid for reference figure 1..9."""
+    if fig_id not in _FIGURES:
+        raise ConfigError(f"unknown figure id {fig_id}; expected 1..9")
+    protocol, fast, slow, config, link, grid, switch_loss, description = _FIGURES[fig_id]
+    dual_link = dataclasses.replace(link, switch_loss=switch_loss)
     scenarios = {
         "dual": Scenario(protocol=protocol, mode="dual", link=dual_link, config=config, fast=fast, slow=slow),
         "fast": Scenario(protocol=protocol, mode="single_fast", link=link, config=config, fast=fast, slow=slow),
         "slow": Scenario(protocol=protocol, mode="single_slow", link=link, config=config, fast=fast, slow=slow),
     }
     return FigurePreset(fig_id, description, scenarios, *grid)
-
-
-def figure_preset(fig_id: int) -> FigurePreset:
-    """Return the scenarios and sweep grid for reference figure 1..9."""
-    if fig_id == 1:
-        return _trio(
-            "bb84_single_photon", UPCONVERSION_SPD, TES_SPD, BB84_CONFIG, BB84_LINK,
-            SPD_GRID, "single-photon BB84, GHz up-conversion SPD + TES", 1,
-        )
-    if fig_id == 2:
-        return _trio(
-            "bb84_single_photon", LOW_JITTER_SPD_FAST, TES_SPD, BB84_CONFIG, BB84_LINK,
-            SPD_GRID, "single-photon BB84, 10 GHz low-jitter SPD + TES", 2,
-        )
-    if fig_id == 3:
-        return _trio(
-            "bb84_single_photon", LOW_JITTER_SPD_FAST, LOW_JITTER_SPD_SLOW, BB84_CONFIG,
-            BB84_LINK, SPD_GRID, "single-photon BB84, two low-jitter SPDs", 3,
-        )
-    if fig_id == 4:
-        return _trio(
-            "decoy_bb84", UPCONVERSION_SPD, TES_SPD, DECOY_CONFIG, BB84_LINK,
-            SPD_GRID, "decoy-state BB84, GHz up-conversion SPD + TES", 4,
-        )
-    if fig_id == 5:
-        return _trio(
-            "gmcs_dr", FAST_HOMODYNE, QUIET_HOMODYNE, GMCS_SOURCE_IDEAL, GMCS_LINK,
-            GMCS_GRID, "GMCS direct reconciliation, V=40, beta=1", 5,
-        )
-    if fig_id == 6:
-        return _trio(
-            "gmcs_rr", FAST_HOMODYNE, QUIET_HOMODYNE, GMCS_SOURCE_IDEAL, GMCS_LINK,
-            GMCS_GRID, "GMCS reverse reconciliation, V=40, beta=1", 6,
-        )
-    if fig_id == 7:
-        return _trio(
-            "gmcs_rr", FAST_HOMODYNE, QUIET_HOMODYNE, GMCS_SOURCE_REALISTIC, GMCS_LINK,
-            GMCS_GRID, "GMCS reverse reconciliation, V=20, beta=0.8", 7,
-        )
-    if fig_id == 8:
-        return _trio(
-            "bb84_single_photon", LOW_JITTER_SPD_FAST, TES_SPD, BB84_CONFIG, BB84_LINK,
-            SPD_GRID, "as figure 2 with a 3 dB switch on the dual receiver", 8,
-            dual_switch_loss_db=3.0,
-        )
-    if fig_id == 9:
-        return _trio(
-            "bb84_single_photon", LOW_JITTER_SPD_FAST, LOW_JITTER_SPD_SLOW, BB84_CONFIG,
-            BB84_LINK, SPD_GRID, "as figure 3 with a 3 dB switch on the dual receiver", 9,
-            dual_switch_loss_db=3.0,
-        )
-    raise ConfigError(f"unknown figure id {fig_id}; expected 1..9")

@@ -18,12 +18,12 @@ from .core import (
     DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance, db_to_transmittance,
 )
 
-#: protocol -> (config type, rate kernel(keyed, bounding, config, t, switch)).
+#: protocol -> (config type, detector type, rate kernel(keyed, bounding, config, t, switch)).
 _PROTOCOLS = {
-    "bb84_single_photon": (bb84.Bb84Config, bb84.bb84_rate_dual),
-    "decoy_bb84": (decoy.DecoyConfig, decoy.decoy_rate_dual),
-    "gmcs_dr": (GmcsSource, gmcs.gmcs_dr_rate_dual),
-    "gmcs_rr": (GmcsSource, gmcs.gmcs_rr_rate_dual),
+    "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84.bb84_rate_dual),
+    "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy.decoy_rate_dual),
+    "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs.gmcs_dr_rate_dual),
+    "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.gmcs_rr_rate_dual),
 }
 #: mode -> (keyed arm, bounding arm, behind the switch). A single detector
 #: is the dual receiver with that detector on both arms and no switch.
@@ -35,7 +35,6 @@ _ARMS = {
 }
 PROTOCOLS = tuple(_PROTOCOLS)
 MODES = tuple(_ARMS)
-SPD_PROTOCOLS = ("bb84_single_photon", "decoy_bb84")
 
 Detector = Union[SpdSpec, HomodyneSpec]
 ProtocolConfig = Union[bb84.Bb84Config, decoy.DecoyConfig, GmcsSource]
@@ -62,9 +61,9 @@ class Scenario:
         keyed, bounding, switched = _ARMS[self.mode]
         config = dataclasses.replace(self.config, drop_pa=True) if self.mode == "dual_no_pa" else self.config
         switch = db_to_transmittance(self.link.switch_loss) if switched else 1.0
-        g_bob = self.link.g_bob if self.protocol in SPD_PROTOCOLS else 1.0
-        plan = (_PROTOCOLS[self.protocol][1], getattr(self, keyed), getattr(self, bounding), config,
-                switch, self.link.alpha, g_bob)
+        _, detector_cls, kernel = _PROTOCOLS[self.protocol]
+        g_bob = self.link.g_bob if detector_cls is SpdSpec else 1.0
+        plan = (kernel, getattr(self, keyed), getattr(self, bounding), config, switch, self.link.alpha, g_bob)
         object.__setattr__(self, "_plan", plan)
 
 
@@ -76,7 +75,7 @@ def validate_scenario(s: Scenario) -> None:
     if s.mode == "dual_no_pa" and s.protocol != "decoy_bb84":
         raise ConfigError("mode 'dual_no_pa' only applies to protocol 'decoy_bb84'")
 
-    detector_cls = SpdSpec if s.protocol in SPD_PROTOCOLS else HomodyneSpec
+    config_cls, detector_cls, _ = _PROTOCOLS[s.protocol]
     for label, det in (("fast", s.fast), ("slow", s.slow)):
         if det is not None and not isinstance(det, detector_cls):
             raise ConfigError(
@@ -84,7 +83,6 @@ def validate_scenario(s: Scenario) -> None:
                 f"protocol {s.protocol!r} (expected {detector_cls.__name__})"
             )
 
-    config_cls = _PROTOCOLS[s.protocol][0]
     if not isinstance(s.config, config_cls):
         raise ConfigError(
             f"config kind {type(s.config).__name__} does not match protocol "
@@ -110,15 +108,26 @@ def evaluate(scenario: Scenario, length_km: float) -> float:
 # ---------------------------------------------------------------------------
 # JSON loading
 
-_LINK_KEYS = {"alpha_db_per_km", "length_km", "g_bob", "switch_loss_db"}
-_SPD_KEYS = {"rep_rate_hz", "eta_d", "y0", "e_det"}
-_HOMODYNE_KEYS = {"rep_rate_hz", "g_det", "eps_det"}
-#: protocol -> (required, optional) keys of "config", named as the config fields.
-_CONFIG_KEYS = {
-    "bb84_single_photon": ({"basis_factor", "f_ec"}, set()),
-    "decoy_bb84": ({"mu", "basis_factor", "f_ec"}, {"drop_pa"}),
-    "gmcs_dr": ({"v", "beta"}, {"eps_pre"}),
-    "gmcs_rr": ({"v", "beta"}, {"eps_pre"}),
+#: Field names whose JSON key carries the unit; every other key is its field's name.
+_JSON_NAMES = {"rep_rate": "rep_rate_hz", "alpha": "alpha_db_per_km", "length": "length_km",
+               "switch_loss": "switch_loss_db"}
+_DETECTOR_KINDS = {"spd": SpdSpec, "homodyne": HomodyneSpec}
+
+
+def _schema(cls: type) -> tuple[dict[str, str], set[str], set[str]]:
+    """(JSON key -> field name, required keys, optional keys) of a spec
+    dataclass; a key is optional exactly when its field has a default."""
+    names, required, optional = {}, set(), set()
+    for f in dataclasses.fields(cls):
+        key = _JSON_NAMES.get(f.name, f.name)
+        names[key] = f.name
+        (required if f.default is dataclasses.MISSING else optional).add(key)
+    return names, required, optional
+
+
+#: Resolved once here: scenario_from_dict runs per scan point and must not re-read the fields.
+_SCHEMAS = {
+    cls: _schema(cls) for cls in (LinkSpec, *_DETECTOR_KINDS.values(), *(c for c, _, _ in _PROTOCOLS.values()))
 }
 
 
@@ -133,58 +142,34 @@ def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _spec(cls: type, obj: Any, where: str):
+    """Build a spec of type cls from its JSON object."""
+    names, required, optional = _SCHEMAS[cls]
+    _check_keys(obj, required, optional, where)
+    return cls(**{names[key]: value for key, value in obj.items()})
+
+
 def _parse_detector(entry: Any, index: int) -> Detector:
     where = f"detectors[{index}]"
     if not isinstance(entry, dict) or len(entry) != 1:
         raise ConfigError(f"{where} must be an object with exactly one detector kind")
     kind, fields = next(iter(entry.items()))
-    if kind == "spd":
-        _check_keys(fields, _SPD_KEYS, set(), where)
-        return SpdSpec(
-            rep_rate=fields["rep_rate_hz"],
-            eta_d=fields["eta_d"],
-            y0=fields["y0"],
-            e_det=fields["e_det"],
-        )
-    if kind == "homodyne":
-        _check_keys(fields, _HOMODYNE_KEYS, set(), where)
-        return HomodyneSpec(
-            rep_rate=fields["rep_rate_hz"],
-            g_det=fields["g_det"],
-            eps_det=fields["eps_det"],
-        )
-    raise ConfigError(f"{where}: unknown detector kind {kind!r}; expected 'spd' or 'homodyne'")
-
-
-def _parse_config(obj: Any, protocol: str) -> ProtocolConfig | None:
-    """The protocol's config; None for an unknown protocol, which the
-    Scenario constructor then reports."""
-    keys = _CONFIG_KEYS.get(protocol)
-    if keys is None:
-        return None
-    _check_keys(obj, *keys, "config")
-    return _PROTOCOLS[protocol][0](**obj)
+    if kind not in _DETECTOR_KINDS:
+        raise ConfigError(f"{where}: unknown detector kind {kind!r}; expected 'spd' or 'homodyne'")
+    return _spec(_DETECTOR_KINDS[kind], fields, where)
 
 
 def scenario_from_dict(data: Any) -> Scenario:
     """Build and validate a Scenario from decoded JSON."""
     _check_keys(data, {"protocol", "mode", "link", "detectors", "config"}, set(), "scenario")
-    protocol = data["protocol"]
-    link_obj = data["link"]
-    _check_keys(link_obj, {"alpha_db_per_km"}, _LINK_KEYS - {"alpha_db_per_km"}, "link")
-    detectors = data["detectors"]
-    if not isinstance(detectors, list) or not 1 <= len(detectors) <= 2:
-        raise ConfigError("detectors must be an array of 1 or 2 entries (fast first)")
-
+    protocol, detectors = data["protocol"], data["detectors"]
     try:
-        link = LinkSpec(
-            alpha=link_obj["alpha_db_per_km"],
-            length=link_obj.get("length_km", 0.0),
-            g_bob=link_obj.get("g_bob", 1.0),
-            switch_loss=link_obj.get("switch_loss_db", 0.0),
-        )
+        link = _spec(LinkSpec, data["link"], "link")
+        if not isinstance(detectors, list) or not 1 <= len(detectors) <= 2:
+            raise ConfigError("detectors must be an array of 1 or 2 entries (fast first)")
         parsed = [_parse_detector(d, i) for i, d in enumerate(detectors)]
-        config = _parse_config(data["config"], protocol)
+        # An unknown protocol gets no config; the Scenario constructor reports it.
+        config = _spec(_PROTOCOLS[protocol][0], data["config"], "config") if protocol in _PROTOCOLS else None
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     except (KeyError, TypeError) as exc:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .core import DomainError, bisect_sign_change
-from .scenario import Scenario, evaluate
+from .scenario import ConfigError, Scenario, evaluate
 
 #: Half-width of the bracket accepted by the distance bisections, km.
 DISTANCE_TOL = 0.01
@@ -21,6 +21,11 @@ DISTANCE_TOL = 0.01
 CSV_HEADER = ("length_km", "rate_dual_bps", "rate_fast_bps", "rate_slow_bps")
 CURVE_ROLES = ("dual", "fast", "slow")
 MODE_TO_ROLE = {"dual": "dual", "dual_no_pa": "dual", "single_fast": "fast", "single_slow": "slow"}
+
+
+class GridError(ConfigError, DomainError):
+    """Bounds or a step that describe no length grid: a bad request, so the
+    CLI exits 2 as for any configuration error."""
 
 
 class CurvePoint(NamedTuple):
@@ -49,9 +54,9 @@ class RateCurve:
 def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
     """Inclusive grid l_min, l_min+step, ... up to l_max."""
     if l_min < 0.0 or not l_min < l_max:
-        raise DomainError(f"need 0 <= l_min < l_max, got [{l_min}, {l_max}]")
+        raise GridError(f"need 0 <= l_min < l_max, got [{l_min}, {l_max}]")
     if step <= 0.0:
-        raise DomainError(f"step must be > 0, got {step}")
+        raise GridError(f"step must be > 0, got {step}")
     n = int((l_max - l_min) / step + 1e-9)
     return [l_min + i * step for i in range(n + 1)]
 

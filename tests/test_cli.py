@@ -121,6 +121,21 @@ def test_schedule_invalid_probability(capsys):
     assert main(["schedule", "--p", "2.0", "--k", "100"]) == 3
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ["--lmin", "5", "--lmax", "1"]),
+    ("sweep", ["--step", "0"]),
+    ("maxdist", ["--lmax", "-1"]),
+], ids=["sweep-inverted", "sweep-zero-step", "maxdist-negative-lmax"])
+def test_grid_flag_errors_are_config_errors(dual_config, tmp_path, capsys, command, flags):
+    # Flags that describe no length grid are bad flags (exit 2), unlike
+    # model-parameter domain errors such as schedule --p 2.0 (exit 3).
+    out = tmp_path / "x.csv"
+    extra = ["--out", str(out)] if command == "sweep" else []
+    assert main([command, "--config", dual_config, *flags, *extra]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**BB84_DUAL, "surprise": 1}))

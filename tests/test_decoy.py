@@ -181,6 +181,6 @@ def test_optimal_mu_no_root():
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        DecoyConfig(mu=0.0)
+        DecoyConfig(mu=0.0, basis_factor=0.5, f_ec=1.22)
     with pytest.raises(DomainError):
-        DecoyConfig(mu=0.73, basis_factor=0.3)
+        DecoyConfig(mu=0.73, basis_factor=0.3, f_ec=1.22)

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from dualdet.core import DomainError
 from dualdet.practical import (
-    SchedulingParams,
     accumulation_time,
     choice_probabilities,
     max_slow_probability,
@@ -115,11 +114,3 @@ def test_accumulation_time_edges():
     with pytest.raises(DomainError):
         accumulation_time(4e-4, 1e9, -1.0, 1e-3, 1e6)
 
-
-def test_scheduling_params():
-    params = SchedulingParams(p=4e-4, t_sig=1e-9, t_det=1e-7)
-    assert params.k == pytest.approx(100.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        SchedulingParams(p=1.5, t_sig=1e-9, t_det=1e-7)
-    with pytest.raises(DomainError):
-        SchedulingParams(p=0.1, t_sig=1e-7, t_det=1e-9)

@@ -180,7 +180,7 @@ def test_scenario_constructor_validates():
     link = LinkSpec(alpha=0.21, length=0.0, g_bob=0.16)
     with pytest.raises(ConfigError):
         Scenario(protocol="bb84_single_photon", mode="dual", link=link,
-                 config=Bb84Config(), fast=fast, slow=None)
+                 config=Bb84Config(basis_factor=0.5, f_ec=1.22), fast=fast, slow=None)
 
 
 DECOY_DUAL = {
@@ -264,3 +264,53 @@ def test_single_equals_dual_with_one_detector(protocol, mode, data):
         config=config, fast=det, slow=det,
     )
     assert _outcome(single, length) == _outcome(dual, length)
+
+
+# Every key of every JSON object, per object: (scenario, path to the object,
+# the name errors use for it, required keys, optional keys with the value
+# the parsed spec takes without them).
+SCHEMA = [
+    (BB84_DUAL, ("link",), "link", ("alpha_db_per_km",),
+     {"length_km": ("link", "length", 0.0), "g_bob": ("link", "g_bob", 1.0),
+      "switch_loss_db": ("link", "switch_loss", 0.0)}),
+    (BB84_DUAL, ("detectors", 0, "spd"), "detectors[0]", ("rep_rate_hz", "eta_d", "y0", "e_det"), {}),
+    (GMCS_DR_DUAL, ("detectors", 0, "homodyne"), "detectors[0]", ("rep_rate_hz", "g_det", "eps_det"), {}),
+    (BB84_DUAL, ("config",), "config", ("basis_factor", "f_ec"), {}),
+    ({**DECOY_DUAL, "config": {**DECOY_DUAL["config"], "drop_pa": True}}, ("config",), "config",
+     ("mu", "basis_factor", "f_ec"), {"drop_pa": ("config", "drop_pa", False)}),
+    (GMCS_DR_DUAL, ("config",), "config", ("v", "beta"), {"eps_pre": ("config", "eps_pre", 0.0)}),
+]
+REQUIRED_KEYS = [(spec, path, where, key) for spec, path, where, required, _ in SCHEMA for key in required]
+OPTIONAL_KEYS = [
+    (spec, path, key, default) for spec, path, _, _, optional in SCHEMA for key, default in optional.items()
+]
+
+
+def _without(spec, path, key):
+    data = copy.deepcopy(spec)
+    target = data
+    for step in path:
+        target = target[step]
+    del target[key]
+    return data
+
+
+@pytest.mark.parametrize(
+    "spec, path, where, key", REQUIRED_KEYS,
+    ids=[f"{spec['protocol']}-{'.'.join(map(str, path))}-{key}" for spec, path, _, key in REQUIRED_KEYS],
+)
+def test_schema_required_key_missing(spec, path, where, key):
+    with pytest.raises(ConfigError) as info:
+        scenario_from_dict(_without(spec, path, key))
+    assert str(info.value) == f"missing keys in {where}: [{key!r}]"
+
+
+@pytest.mark.parametrize(
+    "spec, path, key, default", OPTIONAL_KEYS,
+    ids=[f"{spec['protocol']}-{'.'.join(map(str, path))}-{key}" for spec, path, key, _ in OPTIONAL_KEYS],
+)
+def test_schema_optional_key_default(spec, path, key, default):
+    owner, field, value = default
+    parsed = getattr(scenario_from_dict(_without(spec, path, key)), owner)
+    assert getattr(parsed, field) == value
+    assert type(getattr(parsed, field)) is type(value)
