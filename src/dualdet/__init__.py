@@ -40,7 +40,6 @@ from .practical import (
 from .presets import FigurePreset, figure_preset
 from .scenario import ConfigError, Scenario, evaluate, load_scenario, scenario_from_dict
 from .sweep import (
-    CurvePoint,
     RateCurve,
     crossover_distance,
     max_secure_distance,
@@ -66,7 +65,6 @@ __all__ = [
     "Scenario",
     "FigurePreset",
     "RateCurve",
-    "CurvePoint",
     "binary_entropy",
     "channel_transmittance",
     "db_to_transmittance",

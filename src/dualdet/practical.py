@@ -22,16 +22,24 @@ MESSED_DETECTION_ERROR = 0.25
 KP_VALIDITY_LIMIT = 0.1
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p must be in [0, 1], got {p}")
+
+
+def _check_k(k: int) -> None:
+    if not isinstance(k, int) or k < 1:
+        raise DomainError(f"k must be a positive integer, got {k}")
+
+
 def choice_probabilities(p: float, k: int) -> tuple[float, float, float]:
     """Probabilities that a response window holds 0, 1, or >1 routed pulses.
 
     Exact binomial values: P0 = (1-p)^k, P1 = k*p*(1-p)^(k-1), and
     PM = 1 - P0 - P1. The three sum to 1.0 exactly as floats.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
+    _check_p(p)
+    _check_k(k)
     p0 = (1.0 - p) ** k
     p1 = k * p * (1.0 - p) ** (k - 1)
     singles = p0 + p1
@@ -46,10 +54,8 @@ def multi_pulse_qber(p: float, k: int) -> float:
     efficiency factors cancel. Valid for k*p well below 1; warns outside
     that regime and when the result reaches the 0.25 saturation level.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
+    _check_p(p)
+    _check_k(k)
     if k * p > KP_VALIDITY_LIMIT:
         warnings.warn(
             f"k*p = {k * p:.3g} exceeds {KP_VALIDITY_LIMIT}; first-order QBER "
@@ -72,8 +78,7 @@ def max_slow_probability(k: int, qber_budget: float) -> float:
     Inverts (k-1)*p/4 <= qber_budget. For k = 1 a window never holds a
     second pulse, so there is no constraint and infinity is returned.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k}")
+    _check_k(k)
     if not 0.0 < qber_budget < MESSED_DETECTION_ERROR:
         raise DomainError(f"qber_budget must be in (0, 0.25), got {qber_budget}")
     if k == 1:

@@ -1,8 +1,8 @@
 """Distance sweeps, secure-distance and crossover finding, CSV emission.
 
-Raw rates may be negative; curves carry both the raw value (for root
-finding) and the value clamped at zero (for plotting). Distance searches
-use a coarse grid to bracket a sign change, then bisection to 0.01 km.
+Raw rates may be negative; `RateCurve.rates` clamps them at zero for
+plotting and CSV output. Distance searches use a coarse grid to bracket a
+sign change, then bisection to 0.01 km.
 """
 
 from __future__ import annotations
@@ -10,13 +10,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 from .core import DomainError, bisect_sign_change
 from .scenario import ConfigError, Scenario, evaluate
 
 #: Half-width of the bracket accepted by the distance bisections, km.
 DISTANCE_TOL = 0.01
+
+#: Most steps a length grid may span; a finer grid is refused unallocated.
+MAX_GRID_POINTS = 1_000_000
 
 CSV_HEADER = ("length_km", "rate_dual_bps", "rate_fast_bps", "rate_slow_bps")
 CURVE_ROLES = ("dual", "fast", "slow")
@@ -28,27 +31,22 @@ class GridError(ConfigError, DomainError):
     CLI exits 2 as for any configuration error."""
 
 
-class CurvePoint(NamedTuple):
-    length_km: float
-    rate_bps: float  # clamped at zero
-    raw_rate_bps: float
-
-
 @dataclass(frozen=True)
 class RateCurve:
-    points: tuple[CurvePoint, ...]
+    """Raw key rates in bits/s on a strictly increasing length grid in km."""
+
+    lengths: tuple[float, ...]
+    raw: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lengths = [p.length_km for p in self.points]
-        if any(b <= a for a, b in zip(lengths, lengths[1:])):
+        if len(self.raw) != len(self.lengths):
+            raise DomainError("curve needs one rate per length")
+        if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
             raise DomainError("curve lengths must be strictly increasing")
-        for p in self.points:
-            if p.rate_bps != max(0.0, p.raw_rate_bps):
-                raise DomainError("clamped rate must equal max(0, raw rate)")
 
     @property
-    def lengths(self) -> list[float]:
-        return [p.length_km for p in self.points]
+    def rates(self) -> tuple[float, ...]:
+        return tuple([max(0.0, r) for r in self.raw])
 
 
 def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
@@ -57,17 +55,17 @@ def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
         raise GridError(f"need 0 <= l_min < l_max, got [{l_min}, {l_max}]")
     if step <= 0.0:
         raise GridError(f"step must be > 0, got {step}")
-    n = int((l_max - l_min) / step + 1e-9)
+    steps = (l_max - l_min) / step
+    if not steps <= MAX_GRID_POINTS:
+        raise GridError(f"step {step} gives more than {MAX_GRID_POINTS} grid points")
+    n = int(steps + 1e-9)
     return [l_min + i * step for i in range(n + 1)]
 
 
 def sweep(scenario: Scenario, l_min: float, l_max: float, step: float) -> RateCurve:
     """Evaluate the scenario on the inclusive grid."""
-    points = []
-    for length in length_grid(l_min, l_max, step):
-        raw = evaluate(scenario, length)
-        points.append(CurvePoint(length, max(0.0, raw), raw))
-    return RateCurve(tuple(points))
+    lengths = tuple(length_grid(l_min, l_max, step))
+    return RateCurve(lengths, tuple([evaluate(scenario, length) for length in lengths]))
 
 
 def max_secure_distance(
@@ -150,19 +148,15 @@ def write_curves_csv(curves: Mapping[str, RateCurve], out: TextIO) -> None:
         raise DomainError(f"unknown curve roles: {sorted(unknown)}")
     if not curves:
         raise DomainError("no curves to write")
-    grids = {tuple(c.lengths) for c in curves.values()}
-    if len(grids) != 1:
+    lengths = next(iter(curves.values())).lengths
+    if any(c.lengths != lengths for c in curves.values()):
         raise DomainError("all curves must share one length grid")
 
     out.write(",".join(CSV_HEADER) + "\n")
-    lengths = next(iter(grids))
-    by_role = {role: curves.get(role) for role in CURVE_ROLES}
+    columns = [curves[role].rates if role in curves else None for role in CURVE_ROLES]
     for i, length in enumerate(lengths):
-        cells = [format_length(length)]
-        for role in CURVE_ROLES:
-            curve = by_role[role]
-            cells.append(format_rate(curve.points[i].rate_bps) if curve else "")
-        out.write(",".join(cells) + "\n")
+        cells = [format_rate(c[i]) if c is not None else "" for c in columns]
+        out.write(",".join([format_length(length), *cells]) + "\n")
 
 
 def save_curves_csv(curves: Mapping[str, RateCurve], path: str | Path) -> None:
@@ -188,9 +182,9 @@ def read_curves_csv(path: str | Path) -> tuple[list[float], dict[str, list[float
     return lengths, columns
 
 
-def sweep_preset(preset, roles: Iterable[str] = CURVE_ROLES) -> dict[str, RateCurve]:
-    """Sweep the preset's scenarios over its grid, keyed by role."""
+def sweep_preset(preset) -> dict[str, RateCurve]:
+    """Sweep the preset's three scenarios over its grid, keyed by role."""
     return {
         role: sweep(preset.scenarios[role], preset.l_min, preset.l_max, preset.step)
-        for role in roles
+        for role in CURVE_ROLES
     }

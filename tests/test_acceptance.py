@@ -267,7 +267,7 @@ def test_criterion_12_property_suite():
         save_curves_csv(curves, path)
         _, columns = read_curves_csv(path)
         for role, curve in curves.items():
-            emitted = [format_rate(p.rate_bps) for p in curve.points]
+            emitted = [format_rate(r) for r in curve.rates]
             reparsed = [format_rate(v) for v in columns[role]]
             if emitted != reparsed:
                 failures.append(f"CSV round trip for {role}")

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dualdet
 from dualdet.cli import main
 
 BB84_DUAL = {
@@ -133,6 +139,26 @@ def test_grid_flag_errors_are_config_errors(dual_config, tmp_path, capsys, comma
     extra = ["--out", str(out)] if command == "sweep" else []
     assert main([command, "--config", dual_config, *flags, *extra]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("step", ["1e-7", "5e-324"])
+def test_oversized_grid_is_a_config_error(dual_config, tmp_path, step):
+    # Run in a child with a 1 GiB address-space limit: a grid that is not
+    # refused up front would try to hold billions of floats.
+    out = tmp_path / "x.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(dualdet.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "dualdet.cli", "sweep", "--config", dual_config,
+         "--lmax", "250", "--step", step, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "grid points" in done.stderr
     assert not out.exists()
 
 

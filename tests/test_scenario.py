@@ -9,7 +9,9 @@ from dualdet.bb84 import Bb84Config, bb84_rate_dual
 from dualdet.core import DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance
 from dualdet.decoy import DecoyConfig
 from dualdet.gmcs import gmcs_rr_rate_dual
+from dualdet.presets import FIGURE_IDS, figure_preset
 from dualdet.scenario import PROTOCOLS, ConfigError, Scenario, evaluate, load_scenario, scenario_from_dict
+from dualdet.sweep import length_grid
 
 BB84_DUAL = {
     "protocol": "bb84_single_photon",
@@ -264,6 +266,27 @@ def test_single_equals_dual_with_one_detector(protocol, mode, data):
         config=config, fast=det, slow=det,
     )
     assert _outcome(single, length) == _outcome(dual, length)
+
+
+FIGURES = [figure_preset(i) for i in FIGURE_IDS]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_clamped_rate_never_rises_with_switch_loss(protocol, data):
+    # Only the clamped rate is monotone: a negative raw rate moves toward 0
+    # as the switch loss lowers the gain.
+    preset = data.draw(st.sampled_from([f for f in FIGURES if f.scenarios["dual"].protocol == protocol]))
+    length = data.draw(st.sampled_from(length_grid(preset.l_min, preset.l_max, preset.step)))
+    s1, s2 = sorted(data.draw(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2, unique=True)))
+    dual = preset.scenarios["dual"]
+
+    def clamped(loss):
+        lossy = dataclasses.replace(dual, link=dataclasses.replace(dual.link, switch_loss=loss))
+        return max(0.0, evaluate(lossy, length))
+
+    assert clamped(s2) <= clamped(s1) * (1.0 + 1e-12)
 
 
 # Every key of every JSON object, per object: (scenario, path to the object,

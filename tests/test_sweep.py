@@ -1,9 +1,13 @@
+import io
+from pathlib import Path
+
 import pytest
 
 from dualdet.core import DomainError
-from dualdet.presets import figure_preset
+from dualdet.presets import FIGURE_IDS, figure_preset
 from dualdet.scenario import evaluate
 from dualdet.sweep import (
+    RateCurve,
     crossover_distance,
     format_length,
     format_rate,
@@ -13,7 +17,10 @@ from dualdet.sweep import (
     save_curves_csv,
     sweep,
     sweep_preset,
+    write_curves_csv,
 )
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -36,25 +43,33 @@ def test_length_grid():
 
 def test_sweep_points_and_clamping(fig1):
     curve = sweep(fig1.scenarios["fast"], 0.0, 150.0, 10.0)
-    assert len(curve.points) == 16
-    for point in curve.points:
-        assert point.rate_bps == max(0.0, point.raw_rate_bps)
+    assert len(curve.raw) == 16
+    for rate, raw in zip(curve.rates, curve.raw):
+        assert rate == max(0.0, raw)
     # The fast detector alone dies before 150 km: clamped zero, raw negative.
-    assert curve.points[-1].rate_bps == 0.0
-    assert curve.points[-1].raw_rate_bps < 0.0
+    assert curve.rates[-1] == 0.0
+    assert curve.raw[-1] < 0.0
 
 
 def test_sweep_single_point():
     preset = figure_preset(1)
     curve = sweep(preset.scenarios["dual"], 0.0, 1.0, 5.0)
-    assert len(curve.points) == 1
+    assert len(curve.raw) == 1
+
+
+def test_rate_curve_shape_checks():
+    assert RateCurve((0.0, 1.0), (-2.0, 3.0)).rates == (0.0, 3.0)
+    with pytest.raises(DomainError):
+        RateCurve((0.0, 1.0), (1.0,))
+    with pytest.raises(DomainError):
+        RateCurve((1.0, 1.0), (1.0, 2.0))
 
 
 @pytest.mark.parametrize("fig_id", range(1, 10))
 def test_preset_clamped_curves_nonincreasing(fig_id):
     preset = figure_preset(fig_id)
     for role, curve in sweep_preset(preset).items():
-        rates = [p.rate_bps for p in curve.points]
+        rates = curve.rates
         assert all(b <= a + 1e-9 for a, b in zip(rates, rates[1:])), (fig_id, role)
 
 
@@ -111,12 +126,20 @@ def test_csv_round_trip(tmp_path, fig1):
 
     lengths, columns = read_curves_csv(path)
     assert [format_length(a) for a in lengths] == [
-        format_length(p.length_km) for p in curves["dual"].points
+        format_length(length) for length in curves["dual"].lengths
     ]
     for role in ("dual", "fast", "slow"):
-        emitted = [format_rate(p.rate_bps) for p in curves[role].points]
+        emitted = [format_rate(r) for r in curves[role].rates]
         parsed = [format_rate(v) for v in columns[role]]
         assert parsed == emitted
+
+
+@pytest.mark.parametrize("fig_id", FIGURE_IDS)
+def test_figure_csv_matches_golden(fig_id):
+    # The committed figure CSVs are the "same behaviour" gate: byte for byte.
+    buf = io.StringIO()
+    write_curves_csv(sweep_preset(figure_preset(fig_id)), buf)
+    assert buf.getvalue().encode("utf-8") == (GOLDEN / f"fig{fig_id}.csv").read_bytes()
 
 
 def test_csv_format_details(tmp_path, fig1):
