@@ -5,7 +5,7 @@ privacy amplification. In the dual-detector receiver the privacy
 amplification term uses the error rate seen by the quiet (slow) detector,
 which bounds the eavesdropper's information for the raw key produced by
 the fast detector. A single-detector receiver is the same formula with one
-detector on both arms and no switch.
+detector on both arms.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class Bb84Config:
 
 def bb84_gain(spd: SpdSpec, t: float) -> float:
     """Detection probability per emitted pulse: Q = y0 + t*eta_d, with t the
-    transmittance from the source to the detector (switch included)."""
+    transmittance from the source to the detector."""
     return spd.y0 + t * spd.eta_d
 
 
@@ -55,16 +55,13 @@ def bb84_qber(spd: SpdSpec, t: float) -> float:
     return (E0 * spd.y0 + spd.e_det * (t * spd.eta_d)) / gain
 
 
-def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float, switch: float) -> float:
+def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float) -> float:
     """Key rate in bits/s with `keyed` making the key and `bounding` bounding leakage.
 
-    t is the transmittance up to the routing switch (channel times receiver
-    optics) and switch the switch's own; the switch sits at the receiver
-    entrance, so it applies to both detectors' gain and QBER. May be
+    t is the transmittance from the source to either detector. May be
     negative when the error-correction and privacy-amplification costs
     exceed one bit per detection; callers clamp for plotting.
     """
-    t = t * switch
     gain = bb84_gain(keyed, t)
     err_keyed = bb84_qber(keyed, t)
     err_bounding = bb84_qber(bounding, t)

@@ -54,17 +54,20 @@ def db_to_transmittance(loss: float) -> float:
     return 10.0 ** (-loss / 10.0)
 
 
-def bisect_sign_change(
-    f, lo: float, hi: float, tol: float, max_iter: int = 200
-) -> float:
+#: Most halvings bisect_sign_change makes before it returns.
+BISECT_MAX_ITER = 200
+
+
+def bisect_sign_change(f, lo: float, hi: float, tol: float) -> float:
     """Bisect f on [lo, hi] assuming f(lo) > 0 >= f(hi).
 
-    Returns the midpoint of the final bracket once its width is <= tol.
-    The caller guarantees the bracket; values are not re-checked here.
+    Returns the midpoint of the final bracket once its width is <= tol, or
+    after BISECT_MAX_ITER halvings. The caller guarantees the bracket;
+    values are not re-checked here.
     """
     if not hi > lo:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bb84 import check_sifting
+from .bb84 import bb84_gain, bb84_qber, check_sifting
 from .core import E0, DomainError, SpdSpec, binary_entropy, bisect_sign_change, check_numbers
 
 
@@ -38,7 +38,7 @@ class DecoyConfig:
 
 
 # In the four helpers below, t is the transmittance from the source to the
-# detector (channel, receiver optics and any switch); eta = t*eta_d.
+# detector; eta = t*eta_d.
 
 
 def decoy_signal_gain(mu: float, spd: SpdSpec, t: float) -> float:
@@ -57,33 +57,24 @@ def decoy_signal_qber(mu: float, spd: SpdSpec, t: float) -> float:
 
 
 def decoy_single_photon_gain(mu: float, spd: SpdSpec, t: float) -> float:
-    """Gain of the single-photon pulses: Q_1 = (y0 + eta) * mu * exp(-mu)."""
-    eta = t * spd.eta_d
-    return (spd.y0 + eta) * mu * math.exp(-mu)
+    """Gain of the single-photon pulses: Q_1 = Y_1 * mu * exp(-mu), where the
+    yield Y_1 = y0 + eta is the ideal single-photon source's BB84 gain."""
+    return bb84_gain(spd, t) * mu * math.exp(-mu)
 
 
 def decoy_single_photon_qber(mu: float, spd: SpdSpec, t: float) -> float:
-    """QBER of the single-photon pulses.
-
-    The Poisson weight mu*exp(-mu) cancels against the same factor in the
-    single-photon gain, so the result is independent of mu.
-    """
-    eta = t * spd.eta_d
-    gain_1 = decoy_single_photon_gain(mu, spd, t)
-    if gain_1 == 0.0:
-        raise ZeroDivisionError("single-photon gain is zero; QBER undefined")
-    return (E0 * spd.y0 + spd.e_det * eta) * mu * math.exp(-mu) / gain_1
+    """QBER of the single-photon pulses: the ideal single-photon source's
+    BB84 QBER, so independent of mu."""
+    return bb84_qber(spd, t)
 
 
-def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: DecoyConfig, t: float, switch: float) -> float:
+def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: DecoyConfig, t: float) -> float:
     """Key rate in bits/s with gains and error correction from the keyed
     detector and the privacy-amplification error bound from the bounding one.
 
-    t is the transmittance up to the routing switch and switch the switch's
-    own; both detectors sit behind it. A single-detector receiver passes
-    one detector twice and switch = 1.
+    t is the transmittance from the source to either detector. A
+    single-detector receiver passes one detector twice.
     """
-    t = t * switch
     q_mu = decoy_signal_gain(cfg.mu, keyed, t)
     e_mu = decoy_signal_qber(cfg.mu, keyed, t)
     q_1 = decoy_single_photon_gain(cfg.mu, keyed, t)
@@ -93,12 +84,16 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: DecoyConfig, t: floa
     return cfg.basis_factor * keyed.rep_rate * per_pulse
 
 
-def optimal_mu(e_det: float, f_ec: float, residual_tol: float = 1e-10) -> float:
+#: Largest residual optimal_mu accepts from its bisection.
+MU_RESIDUAL_TOL = 1e-10
+
+
+def optimal_mu(e_det: float, f_ec: float) -> float:
     """Solve (1 - mu) * exp(-mu) = f_ec * H2(e_det) / (1 - H2(e_det)) for mu.
 
     The left side falls strictly from 1 to 0 as mu goes from 0 to 1, so a
     root exists and is unique whenever the right side lies in (0, 1).
-    Found by bisection; the returned value has residual below residual_tol.
+    Found by bisection; the returned value has residual below MU_RESIDUAL_TOL.
     """
     if not 0.0 < e_det < 0.5:
         raise DomainError(f"e_det must be in (0, 0.5), got {e_det}")
@@ -114,6 +109,6 @@ def optimal_mu(e_det: float, f_ec: float, residual_tol: float = 1e-10) -> float:
         lambda mu: (1.0 - mu) * math.exp(-mu) - rhs, 0.0, 1.0, tol=1e-14
     )
     residual = abs((1.0 - root) * math.exp(-root) - rhs)
-    if residual >= residual_tol:
-        raise DomainError(f"bisection residual {residual} exceeds {residual_tol}")
+    if residual >= MU_RESIDUAL_TOL:
+        raise DomainError(f"bisection residual {residual} exceeds {MU_RESIDUAL_TOL}")
     return root

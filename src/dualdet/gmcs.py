@@ -23,21 +23,25 @@ class MismatchedEfficiencyError(DomainError):
     """
 
 
-def noise_budget(
-    source: GmcsSource, det: HomodyneSpec, t: float, switch: float
-) -> tuple[float, float, float]:
+def noise_budget(source: GmcsSource, det: HomodyneSpec, t: float) -> tuple[float, float, float]:
     """Input-referred noise budget (g, chi_vac, eps) of one detector arm.
 
-    g = t*g_det*switch is the arm's overall transmittance, with t the
-    channel transmittance and switch the routing switch's (1 without one).
-    chi_vac = (1-g)/g is the vacuum noise from transmission loss and
-    eps = eps_pre + eps_det/g the total excess noise; the equivalent input
-    noise is chi = chi_vac + eps.
+    g = t*g_det is the arm's overall transmittance, with t the
+    transmittance from the source to the detector. chi_vac = (1-g)/g is
+    the vacuum noise from transmission loss and eps = eps_pre + eps_det/g
+    the total excess noise; the equivalent input noise is chi = chi_vac + eps.
     """
-    g = t * det.g_det * switch
+    g = t * det.g_det
     if g == 0.0:
         raise DomainError("overall transmittance is zero")
     return g, (1.0 - g) / g, source.eps_pre + det.eps_det / g
+
+
+def _check_v_chi(v: float, chi: float) -> None:
+    if v < 1.0:
+        raise DomainError(f"v must be >= 1, got {v}")
+    if chi < 0.0:
+        raise DomainError(f"chi must be >= 0, got {chi}")
 
 
 def mutual_info_ab(v: float, chi: float) -> float:
@@ -46,10 +50,7 @@ def mutual_info_ab(v: float, chi: float) -> float:
     Symmetric between the two reconciliation directions, so it serves both
     the sender-referenced and receiver-referenced key maps.
     """
-    if v < 1.0:
-        raise DomainError(f"v must be >= 1, got {v}")
-    if chi < 0.0:
-        raise DomainError(f"chi must be >= 0, got {chi}")
+    _check_v_chi(v, chi)
     return 0.5 * math.log2((v + chi) / (1.0 + chi))
 
 
@@ -59,10 +60,7 @@ def info_ae(v: float, chi: float) -> float:
     At chi = 0 the channel is lossless and noiseless and the expression's
     limit is 0 bits; that edge is returned directly.
     """
-    if v < 1.0:
-        raise DomainError(f"v must be >= 1, got {v}")
-    if chi < 0.0:
-        raise DomainError(f"chi must be >= 0, got {chi}")
+    _check_v_chi(v, chi)
     if chi == 0.0:
         return 0.0
     inv = 1.0 / chi
@@ -71,10 +69,7 @@ def info_ae(v: float, chi: float) -> float:
 
 def info_be(v: float, chi: float, g: float) -> float:
     """Eavesdropper information on the receiver: (1/2)*log2[g^2*(v+chi)*(1/v+chi)]."""
-    if v < 1.0:
-        raise DomainError(f"v must be >= 1, got {v}")
-    if chi < 0.0:
-        raise DomainError(f"chi must be >= 0, got {chi}")
+    _check_v_chi(v, chi)
     if not 0.0 < g <= 1.0:
         raise DomainError(f"g must be in (0, 1], got {g}")
     if chi == 0.0:
@@ -86,27 +81,23 @@ def info_be(v: float, chi: float, g: float) -> float:
     return 0.5 * math.log2(arg)
 
 
-def gmcs_dr_rate_dual(
-    keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsSource, t: float, switch: float
-) -> float:
+def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsSource, t: float) -> float:
     """Direct-reconciliation rate in bits/s with the keyed arm making the key.
 
-    t is the channel transmittance and switch the routing switch's; both
-    arms sit behind the switch. The vacuum-noise term is shared (taken from
-    the keyed arm); each arm contributes its own excess noise. A
-    single-detector receiver passes one detector twice and switch = 1.
+    t is the transmittance from the source to either detector. The
+    vacuum-noise term is shared (taken from the keyed arm); each arm
+    contributes its own excess noise. A single-detector receiver passes
+    one detector twice.
     """
-    _, chi_vac, eps_keyed = noise_budget(source, keyed, t, switch)
-    eps_bounding = noise_budget(source, bounding, t, switch)[2]
+    _, chi_vac, eps_keyed = noise_budget(source, keyed, t)
+    eps_bounding = noise_budget(source, bounding, t)[2]
     return keyed.rep_rate * (
         source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
         - info_ae(source.v, chi_vac + eps_bounding)
     )
 
 
-def gmcs_rr_rate_dual(
-    keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsSource, t: float, switch: float
-) -> float:
+def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsSource, t: float) -> float:
     """Reverse-reconciliation rate in bits/s with the keyed arm making the key.
 
     Arguments as for gmcs_dr_rate_dual. Requires identical detection
@@ -117,8 +108,8 @@ def gmcs_rr_rate_dual(
         raise MismatchedEfficiencyError(
             f"detector efficiencies differ: {keyed.g_det} vs {bounding.g_det}"
         )
-    g, chi_vac, eps_keyed = noise_budget(source, keyed, t, switch)
-    eps_bounding = noise_budget(source, bounding, t, switch)[2]
+    g, chi_vac, eps_keyed = noise_budget(source, keyed, t)
+    eps_bounding = noise_budget(source, bounding, t)[2]
     return keyed.rep_rate * (
         source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
         - info_be(source.v, chi_vac + eps_bounding, g)

@@ -1,8 +1,10 @@
 """Scenario configuration: protocol + detectors + link, loadable from JSON.
 
 A scenario is the unit the sweep tools evaluate: one protocol, one
-detector configuration (single or dual), one link. Single-detector modes
-never see the routing switch, so link.switch_loss only affects dual modes.
+detector configuration (single or dual), one link. This module alone knows
+the receiver layout: the routing switch sits in front of both detectors of
+a dual receiver, so its loss is part of the transmittance either detector
+sees, and single-detector modes have no switch.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .core import (
     DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance, db_to_transmittance,
 )
 
-#: protocol -> (config type, detector type, rate kernel(keyed, bounding, config, t, switch)).
+#: protocol -> (config type, detector type, rate kernel(keyed, bounding, config, t)).
 _PROTOCOLS = {
     "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84.bb84_rate_dual),
     "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy.decoy_rate_dual),
@@ -26,7 +28,7 @@ _PROTOCOLS = {
     "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.gmcs_rr_rate_dual),
 }
 #: mode -> (keyed arm, bounding arm, behind the switch). A single detector
-#: is the dual receiver with that detector on both arms and no switch.
+#: is the dual receiver with that detector on both arms at the same t.
 _ARMS = {
     "single_fast": ("fast", "fast", False),
     "single_slow": ("slow", "slow", False),
@@ -55,15 +57,16 @@ class Scenario:
 
     def __post_init__(self) -> None:
         validate_scenario(self)
-        # Resolve once what evaluate needs besides the length. dual_no_pa is
-        # dual with drop_pa set; GMCS ignores g_bob, and a factor 1.0 keeps
-        # its transmittance exact.
+        # Resolve once what evaluate needs besides the length: g_bob (GMCS
+        # ignores it) and the switch are one factor on the fiber
+        # transmittance. dual_no_pa is dual with drop_pa set.
         keyed, bounding, switched = _ARMS[self.mode]
         config = dataclasses.replace(self.config, drop_pa=True) if self.mode == "dual_no_pa" else self.config
-        switch = db_to_transmittance(self.link.switch_loss) if switched else 1.0
         _, detector_cls, kernel = _PROTOCOLS[self.protocol]
-        g_bob = self.link.g_bob if detector_cls is SpdSpec else 1.0
-        plan = (kernel, getattr(self, keyed), getattr(self, bounding), config, switch, self.link.alpha, g_bob)
+        factor = self.link.g_bob if detector_cls is SpdSpec else 1.0
+        if switched:
+            factor *= db_to_transmittance(self.link.switch_loss)
+        plan = (kernel, getattr(self, keyed), getattr(self, bounding), config, self.link.alpha, factor)
         object.__setattr__(self, "_plan", plan)
 
 
@@ -101,8 +104,8 @@ def validate_scenario(s: Scenario) -> None:
 
 def evaluate(scenario: Scenario, length_km: float) -> float:
     """Raw (unclamped) key rate in bits/s at the given fiber length."""
-    kernel, keyed, bounding, config, switch, alpha, g_bob = scenario._plan
-    return kernel(keyed, bounding, config, channel_transmittance(alpha, length_km) * g_bob, switch)
+    kernel, keyed, bounding, config, alpha, factor = scenario._plan
+    return kernel(keyed, bounding, config, channel_transmittance(alpha, length_km) * factor)
 
 
 # ---------------------------------------------------------------------------

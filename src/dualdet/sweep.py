@@ -59,7 +59,10 @@ def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
     if not steps <= MAX_GRID_POINTS:
         raise GridError(f"step {step} gives more than {MAX_GRID_POINTS} grid points")
     n = int(steps + 1e-9)
-    return [l_min + i * step for i in range(n + 1)]
+    grid = [l_min + i * step for i in range(n + 1)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise GridError(f"step {step} is too small to separate grid points in [{l_min}, {l_max}]")
+    return grid
 
 
 def sweep(scenario: Scenario, l_min: float, l_max: float, step: float) -> RateCurve:

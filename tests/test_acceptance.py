@@ -256,7 +256,7 @@ def test_criterion_12_property_suite():
     mismatched = HomodyneSpec(rep_rate=1e6, g_det=0.75, eps_det=0.01)
     t = channel_transmittance(dual6.link.alpha, dual6.link.length)
     try:
-        gmcs_rr_rate_dual(dual6.fast, mismatched, dual6.config, t, 1.0)
+        gmcs_rr_rate_dual(dual6.fast, mismatched, dual6.config, t)
         failures.append("mismatched efficiency accepted")
     except MismatchedEfficiencyError:
         pass

@@ -20,7 +20,7 @@ def t_at(length_km, alpha=0.21):
 
 def single(spd, t, cfg=CFG):
     """Single-detector rate: the detector on both arms, no switch."""
-    return bb84_rate_dual(spd, spd, cfg, t, 1.0)
+    return bb84_rate_dual(spd, spd, cfg, t)
 
 
 def test_gain_examples():
@@ -70,8 +70,8 @@ def test_high_edet_detector_never_secure():
 
 
 def test_rate_dual_examples():
-    assert bb84_rate_dual(FAST, SLOW, CFG, t_at(0.0), 1.0) == pytest.approx(3339814.4003277803, rel=1e-12)
-    dual_124 = bb84_rate_dual(FAST, SLOW, CFG, t_at(124.0), 1.0)
+    assert bb84_rate_dual(FAST, SLOW, CFG, t_at(0.0)) == pytest.approx(3339814.4003277803, rel=1e-12)
+    dual_124 = bb84_rate_dual(FAST, SLOW, CFG, t_at(124.0))
     assert dual_124 == pytest.approx(196.3538406635559, rel=1e-12)
     assert dual_124 > single(FAST, t_at(124.0))
     assert dual_124 > single(SLOW, t_at(124.0))
@@ -80,7 +80,7 @@ def test_rate_dual_examples():
 def test_rate_dual_rescues_high_edet_fast_detector():
     t = t_at(100.0)
     assert single(FAST_HIGH_EDET, t) < 0.0
-    assert bb84_rate_dual(FAST_HIGH_EDET, SLOW, CFG, t, 1.0) > 0.0
+    assert bb84_rate_dual(FAST_HIGH_EDET, SLOW, CFG, t) > 0.0
 
 
 def test_dual_degenerates_to_single():
@@ -88,7 +88,7 @@ def test_dual_degenerates_to_single():
     # R = basis_factor * rep_rate * Q * (1 - (f_ec + 1) * H2(e)).
     for length in (0.0, 60.0, 140.0):
         t = t_at(length)
-        dual = bb84_rate_dual(FAST, FAST, CFG, t, 1.0)
+        dual = bb84_rate_dual(FAST, FAST, CFG, t)
         err = bb84_qber(FAST, t)
         expected = 0.5 * FAST.rep_rate * bb84_gain(FAST, t) * (1.0 - 2.22 * binary_entropy(err))
         assert dual == pytest.approx(expected, rel=1e-12)
@@ -96,8 +96,8 @@ def test_dual_degenerates_to_single():
 
 def test_switch_loss_reduces_dual_rate():
     t = t_at(50.0)
-    lossy = bb84_rate_dual(FAST, SLOW, CFG, t, db_to_transmittance(3.0))
-    assert lossy < bb84_rate_dual(FAST, SLOW, CFG, t, 1.0)
+    lossy = bb84_rate_dual(FAST, SLOW, CFG, t * db_to_transmittance(3.0))
+    assert lossy < bb84_rate_dual(FAST, SLOW, CFG, t)
 
 
 def test_qber_nondecreasing_with_length():
@@ -113,7 +113,7 @@ def test_quiet_bound_never_hurts():
     for length in (0.0, 40.0, 80.0, 120.0, 160.0):
         t = t_at(length)
         if bb84_qber(SLOW, t) <= bb84_qber(FAST, t) <= 0.5:
-            assert bb84_rate_dual(FAST, SLOW, CFG, t, 1.0) >= single(FAST, t)
+            assert bb84_rate_dual(FAST, SLOW, CFG, t) >= single(FAST, t)
 
 
 def test_rates_positive_at_zero_length_below_edet_threshold():

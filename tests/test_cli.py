@@ -131,7 +131,8 @@ def test_schedule_invalid_probability(capsys):
     ("sweep", ["--lmin", "5", "--lmax", "1"]),
     ("sweep", ["--step", "0"]),
     ("maxdist", ["--lmax", "-1"]),
-], ids=["sweep-inverted", "sweep-zero-step", "maxdist-negative-lmax"])
+    ("sweep", ["--lmin", "1e17", "--lmax", "100000000000000064", "--step", "1"]),
+], ids=["sweep-inverted", "sweep-zero-step", "maxdist-negative-lmax", "sweep-collapsed"])
 def test_grid_flag_errors_are_config_errors(dual_config, tmp_path, capsys, command, flags):
     # Flags that describe no length grid are bad flags (exit 2), unlike
     # model-parameter domain errors such as schedule --p 2.0 (exit 3).

@@ -26,7 +26,7 @@ def t_at(length_km, alpha=0.21):
 
 def single(spd, t, cfg=CFG):
     """Single-detector rate: the detector on both arms, no switch."""
-    return decoy_rate_dual(spd, spd, cfg, t, 1.0)
+    return decoy_rate_dual(spd, spd, cfg, t)
 
 
 def single_by_terms(spd, t):
@@ -126,20 +126,20 @@ def test_slow_single_outlives_dual_advantage():
     # Past the crossover the quiet detector alone still makes key while the
     # dual configuration has gone negative.
     assert single(SLOW, t_at(90.0)) > 0.0
-    assert decoy_rate_dual(FAST, SLOW, CFG, t_at(90.0), 1.0) < 0.0
+    assert decoy_rate_dual(FAST, SLOW, CFG, t_at(90.0)) < 0.0
 
 
 def test_rate_dual_degenerates_to_single():
     for length in (0.0, 50.0, 100.0):
         t = t_at(length)
-        assert decoy_rate_dual(FAST, FAST, CFG, t, 1.0) == pytest.approx(
+        assert decoy_rate_dual(FAST, FAST, CFG, t) == pytest.approx(
             single_by_terms(FAST, t), rel=1e-12
         )
 
 
 def test_rate_dual_uses_slow_error_bound():
     t = t_at(60.0)
-    dual = decoy_rate_dual(FAST, SLOW, CFG, t, 1.0)
+    dual = decoy_rate_dual(FAST, SLOW, CFG, t)
     q_1 = decoy_single_photon_gain(0.73, FAST, t)
     expected_gain = 0.5 * 1e9 * q_1 * (
         binary_entropy(decoy_single_photon_qber(0.73, FAST, t))

@@ -26,16 +26,16 @@ def t_at(length_km):
 
 def dr_single(source, det, t):
     """Single-detector rate: the detector on both arms, no switch."""
-    return gmcs_dr_rate_dual(det, det, source, t, 1.0)
+    return gmcs_dr_rate_dual(det, det, source, t)
 
 
 def rr_single(source, det, t):
-    return gmcs_rr_rate_dual(det, det, source, t, 1.0)
+    return gmcs_rr_rate_dual(det, det, source, t)
 
 
 def chi_of(source, det, t):
     """Equivalent input noise chi = chi_vac + eps of one arm without a switch."""
-    _, chi_vac, eps = noise_budget(source, det, t, 1.0)
+    _, chi_vac, eps = noise_budget(source, det, t)
     return chi_vac + eps
 
 
@@ -44,7 +44,7 @@ def mp_half_log2(x):
 
 
 def test_noise_budget_at_zero_length():
-    g, chi_vac, _ = noise_budget(SOURCE, FAST, t_at(0.0), 1.0)
+    g, chi_vac, _ = noise_budget(SOURCE, FAST, t_at(0.0))
     # chi = (1-0.8)/0.8 + 0.05 + 0.43/0.8 = 0.25 + 0.05 + 0.5375
     assert g == pytest.approx(0.8, rel=1e-15)
     assert chi_vac == pytest.approx(0.25, rel=1e-12)
@@ -55,20 +55,20 @@ def test_noise_budget_at_zero_length():
 def test_noise_budget_lossless_noiseless():
     source = GmcsSource(v=10.0, beta=1.0, eps_pre=0.0)
     det = HomodyneSpec(rep_rate=1e6, g_det=1.0, eps_det=0.0)
-    _, chi_vac, _ = noise_budget(source, det, 1.0, 1.0)
+    _, chi_vac, _ = noise_budget(source, det, 1.0)
     assert chi_of(source, det, 1.0) == 0.0
     assert chi_vac == 0.0
 
 
 def test_noise_budget_switch_inclusion():
-    with_switch = noise_budget(SOURCE, FAST, t_at(10.0), db_to_transmittance(3.0))
-    without = noise_budget(SOURCE, FAST, t_at(10.0), 1.0)
+    with_switch = noise_budget(SOURCE, FAST, t_at(10.0) * db_to_transmittance(3.0))
+    without = noise_budget(SOURCE, FAST, t_at(10.0))
     assert with_switch[0] == pytest.approx(without[0] * 10 ** -0.3, rel=1e-12)
     assert with_switch[1] > without[1]
 
 
 def test_chi_vac_decreasing_in_transmittance():
-    budgets = [noise_budget(SOURCE, FAST, t_at(length), 1.0) for length in (0.0, 5.0, 20.0, 50.0)]
+    budgets = [noise_budget(SOURCE, FAST, t_at(length)) for length in (0.0, 5.0, 20.0, 50.0)]
     chi_vacs = [b[1] for b in budgets]
     assert all(b > a for a, b in zip(chi_vacs, chi_vacs[1:]))
 
@@ -139,7 +139,7 @@ def test_dr_dual_degenerates_to_single():
     for length in (0.0, 2.0, 4.0):
         t = t_at(length)
         chi = chi_of(SOURCE, FAST, t)
-        assert gmcs_dr_rate_dual(FAST, FAST, SOURCE, t, 1.0) == pytest.approx(
+        assert gmcs_dr_rate_dual(FAST, FAST, SOURCE, t) == pytest.approx(
             FAST.rep_rate * (SOURCE.beta * mutual_info_ab(SOURCE.v, chi) - info_ae(SOURCE.v, chi)),
             rel=1e-12,
         )
@@ -147,7 +147,7 @@ def test_dr_dual_degenerates_to_single():
 
 def test_dr_dual_beats_quiet_single_at_short_range():
     t = t_at(1.0)
-    dual = gmcs_dr_rate_dual(FAST, QUIET, SOURCE, t, 1.0)
+    dual = gmcs_dr_rate_dual(FAST, QUIET, SOURCE, t)
     assert dual > 10.0 * dr_single(SOURCE, QUIET, t)
 
 
@@ -171,16 +171,16 @@ def test_rr_ideal_channel():
 
 
 def test_rr_dual_positive_at_zero_length():
-    assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE, t_at(0.0), 1.0) > 0.0
+    assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE, t_at(0.0)) > 0.0
 
 
 def test_rr_dual_degenerates_to_single():
     # One detector on both arms: R = rep_rate * (beta*I_AB(chi) - I_BE(chi, g)).
     for length in (0.0, 5.0, 10.0):
         t = t_at(length)
-        g, chi_vac, eps = noise_budget(SOURCE, FAST, t, 1.0)
+        g, chi_vac, eps = noise_budget(SOURCE, FAST, t)
         chi = chi_vac + eps
-        assert gmcs_rr_rate_dual(FAST, FAST, SOURCE, t, 1.0) == pytest.approx(
+        assert gmcs_rr_rate_dual(FAST, FAST, SOURCE, t) == pytest.approx(
             FAST.rep_rate * (SOURCE.beta * mutual_info_ab(SOURCE.v, chi) - info_be(SOURCE.v, chi, g)),
             rel=1e-12,
         )
@@ -189,7 +189,7 @@ def test_rr_dual_degenerates_to_single():
 def test_rr_dual_rejects_mismatched_efficiency():
     other = HomodyneSpec(rep_rate=1e6, g_det=0.75, eps_det=0.01)
     with pytest.raises(MismatchedEfficiencyError):
-        gmcs_rr_rate_dual(FAST, other, SOURCE, t_at(5.0), 1.0)
+        gmcs_rr_rate_dual(FAST, other, SOURCE, t_at(5.0))
 
 
 @pytest.mark.parametrize("source", [SOURCE, SOURCE_REALISTIC])
@@ -198,13 +198,13 @@ def test_quieter_bound_never_hurts(source):
     # lower the dual rate.
     for length in (0.0, 3.0, 8.0, 15.0):
         t = t_at(length)
-        assert gmcs_dr_rate_dual(FAST, QUIET, source, t, 1.0) >= gmcs_dr_rate_dual(FAST, FAST, source, t, 1.0)
-        assert gmcs_rr_rate_dual(FAST, QUIET, source, t, 1.0) >= gmcs_rr_rate_dual(FAST, FAST, source, t, 1.0)
+        assert gmcs_dr_rate_dual(FAST, QUIET, source, t) >= gmcs_dr_rate_dual(FAST, FAST, source, t)
+        assert gmcs_rr_rate_dual(FAST, QUIET, source, t) >= gmcs_rr_rate_dual(FAST, FAST, source, t)
 
 
 def test_realistic_rr_dual_positive_at_short_range_only():
     t = t_at(1.0)
-    assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE_REALISTIC, t, 1.0) > 0.0
-    assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE_REALISTIC, t_at(12.0), 1.0) < 0.0
+    assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE_REALISTIC, t) > 0.0
+    assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE_REALISTIC, t_at(12.0)) < 0.0
     for length in (0.0, 2.0, 10.0, 40.0):
         assert rr_single(SOURCE_REALISTIC, FAST, t_at(length)) < 0.0

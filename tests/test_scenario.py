@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualdet.bb84 import Bb84Config, bb84_rate_dual
-from dualdet.core import DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance
+from dualdet.core import (
+    DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance, db_to_transmittance,
+)
 from dualdet.decoy import DecoyConfig
 from dualdet.gmcs import gmcs_rr_rate_dual
 from dualdet.presets import FIGURE_IDS, figure_preset
@@ -52,11 +54,17 @@ def test_evaluate_dispatches_to_bb84():
     slow = SpdSpec(rep_rate=2.5e6, eta_d=0.5, y0=3e-7, e_det=0.018)
     t = channel_transmittance(0.21, 80.0) * 0.16
     cfg = Bb84Config(basis_factor=0.5, f_ec=1.22)
-    assert evaluate(scenario, 80.0) == bb84_rate_dual(fast, slow, cfg, t, 1.0)
+    assert evaluate(scenario, 80.0) == bb84_rate_dual(fast, slow, cfg, t)
 
     single = copy.deepcopy(BB84_DUAL)
     single["mode"] = "single_slow"
-    assert evaluate(scenario_from_dict(single), 80.0) == bb84_rate_dual(slow, slow, cfg, t, 1.0)
+    assert evaluate(scenario_from_dict(single), 80.0) == bb84_rate_dual(slow, slow, cfg, t)
+
+    # The switch is applied once, by the scenario, as part of t.
+    lossy = copy.deepcopy(BB84_DUAL)
+    lossy["link"]["switch_loss_db"] = 3.0
+    t_lossy = channel_transmittance(0.21, 80.0) * (0.16 * db_to_transmittance(3.0))
+    assert evaluate(scenario_from_dict(lossy), 80.0) == bb84_rate_dual(fast, slow, cfg, t_lossy)
 
 
 def test_single_modes_ignore_switch_loss():
@@ -79,8 +87,14 @@ def test_single_modes_ignore_switch_loss():
 def test_evaluate_dispatches_to_gmcs_rr():
     scenario = scenario_from_dict(GMCS_RR_DUAL)
     t = channel_transmittance(0.21, 5.0)
-    expected = gmcs_rr_rate_dual(scenario.fast, scenario.slow, scenario.config, t, 1.0)
+    expected = gmcs_rr_rate_dual(scenario.fast, scenario.slow, scenario.config, t)
     assert evaluate(scenario, 5.0) == expected
+
+    lossy = copy.deepcopy(GMCS_RR_DUAL)
+    lossy["link"]["switch_loss_db"] = 3.0
+    t_lossy = channel_transmittance(0.21, 5.0) * db_to_transmittance(3.0)
+    expected = gmcs_rr_rate_dual(scenario.fast, scenario.slow, scenario.config, t_lossy)
+    assert evaluate(scenario_from_dict(lossy), 5.0) == expected
 
 
 def test_decoy_no_pa_mode():

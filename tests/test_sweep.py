@@ -1,12 +1,15 @@
+import dataclasses
 import io
+import json
 from pathlib import Path
 
 import pytest
 
-from dualdet.core import DomainError
+from dualdet.core import DomainError, SpdSpec
 from dualdet.presets import FIGURE_IDS, figure_preset
 from dualdet.scenario import evaluate
 from dualdet.sweep import (
+    DISTANCE_TOL,
     RateCurve,
     crossover_distance,
     format_length,
@@ -95,6 +98,28 @@ def test_max_secure_distance_grid_refinement_invariant(fig1):
     coarse = max_secure_distance(fig1.scenarios["fast"], 250.0, coarse_step=1.0)
     fine = max_secure_distance(fig1.scenarios["fast"], 250.0, coarse_step=0.5)
     assert abs(coarse - fine) <= 0.01
+
+
+def test_searches_match_golden():
+    # The 28 distance searches of the benchmark, rebuilt from the catalogue
+    # fields of the committed answers: the "same behaviour" gate for searches.
+    entries = json.loads((GOLDEN / "searches.json").read_text(encoding="utf-8"))
+    assert len(entries) == 28
+    wrong = []
+    for entry in entries:
+        preset = figure_preset(entry["figure"])
+        dual = preset.scenarios["dual"]
+        if entry["switch_loss_db"]:
+            dual = dataclasses.replace(dual, link=dataclasses.replace(dual.link, switch_loss=entry["switch_loss_db"]))
+        l_max = 250.0 if isinstance(dual.fast, SpdSpec) else 60.0
+        if entry["kind"] == "crossover":
+            answer = crossover_distance(dual, [preset.scenarios["fast"], preset.scenarios["slow"]], l_max)
+        else:
+            answer = max_secure_distance(dual, l_max)
+        expected = entry["answer"]
+        if (answer is None) != (expected is None) or (answer is not None and abs(answer - expected) > DISTANCE_TOL):
+            wrong.append((entry, answer))
+    assert not wrong
 
 
 def test_crossover_self_is_none(fig1):
