@@ -30,11 +30,17 @@ def noise_budget(source: GmcsSource, det: HomodyneSpec, t: float) -> tuple[float
     transmittance from the source to the detector. chi_vac = (1-g)/g is
     the vacuum noise from transmission loss and eps = eps_pre + eps_det/g
     the total excess noise; the equivalent input noise is chi = chi_vac + eps.
+    A g so small that chi overflows (subnormal, or eps_det/g past the float
+    range) is outside the model's domain: the rates would come out NaN.
     """
     g = t * det.g_det
     if g == 0.0:
         raise DomainError("overall transmittance is zero")
-    return g, (1.0 - g) / g, source.eps_pre + det.eps_det / g
+    chi_vac = (1.0 - g) / g
+    eps = source.eps_pre + det.eps_det / g
+    if not chi_vac + eps < math.inf:
+        raise DomainError(f"overall transmittance {g!r} is too small: the input noise overflows")
+    return g, chi_vac, eps
 
 
 def _check_v_chi(v: float, chi: float) -> None:

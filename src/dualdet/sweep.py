@@ -1,8 +1,10 @@
 """Distance sweeps, secure-distance and crossover finding, CSV emission.
 
 Raw rates may be negative; `RateCurve.rates` clamps them at zero for
-plotting and CSV output. Distance searches use a coarse grid to bracket a
-sign change, then bisection to 0.01 km.
+plotting and CSV output. Distance searches walk a coarse grid only as far
+as it takes to bracket their answer, then bisect to 0.01 km: the crossover
+walks forward from 0 to the first crossing, the maximum distance backward
+from the search limit to the last positive grid point.
 """
 
 from __future__ import annotations
@@ -76,15 +78,14 @@ def max_secure_distance(
 ) -> float | None:
     """Largest length in [0, l_max_search] with a positive raw rate.
 
-    None if the rate is non-positive already at length 0; l_max_search if
-    it is still positive there. Otherwise the zero crossing, to 0.01 km.
+    Walks the coarse grid backward from l_max_search to the last positive
+    grid point: l_max_search if that is the last point, otherwise the zero
+    crossing in the next cell, to 0.01 km. None if no grid point is positive.
     """
     grid = length_grid(0.0, l_max_search, coarse_step)
-    rates = [evaluate(scenario, length) for length in grid]
-    positive = [i for i, r in enumerate(rates) if r > 0.0]
-    if not positive:
+    last = next((i for i in reversed(range(len(grid))) if evaluate(scenario, grid[i]) > 0.0), None)
+    if last is None:
         return None
-    last = positive[-1]
     if last == len(grid) - 1:
         return l_max_search
     return bisect_sign_change(
@@ -101,8 +102,10 @@ def crossover_distance(
     """Smallest length where rate_a - rate_b turns from positive to non-positive.
 
     scenario_b may be a sequence, in which case the comparison is against
-    the pointwise best (envelope) of its members. None when no such sign
-    change occurs in [0, l_max_search].
+    the pointwise best (envelope) of its members. Walks the coarse grid
+    forward from 0 and stops at the first crossing, evaluating one point
+    more only when the difference there is exactly 0. None when no such
+    sign change occurs in [0, l_max_search].
     """
     others: tuple[Scenario, ...]
     if isinstance(scenario_b, Scenario):
@@ -116,10 +119,11 @@ def crossover_distance(
         return evaluate(scenario_a, length) - max(evaluate(s, length) for s in others)
 
     grid = length_grid(0.0, l_max_search, coarse_step)
-    diffs = [diff(length) for length in grid]
+    here = diff(grid[0])
     for i in range(len(grid) - 1):
-        if diffs[i] > 0.0 and diffs[i + 1] <= 0.0:
-            if diffs[i + 1] == 0.0 and i + 2 < len(grid) and diffs[i + 2] > 0.0:
+        prev, here = here, diff(grid[i + 1])
+        if prev > 0.0 and here <= 0.0:
+            if here == 0.0 and i + 2 < len(grid) and diff(grid[i + 2]) > 0.0:
                 # Tangency within the cell: no strict crossing to bisect.
                 warnings.warn(
                     f"curves touch near {grid[i + 1]:.2f} km without crossing; "

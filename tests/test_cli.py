@@ -22,6 +22,19 @@ BB84_DUAL = {
 }
 
 
+#: The preset 5 dual receiver.
+GMCS_DR_DUAL = {
+    "protocol": "gmcs_dr",
+    "mode": "dual",
+    "link": {"alpha_db_per_km": 0.21, "g_bob": 1.0, "switch_loss_db": 0},
+    "detectors": [
+        {"homodyne": {"rep_rate_hz": 82e6, "g_det": 0.8, "eps_det": 0.43}},
+        {"homodyne": {"rep_rate_hz": 1e6, "g_det": 0.8, "eps_det": 0.01}},
+    ],
+    "config": {"v": 40, "beta": 1.0, "eps_pre": 0.05},
+}
+
+
 @pytest.fixture
 def dual_config(tmp_path):
     path = tmp_path / "dual.json"
@@ -161,6 +174,16 @@ def test_oversized_grid_is_a_config_error(dual_config, tmp_path, step):
     assert done.returncode == 2, done.stderr
     assert "grid points" in done.stderr
     assert not out.exists()
+
+
+def test_rate_past_the_gmcs_domain_is_a_numeric_error(tmp_path, capsys):
+    # At 15000 km the overall transmittance is subnormal: exit 3, no "nan".
+    path = tmp_path / "gmcs.json"
+    path.write_text(json.dumps(GMCS_DR_DUAL))
+    assert main(["rate", "--config", str(path), "--length", "15000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overall transmittance" in captured.err
 
 
 def test_config_error_exit_code(tmp_path, capsys):

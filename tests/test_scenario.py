@@ -1,9 +1,10 @@
 import copy
 import dataclasses
 import json
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualdet.bb84 import Bb84Config, bb84_rate_dual
 from dualdet.core import (
@@ -301,6 +302,29 @@ def test_clamped_rate_never_rises_with_switch_loss(protocol, data):
         return max(0.0, evaluate(lossy, length))
 
     assert clamped(s2) <= clamped(s1) * (1.0 + 1e-12)
+
+
+#: Every valid protocol and mode on preset parameters: presets 1, 4, 5 and 6
+#: are BB84, decoy BB84, GMCS DR and GMCS RR, plus decoy's dual_no_pa.
+PRESET_SCENARIOS = {
+    f"fig{i}_{role}": scenario for i in (1, 4, 5, 6) for role, scenario in figure_preset(i).scenarios.items()
+}
+PRESET_SCENARIOS["fig4_dual_no_pa"] = dataclasses.replace(figure_preset(4).scenarios["dual"], mode="dual_no_pa")
+
+
+@pytest.mark.parametrize("name", PRESET_SCENARIOS)
+@settings(max_examples=40, deadline=None)
+@given(length=st.floats(0.0, 1e5))
+# From about 14,700 km the GMCS transmittance is subnormal and the noise
+# budget overflows: evaluate must refuse these lengths, not return NaN.
+@example(length=14700.0)
+@example(length=15000.0)
+def test_rate_is_finite_or_refused(name, length):
+    try:
+        rate = evaluate(PRESET_SCENARIOS[name], length)
+    except (DomainError, ZeroDivisionError):
+        return
+    assert isinstance(rate, float) and math.isfinite(rate)
 
 
 # Every key of every JSON object, per object: (scenario, path to the object,

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import dualdet.sweep
 from dualdet.core import DomainError, SpdSpec
 from dualdet.presets import FIGURE_IDS, figure_preset
 from dualdet.scenario import evaluate
 from dualdet.sweep import (
-    DISTANCE_TOL,
     RateCurve,
     crossover_distance,
     format_length,
@@ -116,10 +116,55 @@ def test_searches_match_golden():
             answer = crossover_distance(dual, [preset.scenarios["fast"], preset.scenarios["slow"]], l_max)
         else:
             answer = max_secure_distance(dual, l_max)
-        expected = entry["answer"]
-        if (answer is None) != (expected is None) or (answer is not None and abs(answer - expected) > DISTANCE_TOL):
+        # However much of the grid a search scans, it bisects the same
+        # bracket with the same function, so the answers match exactly.
+        if answer != entry["answer"]:
             wrong.append((entry, answer))
     assert not wrong
+
+
+def count_evaluations(monkeypatch, evaluate_fn=evaluate) -> list:
+    """Route the searches' evaluate through evaluate_fn, recording each length."""
+    lengths = []
+
+    def counted(scenario, length):
+        lengths.append(length)
+        return evaluate_fn(scenario, length)
+
+    monkeypatch.setattr(dualdet.sweep, "evaluate", counted)
+    return lengths
+
+
+@pytest.mark.parametrize("fig_id, l_max, crossover_calls, maxdist_calls", [(1, 250.0, 405, 136), (5, 60.0, 48, 65)])
+def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, l_max, crossover_calls, maxdist_calls):
+    # Crossover: 3 scenarios x (grid 0..first crossing + 9 halvings of a 1 km
+    # cell). Maxdist: grid l_max down to the last positive point + 9 halvings.
+    preset = figure_preset(fig_id)
+    dual, envelope = preset.scenarios["dual"], [preset.scenarios["fast"], preset.scenarios["slow"]]
+    lengths = count_evaluations(monkeypatch)
+    crossover_distance(dual, envelope, l_max)
+    assert len(lengths) == crossover_calls
+    lengths.clear()
+    max_secure_distance(dual, l_max)
+    assert len(lengths) == maxdist_calls
+
+
+def test_crossover_tangency_looks_one_point_ahead(monkeypatch):
+    # diff(L) = (L - 3)^2 touches 0 at the grid point 3 and rises again: the
+    # cell midpoint is reported, after evaluating the grid 0..4 only.
+    lengths = count_evaluations(monkeypatch, lambda curve, length: curve(length))
+    with pytest.warns(UserWarning, match="curves touch near 3.00 km") as record:
+        assert crossover_distance(lambda L: (L - 3.0) ** 2, [lambda L: 0.0], 10.0) == 2.5
+    assert len(record) == 1
+    assert len(lengths) == 10
+
+
+def test_crossover_answers_before_the_model_domain_ends():
+    # Past about 14,700 km the GMCS noise budget is out of its domain and
+    # evaluate raises; the crossover at 5.65 km is found before that.
+    preset = figure_preset(5)
+    envelope = [preset.scenarios["fast"], preset.scenarios["slow"]]
+    assert crossover_distance(preset.scenarios["dual"], envelope, 20000.0) == 5.6533203125
 
 
 def test_crossover_self_is_none(fig1):
