@@ -9,6 +9,7 @@ from the search limit to the last positive grid point.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,9 @@ MAX_GRID_POINTS = 1_000_000
 
 CSV_HEADER = ("length_km", "rate_dual_bps", "rate_fast_bps", "rate_slow_bps")
 CURVE_ROLES = ("dual", "fast", "slow")
+#: CSV cell formats: lengths to 2 decimals, rates to 6 significant digits.
+LENGTH_FORMAT = "%.2f"
+RATE_FORMAT = "%.5e"
 MODE_TO_ROLE = {"dual": "dual", "dual_no_pa": "dual", "single_fast": "fast", "single_slow": "slow"}
 
 
@@ -35,7 +39,7 @@ class GridError(ConfigError, DomainError):
 
 @dataclass(frozen=True)
 class RateCurve:
-    """Raw key rates in bits/s on a strictly increasing length grid in km."""
+    """Raw key rates in bits/s on a finite, strictly increasing length grid in km."""
 
     lengths: tuple[float, ...]
     raw: tuple[float, ...]
@@ -43,12 +47,16 @@ class RateCurve:
     def __post_init__(self) -> None:
         if len(self.raw) != len(self.lengths):
             raise DomainError("curve needs one rate per length")
-        if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
+        lengths = self.lengths
+        # Finite ends and strictly increasing pairs leave no NaN or inf inside.
+        if lengths and not (math.isfinite(lengths[0]) and math.isfinite(lengths[-1])):
+            raise DomainError("curve lengths must be finite")
+        if any(not a < b for a, b in zip(lengths, lengths[1:])):
             raise DomainError("curve lengths must be strictly increasing")
 
     @property
     def rates(self) -> tuple[float, ...]:
-        return tuple([max(0.0, r) for r in self.raw])
+        return tuple([r if r > 0.0 else 0.0 for r in self.raw])
 
 
 def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
@@ -67,10 +75,13 @@ def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
     return grid
 
 
+def _curve(scenario: Scenario, lengths: tuple[float, ...]) -> RateCurve:
+    return RateCurve(lengths, tuple([evaluate(scenario, length) for length in lengths]))
+
+
 def sweep(scenario: Scenario, l_min: float, l_max: float, step: float) -> RateCurve:
     """Evaluate the scenario on the inclusive grid."""
-    lengths = tuple(length_grid(l_min, l_max, step))
-    return RateCurve(lengths, tuple([evaluate(scenario, length) for length in lengths]))
+    return _curve(scenario, tuple(length_grid(l_min, l_max, step)))
 
 
 def max_secure_distance(
@@ -141,11 +152,11 @@ def crossover_distance(
 
 
 def format_length(length_km: float) -> str:
-    return f"{length_km:.2f}"
+    return LENGTH_FORMAT % length_km
 
 
 def format_rate(rate_bps: float) -> str:
-    return f"{rate_bps:.5e}"
+    return RATE_FORMAT % rate_bps
 
 
 def write_curves_csv(curves: Mapping[str, RateCurve], out: TextIO) -> None:
@@ -159,11 +170,9 @@ def write_curves_csv(curves: Mapping[str, RateCurve], out: TextIO) -> None:
     if any(c.lengths != lengths for c in curves.values()):
         raise DomainError("all curves must share one length grid")
 
-    out.write(",".join(CSV_HEADER) + "\n")
-    columns = [curves[role].rates if role in curves else None for role in CURVE_ROLES]
-    for i, length in enumerate(lengths):
-        cells = [format_rate(c[i]) if c is not None else "" for c in columns]
-        out.write(",".join([format_length(length), *cells]) + "\n")
+    row = ",".join([LENGTH_FORMAT, *(RATE_FORMAT if role in curves else "" for role in CURVE_ROLES)]) + "\n"
+    columns = [curves[role].rates for role in CURVE_ROLES if role in curves]
+    out.write(",".join(CSV_HEADER) + "\n" + "".join([row % cells for cells in zip(lengths, *columns)]))
 
 
 def save_curves_csv(curves: Mapping[str, RateCurve], path: str | Path) -> None:
@@ -190,8 +199,6 @@ def read_curves_csv(path: str | Path) -> tuple[list[float], dict[str, list[float
 
 
 def sweep_preset(preset) -> dict[str, RateCurve]:
-    """Sweep the preset's three scenarios over its grid, keyed by role."""
-    return {
-        role: sweep(preset.scenarios[role], preset.l_min, preset.l_max, preset.step)
-        for role in CURVE_ROLES
-    }
+    """Sweep the preset's three scenarios over its one grid, keyed by role."""
+    lengths = tuple(length_grid(preset.l_min, preset.l_max, preset.step))
+    return {role: _curve(preset.scenarios[role], lengths) for role in CURVE_ROLES}

@@ -34,6 +34,8 @@ GMCS_DR_DUAL = {
     "config": {"v": 40, "beta": 1.0, "eps_pre": 0.05},
 }
 
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
+
 
 @pytest.fixture
 def dual_config(tmp_path):
@@ -83,6 +85,14 @@ def test_figure_golden_rows(tmp_path):
     assert lines[2] == "1.00,3.18135e+06,3.16341e+06,6.77674e+04"
     assert lines[3] == "2.00,3.03036e+06,3.01243e+06,6.45684e+04"
     assert len(lines) == 252
+
+
+@pytest.mark.parametrize("fig_id", range(1, 10))
+def test_figure_file_matches_golden(tmp_path, fig_id):
+    # The file path (newline="") must write the same bytes as the in-memory one.
+    out = tmp_path / f"fig{fig_id}.csv"
+    assert main(["figure", "--id", str(fig_id), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"fig{fig_id}.csv").read_bytes()
 
 
 def test_figure_unknown_id(tmp_path, capsys):
@@ -184,6 +194,16 @@ def test_rate_past_the_gmcs_domain_is_a_numeric_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "overall transmittance" in captured.err
+
+
+def test_rate_past_the_gmcs_rr_domain_names_the_transmittance(tmp_path, capsys):
+    # At 7,760 km g*g underflows in the RR bound, half the DR limit: exit 3.
+    path = tmp_path / "gmcs_rr.json"
+    path.write_text(json.dumps({**GMCS_DR_DUAL, "protocol": "gmcs_rr"}))
+    assert main(["rate", "--config", str(path), "--length", "7760"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overall transmittance" in captured.err and "is too small" in captured.err
 
 
 def test_config_error_exit_code(tmp_path, capsys):

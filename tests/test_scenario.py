@@ -327,6 +327,13 @@ def test_rate_is_finite_or_refused(name, length):
     assert isinstance(rate, float) and math.isfinite(rate)
 
 
+@pytest.mark.parametrize("fig_id", [6, 7])
+def test_rr_refusal_names_the_transmittance(fig_id):
+    # The RR bound squares g, which underflows near 7,750 km.
+    with pytest.raises(DomainError, match=r"^overall transmittance \S+ is too small: "):
+        evaluate(figure_preset(fig_id).scenarios["dual"], 7760.0)
+
+
 # Every key of every JSON object, per object: (scenario, path to the object,
 # the name errors use for it, required keys, optional keys with the value
 # the parsed spec takes without them).

@@ -1,6 +1,8 @@
 import dataclasses
 import io
+import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -66,6 +68,30 @@ def test_rate_curve_shape_checks():
         RateCurve((0.0, 1.0), (1.0,))
     with pytest.raises(DomainError):
         RateCurve((1.0, 1.0), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("lengths", [
+    (0.0, math.nan, 2.0),
+    (math.nan,),
+    (0.0, 1.0, math.inf),
+    (-math.inf, 0.0),
+], ids=["nan-inside", "nan-only", "inf-last", "minus-inf-first"])
+def test_rate_curve_rejects_non_finite_lengths(lengths):
+    with pytest.raises(DomainError):
+        RateCurve(lengths, (1.0,) * len(lengths))
+
+
+def test_rates_clamp_to_positive_zero():
+    rates = RateCurve((0.0, 1.0, 2.0, 3.0), (-0.0, 0.0, 5e-324, -2.5)).rates
+    assert rates == (0.0, 0.0, 5e-324, 0.0)
+    assert [math.copysign(1.0, r) for r in rates] == [1.0, 1.0, 1.0, 1.0]
+
+
+def test_sweep_preset_shares_one_grid(fig1):
+    curves = sweep_preset(fig1)
+    lengths = curves["dual"].lengths
+    assert curves["fast"].lengths is lengths and curves["slow"].lengths is lengths
+    assert lengths == tuple(length_grid(0.0, 250.0, 1.0))
 
 
 @pytest.mark.parametrize("fig_id", range(1, 10))
@@ -210,6 +236,21 @@ def test_figure_csv_matches_golden(fig_id):
     buf = io.StringIO()
     write_curves_csv(sweep_preset(figure_preset(fig_id)), buf)
     assert buf.getvalue().encode("utf-8") == (GOLDEN / f"fig{fig_id}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fig_id", [1, 6])
+def test_csv_every_role_subset_matches_row_by_row_reference(fig_id):
+    curves = sweep_preset(figure_preset(fig_id))
+    rates = {role: curve.rates for role, curve in curves.items()}
+    for n in (1, 2, 3):
+        for roles in itertools.combinations(("dual", "fast", "slow"), n):
+            expected = ["length_km,rate_dual_bps,rate_fast_bps,rate_slow_bps\n"]
+            for i, length in enumerate(curves["dual"].lengths):
+                cells = [format_rate(rates[r][i]) if r in roles else "" for r in ("dual", "fast", "slow")]
+                expected.append(",".join([format_length(length), *cells]) + "\n")
+            buf = io.StringIO()
+            write_curves_csv({r: curves[r] for r in roles}, buf)
+            assert buf.getvalue() == "".join(expected), roles
 
 
 def test_csv_format_details(tmp_path, fig1):
