@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 for configuration problems (bad scenario file,
-bad flags), 3 for numeric/domain errors raised during evaluation.
+bad flags, unwritable output), 3 for numeric/domain errors raised during
+evaluation. Each command imports the modules it runs, and only those.
 """
 
 from __future__ import annotations
@@ -10,20 +11,7 @@ import argparse
 import math
 import sys
 
-from .core import DomainError, db_to_transmittance
-from .decoy import optimal_mu
-from .practical import accumulation_time, choice_probabilities, max_slow_probability, multi_pulse_qber
-from .presets import figure_preset
-from .scenario import ConfigError, evaluate, load_scenario
-from .sweep import (
-    MODE_TO_ROLE,
-    crossover_distance,
-    format_rate,
-    max_secure_distance,
-    save_curves_csv,
-    sweep,
-    sweep_preset,
-)
+from .core import ConfigError, DomainError, db_to_transmittance, format_rate
 
 # Reference slow-arm efficiency for the schedule command: 21 dB channel,
 # 0.16 receiver optics, 3 dB switch, 0.5 detector efficiency.
@@ -46,12 +34,19 @@ def _fmt_distance(value: float | None) -> str:
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
+    from .scenario import evaluate, load_scenario
+
+    if args.length < 0.0:
+        raise ConfigError(f"--length must be >= 0 km, got {args.length}")
     scenario = load_scenario(args.config)
     print(format_rate(evaluate(scenario, args.length)))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .scenario import load_scenario
+    from .sweep import MODE_TO_ROLE, save_curves_csv, sweep
+
     scenario = load_scenario(args.config)
     curve = sweep(scenario, args.lmin, args.lmax, args.step)
     save_curves_csv({MODE_TO_ROLE[scenario.mode]: curve}, args.out)
@@ -59,18 +54,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .presets import figure_preset
+    from .sweep import save_curves_csv, sweep_preset
+
     preset = figure_preset(args.id)
     save_curves_csv(sweep_preset(preset), args.out)
     return 0
 
 
 def _cmd_maxdist(args: argparse.Namespace) -> int:
+    from .scenario import load_scenario
+    from .sweep import max_secure_distance
+
     scenario = load_scenario(args.config)
     print(_fmt_distance(max_secure_distance(scenario, args.lmax)))
     return 0
 
 
 def _cmd_crossover(args: argparse.Namespace) -> int:
+    from .scenario import load_scenario
+    from .sweep import crossover_distance
+
     scenario_a = load_scenario(args.config_a)
     others = [load_scenario(path) for path in args.config_b]
     print(_fmt_distance(crossover_distance(scenario_a, others, args.lmax)))
@@ -78,11 +82,15 @@ def _cmd_crossover(args: argparse.Namespace) -> int:
 
 
 def _cmd_mu_opt(args: argparse.Namespace) -> int:
+    from .decoy import optimal_mu
+
     print(f"{optimal_mu(args.edet, args.f):.6f}")
     return 0
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    from .practical import accumulation_time, choice_probabilities, max_slow_probability, multi_pulse_qber
+
     p0, p1, pm = choice_probabilities(args.p, args.k)
     print(f"p0 {format_rate(p0)}")
     print(f"p1 {format_rate(p1)}")

@@ -15,6 +15,10 @@ class DomainError(ValueError):
     """An argument fell outside the mathematical domain of an operation."""
 
 
+class ConfigError(ValueError):
+    """A scenario file or scenario object is malformed or inconsistent."""
+
+
 #: Error rate of background (dark) counts. A dark count carries no signal
 #: correlation, so it lands on the wrong detector half of the time.
 E0 = 0.5
@@ -54,6 +58,19 @@ def db_to_transmittance(loss: float) -> float:
     return 10.0 ** (-loss / 10.0)
 
 
+#: Printed number formats: lengths to 2 decimals, rates to 6 significant digits.
+LENGTH_FORMAT = "%.2f"
+RATE_FORMAT = "%.5e"
+
+
+def format_length(length_km: float) -> str:
+    return LENGTH_FORMAT % length_km
+
+
+def format_rate(rate_bps: float) -> str:
+    return RATE_FORMAT % rate_bps
+
+
 #: Most halvings bisect_sign_change makes before it returns.
 BISECT_MAX_ITER = 200
 
@@ -81,13 +98,20 @@ def bisect_sign_change(f, lo: float, hi: float, tol: float) -> float:
 def check_numbers(spec) -> None:
     """Reject bools and non-finite values in a spec's numeric fields.
 
-    JSON admits NaN, Infinity and true where a number belongs; the specs'
-    range checks would let NaN through (every comparison with it is false)
-    and read True as 1. Fields annotated ``bool`` are left alone.
+    JSON admits NaN, Infinity, true and integers too large for a float
+    where a number belongs; the specs' range checks would let NaN through
+    (every comparison with it is false) and read True as 1. Fields
+    annotated ``bool`` are left alone.
     """
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if f.type not in ("bool", bool) and (isinstance(value, bool) or not math.isfinite(value)):
+        if f.type in ("bool", bool):
+            continue
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range, such as 10**400
+            finite = False
+        if not finite:
             raise DomainError(f"{f.name} must be a finite number, got {value!r}")
 
 

@@ -12,9 +12,9 @@ import dataclasses
 from dataclasses import dataclass
 
 from .bb84 import Bb84Config
-from .core import GmcsSource, HomodyneSpec, LinkSpec, SpdSpec
+from .core import ConfigError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec
 from .decoy import DecoyConfig
-from .scenario import ConfigError, Scenario
+from .scenario import Scenario
 
 # Single-photon detectors: a GHz up-conversion detector, a transition-edge
 # sensor, and a 10 GHz low-jitter up-conversion detector whose adjacent-pulse

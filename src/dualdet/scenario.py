@@ -17,7 +17,8 @@ from typing import Any, Union
 
 from . import bb84, decoy, gmcs
 from .core import (
-    DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance, db_to_transmittance,
+    ConfigError, DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec,
+    channel_transmittance, db_to_transmittance,
 )
 
 #: protocol -> (config type, detector type, rate kernel(keyed, bounding, config, t)).
@@ -40,10 +41,6 @@ MODES = tuple(_ARMS)
 
 Detector = Union[SpdSpec, HomodyneSpec]
 ProtocolConfig = Union[bb84.Bb84Config, decoy.DecoyConfig, GmcsSource]
-
-
-class ConfigError(ValueError):
-    """A scenario file or scenario object is malformed or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -199,6 +196,6 @@ def load_scenario(path: str | Path) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return scenario_from_dict(data)

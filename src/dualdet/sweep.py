@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, TextIO
 
-from .core import DomainError, bisect_sign_change
-from .scenario import ConfigError, Scenario, evaluate
+# format_length and format_rate stay importable from this module too.
+from .core import LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change, format_length, format_rate
+from .scenario import Scenario, evaluate
 
 #: Half-width of the bracket accepted by the distance bisections, km.
 DISTANCE_TOL = 0.01
@@ -26,9 +27,6 @@ MAX_GRID_POINTS = 1_000_000
 
 CSV_HEADER = ("length_km", "rate_dual_bps", "rate_fast_bps", "rate_slow_bps")
 CURVE_ROLES = ("dual", "fast", "slow")
-#: CSV cell formats: lengths to 2 decimals, rates to 6 significant digits.
-LENGTH_FORMAT = "%.2f"
-RATE_FORMAT = "%.5e"
 MODE_TO_ROLE = {"dual": "dual", "dual_no_pa": "dual", "single_fast": "fast", "single_slow": "slow"}
 
 
@@ -151,14 +149,6 @@ def crossover_distance(
 # notation with 6 significant digits, absent columns left empty.
 
 
-def format_length(length_km: float) -> str:
-    return LENGTH_FORMAT % length_km
-
-
-def format_rate(rate_bps: float) -> str:
-    return RATE_FORMAT % rate_bps
-
-
 def write_curves_csv(curves: Mapping[str, RateCurve], out: TextIO) -> None:
     """Write clamped-rate curves keyed by role ('dual', 'fast', 'slow')."""
     unknown = set(curves) - set(CURVE_ROLES)
@@ -176,8 +166,11 @@ def write_curves_csv(curves: Mapping[str, RateCurve], out: TextIO) -> None:
 
 
 def save_curves_csv(curves: Mapping[str, RateCurve], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_curves_csv(curves, fh)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_curves_csv(curves, fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def read_curves_csv(path: str | Path) -> tuple[list[float], dict[str, list[float | None]]]:

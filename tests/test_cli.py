@@ -155,7 +155,8 @@ def test_schedule_invalid_probability(capsys):
     ("sweep", ["--step", "0"]),
     ("maxdist", ["--lmax", "-1"]),
     ("sweep", ["--lmin", "1e17", "--lmax", "100000000000000064", "--step", "1"]),
-], ids=["sweep-inverted", "sweep-zero-step", "maxdist-negative-lmax", "sweep-collapsed"])
+    ("rate", ["--length", "-1"]),
+], ids=["sweep-inverted", "sweep-zero-step", "maxdist-negative-lmax", "sweep-collapsed", "rate-negative-length"])
 def test_grid_flag_errors_are_config_errors(dual_config, tmp_path, capsys, command, flags):
     # Flags that describe no length grid are bad flags (exit 2), unlike
     # model-parameter domain errors such as schedule --p 2.0 (exit 3).
@@ -164,6 +165,39 @@ def test_grid_flag_errors_are_config_errors(dual_config, tmp_path, capsys, comma
     assert main([command, "--config", dual_config, *flags, *extra]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _run_cli(*argv, **kwargs):
+    """Run `python -m dualdet.cli` in a child, so a traceback would show on its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dualdet.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "dualdet.cli", *argv], env=env, capture_output=True, text=True, timeout=60, **kwargs
+    )
+
+
+def _assert_config_error(done, message):
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert f"configuration error: {message}" in done.stderr
+
+
+def test_figure_to_a_missing_directory_is_a_config_error(tmp_path):
+    out = tmp_path / "missing" / "o.csv"
+    _assert_config_error(_run_cli("figure", "--id", "1", "--out", str(out)), f"cannot write {out}")
+
+
+def test_sweep_to_a_directory_is_a_config_error(dual_config, tmp_path):
+    done = _run_cli("sweep", "--config", dual_config, "--lmax", "5", "--out", str(tmp_path))
+    _assert_config_error(done, f"cannot write {tmp_path}")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"mode": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf8", "int-past-the-digit-limit"])
+def test_undecodable_scenario_file_is_a_config_error(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    _assert_config_error(_run_cli("rate", "--config", str(bad), "--length", "10"), f"invalid JSON in {bad}")
 
 
 def _limit_address_space():
@@ -175,11 +209,9 @@ def test_oversized_grid_is_a_config_error(dual_config, tmp_path, step):
     # Run in a child with a 1 GiB address-space limit: a grid that is not
     # refused up front would try to hold billions of floats.
     out = tmp_path / "x.csv"
-    env = {**os.environ, "PYTHONPATH": str(Path(dualdet.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "dualdet.cli", "sweep", "--config", dual_config,
-         "--lmax", "250", "--step", step, "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+    done = _run_cli(
+        "sweep", "--config", dual_config, "--lmax", "250", "--step", step, "--out", str(out),
+        preexec_fn=_limit_address_space,
     )
     assert done.returncode == 2, done.stderr
     assert "grid points" in done.stderr

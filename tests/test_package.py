@@ -1,0 +1,98 @@
+"""The package root: one export table, names resolved on first use, and the
+modules each CLI command loads."""
+
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dualdet
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The package root's public names, module by module.
+PUBLIC = {
+    "core": ["E0", "DomainError", "ConfigError", "SpdSpec", "HomodyneSpec", "LinkSpec", "GmcsSource",
+             "binary_entropy", "channel_transmittance", "db_to_transmittance"],
+    "bb84": ["Bb84Config", "bb84_gain", "bb84_qber", "bb84_rate_dual"],
+    "decoy": ["DecoyConfig", "decoy_signal_gain", "decoy_signal_qber", "decoy_single_photon_gain",
+              "decoy_single_photon_qber", "decoy_rate_dual", "optimal_mu"],
+    "gmcs": ["MismatchedEfficiencyError", "noise_budget", "mutual_info_ab", "info_ae", "info_be",
+             "gmcs_dr_rate_dual", "gmcs_rr_rate_dual"],
+    "practical": ["choice_probabilities", "multi_pulse_qber", "max_slow_probability", "accumulation_time"],
+    "presets": ["FigurePreset", "figure_preset"],
+    "scenario": ["Scenario", "evaluate", "load_scenario", "scenario_from_dict"],
+    "sweep": ["RateCurve", "sweep_preset", "max_secure_distance", "crossover_distance",
+              "write_curves_csv", "save_curves_csv", "read_curves_csv"],
+}
+
+
+def test_root_exports_the_public_names():
+    names = [n for module_names in PUBLIC.values() for n in module_names]
+    assert len(names) == 45
+    assert len(dualdet.__all__) == len(set(dualdet.__all__)) == 45
+    assert set(dualdet.__all__) == set(names)
+
+
+@pytest.mark.parametrize("module", PUBLIC)
+def test_root_name_is_its_module_attribute(module):
+    submodule = importlib.import_module(f"dualdet.{module}")
+    for name in PUBLIC[module]:
+        assert getattr(dualdet, name) is getattr(submodule, name), name
+        assert name in dir(dualdet)
+
+
+def test_config_error_has_one_class():
+    scenario, core = (importlib.import_module(f"dualdet.{m}") for m in ("scenario", "core"))
+    assert scenario.ConfigError is core.ConfigError is dualdet.ConfigError
+
+
+def test_star_import_and_unknown_name():
+    namespace = {}
+    exec("from dualdet import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == set(dualdet.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dualdet.no_such_name
+
+
+def test_init_spells_each_name_once():
+    source = (ROOT / "src" / "dualdet" / "__init__.py").read_text(encoding="utf-8")
+    for name in dualdet.__all__:
+        assert len(re.findall(rf"\b{name}\b", source)) == 1, name
+
+
+def _loaded_after(code):
+    """dualdet submodules and json loaded after running code in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('dualdet.') or m == 'json'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())  # the last line, after any CLI output
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_after("import dualdet") == set()
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["mu-opt", "--edet", "0.018", "--f", "1.22"], {"core", "bb84", "decoy"}),
+    (["schedule", "--p", "4e-4", "--k", "100"], {"core", "practical"}),
+], ids=["mu-opt", "schedule"])
+def test_cli_command_loads_only_its_modules(argv, loaded):
+    modules = _loaded_after(f"from dualdet import cli\nassert cli.main({argv!r}) == 0")
+    assert modules == {"dualdet.cli", *(f"dualdet.{m}" for m in loaded)}
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(tour, "README.md", "exec"), namespace)
+    tour_names = {n for n in namespace if n != "__builtins__"}
+    assert {"fast", "slow", "cfg", "t", "dual", "preset"} <= tour_names
+    kernel_rate = namespace["bb84_rate_dual"](namespace["fast"], namespace["slow"], namespace["cfg"], namespace["t"])
+    assert namespace["evaluate"](namespace["dual"], 100.0) == kernel_rate

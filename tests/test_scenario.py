@@ -219,7 +219,9 @@ NUMERIC_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), True], ids=["NaN", "Infinity", "bool"])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), True, 10**400], ids=["NaN", "Infinity", "bool", "int-beyond-float"]
+)
 @pytest.mark.parametrize(
     "spec, path", NUMERIC_FIELDS,
     ids=[f"{spec['protocol']}-{'.'.join(map(str, path))}" for spec, path in NUMERIC_FIELDS],
