@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .core import ConfigError, DomainError, db_to_transmittance, format_rate
+from .core import ConfigError, DomainError, db_to_transmittance, format_length, format_rate
 
 # Reference slow-arm efficiency for the schedule command: 21 dB channel,
 # 0.16 receiver optics, 3 dB switch, 0.5 detector efficiency.
@@ -30,7 +30,7 @@ def _finite_float(text: str) -> float:
 
 
 def _fmt_distance(value: float | None) -> str:
-    return "none" if value is None else f"{value:.2f}"
+    return "none" if value is None else format_length(value)
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
@@ -97,7 +97,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     print(f"pm {format_rate(pm)}")
     print(f"multi_pulse_qber {format_rate(multi_pulse_qber(args.p, args.k))}")
     p_max = max_slow_probability(args.k, args.qber_budget)
-    print(f"p_max {'inf' if p_max == float('inf') else format_rate(p_max)}")
+    print(f"p_max {format_rate(p_max)}")
     seconds = accumulation_time(args.p, args.rep_rate, args.mu, args.overall_eta, args.target_counts)
     print(f"accumulation_s {format_rate(seconds)}")
     print(f"accumulation_hours {format_rate(seconds / 3600.0)}")

@@ -100,13 +100,10 @@ def check_numbers(spec) -> None:
 
     JSON admits NaN, Infinity, true and integers too large for a float
     where a number belongs; the specs' range checks would let NaN through
-    (every comparison with it is false) and read True as 1. Fields
-    annotated ``bool`` are left alone.
+    (every comparison with it is false) and read True as 1.
     """
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if f.type in ("bool", bool):
-            continue
         try:
             finite = not isinstance(value, bool) and math.isfinite(value)
         except OverflowError:  # an int beyond the float range, such as 10**400

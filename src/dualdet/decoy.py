@@ -21,14 +21,11 @@ class DecoyConfig:
     """Source intensity and protocol constants.
 
     mu: mean photon number of the signal state.
-    drop_pa: diagnostic mode that omits the privacy-amplification term,
-        showing how much of the rate loss is error correction alone.
     """
 
     mu: float
     basis_factor: float
     f_ec: float
-    drop_pa: bool = False
 
     def __post_init__(self) -> None:
         check_numbers(self)
@@ -68,18 +65,20 @@ def decoy_single_photon_qber(mu: float, spd: SpdSpec, t: float) -> float:
     return bb84_qber(spd, t)
 
 
-def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: DecoyConfig, t: float) -> float:
+def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, t: float) -> float:
     """Key rate in bits/s with gains and error correction from the keyed
     detector and the privacy-amplification error bound from the bounding one.
 
     t is the transmittance from the source to either detector. A
-    single-detector receiver passes one detector twice.
+    single-detector receiver passes one detector twice. With no bounding
+    detector the rate charges no privacy amplification, showing how much
+    of the rate loss is error correction alone.
     """
     q_mu = decoy_signal_gain(cfg.mu, keyed, t)
     e_mu = decoy_signal_qber(cfg.mu, keyed, t)
     q_1 = decoy_single_photon_gain(cfg.mu, keyed, t)
     per_pulse = q_1 - cfg.f_ec * q_mu * binary_entropy(e_mu)
-    if not cfg.drop_pa:
+    if bounding is not None:
         per_pulse -= q_1 * binary_entropy(decoy_single_photon_qber(cfg.mu, bounding, t))
     return cfg.basis_factor * keyed.rep_rate * per_pulse
 

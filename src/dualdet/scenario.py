@@ -29,12 +29,13 @@ _PROTOCOLS = {
     "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.gmcs_rr_rate_dual),
 }
 #: mode -> (keyed arm, bounding arm, behind the switch). A single detector
-#: is the dual receiver with that detector on both arms at the same t.
+#: is the dual receiver with that detector on both arms at the same t; no
+#: bounding arm means no privacy-amplification term.
 _ARMS = {
     "single_fast": ("fast", "fast", False),
     "single_slow": ("slow", "slow", False),
     "dual": ("fast", "slow", True),
-    "dual_no_pa": ("fast", "slow", True),
+    "dual_no_pa": ("fast", None, True),
 }
 PROTOCOLS = tuple(_PROTOCOLS)
 MODES = tuple(_ARMS)
@@ -55,15 +56,14 @@ class Scenario:
     def __post_init__(self) -> None:
         validate_scenario(self)
         # Resolve once what evaluate needs besides the length: g_bob (GMCS
-        # ignores it) and the switch are one factor on the fiber
-        # transmittance. dual_no_pa is dual with drop_pa set.
+        # ignores it) and the switch are one factor on the fiber transmittance.
         keyed, bounding, switched = _ARMS[self.mode]
-        config = dataclasses.replace(self.config, drop_pa=True) if self.mode == "dual_no_pa" else self.config
         _, detector_cls, kernel = _PROTOCOLS[self.protocol]
         factor = self.link.g_bob if detector_cls is SpdSpec else 1.0
         if switched:
             factor *= db_to_transmittance(self.link.switch_loss)
-        plan = (kernel, getattr(self, keyed), getattr(self, bounding), config, self.link.alpha, factor)
+        bounding_det = None if bounding is None else getattr(self, bounding)
+        plan = (kernel, getattr(self, keyed), bounding_det, self.config, self.link.alpha, factor)
         object.__setattr__(self, "_plan", plan)
 
 
@@ -74,6 +74,8 @@ def validate_scenario(s: Scenario) -> None:
         raise ConfigError(f"unknown mode {s.mode!r}; expected one of {MODES}")
     if s.mode == "dual_no_pa" and s.protocol != "decoy_bb84":
         raise ConfigError("mode 'dual_no_pa' only applies to protocol 'decoy_bb84'")
+    if not isinstance(s.link, LinkSpec):
+        raise ConfigError(f"link kind {type(s.link).__name__} is not LinkSpec")
 
     config_cls, detector_cls, _ = _PROTOCOLS[s.protocol]
     for label, det in (("fast", s.fast), ("slow", s.slow)):
@@ -90,7 +92,7 @@ def validate_scenario(s: Scenario) -> None:
         )
 
     for arm in _ARMS[s.mode][:2]:
-        if getattr(s, arm) is None:
+        if arm is not None and getattr(s, arm) is None:
             raise ConfigError(f"mode {s.mode!r} needs a {arm} detector")
     if s.protocol == "gmcs_rr" and s.mode == "dual" and s.fast.g_det != s.slow.g_det:
         raise ConfigError(
@@ -162,7 +164,7 @@ def _parse_detector(entry: Any, index: int) -> Detector:
 def scenario_from_dict(data: Any) -> Scenario:
     """Build and validate a Scenario from decoded JSON."""
     _check_keys(data, {"protocol", "mode", "link", "detectors", "config"}, set(), "scenario")
-    protocol, detectors = data["protocol"], data["detectors"]
+    protocol, mode, detectors = data["protocol"], data["mode"], data["detectors"]
     try:
         link = _spec(LinkSpec, data["link"], "link")
         if not isinstance(detectors, list) or not 1 <= len(detectors) <= 2:
@@ -170,23 +172,15 @@ def scenario_from_dict(data: Any) -> Scenario:
         parsed = [_parse_detector(d, i) for i, d in enumerate(detectors)]
         # An unknown protocol gets no config; the Scenario constructor reports it.
         config = _spec(_PROTOCOLS[protocol][0], data["config"], "config") if protocol in _PROTOCOLS else None
+        if len(parsed) == 2:
+            arms = dict(zip(("fast", "slow"), parsed))
+        else:  # a lone detector is the one the mode keys with; fast for an unknown mode
+            arms = {_ARMS[mode][0] if mode in MODES else "fast": parsed[0]}
+        return Scenario(protocol=protocol, mode=mode, link=link, config=config, **arms)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed scenario: {exc}") from exc
-
-    mode = data["mode"]
-    if len(parsed) == 2:
-        fast, slow = parsed
-    elif mode == "single_slow":
-        fast, slow = None, parsed[0]
-    else:
-        fast, slow = parsed[0], None
-
-    try:
-        return Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast, slow=slow)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -82,6 +82,17 @@ def sweep(scenario: Scenario, l_min: float, l_max: float, step: float) -> RateCu
     return _curve(scenario, tuple(length_grid(l_min, l_max, step)))
 
 
+def _search_grid(l_max_search: float, coarse_step: float) -> list[float]:
+    """The coarse grid from 0 that the searches walk, ending at l_max_search:
+    the limit closes the grid when it is not a whole number of steps, and
+    replaces a last grid point within length_grid's rounding of it."""
+    grid = length_grid(0.0, l_max_search, coarse_step)
+    if l_max_search - grid[-1] > 1e-9 * coarse_step:
+        grid.append(l_max_search)
+    grid[-1] = l_max_search
+    return grid
+
+
 def max_secure_distance(
     scenario: Scenario, l_max_search: float, coarse_step: float = 1.0
 ) -> float | None:
@@ -91,7 +102,7 @@ def max_secure_distance(
     grid point: l_max_search if that is the last point, otherwise the zero
     crossing in the next cell, to 0.01 km. None if no grid point is positive.
     """
-    grid = length_grid(0.0, l_max_search, coarse_step)
+    grid = _search_grid(l_max_search, coarse_step)
     last = next((i for i in reversed(range(len(grid))) if evaluate(scenario, grid[i]) > 0.0), None)
     if last is None:
         return None
@@ -127,7 +138,7 @@ def crossover_distance(
     def diff(length: float) -> float:
         return evaluate(scenario_a, length) - max(evaluate(s, length) for s in others)
 
-    grid = length_grid(0.0, l_max_search, coarse_step)
+    grid = _search_grid(l_max_search, coarse_step)
     here = diff(grid[0])
     for i in range(len(grid) - 1):
         prev, here = here, diff(grid[i + 1])

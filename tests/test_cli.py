@@ -124,6 +124,22 @@ def test_crossover_envelope(dual_config, tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(124.0, abs=10.0)
 
 
+def test_searches_with_a_limit_between_grid_points(dual_config, tmp_path, capsys):
+    # 124.9 km is past the dual rate's zero at 124.78 km; 124.5 km is past
+    # the crossover at 124.08 km. Neither limit is a whole number of steps.
+    assert main(["rate", "--config", dual_config, "--length", "124.9"]) == 0
+    assert float(capsys.readouterr().out) < 0.0
+    assert main(["maxdist", "--config", dual_config, "--lmax", "124.9"]) == 0
+    assert capsys.readouterr().out == "124.78\n"
+    fast = write_variant(tmp_path, "fast.json", mode="single_fast")
+    slow = write_variant(tmp_path, "slow.json", mode="single_slow")
+    code = main([
+        "crossover", "--config-a", dual_config, "--config-b", fast, "--config-b", slow, "--lmax", "124.5",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == "124.08\n"
+
+
 def test_mu_opt(capsys):
     assert main(["mu-opt", "--edet", "0.018", "--f", "1.22"]) == 0
     assert capsys.readouterr().out.strip() == "0.650458"
@@ -144,6 +160,13 @@ def test_schedule(capsys):
     assert out["p_max"] == "4.04040e-04"
     assert out["accumulation_s"] == "7.84965e+03"
     assert out["accumulation_hours"] == "2.18046e+00"
+
+
+def test_schedule_single_pulse_window_has_no_slow_limit(capsys):
+    # With one pulse per window no multi-pulse error arises: p_max is inf.
+    assert main(["schedule", "--p", "1e-3", "--k", "1"]) == 0
+    out = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert out["p_max"] == "inf"
 
 
 def test_schedule_invalid_probability(capsys):
@@ -260,3 +283,4 @@ def test_non_finite_scenario_exit_code(tmp_path, capsys):
     bad = write_variant(tmp_path, "nan.json", link={**BB84_DUAL["link"], "alpha_db_per_km": float("nan")})
     assert main(["rate", "--config", bad, "--length", "10"]) == 2
     assert "configuration error" in capsys.readouterr().err
+

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -24,9 +25,9 @@ def t_at(length_km, alpha=0.21):
     return channel_transmittance(alpha, length_km) * 0.16
 
 
-def single(spd, t, cfg=CFG):
+def single(spd, t):
     """Single-detector rate: the detector on both arms, no switch."""
-    return decoy_rate_dual(spd, spd, cfg, t)
+    return decoy_rate_dual(spd, spd, CFG, t)
 
 
 def single_by_terms(spd, t):
@@ -106,11 +107,11 @@ def test_rate_single_matches_term_assembly():
     assert single(FAST, t) == pytest.approx(single_by_terms(FAST, t), rel=1e-12)
 
 
-def test_drop_pa_never_lowers_rate():
-    no_pa = DecoyConfig(mu=0.73, basis_factor=0.5, f_ec=1.22, drop_pa=True)
+def test_no_bounding_detector_never_lowers_rate():
+    # No bounding detector charges no privacy amplification.
     for length in (0.0, 40.0, 80.0, 120.0):
         t = t_at(length)
-        assert single(FAST, t, no_pa) >= single(FAST, t)
+        assert decoy_rate_dual(FAST, None, CFG, t) >= decoy_rate_dual(FAST, SLOW, CFG, t)
 
 
 def test_single_photon_gain_below_signal_gain():
@@ -177,6 +178,11 @@ def test_optimal_mu_no_root():
         optimal_mu(0.25, 1.22)
     with pytest.raises(DomainError):
         optimal_mu(0.6, 1.22)
+
+
+def test_config_fields():
+    # No privacy amplification is decoy_rate_dual(keyed, None, ...), not a config flag.
+    assert [f.name for f in dataclasses.fields(DecoyConfig)] == ["mu", "basis_factor", "f_ec"]
 
 
 def test_config_validation():

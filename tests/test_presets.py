@@ -47,7 +47,7 @@ def test_fig3_identical_detector_technology():
 
 def test_fig4_decoy_intensity():
     cfg = figure_preset(4).scenarios["dual"].config
-    assert (cfg.mu, cfg.basis_factor, cfg.f_ec, cfg.drop_pa) == (0.73, 0.5, 1.22, False)
+    assert (cfg.mu, cfg.basis_factor, cfg.f_ec) == (0.73, 0.5, 1.22)
 
 
 @pytest.mark.parametrize("fig_id,v,beta", [(5, 40.0, 1.0), (6, 40.0, 1.0), (7, 20.0, 0.8)])

@@ -10,7 +10,7 @@ from dualdet.bb84 import Bb84Config, bb84_rate_dual
 from dualdet.core import (
     DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance, db_to_transmittance,
 )
-from dualdet.decoy import DecoyConfig
+from dualdet.decoy import DecoyConfig, decoy_rate_dual
 from dualdet.gmcs import gmcs_rr_rate_dual
 from dualdet.presets import FIGURE_IDS, figure_preset
 from dualdet.scenario import PROTOCOLS, ConfigError, Scenario, evaluate, load_scenario, scenario_from_dict
@@ -109,9 +109,41 @@ def test_decoy_no_pa_mode():
     no_pa = scenario_from_dict(decoy)
     with_pa = scenario_from_dict({**decoy, "mode": "dual"})
     assert evaluate(no_pa, 60.0) > evaluate(with_pa, 60.0)
-    # Both spellings of "no privacy amplification" give the same rate.
-    drop_pa = scenario_from_dict({**decoy, "mode": "dual", "config": {**decoy["config"], "drop_pa": True}})
-    assert evaluate(no_pa, 60.0) == evaluate(drop_pa, 60.0)
+
+
+DECOY_NO_PA = {
+    "protocol": "decoy_bb84",
+    "mode": "dual_no_pa",
+    "link": {"alpha_db_per_km": 0.21, "g_bob": 0.16, "switch_loss_db": 1.5},
+    "detectors": BB84_DUAL["detectors"],
+    "config": {"mu": 0.73, "basis_factor": 0.5, "f_ec": 1.22},
+}
+
+
+@pytest.mark.parametrize("length", [0.0, 60.0, 130.0])
+def test_decoy_no_pa_is_the_kernel_without_a_bounding_detector(length):
+    # dual_no_pa keys with the fast detector behind the switch and charges
+    # no privacy amplification, bit for bit.
+    scenario = scenario_from_dict(DECOY_NO_PA)
+    t = channel_transmittance(0.21, length) * (0.16 * db_to_transmittance(1.5))
+    assert evaluate(scenario, length) == decoy_rate_dual(scenario.fast, None, scenario.config, t)
+
+
+def test_decoy_no_pa_needs_only_the_fast_detector():
+    both = scenario_from_dict(DECOY_NO_PA)
+    fast_only = scenario_from_dict({**DECOY_NO_PA, "detectors": DECOY_NO_PA["detectors"][:1]})
+    assert fast_only.slow is None
+    for length in (0.0, 60.0, 130.0):
+        assert evaluate(fast_only, length) == evaluate(both, length)
+
+
+@pytest.mark.parametrize("mode", ["single_fast", "single_slow", "dual", "dual_no_pa"])
+def test_drop_pa_key_rejected(mode):
+    # dual_no_pa is the one spelling of "no privacy amplification".
+    bad = {**DECOY_NO_PA, "mode": mode, "config": {**DECOY_NO_PA["config"], "drop_pa": True}}
+    with pytest.raises(ConfigError) as info:
+        scenario_from_dict(bad)
+    assert str(info.value) == "unknown keys in config: ['drop_pa']"
 
 
 def test_unknown_top_level_key_rejected():
@@ -200,6 +232,12 @@ def test_scenario_constructor_validates():
                  config=Bb84Config(basis_factor=0.5, f_ec=1.22), fast=fast, slow=None)
 
 
+@pytest.mark.parametrize("link", [None, {"alpha": 0.21}, 0.21], ids=["None", "dict", "float"])
+def test_scenario_refuses_a_link_that_is_not_a_link_spec(link):
+    with pytest.raises(ConfigError, match=f"^link kind {type(link).__name__} is not LinkSpec$"):
+        dataclasses.replace(figure_preset(1).scenarios["dual"], link=link)
+
+
 DECOY_DUAL = {
     **BB84_DUAL, "protocol": "decoy_bb84", "config": {"mu": 0.73, "basis_factor": 0.5, "f_ec": 1.22},
 }
@@ -249,7 +287,7 @@ SOURCES = st.builds(
 )
 PROTOCOL_PARTS = {
     "bb84_single_photon": (SPDS, st.builds(Bb84Config, **SIFTING)),
-    "decoy_bb84": (SPDS, st.builds(DecoyConfig, mu=st.floats(0.01, 2.0), drop_pa=st.booleans(), **SIFTING)),
+    "decoy_bb84": (SPDS, st.builds(DecoyConfig, mu=st.floats(0.01, 2.0), **SIFTING)),
     "gmcs_dr": (HOMODYNES, SOURCES),
     "gmcs_rr": (HOMODYNES, SOURCES),
 }
@@ -346,8 +384,7 @@ SCHEMA = [
     (BB84_DUAL, ("detectors", 0, "spd"), "detectors[0]", ("rep_rate_hz", "eta_d", "y0", "e_det"), {}),
     (GMCS_DR_DUAL, ("detectors", 0, "homodyne"), "detectors[0]", ("rep_rate_hz", "g_det", "eps_det"), {}),
     (BB84_DUAL, ("config",), "config", ("basis_factor", "f_ec"), {}),
-    ({**DECOY_DUAL, "config": {**DECOY_DUAL["config"], "drop_pa": True}}, ("config",), "config",
-     ("mu", "basis_factor", "f_ec"), {"drop_pa": ("config", "drop_pa", False)}),
+    (DECOY_DUAL, ("config",), "config", ("mu", "basis_factor", "f_ec"), {}),
     (GMCS_DR_DUAL, ("config",), "config", ("v", "beta"), {"eps_pre": ("config", "eps_pre", 0.0)}),
 ]
 REQUIRED_KEYS = [(spec, path, where, key) for spec, path, where, required, _ in SCHEMA for key in required]

@@ -120,6 +120,25 @@ def test_max_secure_distance_still_positive_at_limit(fig1):
     assert full is not None and full > 124.0
 
 
+@pytest.mark.parametrize("l_max", [124.5, 124.9, 124.99])
+def test_crossover_reaches_a_limit_between_grid_points(fig1, l_max):
+    # The crossing at 124.08 km lies in the last, partial cell [124, l_max]:
+    # the search grid ends at the limit, so the crossover sees that cell.
+    dual, envelope = fig1.scenarios["dual"], [fig1.scenarios["fast"], fig1.scenarios["slow"]]
+    crossing = crossover_distance(dual, envelope, 250.0)
+    assert crossover_distance(dual, envelope, l_max) == pytest.approx(crossing, abs=0.01)
+
+
+def test_max_secure_distance_evaluates_a_limit_between_grid_points(fig1):
+    # The dual rate turns negative at 124.78 km, inside the partial cell
+    # [124, 124.9]: the limit is evaluated, not returned unseen.
+    dual = fig1.scenarios["dual"]
+    assert evaluate(dual, 124.9) < 0.0
+    assert max_secure_distance(dual, 124.9) == pytest.approx(max_secure_distance(dual, 250.0), abs=0.01)
+    # The slow detector keys past 124.9 km, so there the limit is the answer.
+    assert max_secure_distance(fig1.scenarios["slow"], 124.9) == 124.9
+
+
 def test_max_secure_distance_grid_refinement_invariant(fig1):
     coarse = max_secure_distance(fig1.scenarios["fast"], 250.0, coarse_step=1.0)
     fine = max_secure_distance(fig1.scenarios["fast"], 250.0, coarse_step=0.5)
