@@ -63,8 +63,9 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     exceed one bit per detection; callers clamp for plotting.
     """
     gain = bb84_gain(keyed, t)
+    # A single-detector receiver passes one detector twice: its arm is computed once.
     err_keyed = bb84_qber(keyed, t)
-    err_bounding = bb84_qber(bounding, t)
-    return cfg.basis_factor * keyed.rep_rate * gain * (
-        1.0 - cfg.f_ec * binary_entropy(err_keyed) - binary_entropy(err_bounding)
-    )
+    err_bounding = err_keyed if bounding is keyed else bb84_qber(bounding, t)
+    h_keyed = binary_entropy(err_keyed)
+    h_bounding = h_keyed if bounding is keyed else binary_entropy(err_bounding)
+    return cfg.basis_factor * keyed.rep_rate * gain * (1.0 - cfg.f_ec * h_keyed - h_bounding)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .core import ConfigError, DomainError, db_to_transmittance, format_length, format_rate
@@ -43,22 +44,42 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _save_csv(path: str, make_curves) -> None:
+    """Open path, then save make_curves() to it as CSV: an unwritable --out is
+    refused before any evaluation, and a failure removes a file this call
+    created. A file that was there is left as it was if the curves fail."""
+    from .sweep import save_curves_csv
+
+    created = not os.path.exists(path)
+    try:
+        held = open(path, "a", encoding="utf-8")  # creates path, truncates nothing
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    try:
+        with held:  # kept open through the write, so a FIFO's reader sees one stream
+            save_curves_csv(make_curves(), path)
+    except BaseException:
+        if created and os.path.exists(path):
+            os.remove(path)
+        raise
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .scenario import load_scenario
-    from .sweep import MODE_TO_ROLE, save_curves_csv, sweep
+    from .sweep import MODE_TO_ROLE, sweep
 
     scenario = load_scenario(args.config)
-    curve = sweep(scenario, args.lmin, args.lmax, args.step)
-    save_curves_csv({MODE_TO_ROLE[scenario.mode]: curve}, args.out)
+    role = MODE_TO_ROLE[scenario.mode]
+    _save_csv(args.out, lambda: {role: sweep(scenario, args.lmin, args.lmax, args.step)})
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     from .presets import figure_preset
-    from .sweep import save_curves_csv, sweep_preset
+    from .sweep import sweep_preset
 
     preset = figure_preset(args.id)
-    save_curves_csv(sweep_preset(preset), args.out)
+    _save_csv(args.out, lambda: sweep_preset(preset))
     return 0
 
 

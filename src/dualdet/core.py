@@ -30,11 +30,11 @@ def binary_entropy(x: float) -> float:
     Uses the 0*log(0) = 0 limit convention, so the endpoints x = 0 and
     x = 1 return exactly 0.0.
     """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"binary_entropy requires x in [0, 1], got {x}")
+    if 0.0 < x < 1.0:
+        return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
     if x == 0.0 or x == 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    raise DomainError(f"binary_entropy requires x in [0, 1], got {x}")
 
 
 def channel_transmittance(alpha: float, length: float) -> float:

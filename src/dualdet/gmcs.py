@@ -97,10 +97,10 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     t is the transmittance from the source to either detector. The
     vacuum-noise term is shared (taken from the keyed arm); each arm
     contributes its own excess noise. A single-detector receiver passes
-    one detector twice.
+    one detector twice, and its noise budget is computed once.
     """
     _, chi_vac, eps_keyed = noise_budget(source, keyed, t)
-    eps_bounding = noise_budget(source, bounding, t)[2]
+    eps_bounding = eps_keyed if bounding is keyed else noise_budget(source, bounding, t)[2]
     return keyed.rep_rate * (
         source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
         - info_ae(source.v, chi_vac + eps_bounding)
@@ -119,7 +119,7 @@ def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
             f"detector efficiencies differ: {keyed.g_det} vs {bounding.g_det}"
         )
     g, chi_vac, eps_keyed = noise_budget(source, keyed, t)
-    eps_bounding = noise_budget(source, bounding, t)[2]
+    eps_bounding = eps_keyed if bounding is keyed else noise_budget(source, bounding, t)[2]
     return keyed.rep_rate * (
         source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
         - info_be(source.v, chi_vac + eps_bounding, g)

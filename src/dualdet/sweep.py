@@ -9,7 +9,9 @@ from the search limit to the last positive grid point.
 
 from __future__ import annotations
 
+import io
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +51,7 @@ class RateCurve:
         # Finite ends and strictly increasing pairs leave no NaN or inf inside.
         if lengths and not (math.isfinite(lengths[0]) and math.isfinite(lengths[-1])):
             raise DomainError("curve lengths must be finite")
-        if any(not a < b for a, b in zip(lengths, lengths[1:])):
+        if not all(map(operator.lt, lengths, lengths[1:])):
             raise DomainError("curve lengths must be strictly increasing")
 
     @property
@@ -68,7 +70,7 @@ def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
         raise GridError(f"step {step} gives more than {MAX_GRID_POINTS} grid points")
     n = int(steps + 1e-9)
     grid = [l_min + i * step for i in range(n + 1)]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not all(map(operator.lt, grid, grid[1:])):
         raise GridError(f"step {step} is too small to separate grid points in [{l_min}, {l_max}]")
     return grid
 
@@ -134,9 +136,16 @@ def crossover_distance(
         others = tuple(scenario_b)
         if not others:
             raise DomainError("scenario_b must contain at least one scenario")
+    first, rest = others[0], others[1:]
 
     def diff(length: float) -> float:
-        return evaluate(scenario_a, length) - max(evaluate(s, length) for s in others)
+        rate_a = evaluate(scenario_a, length)
+        best = evaluate(first, length)
+        for s in rest:  # as max() does: a later member wins only when strictly greater
+            rate = evaluate(s, length)
+            if rate > best:
+                best = rate
+        return rate_a - best
 
     grid = _search_grid(l_max_search, coarse_step)
     here = diff(grid[0])
@@ -177,9 +186,12 @@ def write_curves_csv(curves: Mapping[str, RateCurve], out: TextIO) -> None:
 
 
 def save_curves_csv(curves: Mapping[str, RateCurve], path: str | Path) -> None:
+    """Write curves to path as CSV; curves that write_curves_csv refuses leave path as it was."""
+    buf = io.StringIO()
+    write_curves_csv(curves, buf)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_curves_csv(curves, fh)
+            fh.write(buf.getvalue())
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 

@@ -215,6 +215,68 @@ def test_sweep_to_a_directory_is_a_config_error(dual_config, tmp_path):
     _assert_config_error(done, f"cannot write {tmp_path}")
 
 
+def test_unwritable_out_is_refused_before_any_evaluation(dual_config, tmp_path, monkeypatch, capsys):
+    import dualdet.sweep
+
+    calls = []
+    monkeypatch.setattr(dualdet.sweep, "evaluate", lambda *args: calls.append(args) or 0.0)
+    assert main(["sweep", "--config", dual_config, "--lmax", "250", "--out", str(tmp_path)]) == 2
+    assert f"cannot write {tmp_path}" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_failed_sweep_leaves_no_out_file(tmp_path, capsys):
+    # Past about 14,700 km the GMCS noise overflows: exit 3, and the CSV
+    # opened before the sweep is removed.
+    path = tmp_path / "gmcs.json"
+    path.write_text(json.dumps(GMCS_DR_DUAL))
+    out = tmp_path / "gmcs.csv"
+    assert main(["sweep", "--config", str(path), "--lmax", "20000", "--out", str(out)]) == 3
+    assert "numeric error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_sweep_leaves_an_existing_out_file_as_it_was(tmp_path):
+    path = tmp_path / "gmcs.json"
+    path.write_text(json.dumps(GMCS_DR_DUAL))
+    out = tmp_path / "gmcs.csv"
+    out.write_text("kept\n")
+    assert main(["sweep", "--config", str(path), "--lmax", "20000", "--out", str(out)]) == 3
+    assert out.read_text() == "kept\n"
+
+
+def test_sweep_replaces_an_existing_out_file(dual_config, tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_text("an older and much longer file than the new csv\n" * 100)
+    assert main(["sweep", "--config", dual_config, "--lmax", "1", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["0.00,3.33981e+06,,", "1.00,3.18135e+06,,"]
+
+
+def test_sweep_to_devnull(dual_config):
+    assert main(["sweep", "--config", dual_config, "--lmax", "1", "--out", os.devnull]) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_sweep_to_a_pipe(dual_config):
+    done = _run_cli("sweep", "--config", dual_config, "--lmax", "1", "--out", "/dev/stdout")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1:] == ["0.00,3.33981e+06,,", "1.00,3.18135e+06,,"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_sweep_to_a_fifo(dual_config, tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        assert main(["sweep", "--config", dual_config, "--lmax", "1", "--out", str(fifo)]) == 0
+        written = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert written.splitlines()[1:] == ["0.00,3.33981e+06,,", "1.00,3.18135e+06,,"]
+    assert fifo.exists()
+
+
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"mode": ' + b"1" * 5000 + b"}"],
                          ids=["not-utf8", "int-past-the-digit-limit"])
 def test_undecodable_scenario_file_is_a_config_error(tmp_path, content):

@@ -31,6 +31,8 @@ def test_binary_entropy_domain():
         binary_entropy(-1e-9)
     with pytest.raises(DomainError):
         binary_entropy(1.0 + 1e-9)
+    with pytest.raises(DomainError):
+        binary_entropy(math.nan)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))

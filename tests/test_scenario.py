@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dualdet import bb84, gmcs
 from dualdet.bb84 import Bb84Config, bb84_rate_dual
 from dualdet.core import (
     DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance, db_to_transmittance,
@@ -309,8 +310,10 @@ def _outcome(scenario, length):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_single_equals_dual_with_one_detector(protocol, mode, data):
-    # The single-detector receiver is the dual receiver with the same
-    # detector on both arms and no switch, bit for bit.
+    # The single-detector receiver is the dual receiver with equal detectors
+    # on both arms and no switch, bit for bit. The dual side gets an equal but
+    # distinct copy, so its kernel computes both arms while the single
+    # receiver's computes its one arm once.
     detectors, configs = PROTOCOL_PARTS[protocol]
     fast, slow, config = data.draw(detectors), data.draw(detectors), data.draw(configs)
     link, length = data.draw(LINKS), data.draw(st.floats(0.0, 300.0))
@@ -318,9 +321,25 @@ def test_single_equals_dual_with_one_detector(protocol, mode, data):
     det = fast if mode == "single_fast" else slow
     dual = Scenario(
         protocol=protocol, mode="dual", link=dataclasses.replace(link, switch_loss=0.0),
-        config=config, fast=det, slow=det,
+        config=config, fast=det, slow=dataclasses.replace(det),
     )
     assert _outcome(single, length) == _outcome(dual, length)
+
+
+@pytest.mark.parametrize("protocol, module, arm_function", [
+    ("bb84_single_photon", bb84, "binary_entropy"),
+    ("gmcs_dr", gmcs, "noise_budget"),
+    ("gmcs_rr", gmcs, "noise_budget"),
+], ids=["bb84_single_photon", "gmcs_dr", "gmcs_rr"])
+@pytest.mark.parametrize("role, arms", [("fast", 1), ("slow", 1), ("dual", 2)])
+def test_each_detector_arm_is_computed_once(monkeypatch, protocol, module, arm_function, role, arms):
+    # A single-detector kernel gets one detector on both arms and computes it once.
+    preset = next(f for f in FIGURES if f.scenarios["dual"].protocol == protocol)
+    calls = []
+    original = getattr(module, arm_function)
+    monkeypatch.setattr(module, arm_function, lambda *a: calls.append(a) or original(*a))
+    evaluate(preset.scenarios[role], 10.0)
+    assert len(calls) == arms
 
 
 FIGURES = [figure_preset(i) for i in FIGURE_IDS]

@@ -291,6 +291,14 @@ def test_csv_rejects_mismatched_grids(tmp_path, fig1):
         save_curves_csv({"dual": a, "fast": b}, tmp_path / "bad.csv")
 
 
+def test_refused_save_leaves_an_existing_file(tmp_path):
+    path = tmp_path / "kept.csv"
+    path.write_text("precious\n")
+    with pytest.raises(DomainError, match="unknown curve roles"):
+        save_curves_csv({"bogus": RateCurve((0.0,), (1.0,))}, path)
+    assert path.read_text() == "precious\n"
+
+
 def test_sweep_submodule_is_not_shadowed():
     import dualdet.sweep as m
 
