@@ -22,7 +22,7 @@ _EXPORTS = {
     "presets": ("FigurePreset", "figure_preset"),
     "scenario": ("Scenario", "evaluate", "load_scenario", "scenario_from_dict"),
     "sweep": ("RateCurve", "sweep_preset", "max_secure_distance", "crossover_distance",
-              "write_curves_csv", "save_curves_csv", "read_curves_csv"),
+              "write_curves_csv", "save_curves_csv"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

@@ -64,8 +64,6 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     """
     gain = bb84_gain(keyed, t)
     # A single-detector receiver passes one detector twice: its arm is computed once.
-    err_keyed = bb84_qber(keyed, t)
-    err_bounding = err_keyed if bounding is keyed else bb84_qber(bounding, t)
-    h_keyed = binary_entropy(err_keyed)
-    h_bounding = h_keyed if bounding is keyed else binary_entropy(err_bounding)
+    h_keyed = binary_entropy(bb84_qber(keyed, t))
+    h_bounding = h_keyed if bounding is keyed else binary_entropy(bb84_qber(bounding, t))
     return cfg.basis_factor * keyed.rep_rate * gain * (1.0 - cfg.f_ec * h_keyed - h_bounding)

@@ -112,14 +112,16 @@ def _cmd_mu_opt(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     from .practical import accumulation_time, choice_probabilities, max_slow_probability, multi_pulse_qber
 
+    # Compute every value before printing any: a failing input prints nothing.
     p0, p1, pm = choice_probabilities(args.p, args.k)
+    qber = multi_pulse_qber(args.p, args.k)
+    p_max = max_slow_probability(args.k, args.qber_budget)
+    seconds = accumulation_time(args.p, args.rep_rate, args.mu, args.overall_eta, args.target_counts)
     print(f"p0 {format_rate(p0)}")
     print(f"p1 {format_rate(p1)}")
     print(f"pm {format_rate(pm)}")
-    print(f"multi_pulse_qber {format_rate(multi_pulse_qber(args.p, args.k))}")
-    p_max = max_slow_probability(args.k, args.qber_budget)
+    print(f"multi_pulse_qber {format_rate(qber)}")
     print(f"p_max {format_rate(p_max)}")
-    seconds = accumulation_time(args.p, args.rep_rate, args.mu, args.overall_eta, args.target_counts)
     print(f"accumulation_s {format_rate(seconds)}")
     print(f"accumulation_hours {format_rate(seconds / 3600.0)}")
     return 0

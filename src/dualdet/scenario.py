@@ -2,9 +2,9 @@
 
 A scenario is the unit the sweep tools evaluate: one protocol, one
 detector configuration (single or dual), one link. This module alone knows
-the receiver layout: the routing switch sits in front of both detectors of
-a dual receiver, so its loss is part of the transmittance either detector
-sees, and single-detector modes have no switch.
+the receiver layout: the receiver optics (g_bob) and, in a dual receiver,
+the routing switch sit in front of both detectors, so their loss is part of
+the transmittance either detector sees; single-detector modes have no switch.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ class Scenario:
 
     def __post_init__(self) -> None:
         validate_scenario(self)
-        # Resolve once what evaluate needs besides the length: g_bob (GMCS
-        # ignores it) and the switch are one factor on the fiber transmittance.
+        # Resolve once what evaluate needs besides the length: the receiver
+        # optics g_bob and the switch are one factor on the fiber transmittance.
         keyed, bounding, switched = _ARMS[self.mode]
-        _, detector_cls, kernel = _PROTOCOLS[self.protocol]
-        factor = self.link.g_bob if detector_cls is SpdSpec else 1.0
+        kernel = _PROTOCOLS[self.protocol][2]
+        factor = self.link.g_bob
         if switched:
             factor *= db_to_transmittance(self.link.switch_loss)
         bounding_det = None if bounding is None else getattr(self, bounding)

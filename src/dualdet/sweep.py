@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, TextIO
 
-# format_length and format_rate stay importable from this module too.
-from .core import LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change, format_length, format_rate
+from .core import LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change
 from .scenario import Scenario, evaluate
 
 #: Half-width of the bracket accepted by the distance bisections, km.
@@ -117,26 +116,20 @@ def max_secure_distance(
 
 def crossover_distance(
     scenario_a: Scenario,
-    scenario_b: Scenario | Sequence[Scenario],
+    scenario_b: Sequence[Scenario],
     l_max_search: float,
     coarse_step: float = 1.0,
 ) -> float | None:
-    """Smallest length where rate_a - rate_b turns from positive to non-positive.
+    """Smallest length where rate_a minus the pointwise best (envelope) of
+    the scenario_b rates turns from positive to non-positive.
 
-    scenario_b may be a sequence, in which case the comparison is against
-    the pointwise best (envelope) of its members. Walks the coarse grid
-    forward from 0 and stops at the first crossing, evaluating one point
-    more only when the difference there is exactly 0. None when no such
-    sign change occurs in [0, l_max_search].
+    Walks the coarse grid forward from 0 and stops at the first crossing,
+    evaluating one point more only when the difference there is exactly 0.
+    None when no such sign change occurs in [0, l_max_search].
     """
-    others: tuple[Scenario, ...]
-    if isinstance(scenario_b, Scenario):
-        others = (scenario_b,)
-    else:
-        others = tuple(scenario_b)
-        if not others:
-            raise DomainError("scenario_b must contain at least one scenario")
-    first, rest = others[0], others[1:]
+    if not scenario_b:
+        raise DomainError("scenario_b must contain at least one scenario")
+    first, rest = scenario_b[0], scenario_b[1:]
 
     def diff(length: float) -> float:
         rate_a = evaluate(scenario_a, length)
@@ -194,24 +187,6 @@ def save_curves_csv(curves: Mapping[str, RateCurve], path: str | Path) -> None:
             fh.write(buf.getvalue())
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def read_curves_csv(path: str | Path) -> tuple[list[float], dict[str, list[float | None]]]:
-    """Parse a curves CSV back into lengths and per-role clamped rates."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or tuple(lines[0].split(",")) != CSV_HEADER:
-        raise DomainError(f"unexpected CSV header in {path}")
-    lengths: list[float] = []
-    columns: dict[str, list[float | None]] = {role: [] for role in CURVE_ROLES}
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(CSV_HEADER):
-            raise DomainError(f"malformed CSV row: {line!r}")
-        lengths.append(float(cells[0]))
-        for role, cell in zip(CURVE_ROLES, cells[1:]):
-            columns[role].append(float(cell) if cell else None)
-    return lengths, columns
 
 
 def sweep_preset(preset) -> dict[str, RateCurve]:

@@ -3,6 +3,7 @@ scheduling bounds. Each test prints one PASS/FAIL line; run standalone
 with `python tests/test_acceptance.py` or under pytest.
 """
 
+import csv
 import dataclasses
 import math
 import tempfile
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import mpmath
 
-from dualdet.core import HomodyneSpec, binary_entropy, channel_transmittance
+from dualdet.core import HomodyneSpec, binary_entropy, channel_transmittance, format_rate
 from dualdet.gmcs import MismatchedEfficiencyError, gmcs_rr_rate_dual
 from dualdet.practical import (
     accumulation_time,
@@ -23,10 +24,8 @@ from dualdet.presets import figure_preset
 from dualdet.scenario import evaluate
 from dualdet.sweep import (
     crossover_distance,
-    format_rate,
     length_grid,
     max_secure_distance,
-    read_curves_csv,
     save_curves_csv,
     sweep_preset,
 )
@@ -265,10 +264,11 @@ def test_criterion_12_property_suite():
         path = Path(tmp) / "curves.csv"
         curves = sweep_preset(figure_preset(5))
         save_curves_csv(curves, path)
-        _, columns = read_curves_csv(path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         for role, curve in curves.items():
             emitted = [format_rate(r) for r in curve.rates]
-            reparsed = [format_rate(v) for v in columns[role]]
+            reparsed = [format_rate(float(row[f"rate_{role}_bps"])) for row in rows]
             if emitted != reparsed:
                 failures.append(f"CSV round trip for {role}")
 

@@ -173,6 +173,18 @@ def test_schedule_invalid_probability(capsys):
     assert main(["schedule", "--p", "2.0", "--k", "100"]) == 3
 
 
+@pytest.mark.parametrize("flags", [
+    ["--p", "0", "--k", "5"],
+    ["--p", "1e-3", "--k", "5", "--qber-budget", "0.3"],
+], ids=["zero-slow-rate", "qber-budget-out-of-range"])
+def test_failed_schedule_prints_nothing(capsys, flags):
+    # A value that fails late must not leave the earlier lines on stdout.
+    assert main(["schedule", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric error" in captured.err
+
+
 @pytest.mark.parametrize("command, flags", [
     ("sweep", ["--lmin", "5", "--lmax", "1"]),
     ("sweep", ["--step", "0"]),

@@ -27,14 +27,14 @@ PUBLIC = {
     "presets": ["FigurePreset", "figure_preset"],
     "scenario": ["Scenario", "evaluate", "load_scenario", "scenario_from_dict"],
     "sweep": ["RateCurve", "sweep_preset", "max_secure_distance", "crossover_distance",
-              "write_curves_csv", "save_curves_csv", "read_curves_csv"],
+              "write_curves_csv", "save_curves_csv"],
 }
 
 
 def test_root_exports_the_public_names():
     names = [n for module_names in PUBLIC.values() for n in module_names]
-    assert len(names) == 45
-    assert len(dualdet.__all__) == len(set(dualdet.__all__)) == 45
+    assert len(names) == 44
+    assert len(dualdet.__all__) == len(set(dualdet.__all__)) == 44
     assert set(dualdet.__all__) == set(names)
 
 
@@ -57,6 +57,8 @@ def test_star_import_and_unknown_name():
     assert {n for n in namespace if n != "__builtins__"} == set(dualdet.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         dualdet.no_such_name
+    with pytest.raises(AttributeError, match="read_curves_csv"):  # removed: read CSVs with the csv module
+        dualdet.read_curves_csv
 
 
 def test_init_spells_each_name_once():

@@ -98,6 +98,12 @@ def test_evaluate_dispatches_to_gmcs_rr():
     expected = gmcs_rr_rate_dual(scenario.fast, scenario.slow, scenario.config, t_lossy)
     assert evaluate(scenario_from_dict(lossy), 5.0) == expected
 
+    # g_bob is the receiver optics in front of both arms, for GMCS as for BB84.
+    lossy["link"]["g_bob"] = 0.5
+    t_optics = channel_transmittance(0.21, 5.0) * (0.5 * db_to_transmittance(3.0))
+    expected = gmcs_rr_rate_dual(scenario.fast, scenario.slow, scenario.config, t_optics)
+    assert evaluate(scenario_from_dict(lossy), 5.0) == expected
+
 
 def test_decoy_no_pa_mode():
     decoy = {

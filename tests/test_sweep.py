@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import itertools
@@ -8,17 +9,14 @@ from pathlib import Path
 import pytest
 
 import dualdet.sweep
-from dualdet.core import DomainError, SpdSpec
+from dualdet.core import DomainError, SpdSpec, format_length, format_rate
 from dualdet.presets import FIGURE_IDS, figure_preset
 from dualdet.scenario import evaluate
 from dualdet.sweep import (
     RateCurve,
     crossover_distance,
-    format_length,
-    format_rate,
     length_grid,
     max_secure_distance,
-    read_curves_csv,
     save_curves_csv,
     sweep,
     sweep_preset,
@@ -214,7 +212,7 @@ def test_crossover_answers_before_the_model_domain_ends():
 
 def test_crossover_self_is_none(fig1):
     for scenario in fig1.scenarios.values():
-        assert crossover_distance(scenario, scenario, 250.0) is None
+        assert crossover_distance(scenario, [scenario], 250.0) is None
 
 
 def test_crossover_dual_vs_envelope(fig1):
@@ -229,9 +227,14 @@ def test_crossover_dual_vs_envelope(fig1):
     assert diff(dist + 0.05) <= 0.0
 
 
+def test_crossover_needs_a_scenario_to_compare_with(fig1):
+    with pytest.raises(DomainError, match="at least one scenario"):
+        crossover_distance(fig1.scenarios["dual"], [], 250.0)
+
+
 def test_crossover_requires_a_downward_crossing(fig1):
     # The slow single never beats the dual from above within range.
-    assert crossover_distance(fig1.scenarios["slow"], fig1.scenarios["dual"], 100.0) is None
+    assert crossover_distance(fig1.scenarios["slow"], [fig1.scenarios["dual"]], 100.0) is None
 
 
 def test_csv_round_trip(tmp_path, fig1):
@@ -239,13 +242,14 @@ def test_csv_round_trip(tmp_path, fig1):
     path = tmp_path / "fig1.csv"
     save_curves_csv(curves, path)
 
-    lengths, columns = read_curves_csv(path)
-    assert [format_length(a) for a in lengths] == [
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [format_length(float(row["length_km"])) for row in rows] == [
         format_length(length) for length in curves["dual"].lengths
     ]
     for role in ("dual", "fast", "slow"):
         emitted = [format_rate(r) for r in curves[role].rates]
-        parsed = [format_rate(v) for v in columns[role]]
+        parsed = [format_rate(float(row[f"rate_{role}_bps"])) for row in rows]
         assert parsed == emitted
 
 
