@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import E0, DomainError, SpdSpec, binary_entropy, check_numbers
+from .core import E0, DomainError, SpdSpec, binary_entropy, check_fields, check_number
 
 BASIS_FACTORS = (0.5, 1.0)
+F_EC_RULE = ">= 1"
 
 
 def check_sifting(cfg) -> None:
     """Shared range check of basis_factor and f_ec for the BB84 configs."""
     if cfg.basis_factor not in BASIS_FACTORS:
         raise DomainError(f"basis_factor must be 0.5 or 1.0, got {cfg.basis_factor}")
-    if cfg.f_ec < 1.0:
-        raise DomainError(f"f_ec must be >= 1, got {cfg.f_ec}")
+    check_number("f_ec", cfg.f_ec, F_EC_RULE)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Bb84Config:
     f_ec: float
 
     def __post_init__(self) -> None:
-        check_numbers(self)
+        check_fields(self)
         check_sifting(self)
 
 

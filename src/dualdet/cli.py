@@ -65,8 +65,8 @@ def _save_csv(path: str, make_curves) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .scenario import load_scenario
-    from .sweep import MODE_TO_ROLE, sweep
+    from .scenario import MODE_TO_ROLE, load_scenario
+    from .sweep import sweep
 
     scenario = load_scenario(args.config)
     role = MODE_TO_ROLE[scenario.mode]

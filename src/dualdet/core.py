@@ -8,7 +8,7 @@ floats in [0, 1], homodyne variances in shot-noise units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 class DomainError(ValueError):
@@ -95,21 +95,47 @@ def bisect_sign_change(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def check_numbers(spec) -> None:
-    """Reject bools and non-finite values in a spec's numeric fields.
+_BOUNDS: dict[str, tuple[float, float]] = {}  # rule -> _bounds(rule), filled on first use
 
-    JSON admits NaN, Infinity, true and integers too large for a float
-    where a number belongs; the specs' range checks would let NaN through
-    (every comparison with it is false) and read True as 1.
-    """
-    for f in fields(spec):
-        value = getattr(spec, f.name)
+
+def _bounds(rule: str) -> tuple[float, float]:
+    """Open interval (low, high) of a rule; a closed end moves out to the adjacent float."""
+    if rule.startswith("in "):
+        low, high = map(float, rule[4:-1].split(", "))
+        return (math.nextafter(low, -math.inf) if rule[3] == "[" else low,
+                math.nextafter(high, math.inf) if rule[-1] == "]" else high)
+    symbol, bound = rule.split()[:2]  # a trailing unit is not read
+    return math.nextafter(float(bound), -math.inf) if symbol == ">=" else float(bound), math.inf
+
+
+def check_number(name: str, value, rule: str | None = None) -> None:
+    """Refuse a bool or a non-finite value (JSON admits NaN, Infinity, true and huge ints),
+    then a value outside rule, such as "> 0 Hz" or "in [0, 1)", which the message quotes."""
+    if value.__class__ is not float or value - value:  # NaN and inf leave a NaN difference
         try:
             finite = not isinstance(value, bool) and math.isfinite(value)
         except OverflowError:  # an int beyond the float range, such as 10**400
             finite = False
         if not finite:
-            raise DomainError(f"{f.name} must be a finite number, got {value!r}")
+            raise DomainError(f"{name} must be a finite number, got {value!r}")
+    if rule is not None:
+        low, high = _BOUNDS.get(rule) or _BOUNDS.setdefault(rule, _bounds(rule))
+        if not low < value < high:
+            raise DomainError(f"{name} must be {rule}, got {value}")
+
+
+def check_fields(spec, **rules: str) -> None:
+    """check_number over a spec dataclass: every field finite, then rules in the order given.
+    Fields are read by getattr: vars(spec) would make a __dict__ that slows later reads."""
+    for name in spec.__dataclass_fields__:
+        value = getattr(spec, name)
+        if value.__class__ is not float or value - value:  # check_number's own test, without a call
+            check_number(name, value)
+    for name, rule in rules.items():
+        low, high = _BOUNDS.get(rule) or _BOUNDS.setdefault(rule, _bounds(rule))
+        value = getattr(spec, name)
+        if not low < value < high:
+            raise DomainError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -130,15 +156,7 @@ class SpdSpec:
     e_det: float
 
     def __post_init__(self) -> None:
-        check_numbers(self)
-        if self.rep_rate <= 0.0:
-            raise DomainError(f"rep_rate must be > 0 Hz, got {self.rep_rate}")
-        if not 0.0 <= self.eta_d <= 1.0:
-            raise DomainError(f"eta_d must be in [0, 1], got {self.eta_d}")
-        if not 0.0 <= self.y0 < 1.0:
-            raise DomainError(f"y0 must be in [0, 1), got {self.y0}")
-        if not 0.0 <= self.e_det <= 0.5:
-            raise DomainError(f"e_det must be in [0, 0.5], got {self.e_det}")
+        check_fields(self, rep_rate="> 0 Hz", eta_d="in [0, 1]", y0="in [0, 1)", e_det="in [0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -155,13 +173,7 @@ class HomodyneSpec:
     eps_det: float
 
     def __post_init__(self) -> None:
-        check_numbers(self)
-        if self.rep_rate <= 0.0:
-            raise DomainError(f"rep_rate must be > 0 Hz, got {self.rep_rate}")
-        if not 0.0 < self.g_det <= 1.0:
-            raise DomainError(f"g_det must be in (0, 1], got {self.g_det}")
-        if self.eps_det < 0.0:
-            raise DomainError(f"eps_det must be >= 0, got {self.eps_det}")
+        check_fields(self, rep_rate="> 0 Hz", g_det="in (0, 1]", eps_det=">= 0")
 
 
 @dataclass(frozen=True)
@@ -182,15 +194,7 @@ class LinkSpec:
     switch_loss: float = 0.0
 
     def __post_init__(self) -> None:
-        check_numbers(self)
-        if self.alpha < 0.0:
-            raise DomainError(f"alpha must be >= 0 dB/km, got {self.alpha}")
-        if self.length < 0.0:
-            raise DomainError(f"length must be >= 0 km, got {self.length}")
-        if not 0.0 < self.g_bob <= 1.0:
-            raise DomainError(f"g_bob must be in (0, 1], got {self.g_bob}")
-        if self.switch_loss < 0.0:
-            raise DomainError(f"switch_loss must be >= 0 dB, got {self.switch_loss}")
+        check_fields(self, alpha=">= 0 dB/km", length=">= 0 km", g_bob="in (0, 1]", switch_loss=">= 0 dB")
 
 
 @dataclass(frozen=True)
@@ -207,10 +211,4 @@ class GmcsSource:
     eps_pre: float = 0.0
 
     def __post_init__(self) -> None:
-        check_numbers(self)
-        if self.v <= 1.0:
-            raise DomainError(f"v must be > 1 shot-noise unit, got {self.v}")
-        if not 0.0 < self.beta <= 1.0:
-            raise DomainError(f"beta must be in (0, 1], got {self.beta}")
-        if self.eps_pre < 0.0:
-            raise DomainError(f"eps_pre must be >= 0, got {self.eps_pre}")
+        check_fields(self, v="> 1 shot-noise unit", beta="in (0, 1]", eps_pre=">= 0")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bb84 import bb84_gain, bb84_qber, check_sifting
-from .core import E0, DomainError, SpdSpec, binary_entropy, bisect_sign_change, check_numbers
+from .bb84 import F_EC_RULE, bb84_gain, bb84_qber, check_sifting
+from .core import E0, DomainError, SpdSpec, binary_entropy, bisect_sign_change, check_fields, check_number
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,7 @@ class DecoyConfig:
     f_ec: float
 
     def __post_init__(self) -> None:
-        check_numbers(self)
-        if self.mu <= 0.0:
-            raise DomainError(f"mu must be > 0, got {self.mu}")
+        check_fields(self, mu="> 0")
         check_sifting(self)
 
 
@@ -94,12 +92,10 @@ def optimal_mu(e_det: float, f_ec: float) -> float:
     root exists and is unique whenever the right side lies in (0, 1).
     Found by bisection; the returned value has residual below MU_RESIDUAL_TOL.
     """
-    if not 0.0 < e_det < 0.5:
-        raise DomainError(f"e_det must be in (0, 0.5), got {e_det}")
-    if f_ec < 1.0:
-        raise DomainError(f"f_ec must be >= 1, got {f_ec}")
+    check_number("e_det", e_det, "in (0, 0.5)")
+    check_number("f_ec", f_ec, F_EC_RULE)
     h = binary_entropy(e_det)
-    rhs = f_ec * h / (1.0 - h)
+    rhs = f_ec * h / (1.0 - h) if h < 1.0 else math.inf  # H2 rounds to 1 near e_det = 0.5
     if not 0.0 < rhs < 1.0:
         raise DomainError(
             f"no root: f_ec*H2(e_det)/(1-H2(e_det)) = {rhs} falls outside (0, 1)"

@@ -44,9 +44,9 @@ def noise_budget(source: GmcsSource, det: HomodyneSpec, t: float) -> tuple[float
 
 
 def _check_v_chi(v: float, chi: float) -> None:
-    if v < 1.0:
+    if not 1.0 <= v < math.inf:
         raise DomainError(f"v must be >= 1, got {v}")
-    if chi < 0.0:
+    if not 0.0 <= chi < math.inf:
         raise DomainError(f"chi must be >= 0, got {chi}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .core import DomainError
+from .core import DomainError, check_number
 
 #: Error rate of a detection assigned to a random pulse within the window:
 #: half the assignments hit the right pulse, the rest err half the time.
@@ -21,14 +21,12 @@ MESSED_DETECTION_ERROR = 0.25
 #: Above this value of k*p the first-order expressions degrade.
 KP_VALIDITY_LIMIT = 0.1
 
-
-def _check_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
+#: Domains of a routing probability, and of a QBER budget: below saturation.
+_P_RULE, _QBER_BUDGET_RULE = "in [0, 1]", f"in (0, {MESSED_DETECTION_ERROR})"
 
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:  # a bool is an int too
         raise DomainError(f"k must be a positive integer, got {k}")
 
 
@@ -38,7 +36,7 @@ def choice_probabilities(p: float, k: int) -> tuple[float, float, float]:
     Exact binomial values: P0 = (1-p)^k, P1 = k*p*(1-p)^(k-1), and
     PM = 1 - P0 - P1. The three sum to 1.0 exactly as floats.
     """
-    _check_p(p)
+    check_number("p", p, _P_RULE)
     _check_k(k)
     p0 = (1.0 - p) ** k
     p1 = k * p * (1.0 - p) ** (k - 1)
@@ -54,7 +52,7 @@ def multi_pulse_qber(p: float, k: int) -> float:
     efficiency factors cancel. Valid for k*p well below 1; warns outside
     that regime and when the result reaches the 0.25 saturation level.
     """
-    _check_p(p)
+    check_number("p", p, _P_RULE)
     _check_k(k)
     if k * p > KP_VALIDITY_LIMIT:
         warnings.warn(
@@ -79,8 +77,7 @@ def max_slow_probability(k: int, qber_budget: float) -> float:
     second pulse, so there is no constraint and infinity is returned.
     """
     _check_k(k)
-    if not 0.0 < qber_budget < MESSED_DETECTION_ERROR:
-        raise DomainError(f"qber_budget must be in (0, 0.25), got {qber_budget}")
+    check_number("qber_budget", qber_budget, _QBER_BUDGET_RULE)
     if k == 1:
         return math.inf
     return 4.0 * qber_budget / (k - 1)
@@ -94,11 +91,9 @@ def accumulation_time(
     overall_eta covers everything between source and click: channel,
     receiver optics, switch loss, and the slow detector's efficiency.
     """
-    if target_counts < 0.0:
-        raise DomainError(f"target_counts must be >= 0, got {target_counts}")
-    for name, value in (("p", p), ("rep_rate", rep_rate), ("mu", mu), ("overall_eta", overall_eta)):
-        if value < 0.0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
+    for name, value in (("target_counts", target_counts), ("p", p), ("rep_rate", rep_rate), ("mu", mu),
+                        ("overall_eta", overall_eta)):
+        check_number(name, value, ">= 0")
     if target_counts == 0.0:
         return 0.0
     rate = p * rep_rate * mu * overall_eta

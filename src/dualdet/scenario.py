@@ -39,6 +39,8 @@ _ARMS = {
 }
 PROTOCOLS = tuple(_PROTOCOLS)
 MODES = tuple(_ARMS)
+#: mode -> the CSV curve role its rate fills: "dual" behind the switch, otherwise the keyed arm.
+MODE_TO_ROLE = {mode: "dual" if switched else keyed for mode, (keyed, _, switched) in _ARMS.items()}
 
 Detector = Union[SpdSpec, HomodyneSpec]
 ProtocolConfig = Union[bb84.Bb84Config, decoy.DecoyConfig, GmcsSource]

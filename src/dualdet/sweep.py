@@ -26,9 +26,8 @@ DISTANCE_TOL = 0.01
 #: Most steps a length grid may span; a finer grid is refused unallocated.
 MAX_GRID_POINTS = 1_000_000
 
-CSV_HEADER = ("length_km", "rate_dual_bps", "rate_fast_bps", "rate_slow_bps")
 CURVE_ROLES = ("dual", "fast", "slow")
-MODE_TO_ROLE = {"dual": "dual", "dual_no_pa": "dual", "single_fast": "fast", "single_slow": "slow"}
+CSV_HEADER = ("length_km", *(f"rate_{role}_bps" for role in CURVE_ROLES))
 
 
 class GridError(ConfigError, DomainError):
@@ -62,7 +61,7 @@ def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
     """Inclusive grid l_min, l_min+step, ... up to l_max."""
     if l_min < 0.0 or not l_min < l_max:
         raise GridError(f"need 0 <= l_min < l_max, got [{l_min}, {l_max}]")
-    if step <= 0.0:
+    if not step > 0.0:
         raise GridError(f"step must be > 0, got {step}")
     steps = (l_max - l_min) / step
     if not steps <= MAX_GRID_POINTS:

@@ -178,6 +178,17 @@ def test_optimal_mu_no_root():
         optimal_mu(0.25, 1.22)
     with pytest.raises(DomainError):
         optimal_mu(0.6, 1.22)
+    # Just below 0.5, H2(e_det) rounds to 1 and the right-hand side is infinite.
+    with pytest.raises(DomainError, match="no root"):
+        optimal_mu(math.nextafter(0.5, 0.0), 1.22)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+@pytest.mark.parametrize("name", ["e_det", "f_ec"])
+def test_optimal_mu_refuses_non_finite(name, bad):
+    args = {"e_det": 0.018, "f_ec": 1.22, name: bad}
+    with pytest.raises(DomainError, match=f"^{name} must be a finite number, got {bad!r}$"):
+        optimal_mu(**args)
 
 
 def test_config_fields():

@@ -114,6 +114,24 @@ def test_info_be_values():
     assert info_be(40.0, 0.3125, 0.8) == pytest.approx(1.5611292839059991, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (mutual_info_ab, (math.nan, 1.0)),
+        (mutual_info_ab, (math.inf, 1.0)),
+        (mutual_info_ab, (40.0, math.nan)),
+        (mutual_info_ab, (40.0, math.inf)),
+        (info_ae, (math.nan, 1.0)),
+        (info_ae, (40.0, math.nan)),
+        (info_be, (math.nan, 1.0, 0.5)),
+        (info_be, (40.0, math.inf, 0.5)),
+    ],
+)
+def test_informations_refuse_non_finite(call, args):
+    with pytest.raises(DomainError, match=r"^(v must be >= 1|chi must be >= 0), got (nan|inf)$"):
+        call(*args)
+
+
 @pytest.mark.parametrize("v", [1.0, 2.0, 40.0, 49.0, 1e6])
 def test_info_be_lossless_noiseless_is_exactly_zero(v):
     assert info_be(v, 0.0, 1.0) == 0.0

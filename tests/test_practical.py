@@ -114,3 +114,33 @@ def test_accumulation_time_edges():
     with pytest.raises(DomainError):
         accumulation_time(4e-4, 1e9, -1.0, 1e-3, 1e6)
 
+
+
+ACCUMULATION_ARGS = dict(p=4e-4, rep_rate=1e9, mu=1.0, overall_eta=1e-3, target_counts=1e6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+@pytest.mark.parametrize("name", list(ACCUMULATION_ARGS))
+def test_accumulation_time_refuses_non_finite(name, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be a finite number, got {bad!r}$"):
+        accumulation_time(**{**ACCUMULATION_ARGS, name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+@pytest.mark.parametrize(
+    "call, args, name",
+    [
+        (choice_probabilities, dict(p=0.01, k=5), "p"),
+        (multi_pulse_qber, dict(p=0.01, k=5), "p"),
+        (max_slow_probability, dict(k=5, qber_budget=0.01), "qber_budget"),
+    ],
+)
+def test_scheduling_refuses_non_finite(call, args, name, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be a finite number, got {bad!r}$"):
+        call(**{**args, name: bad})
+
+
+@pytest.mark.parametrize("call", [choice_probabilities, multi_pulse_qber])
+def test_window_length_refuses_bool(call):
+    with pytest.raises(DomainError, match="^k must be a positive integer, got True$"):
+        call(0.01, True)

@@ -11,8 +11,10 @@ import pytest
 import dualdet.sweep
 from dualdet.core import DomainError, SpdSpec, format_length, format_rate
 from dualdet.presets import FIGURE_IDS, figure_preset
-from dualdet.scenario import evaluate
+from dualdet.scenario import MODE_TO_ROLE, MODES, evaluate
 from dualdet.sweep import (
+    CSV_HEADER,
+    CURVE_ROLES,
     RateCurve,
     crossover_distance,
     length_grid,
@@ -42,6 +44,14 @@ def test_length_grid():
         length_grid(0.0, 5.0, 0.0)
     with pytest.raises(DomainError):
         length_grid(-1.0, 5.0, 1.0)
+    with pytest.raises(DomainError, match="^step must be > 0, got nan$"):
+        length_grid(0.0, 10.0, math.nan)
+
+
+def test_every_mode_fills_a_curve_role():
+    assert set(MODE_TO_ROLE) == set(MODES)
+    assert set(MODE_TO_ROLE.values()) <= set(CURVE_ROLES)
+    assert CSV_HEADER == ("length_km", "rate_dual_bps", "rate_fast_bps", "rate_slow_bps")
 
 
 def test_sweep_points_and_clamping(fig1):
