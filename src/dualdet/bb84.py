@@ -61,6 +61,14 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     t is the transmittance from the source to either detector. May be
     negative when the error-correction and privacy-amplification costs
     exceed one bit per detection; callers clamp for plotting.
+
+    The rate turns from positive to non-positive at most once as the length
+    grows (t falls). Each arm's QBER e(t) = (E0*y0 + e_det*t*eta_d)/(y0 + t*eta_d)
+    is a weighted mean of E0 = 1/2 and e_det <= 1/2, so it lies in [0, 1/2],
+    and de/dt = eta_d*y0*(e_det - 1/2)/(y0 + t*eta_d)^2 <= 0. H2 increases
+    on [0, 1/2], so 1 - f_ec*H2(e_keyed) - H2(e_bounding) does not rise with
+    the length, and the rate has its sign: the gain is > 0 wherever the
+    QBER is defined.
     """
     gain = bb84_gain(keyed, t)
     # A single-detector receiver passes one detector twice: its arm is computed once.

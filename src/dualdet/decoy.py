@@ -71,6 +71,23 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
     single-detector receiver passes one detector twice. With no bounding
     detector the rate charges no privacy amplification, showing how much
     of the rate loss is error correction alone.
+
+    For mu <= 1 the rate turns from positive to non-positive at most once
+    as the length grows, that is as eta = t*eta_d (keyed arm) falls. Its
+    sign is that of per_pulse/q_1 = 1 - f_ec*(q_mu/q_1)*H2(e_mu) - H2(e_1),
+    as q_1 = (y0 + eta)*mu*exp(-mu) > 0 wherever the QBERs are defined, and
+    each subtracted term is >= 0 and does not fall:
+    - q_mu/q_1 = [(y0 + 1 - exp(-eta*mu))/(y0 + eta)] / (mu*exp(-mu)). Its
+      eta-derivative has the sign of
+      mu*eta*exp(-eta*mu) - (1 - exp(-eta*mu)) + y0*(mu*exp(-eta*mu) - 1),
+      where the first two terms are (1 + x)*exp(-x) - 1 <= 0 with x = eta*mu,
+      and the last is <= 0 for mu <= 1. So the ratio does not fall with length.
+    - e_mu is a weighted mean of E0 = 1/2 (weight y0) and e_det <= 1/2
+      (weight 1 - exp(-eta*mu)); that weight falls, so e_mu moves toward
+      1/2 and H2(e_mu) does not fall.
+    - e_1 is the BB84 QBER, which rises with length (bb84_rate_dual), and
+      dual_no_pa only drops this term.
+    For mu > 1 the y0 term can be positive, and no such bound is claimed.
     """
     q_mu = decoy_signal_gain(cfg.mu, keyed, t)
     e_mu = decoy_signal_qber(cfg.mu, keyed, t)

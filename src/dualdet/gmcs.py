@@ -98,6 +98,14 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     vacuum-noise term is shared (taken from the keyed arm); each arm
     contributes its own excess noise. A single-detector receiver passes
     one detector twice, and its noise budget is computed once.
+
+    The rate falls strictly as t falls, so it turns from positive to
+    non-positive at most once as the length grows. Each arm's input noise
+    chi = (1 + eps_det)/g - 1 + eps_pre grows as g = t*g_det falls (the
+    bounding arm's vacuum term uses the keyed g, which falls too).
+    I_AB = (1/2)*log2[(v+chi)/(1+chi)] falls in chi since v > 1, and
+    I_AE = (1/2)*log2[(v*chi+1)/(chi+1)] rises in chi, so with beta > 0
+    beta*I_AB - I_AE falls strictly.
     """
     _, chi_vac, eps_keyed = noise_budget(source, keyed, t)
     eps_bounding = eps_keyed if bounding is keyed else noise_budget(source, bounding, t)[2]
@@ -112,7 +120,8 @@ def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
 
     Arguments as for gmcs_dr_rate_dual. Requires identical detection
     efficiencies on the two arms; otherwise the bounding arm's
-    eavesdropper bound does not transfer to the keyed arm.
+    eavesdropper bound does not transfer to the keyed arm. I_BE's argument
+    is not monotone in g in general, so no single sign change is claimed.
     """
     if keyed.g_det != bounding.g_det:
         raise MismatchedEfficiencyError(

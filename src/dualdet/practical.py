@@ -91,9 +91,10 @@ def accumulation_time(
     overall_eta covers everything between source and click: channel,
     receiver optics, switch loss, and the slow detector's efficiency.
     """
-    for name, value in (("target_counts", target_counts), ("p", p), ("rep_rate", rep_rate), ("mu", mu),
-                        ("overall_eta", overall_eta)):
-        check_number(name, value, ">= 0")
+    for name, value, rule in (("target_counts", target_counts, ">= 0"), ("p", p, _P_RULE),
+                              ("rep_rate", rep_rate, ">= 0"), ("mu", mu, ">= 0"),
+                              ("overall_eta", overall_eta, ">= 0")):
+        check_number(name, value, rule)
     if target_counts == 0.0:
         return 0.0
     rate = p * rep_rate * mu * overall_eta

@@ -21,12 +21,15 @@ from .core import (
     channel_transmittance, db_to_transmittance,
 )
 
-#: protocol -> (config type, detector type, rate kernel(keyed, bounding, config, t)).
+#: protocol -> (config type, detector type, rate kernel(keyed, bounding, config, t),
+#: whether a config's rate turns from positive to non-positive at most once as
+#: the length grows, for every mode and detector: each True is proved in the
+#: kernel's docstring, and max_secure_distance then binary-searches its grid).
 _PROTOCOLS = {
-    "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84.bb84_rate_dual),
-    "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy.decoy_rate_dual),
-    "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs.gmcs_dr_rate_dual),
-    "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.gmcs_rr_rate_dual),
+    "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84.bb84_rate_dual, lambda cfg: True),
+    "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy.decoy_rate_dual, lambda cfg: cfg.mu <= 1.0),
+    "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs.gmcs_dr_rate_dual, lambda cfg: True),
+    "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.gmcs_rr_rate_dual, lambda cfg: False),  # no proof
 }
 #: mode -> (keyed arm, bounding arm, behind the switch). A single detector
 #: is the dual receiver with that detector on both arms at the same t; no
@@ -60,13 +63,14 @@ class Scenario:
         # Resolve once what evaluate needs besides the length: the receiver
         # optics g_bob and the switch are one factor on the fiber transmittance.
         keyed, bounding, switched = _ARMS[self.mode]
-        kernel = _PROTOCOLS[self.protocol][2]
+        _, _, kernel, one_sign_change = _PROTOCOLS[self.protocol]
         factor = self.link.g_bob
         if switched:
             factor *= db_to_transmittance(self.link.switch_loss)
         bounding_det = None if bounding is None else getattr(self, bounding)
         plan = (kernel, getattr(self, keyed), bounding_det, self.config, self.link.alpha, factor)
         object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_one_sign_change", one_sign_change(self.config))
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -79,7 +83,7 @@ def validate_scenario(s: Scenario) -> None:
     if not isinstance(s.link, LinkSpec):
         raise ConfigError(f"link kind {type(s.link).__name__} is not LinkSpec")
 
-    config_cls, detector_cls, _ = _PROTOCOLS[s.protocol]
+    config_cls, detector_cls = _PROTOCOLS[s.protocol][:2]
     for label, det in (("fast", s.fast), ("slow", s.slow)):
         if det is not None and not isinstance(det, detector_cls):
             raise ConfigError(
@@ -131,7 +135,7 @@ def _schema(cls: type) -> tuple[dict[str, str], set[str], set[str]]:
 
 #: Resolved once here: scenario_from_dict runs per scan point and must not re-read the fields.
 _SCHEMAS = {
-    cls: _schema(cls) for cls in (LinkSpec, *_DETECTOR_KINDS.values(), *(c for c, _, _ in _PROTOCOLS.values()))
+    cls: _schema(cls) for cls in (LinkSpec, *_DETECTOR_KINDS.values(), *(row[0] for row in _PROTOCOLS.values()))
 }
 
 

@@ -1,10 +1,12 @@
 """Distance sweeps, secure-distance and crossover finding, CSV emission.
 
 Raw rates may be negative; `RateCurve.rates` clamps them at zero for
-plotting and CSV output. Distance searches walk a coarse grid only as far
-as it takes to bracket their answer, then bisect to 0.01 km: the crossover
-walks forward from 0 to the first crossing, the maximum distance backward
-from the search limit to the last positive grid point.
+plotting and CSV output. Distance searches evaluate a coarse grid only as
+far as it takes to bracket their answer, then bisect to 0.01 km: the
+crossover walks forward from 0 to the first crossing. The maximum distance
+finds the last positive grid point by halving the grid's index range when
+the scenario's rate provably changes sign at most once, and otherwise walks
+backward from the search limit; both find the same point.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence, TextIO
 
-from .core import LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change
+from .core import LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change, check_number
 from .scenario import Scenario, evaluate
 
 #: Half-width of the bracket accepted by the distance bisections, km.
@@ -59,6 +61,11 @@ class RateCurve:
 
 def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
     """Inclusive grid l_min, l_min+step, ... up to l_max."""
+    try:
+        for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
+            check_number(name, value)
+    except DomainError as exc:
+        raise GridError(str(exc)) from None
     if l_min < 0.0 or not l_min < l_max:
         raise GridError(f"need 0 <= l_min < l_max, got [{l_min}, {l_max}]")
     if not step > 0.0:
@@ -85,9 +92,10 @@ def sweep(scenario: Scenario, l_min: float, l_max: float, step: float) -> RateCu
 def _search_grid(l_max_search: float, coarse_step: float) -> list[float]:
     """The coarse grid from 0 that the searches walk, ending at l_max_search:
     the limit closes the grid when it is not a whole number of steps, and
-    replaces a last grid point within length_grid's rounding of it."""
+    replaces a last grid point within length_grid's rounding of it. The
+    grid has at least the two points 0 and l_max_search."""
     grid = length_grid(0.0, l_max_search, coarse_step)
-    if l_max_search - grid[-1] > 1e-9 * coarse_step:
+    if len(grid) == 1 or l_max_search - grid[-1] > 1e-9 * coarse_step:
         grid.append(l_max_search)
     grid[-1] = l_max_search
     return grid
@@ -98,18 +106,34 @@ def max_secure_distance(
 ) -> float | None:
     """Largest length in [0, l_max_search] with a positive raw rate.
 
-    Walks the coarse grid backward from l_max_search to the last positive
-    grid point: l_max_search if that is the last point, otherwise the zero
-    crossing in the next cell, to 0.01 km. None if no grid point is positive.
+    Finds the last positive point of the coarse grid, evaluating
+    l_max_search first: l_max_search if that is the last point, otherwise
+    the zero crossing in the next cell, to 0.01 km. None if no grid point is
+    positive. When the scenario's rate provably turns from positive to
+    non-positive at most once as the length grows (the last column of
+    `scenario._PROTOCOLS`), the point is found by evaluating 0 and then
+    halving the grid's index range; otherwise the grid is walked backward.
+    Both find the same point, and so bisect the same cell to the same float.
     """
     grid = _search_grid(l_max_search, coarse_step)
-    last = next((i for i in reversed(range(len(grid))) if evaluate(scenario, grid[i]) > 0.0), None)
-    if last is None:
-        return None
-    if last == len(grid) - 1:
+    if evaluate(scenario, grid[-1]) > 0.0:
         return l_max_search
+    if scenario._one_sign_change:
+        if not evaluate(scenario, grid[0]) > 0.0:
+            return None
+        lo, hi = 0, len(grid) - 1
+        while hi - lo > 1:  # the rate is positive at grid[lo] and not at grid[hi]
+            mid = (lo + hi) // 2
+            if evaluate(scenario, grid[mid]) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+    else:
+        lo = next((i for i in reversed(range(len(grid) - 1)) if evaluate(scenario, grid[i]) > 0.0), None)
+        if lo is None:
+            return None
     return bisect_sign_change(
-        lambda length: evaluate(scenario, length), grid[last], grid[last + 1], tol=DISTANCE_TOL / 5
+        lambda length: evaluate(scenario, length), grid[lo], grid[lo + 1], tol=DISTANCE_TOL / 5
     )
 
 

@@ -325,6 +325,18 @@ def test_rate_past_the_gmcs_domain_is_a_numeric_error(tmp_path, capsys):
     assert "overall transmittance" in captured.err
 
 
+@pytest.mark.parametrize("protocol, lmax", [("gmcs_dr", "15000"), ("gmcs_rr", "8000")])
+def test_maxdist_past_the_gmcs_domain_is_a_numeric_error(tmp_path, capsys, protocol, lmax):
+    # maxdist evaluates --lmax first, by binary search (DR) and by scan (RR)
+    # alike, so a limit outside the model exits 3 instead of answering.
+    path = tmp_path / "gmcs.json"
+    path.write_text(json.dumps({**GMCS_DR_DUAL, "protocol": protocol}))
+    assert main(["maxdist", "--config", str(path), "--lmax", lmax]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overall transmittance" in captured.err
+
+
 def test_rate_past_the_gmcs_rr_domain_names_the_transmittance(tmp_path, capsys):
     # At 7,760 km g*g underflows in the RR bound, half the DR limit: exit 3.
     path = tmp_path / "gmcs_rr.json"

@@ -86,7 +86,8 @@ ARGUMENTS = [
     (multi_pulse_qber, dict(p=0.01, k=5), "p", "in [0, 1]", [closed_low(0.0), closed_high(1.0)]),
     (max_slow_probability, dict(k=5, qber_budget=0.01), "qber_budget", "in (0, 0.25)",
      [open_low(0.0), open_high(0.25)]),
-    *((accumulation_time, ACCUMULATION, name, ">= 0", [closed_low(0.0)]) for name in ACCUMULATION),
+    (accumulation_time, ACCUMULATION, "p", "in [0, 1]", [closed_low(0.0), closed_high(1.0)]),
+    *((accumulation_time, ACCUMULATION, name, ">= 0", [closed_low(0.0)]) for name in ACCUMULATION if name != "p"),
 ]
 
 CASES = [

@@ -113,6 +113,9 @@ def test_accumulation_time_edges():
         accumulation_time(0.0, 1e9, 1.0, 1e-3, 1e6)
     with pytest.raises(DomainError):
         accumulation_time(4e-4, 1e9, -1.0, 1e-3, 1e6)
+    # A routing probability is at most 1, as for choice_probabilities.
+    with pytest.raises(DomainError, match=r"^p must be in \[0, 1\], got 2.0$"):
+        accumulation_time(2.0, 1e6, 1.0, 1e-3, 1e6)
 
 
 

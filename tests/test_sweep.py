@@ -7,18 +7,26 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dualdet.sweep
-from dualdet.core import DomainError, SpdSpec, format_length, format_rate
+from dualdet.bb84 import Bb84Config
+from dualdet.core import (
+    DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, bisect_sign_change, format_length, format_rate,
+)
+from dualdet.decoy import DecoyConfig
 from dualdet.presets import FIGURE_IDS, figure_preset
-from dualdet.scenario import MODE_TO_ROLE, MODES, evaluate
+from dualdet.scenario import MODE_TO_ROLE, MODES, Scenario, evaluate
 from dualdet.sweep import (
     CSV_HEADER,
     CURVE_ROLES,
+    DISTANCE_TOL,
+    GridError,
     RateCurve,
     crossover_distance,
     length_grid,
     max_secure_distance,
+    _search_grid,
     save_curves_csv,
     sweep,
     sweep_preset,
@@ -42,10 +50,28 @@ def test_length_grid():
         length_grid(5.0, 5.0, 1.0)
     with pytest.raises(DomainError):
         length_grid(0.0, 5.0, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^need 0 <= l_min < l_max, got \[-1.0, 5.0\]$"):
         length_grid(-1.0, 5.0, 1.0)
-    with pytest.raises(DomainError, match="^step must be > 0, got nan$"):
-        length_grid(0.0, 10.0, math.nan)
+    with pytest.raises(DomainError, match="^step must be > 0, got -1.0$"):
+        length_grid(0.0, 5.0, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["l_min", "l_max", "step"])
+def test_length_grid_refuses_non_finite(name, bad):
+    # 10 / inf is 0 steps and 0 * inf is NaN: an infinite step used to give [nan].
+    args = {"l_min": 0.0, "l_max": 10.0, "step": 1.0, name: bad}
+    with pytest.raises(GridError, match=f"^{name} must be a finite number, got {bad!r}$"):
+        length_grid(**args)
+
+
+def test_search_grid_keeps_zero_under_a_huge_step(fig1):
+    # A step beyond 1e9 times the limit leaves length_grid one point, 0; the
+    # search grid still holds both 0 and the limit, so the cell is bisected.
+    dual = fig1.scenarios["dual"]
+    assert max_secure_distance(dual, 200.0, coarse_step=1e12) == max_secure_distance(dual, 200.0, coarse_step=200.0)
+    with pytest.raises(GridError, match="^step must be a finite number, got inf$"):
+        max_secure_distance(dual, 250.0, coarse_step=math.inf)
 
 
 def test_every_mode_fills_a_curve_role():
@@ -188,10 +214,12 @@ def count_evaluations(monkeypatch, evaluate_fn=evaluate) -> list:
     return lengths
 
 
-@pytest.mark.parametrize("fig_id, l_max, crossover_calls, maxdist_calls", [(1, 250.0, 405, 136), (5, 60.0, 48, 65)])
+@pytest.mark.parametrize("fig_id, l_max, crossover_calls, maxdist_calls", [(1, 250.0, 405, 19), (5, 60.0, 48, 17)])
 def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, l_max, crossover_calls, maxdist_calls):
     # Crossover: 3 scenarios x (grid 0..first crossing + 9 halvings of a 1 km
-    # cell). Maxdist: grid l_max down to the last positive point + 9 halvings.
+    # cell). Maxdist (BB84 and GMCS DR change sign once): l_max, 0, then
+    # ceil(log2(cells)) halvings of the grid's index range (8 of 250 cells,
+    # 6 of 60) to the last positive point, + 9 halvings of its 1 km cell.
     preset = figure_preset(fig_id)
     dual, envelope = preset.scenarios["dual"], [preset.scenarios["fast"], preset.scenarios["slow"]]
     lengths = count_evaluations(monkeypatch)
@@ -200,6 +228,101 @@ def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, l_max, crossov
     lengths.clear()
     max_secure_distance(dual, l_max)
     assert len(lengths) == maxdist_calls
+
+
+def backward_scan(rate, l_max, coarse_step):
+    """Reference maximum distance: walk the search grid backward from l_max
+    to the last positive point and bisect the cell after it."""
+    grid = _search_grid(l_max, coarse_step)
+    last = next((i for i in reversed(range(len(grid))) if rate(grid[i]) > 0.0), None)
+    if last is None:
+        return None
+    if last == len(grid) - 1:
+        return l_max
+    return bisect_sign_change(rate, grid[last], grid[last + 1], tol=DISTANCE_TOL / 5)
+
+
+def _hex_or_refusal(search, *args):
+    try:
+        answer = search(*args)
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc)
+    return None if answer is None else answer.hex()
+
+
+def specs(protocol, keyed):
+    """(detector, config, link) strategies drawing every number from a range
+    where keys are made (keyed) or from its whole domain."""
+    def floats(keyed_range, domain):
+        return st.floats(*(keyed_range if keyed else domain))
+
+    spd = st.builds(
+        SpdSpec, rep_rate=st.floats(1e3, 1e11), eta_d=floats((0.01, 1.0), (0.0, 1.0)),
+        y0=floats((1e-7, 1e-4), (0.0, 0.1)), e_det=floats((0.0, 0.05), (0.0, 0.5)),
+    )
+    sifting = dict(basis_factor=st.sampled_from((0.5, 1.0)), f_ec=floats((1.0, 1.3), (1.0, 2.0)))
+    parts = {
+        "bb84_single_photon": (spd, st.builds(Bb84Config, **sifting)),
+        "decoy_bb84": (spd, st.builds(DecoyConfig, mu=st.floats(0.01, 1.0), **sifting)),
+        "gmcs_dr": (
+            st.builds(HomodyneSpec, rep_rate=st.floats(1e3, 1e9), g_det=floats((0.8, 1.0), (0.01, 1.0)),
+                      eps_det=floats((0.0, 0.05), (0.0, 1.0))),
+            st.builds(GmcsSource, v=st.floats(1.01, 100.0), beta=floats((0.9, 1.0), (0.01, 1.0)),
+                      eps_pre=floats((0.0, 0.02), (0.0, 0.2))),
+        ),
+    }
+    link = st.builds(
+        LinkSpec, alpha=floats((0.15, 0.3), (0.0, 1.0)), g_bob=floats((0.8, 1.0), (0.01, 1.0)),
+        switch_loss=st.sampled_from((0.0, 3.0)),
+    )
+    return (*parts[protocol], link)
+
+
+#: The protocols whose rate changes sign at most once, with the modes they take.
+ONE_SIGN_CHANGE = {
+    "bb84_single_photon": ("single_fast", "single_slow", "dual"),
+    "decoy_bb84": MODES,
+    "gmcs_dr": ("single_fast", "single_slow", "dual"),
+}
+
+
+@pytest.mark.parametrize("protocol", ONE_SIGN_CHANGE)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_max_distance_search_matches_backward_scan(protocol, data):
+    # Where the rate changes sign once, halving the grid's index range finds
+    # the scan's last positive point, so the answer is the same float.
+    detectors, configs, links = specs(protocol, data.draw(st.booleans()))
+    scenario = Scenario(
+        protocol=protocol, mode=data.draw(st.sampled_from(ONE_SIGN_CHANGE[protocol])), link=data.draw(links),
+        config=data.draw(configs), fast=data.draw(detectors), slow=data.draw(detectors),
+    )
+    assert scenario._one_sign_change
+    l_max = data.draw(st.one_of(st.floats(0.5, 30.0), st.floats(0.5, 300.0)))
+    step = data.draw(st.floats(0.1, 20.0))
+    expected = _hex_or_refusal(backward_scan, lambda length: evaluate(scenario, length), l_max, step)
+    assert _hex_or_refusal(max_secure_distance, scenario, l_max, step) == expected
+
+
+@pytest.mark.parametrize("fig_id, config", [
+    (4, DecoyConfig(mu=1.5, basis_factor=0.5, f_ec=1.22)),
+    (6, None),
+    (7, None),
+], ids=["decoy_mu_above_1", "gmcs_rr_v40", "gmcs_rr_v20"])
+def test_unproved_rates_keep_the_backward_scan(monkeypatch, fig_id, config):
+    # Decoy with mu > 1 and GMCS RR have no proof of one sign change: the
+    # search walks the grid as the reference scan does, point for point.
+    dual = figure_preset(fig_id).scenarios["dual"]
+    if config is not None:
+        dual = dataclasses.replace(dual, config=config)
+    assert not dual._one_sign_change
+    l_max = 250.0 if config is not None else 60.0
+    scanned = []
+    expected = backward_scan(lambda length: scanned.append(length) or evaluate(dual, length), l_max, 1.0)
+    lengths = count_evaluations(monkeypatch)
+    assert expected is not None
+    assert max_secure_distance(dual, l_max) == expected
+    assert lengths == scanned
 
 
 def test_crossover_tangency_looks_one_point_ahead(monkeypatch):
