@@ -47,12 +47,18 @@ def bb84_gain(spd: SpdSpec, t: float) -> float:
     return spd.y0 + t * spd.eta_d
 
 
-def bb84_qber(spd: SpdSpec, t: float) -> float:
-    """Error rate of detected bits; dark counts contribute at rate E0."""
-    gain = bb84_gain(spd, t)
+def _arm(spd: SpdSpec, t: float) -> tuple[float, float]:
+    """(gain, QBER) of one detector arm, the gain computed once."""
+    eta = t * spd.eta_d
+    gain = spd.y0 + eta
     if gain == 0.0:
         raise ZeroDivisionError("gain is zero; QBER undefined")
-    return (E0 * spd.y0 + spd.e_det * (t * spd.eta_d)) / gain
+    return gain, (E0 * spd.y0 + spd.e_det * eta) / gain
+
+
+def bb84_qber(spd: SpdSpec, t: float) -> float:
+    """Error rate of detected bits; dark counts contribute at rate E0."""
+    return _arm(spd, t)[1]
 
 
 def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float) -> float:
@@ -70,8 +76,8 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     the length, and the rate has its sign: the gain is > 0 wherever the
     QBER is defined.
     """
-    gain = bb84_gain(keyed, t)
+    gain, e_keyed = _arm(keyed, t)
     # A single-detector receiver passes one detector twice: its arm is computed once.
-    h_keyed = binary_entropy(bb84_qber(keyed, t))
-    h_bounding = h_keyed if bounding is keyed else binary_entropy(bb84_qber(bounding, t))
+    h_keyed = binary_entropy(e_keyed)
+    h_bounding = h_keyed if bounding is keyed else binary_entropy(_arm(bounding, t)[1])
     return cfg.basis_factor * keyed.rep_rate * gain * (1.0 - cfg.f_ec * h_keyed - h_bounding)

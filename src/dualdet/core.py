@@ -148,6 +148,7 @@ class SpdSpec:
     e_det: probability that a detected photon lands on the wrong detector
         (misalignment plus cross-talk), per detector because a fast gate
         can suffer far worse adjacent-pulse cross-talk than a slow one.
+    eta_d and y0 may not both be 0: such a detector never clicks.
     """
 
     rep_rate: float
@@ -157,6 +158,8 @@ class SpdSpec:
 
     def __post_init__(self) -> None:
         check_fields(self, rep_rate="> 0 Hz", eta_d="in [0, 1]", y0="in [0, 1)", e_det="in [0, 0.5]")
+        if self.eta_d == 0.0 and self.y0 == 0.0:
+            raise DomainError("eta_d and y0 must not both be 0: the detector would never click")
 
 
 @dataclass(frozen=True)

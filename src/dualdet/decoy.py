@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bb84 import F_EC_RULE, bb84_gain, bb84_qber, check_sifting
+from .bb84 import F_EC_RULE, _arm, bb84_gain, bb84_qber, check_sifting
 from .core import E0, DomainError, SpdSpec, binary_entropy, bisect_sign_change, check_fields, check_number
 
 
@@ -42,13 +42,19 @@ def decoy_signal_gain(mu: float, spd: SpdSpec, t: float) -> float:
     return spd.y0 + 1.0 - math.exp(-eta * mu)
 
 
-def decoy_signal_qber(mu: float, spd: SpdSpec, t: float) -> float:
-    """Overall QBER of the signal state."""
+def _signal(mu: float, spd: SpdSpec, t: float) -> tuple[float, float]:
+    """(Q_mu, E_mu) of the signal state from one exp(-eta*mu)."""
     eta = t * spd.eta_d
-    gain = decoy_signal_gain(mu, spd, t)
+    vacuum = math.exp(-eta * mu)
+    gain = spd.y0 + 1.0 - vacuum
     if gain == 0.0:
         raise ZeroDivisionError("signal gain is zero; QBER undefined")
-    return (E0 * spd.y0 + spd.e_det * (1.0 - math.exp(-eta * mu))) / gain
+    return gain, (E0 * spd.y0 + spd.e_det * (1.0 - vacuum)) / gain
+
+
+def decoy_signal_qber(mu: float, spd: SpdSpec, t: float) -> float:
+    """Overall QBER of the signal state."""
+    return _signal(mu, spd, t)[1]
 
 
 def decoy_single_photon_gain(mu: float, spd: SpdSpec, t: float) -> float:
@@ -89,12 +95,12 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
       dual_no_pa only drops this term.
     For mu > 1 the y0 term can be positive, and no such bound is claimed.
     """
-    q_mu = decoy_signal_gain(cfg.mu, keyed, t)
-    e_mu = decoy_signal_qber(cfg.mu, keyed, t)
-    q_1 = decoy_single_photon_gain(cfg.mu, keyed, t)
+    mu = cfg.mu
+    q_mu, e_mu = _signal(mu, keyed, t)
+    q_1 = (keyed.y0 + t * keyed.eta_d) * mu * math.exp(-mu)  # decoy_single_photon_gain
     per_pulse = q_1 - cfg.f_ec * q_mu * binary_entropy(e_mu)
     if bounding is not None:
-        per_pulse -= q_1 * binary_entropy(decoy_single_photon_qber(cfg.mu, bounding, t))
+        per_pulse -= q_1 * binary_entropy(_arm(bounding, t)[1])
     return cfg.basis_factor * keyed.rep_rate * per_pulse
 
 

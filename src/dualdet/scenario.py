@@ -113,6 +113,20 @@ def evaluate(scenario: Scenario, length_km: float) -> float:
     return kernel(keyed, bounding, config, channel_transmittance(alpha, length_km) * factor)
 
 
+def _raw_rates(scenarios, lengths: tuple[float, ...]) -> list[tuple[float, ...]]:
+    """evaluate's raw rates of each scenario at each length, computing the
+    fiber transmittance once per length for each distinct attenuation."""
+    columns = {}
+    rates = []
+    for scenario in scenarios:
+        kernel, keyed, bounding, config, alpha, factor = scenario._plan
+        column = columns.get(alpha)
+        if column is None:
+            column = columns[alpha] = [channel_transmittance(alpha, length) for length in lengths]
+        rates.append(tuple([kernel(keyed, bounding, config, t * factor) for t in column]))
+    return rates
+
+
 # ---------------------------------------------------------------------------
 # JSON loading
 

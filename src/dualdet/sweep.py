@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Mapping, Sequence, TextIO
 
 from .core import LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change, check_number
-from .scenario import Scenario, evaluate
+from .scenario import Scenario, _raw_rates, evaluate
 
 #: Half-width of the bracket accepted by the distance bisections, km.
 DISTANCE_TOL = 0.01
@@ -80,13 +80,10 @@ def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
     return grid
 
 
-def _curve(scenario: Scenario, lengths: tuple[float, ...]) -> RateCurve:
-    return RateCurve(lengths, tuple([evaluate(scenario, length) for length in lengths]))
-
-
 def sweep(scenario: Scenario, l_min: float, l_max: float, step: float) -> RateCurve:
     """Evaluate the scenario on the inclusive grid."""
-    return _curve(scenario, tuple(length_grid(l_min, l_max, step)))
+    lengths = tuple(length_grid(l_min, l_max, step))
+    return RateCurve(lengths, _raw_rates((scenario,), lengths)[0])
 
 
 def _search_grid(l_max_search: float, coarse_step: float) -> list[float]:
@@ -215,4 +212,5 @@ def save_curves_csv(curves: Mapping[str, RateCurve], path: str | Path) -> None:
 def sweep_preset(preset) -> dict[str, RateCurve]:
     """Sweep the preset's three scenarios over its one grid, keyed by role."""
     lengths = tuple(length_grid(preset.l_min, preset.l_max, preset.step))
-    return {role: _curve(preset.scenarios[role], lengths) for role in CURVE_ROLES}
+    raws = _raw_rates([preset.scenarios[role] for role in CURVE_ROLES], lengths)
+    return {role: RateCurve(lengths, raw) for role, raw in zip(CURVE_ROLES, raws)}

@@ -45,9 +45,10 @@ def test_qber_examples():
 
 
 def test_qber_zero_gain():
-    dead = SpdSpec(rep_rate=1e9, eta_d=0.0, y0=0.0, e_det=0.018)
-    with pytest.raises(ZeroDivisionError):
-        bb84_qber(dead, t_at(0.0))
+    # A clean detector with no light reaching it never clicks.
+    clean = SpdSpec(rep_rate=1e9, eta_d=0.059, y0=0.0, e_det=0.018)
+    with pytest.raises(ZeroDivisionError, match="^gain is zero; QBER undefined$"):
+        bb84_qber(clean, 0.0)
 
 
 def test_rate_single_examples():

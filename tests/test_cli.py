@@ -228,10 +228,11 @@ def test_sweep_to_a_directory_is_a_config_error(dual_config, tmp_path):
 
 
 def test_unwritable_out_is_refused_before_any_evaluation(dual_config, tmp_path, monkeypatch, capsys):
-    import dualdet.sweep
+    import dualdet.scenario
 
     calls = []
-    monkeypatch.setattr(dualdet.sweep, "evaluate", lambda *args: calls.append(args) or 0.0)
+    # Sweeps and evaluate both reach the fiber transmittance through this binding.
+    monkeypatch.setattr(dualdet.scenario, "channel_transmittance", lambda *args: calls.append(args) or 1.0)
     assert main(["sweep", "--config", dual_config, "--lmax", "250", "--out", str(tmp_path)]) == 2
     assert f"cannot write {tmp_path}" in capsys.readouterr().err
     assert calls == []
@@ -352,6 +353,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text(json.dumps({**BB84_DUAL, "surprise": 1}))
     assert main(["rate", "--config", str(bad), "--length", "10"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_detector_that_never_clicks_exit_code(tmp_path, capsys):
+    dead = {"spd": {"rep_rate_hz": 1e9, "eta_d": 0.0, "y0": 0.0, "e_det": 0.018}}
+    bad = write_variant(tmp_path, "dead.json", mode="single_fast", detectors=[dead])
+    assert main(["rate", "--config", bad, "--length", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "eta_d and y0" in err
 
 
 def test_missing_file_exit_code(tmp_path):

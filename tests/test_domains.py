@@ -135,3 +135,15 @@ def test_non_finite_reported_before_range(cls):
         bad["basis_factor"] = 0.7
     with pytest.raises(DomainError, match=f"^{last} must be a finite number, got nan$"):
         cls(**bad)
+
+
+@pytest.mark.parametrize("eta_d, y0", [(0.0, 0.0), (0.0, 5e-324), (5e-324, 0.0)])
+def test_spd_must_be_able_to_click(eta_d, y0):
+    # Each field's own rule admits 0, but a detector with neither efficiency
+    # nor dark counts never clicks, so no QBER is defined at any length.
+    kwargs = dict(CLASSES[SpdSpec][0], eta_d=eta_d, y0=y0)
+    if eta_d or y0:
+        SpdSpec(**kwargs)
+        return
+    with pytest.raises(DomainError, match="^eta_d and y0 must not both be 0: the detector would never click$"):
+        SpdSpec(**kwargs)

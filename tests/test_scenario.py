@@ -281,10 +281,11 @@ def test_non_finite_and_bool_numbers_rejected(spec, path, value):
         scenario_from_dict(json.loads(json.dumps(bad)))
 
 
-SPDS = st.builds(
-    SpdSpec, rep_rate=st.floats(1e3, 1e11), eta_d=st.floats(0.0, 1.0),
-    y0=st.floats(0.0, 0.1), e_det=st.floats(0.0, 0.5),
-)
+# eta_d and y0 may not both be 0, so a detector with eta_d = 0 draws y0 > 0.
+SPDS = st.floats(0.0, 1.0).flatmap(lambda eta_d: st.builds(
+    SpdSpec, rep_rate=st.floats(1e3, 1e11), eta_d=st.just(eta_d),
+    y0=st.floats(0.0, 0.1, exclude_min=eta_d == 0.0), e_det=st.floats(0.0, 0.5),
+))
 HOMODYNES = st.builds(
     HomodyneSpec, rep_rate=st.floats(1e3, 1e9), g_det=st.floats(0.01, 1.0), eps_det=st.floats(0.0, 1.0)
 )

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dualdet.scenario
 import dualdet.sweep
 from dualdet.bb84 import Bb84Config
 from dualdet.core import (
@@ -126,6 +127,66 @@ def test_sweep_preset_shares_one_grid(fig1):
     lengths = curves["dual"].lengths
     assert curves["fast"].lengths is lengths and curves["slow"].lengths is lengths
     assert lengths == tuple(length_grid(0.0, 250.0, 1.0))
+
+
+def _hex_or_error(rates):
+    """float.hex() of each rate of a callable's result, or its exception type and message."""
+    try:
+        return [r.hex() for r in rates()]
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+#: Every protocol x mode, from the preset receivers: (fig_id, mode).
+PROTOCOL_MODES = [
+    (fig_id, mode)
+    for fig_id in (1, 4, 5, 6)
+    for mode in MODES
+    if mode != "dual_no_pa" or fig_id == 4
+]
+
+
+@pytest.mark.parametrize("fig_id, mode", PROTOCOL_MODES)
+@pytest.mark.parametrize("alpha, switch_loss", [(0.21, 0.0), (0.16, 3.0)])
+def test_sweep_is_evaluate_bit_for_bit(fig_id, mode, alpha, switch_loss):
+    preset = figure_preset(fig_id)
+    dual = preset.scenarios["dual"]
+    scenario = dataclasses.replace(dual, mode=mode, link=LinkSpec(alpha, g_bob=dual.link.g_bob, switch_loss=switch_loss))
+    grid = length_grid(preset.l_min, preset.l_max, preset.step)
+    expected = [evaluate(scenario, length).hex() for length in grid]
+    assert _hex_or_error(lambda: sweep(scenario, preset.l_min, preset.l_max, preset.step).raw) == expected
+
+
+def test_sweep_refuses_as_evaluate_does():
+    # Past the GMCS model domain the sweep raises evaluate's first refusal.
+    dual = figure_preset(5).scenarios["dual"]
+    grid = length_grid(0.0, 20000.0, 1000.0)
+    assert _hex_or_error(lambda: sweep(dual, 0.0, 20000.0, 1000.0).raw) == _hex_or_error(
+        lambda: [evaluate(dual, length) for length in grid])
+
+
+def _mixed_attenuation_preset():
+    """Preset 4's scenarios over its grid with the fast curve on a 0.16 dB/km fiber."""
+    preset = figure_preset(4)
+    fast = preset.scenarios["fast"]
+    scenarios = {**preset.scenarios, "fast": dataclasses.replace(fast, link=dataclasses.replace(fast.link, alpha=0.16))}
+    return dataclasses.replace(preset, scenarios=scenarios)
+
+
+@pytest.mark.parametrize("fig_id", [*FIGURE_IDS, "mixed"])
+def test_sweep_preset_is_evaluate_bit_for_bit(monkeypatch, fig_id):
+    preset = _mixed_attenuation_preset() if fig_id == "mixed" else figure_preset(fig_id)
+    grid = length_grid(preset.l_min, preset.l_max, preset.step)
+    expected = {role: [evaluate(s, length).hex() for length in grid] for role, s in preset.scenarios.items()}
+    calls = []
+    original = dualdet.scenario.channel_transmittance
+    monkeypatch.setattr(dualdet.scenario, "channel_transmittance", lambda *args: calls.append(args) or original(*args))
+    curves = sweep_preset(preset)
+    assert {role: [r.hex() for r in curve.raw] for role, curve in curves.items()} == expected
+    # One fiber transmittance per length for each distinct attenuation (the mixed set has two).
+    alphas = {s.link.alpha for s in preset.scenarios.values()}
+    assert len(calls) == len(alphas) * len(grid)
+    assert len(grid) == (241 if preset.scenarios["dual"].protocol.startswith("gmcs") else 251)
 
 
 @pytest.mark.parametrize("fig_id", range(1, 10))
@@ -253,13 +314,14 @@ def _hex_or_refusal(search, *args):
 def specs(protocol, keyed):
     """(detector, config, link) strategies drawing every number from a range
     where keys are made (keyed) or from its whole domain."""
-    def floats(keyed_range, domain):
-        return st.floats(*(keyed_range if keyed else domain))
+    def floats(keyed_range, domain, **kwargs):
+        return st.floats(*(keyed_range if keyed else domain), **kwargs)
 
-    spd = st.builds(
-        SpdSpec, rep_rate=st.floats(1e3, 1e11), eta_d=floats((0.01, 1.0), (0.0, 1.0)),
-        y0=floats((1e-7, 1e-4), (0.0, 0.1)), e_det=floats((0.0, 0.05), (0.0, 0.5)),
-    )
+    # eta_d and y0 may not both be 0, so a detector with eta_d = 0 draws y0 > 0.
+    spd = floats((0.01, 1.0), (0.0, 1.0)).flatmap(lambda eta_d: st.builds(
+        SpdSpec, rep_rate=st.floats(1e3, 1e11), eta_d=st.just(eta_d),
+        y0=floats((1e-7, 1e-4), (0.0, 0.1), exclude_min=eta_d == 0.0), e_det=floats((0.0, 0.05), (0.0, 0.5)),
+    ))
     sifting = dict(basis_factor=st.sampled_from((0.5, 1.0)), f_ec=floats((1.0, 1.3), (1.0, 2.0)))
     parts = {
         "bb84_single_photon": (spd, st.builds(Bb84Config, **sifting)),
