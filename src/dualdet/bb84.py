@@ -47,18 +47,30 @@ def bb84_gain(spd: SpdSpec, t: float) -> float:
     return spd.y0 + t * spd.eta_d
 
 
-def _arm(spd: SpdSpec, t: float) -> tuple[float, float]:
-    """(gain, QBER) of one detector arm, the gain computed once."""
+def bb84_qber(spd: SpdSpec, t: float) -> float:
+    """Error rate of detected bits; dark counts contribute at rate E0."""
+    gain = bb84_gain(spd, t)
+    if gain == 0.0:
+        raise ZeroDivisionError("gain is zero; QBER undefined")
+    return (E0 * spd.y0 + spd.e_det * (t * spd.eta_d)) / gain
+
+
+def _arm(cfg, spd: SpdSpec, t: float) -> tuple[float, float]:
+    """(gain, H2(QBER)) of one detector arm, the gain computed once; cfg is
+    not read. The terms of a BB84 arm and of decoy's bounding arm. The QBER
+    is bb84_qber's, written out: a call to it would add a call per arm to
+    evaluate, the distance searches' hot path."""
     eta = t * spd.eta_d
     gain = spd.y0 + eta
     if gain == 0.0:
         raise ZeroDivisionError("gain is zero; QBER undefined")
-    return gain, (E0 * spd.y0 + spd.e_det * eta) / gain
+    return gain, binary_entropy((E0 * spd.y0 + spd.e_det * eta) / gain)
 
 
-def bb84_qber(spd: SpdSpec, t: float) -> float:
-    """Error rate of detected bits; dark counts contribute at rate E0."""
-    return _arm(spd, t)[1]
+def _combine(cfg: Bb84Config, keyed: SpdSpec, keyed_terms, bounding_terms) -> float:
+    """The rate from the keyed arm's gain and H2 and the bounding arm's H2."""
+    gain, h_keyed = keyed_terms
+    return cfg.basis_factor * keyed.rep_rate * gain * (1.0 - cfg.f_ec * h_keyed - bounding_terms[1])
 
 
 def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float) -> float:
@@ -66,7 +78,8 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
 
     t is the transmittance from the source to either detector. May be
     negative when the error-correction and privacy-amplification costs
-    exceed one bit per detection; callers clamp for plotting.
+    exceed one bit per detection; callers clamp for plotting. A
+    single-detector receiver passes one detector twice: its arm is computed once.
 
     The rate turns from positive to non-positive at most once as the length
     grows (t falls). Each arm's QBER e(t) = (E0*y0 + e_det*t*eta_d)/(y0 + t*eta_d)
@@ -76,8 +89,5 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     the length, and the rate has its sign: the gain is > 0 wherever the
     QBER is defined.
     """
-    gain, e_keyed = _arm(keyed, t)
-    # A single-detector receiver passes one detector twice: its arm is computed once.
-    h_keyed = binary_entropy(e_keyed)
-    h_bounding = h_keyed if bounding is keyed else binary_entropy(_arm(bounding, t)[1])
-    return cfg.basis_factor * keyed.rep_rate * gain * (1.0 - cfg.f_ec * h_keyed - h_bounding)
+    terms = _arm(cfg, keyed, t)
+    return _combine(cfg, keyed, terms, terms if bounding is keyed else _arm(cfg, bounding, t))

@@ -42,19 +42,13 @@ def decoy_signal_gain(mu: float, spd: SpdSpec, t: float) -> float:
     return spd.y0 + 1.0 - math.exp(-eta * mu)
 
 
-def _signal(mu: float, spd: SpdSpec, t: float) -> tuple[float, float]:
-    """(Q_mu, E_mu) of the signal state from one exp(-eta*mu)."""
-    eta = t * spd.eta_d
-    vacuum = math.exp(-eta * mu)
-    gain = spd.y0 + 1.0 - vacuum
-    if gain == 0.0:
-        raise ZeroDivisionError("signal gain is zero; QBER undefined")
-    return gain, (E0 * spd.y0 + spd.e_det * (1.0 - vacuum)) / gain
-
-
 def decoy_signal_qber(mu: float, spd: SpdSpec, t: float) -> float:
     """Overall QBER of the signal state."""
-    return _signal(mu, spd, t)[1]
+    eta = t * spd.eta_d
+    gain = decoy_signal_gain(mu, spd, t)
+    if gain == 0.0:
+        raise ZeroDivisionError("signal gain is zero; QBER undefined")
+    return (E0 * spd.y0 + spd.e_det * (1.0 - math.exp(-eta * mu))) / gain
 
 
 def decoy_single_photon_gain(mu: float, spd: SpdSpec, t: float) -> float:
@@ -95,12 +89,31 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
       dual_no_pa only drops this term.
     For mu > 1 the y0 term can be positive, and no such bound is claimed.
     """
+    terms = _signal(cfg, keyed, t)
+    return _combine(cfg, keyed, terms, None if bounding is None else _arm(cfg, bounding, t))
+
+
+def _signal(cfg: DecoyConfig, spd: SpdSpec, t: float) -> tuple[float, float, float]:
+    """(Q_mu, H2(E_mu), Q_1) of the keyed arm, Q_mu and E_mu from one
+    exp(-eta*mu). E_mu is decoy_signal_qber's and Q_1 is
+    decoy_single_photon_gain's, written out: calls to them would add calls
+    per arm to evaluate, the distance searches' hot path."""
     mu = cfg.mu
-    q_mu, e_mu = _signal(mu, keyed, t)
-    q_1 = (keyed.y0 + t * keyed.eta_d) * mu * math.exp(-mu)  # decoy_single_photon_gain
-    per_pulse = q_1 - cfg.f_ec * q_mu * binary_entropy(e_mu)
-    if bounding is not None:
-        per_pulse -= q_1 * binary_entropy(_arm(bounding, t)[1])
+    eta = t * spd.eta_d
+    vacuum = math.exp(-eta * mu)
+    q_mu = spd.y0 + 1.0 - vacuum
+    if q_mu == 0.0:
+        raise ZeroDivisionError("signal gain is zero; QBER undefined")
+    h_mu = binary_entropy((E0 * spd.y0 + spd.e_det * (1.0 - vacuum)) / q_mu)
+    return q_mu, h_mu, (spd.y0 + eta) * mu * math.exp(-mu)
+
+
+def _combine(cfg: DecoyConfig, keyed: SpdSpec, keyed_terms, bounding_terms) -> float:
+    """The rate from the keyed arm's terms and, unless None, the bounding arm's H2(e_1)."""
+    q_mu, h_mu, q_1 = keyed_terms
+    per_pulse = q_1 - cfg.f_ec * q_mu * h_mu
+    if bounding_terms is not None:
+        per_pulse -= q_1 * bounding_terms[1]
     return cfg.basis_factor * keyed.rep_rate * per_pulse
 
 

@@ -107,11 +107,16 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     I_AE = (1/2)*log2[(v*chi+1)/(chi+1)] rises in chi, so with beta > 0
     beta*I_AB - I_AE falls strictly.
     """
-    _, chi_vac, eps_keyed = noise_budget(source, keyed, t)
-    eps_bounding = eps_keyed if bounding is keyed else noise_budget(source, bounding, t)[2]
+    terms = noise_budget(source, keyed, t)
+    return _dr_combine(source, keyed, terms, terms if bounding is keyed else noise_budget(source, bounding, t))
+
+
+def _dr_combine(source: GmcsSource, keyed: HomodyneSpec, keyed_terms, bounding_terms) -> float:
+    """The DR rate from two noise budgets: the keyed arm's chi_vac, each arm's eps."""
+    _, chi_vac, eps_keyed = keyed_terms
     return keyed.rep_rate * (
         source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
-        - info_ae(source.v, chi_vac + eps_bounding)
+        - info_ae(source.v, chi_vac + bounding_terms[2])
     )
 
 
@@ -127,9 +132,14 @@ def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
         raise MismatchedEfficiencyError(
             f"detector efficiencies differ: {keyed.g_det} vs {bounding.g_det}"
         )
-    g, chi_vac, eps_keyed = noise_budget(source, keyed, t)
-    eps_bounding = eps_keyed if bounding is keyed else noise_budget(source, bounding, t)[2]
+    terms = noise_budget(source, keyed, t)
+    return _rr_combine(source, keyed, terms, terms if bounding is keyed else noise_budget(source, bounding, t))
+
+
+def _rr_combine(source: GmcsSource, keyed: HomodyneSpec, keyed_terms, bounding_terms) -> float:
+    """The RR rate from two noise budgets: the keyed arm's g and chi_vac, each arm's eps."""
+    g, chi_vac, eps_keyed = keyed_terms
     return keyed.rep_rate * (
         source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
-        - info_be(source.v, chi_vac + eps_bounding, g)
+        - info_be(source.v, chi_vac + bounding_terms[2], g)
     )

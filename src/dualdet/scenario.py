@@ -21,15 +21,22 @@ from .core import (
     channel_transmittance, db_to_transmittance,
 )
 
-#: protocol -> (config type, detector type, rate kernel(keyed, bounding, config, t),
-#: whether a config's rate turns from positive to non-positive at most once as
-#: the length grows, for every mode and detector: each True is proved in the
-#: kernel's docstring, and max_secure_distance then binary-searches its grid).
+#: protocol -> (config type, detector type, keyed arm(config, detector, t),
+#: bounding arm(config, detector, t), combine(config, keyed detector, keyed
+#: terms, bounding terms or None), whether a config's rate turns from positive
+#: to non-positive at most once as the length grows, for every mode and
+#: detector: each True is proved in the public kernel's docstring, gmcs_rr has
+#: no proof, and max_secure_distance then binary-searches its grid). An arm
+#: returns one detector's terms; each public kernel (bb84_rate_dual, ...) is
+#: the row's three functions composed.
 _PROTOCOLS = {
-    "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84.bb84_rate_dual, lambda cfg: True),
-    "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy.decoy_rate_dual, lambda cfg: cfg.mu <= 1.0),
-    "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs.gmcs_dr_rate_dual, lambda cfg: True),
-    "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.gmcs_rr_rate_dual, lambda cfg: False),  # no proof
+    "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84._arm, bb84._arm, bb84._combine, lambda cfg: True),
+    "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy._signal, bb84._arm, decoy._combine,
+                   lambda cfg: cfg.mu <= 1.0),
+    "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs.noise_budget, gmcs.noise_budget, gmcs._dr_combine,
+                lambda cfg: True),
+    "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.noise_budget, gmcs.noise_budget, gmcs._rr_combine,
+                lambda cfg: False),
 }
 #: mode -> (keyed arm, bounding arm, behind the switch). A single detector
 #: is the dual receiver with that detector on both arms at the same t; no
@@ -63,12 +70,18 @@ class Scenario:
         # Resolve once what evaluate needs besides the length: the receiver
         # optics g_bob and the switch are one factor on the fiber transmittance.
         keyed, bounding, switched = _ARMS[self.mode]
-        _, _, kernel, one_sign_change = _PROTOCOLS[self.protocol]
+        _, _, keyed_arm, bounding_arm, combine, one_sign_change = _PROTOCOLS[self.protocol]
         factor = self.link.g_bob
         if switched:
             factor *= db_to_transmittance(self.link.switch_loss)
+        keyed_det = getattr(self, keyed)
         bounding_det = None if bounding is None else getattr(self, bounding)
-        plan = (kernel, getattr(self, keyed), bounding_det, self.config, self.link.alpha, factor)
+        if bounding_det is None:
+            bounding_arm = _no_arm
+        # One detector with one arm function (the BB84 and GMCS single modes): evaluate computes it once.
+        shared = bounding_det is keyed_det and bounding_arm is keyed_arm
+        plan = (keyed_arm, bounding_arm, combine, keyed_det, bounding_det, self.config, self.link.alpha, factor,
+                shared)
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_one_sign_change", one_sign_change(self.config))
 
@@ -109,21 +122,47 @@ def validate_scenario(s: Scenario) -> None:
 
 def evaluate(scenario: Scenario, length_km: float) -> float:
     """Raw (unclamped) key rate in bits/s at the given fiber length."""
-    kernel, keyed, bounding, config, alpha, factor = scenario._plan
-    return kernel(keyed, bounding, config, channel_transmittance(alpha, length_km) * factor)
+    keyed_arm, bounding_arm, combine, keyed, bounding, config, alpha, factor, shared = scenario._plan
+    t = channel_transmittance(alpha, length_km) * factor
+    terms = keyed_arm(config, keyed, t)
+    return combine(config, keyed, terms, terms if shared else bounding_arm(config, bounding, t))
+
+
+def _no_arm(config, detector, t) -> None:
+    """The bounding arm of a mode without one: no terms, no privacy-amplification cost."""
+    return None
 
 
 def _raw_rates(scenarios, lengths: tuple[float, ...]) -> list[tuple[float, ...]]:
-    """evaluate's raw rates of each scenario at each length, computing the
-    fiber transmittance once per length for each distinct attenuation."""
+    """evaluate's raw rates of each scenario at each length.
+
+    Each column is computed once per call: the fiber transmittance for each
+    distinct attenuation, t for each (attenuation, factor), and the terms of
+    each arm for each (arm function, detector, config, attenuation, factor).
+    A single-detector mode reads one column for both arms, and in a preset
+    without a switch the dual curve takes its keyed terms from the fast
+    curve and its bounding terms from the slow one. If anything raises, the
+    scenarios are evaluated in order, length by length, so the error is the
+    one evaluate raises first.
+    """
     columns = {}
     rates = []
-    for scenario in scenarios:
-        kernel, keyed, bounding, config, alpha, factor = scenario._plan
-        column = columns.get(alpha)
-        if column is None:
-            column = columns[alpha] = [channel_transmittance(alpha, length) for length in lengths]
-        rates.append(tuple([kernel(keyed, bounding, config, t * factor) for t in column]))
+    try:
+        for scenario in scenarios:
+            keyed_arm, bounding_arm, combine, keyed, bounding, config, alpha, factor, _ = scenario._plan
+            if alpha not in columns:
+                columns[alpha] = [channel_transmittance(alpha, length) for length in lengths]
+            if (alpha, factor) not in columns:
+                columns[alpha, factor] = [u * factor for u in columns[alpha]]
+            arms = []
+            for arm, det in ((keyed_arm, keyed), (bounding_arm, bounding)):
+                key = (arm, id(det), id(config), alpha, factor)
+                if key not in columns:
+                    columns[key] = [arm(config, det, t) for t in columns[alpha, factor]]
+                arms.append(columns[key])
+            rates.append(tuple([combine(config, keyed, k, b) for k, b in zip(*arms)]))
+    except (ArithmeticError, ValueError):  # DomainError is a ValueError
+        return [tuple([evaluate(scenario, length) for length in lengths]) for scenario in scenarios]
     return rates
 
 

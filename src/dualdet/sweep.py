@@ -16,6 +16,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence, TextIO
 
@@ -30,6 +31,7 @@ MAX_GRID_POINTS = 1_000_000
 
 CURVE_ROLES = ("dual", "fast", "slow")
 CSV_HEADER = ("length_km", *(f"rate_{role}_bps" for role in CURVE_ROLES))
+_ZERO_RATE = RATE_FORMAT % 0.0
 
 
 class GridError(ConfigError, DomainError):
@@ -193,9 +195,11 @@ def write_curves_csv(curves: Mapping[str, RateCurve], out: TextIO) -> None:
     if any(c.lengths != lengths for c in curves.values()):
         raise DomainError("all curves must share one length grid")
 
-    row = ",".join([LENGTH_FORMAT, *(RATE_FORMAT if role in curves else "" for role in CURVE_ROLES)]) + "\n"
-    columns = [curves[role].rates for role in CURVE_ROLES if role in curves]
-    out.write(",".join(CSV_HEADER) + "\n" + "".join([row % cells for cells in zip(lengths, *columns)]))
+    # RateCurve.rates clamps every non-positive rate to 0.0, so a false cell is a clamped zero.
+    columns = [[LENGTH_FORMAT % length for length in lengths]]
+    columns += [[RATE_FORMAT % r if r else _ZERO_RATE for r in curves[role].rates] if role in curves
+                else repeat("") for role in CURVE_ROLES]
+    out.write("\n".join([",".join(CSV_HEADER), *map(",".join, zip(*columns))]) + "\n")
 
 
 def save_curves_csv(curves: Mapping[str, RateCurve], path: str | Path) -> None:

@@ -1,7 +1,9 @@
-"""The per-arm BB84 and decoy kernels give the same bits as the term-by-term formulas.
+"""The kernels, composed of per-arm terms and one combine, give the same bits
+as the whole-formula kernels they replaced.
 
 The reference functions below compute every gain and QBER through its own
-helper, as the kernels once did. Each kernel and public helper must return
+helper, as the BB84 and decoy kernels once did, and each GMCS rate from its
+two noise budgets in one function. Each kernel and public helper must return
 the same float (compared by float.hex()), or raise the same exception type
 with the same message, for numbers drawn from each field's whole domain.
 """
@@ -11,10 +13,13 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from dualdet.bb84 import Bb84Config, bb84_gain, bb84_qber, bb84_rate_dual
-from dualdet.core import E0, DomainError, SpdSpec, binary_entropy
+from dualdet.core import E0, DomainError, GmcsSource, HomodyneSpec, SpdSpec, binary_entropy
 from dualdet.decoy import (
     DecoyConfig, decoy_rate_dual, decoy_signal_gain, decoy_signal_qber, decoy_single_photon_gain,
     decoy_single_photon_qber,
+)
+from dualdet.gmcs import (
+    MismatchedEfficiencyError, gmcs_dr_rate_dual, gmcs_rr_rate_dual, info_ae, info_be, mutual_info_ab, noise_budget,
 )
 
 
@@ -65,6 +70,28 @@ def ref_decoy_rate_dual(keyed, bounding, cfg, t):
     if bounding is not None:
         per_pulse -= q_1 * binary_entropy(ref_decoy_single_photon_qber(cfg.mu, bounding, t))
     return cfg.basis_factor * keyed.rep_rate * per_pulse
+
+
+def ref_gmcs_dr_rate_dual(keyed, bounding, source, t):
+    _, chi_vac, eps_keyed = noise_budget(source, keyed, t)
+    eps_bounding = eps_keyed if bounding is keyed else noise_budget(source, bounding, t)[2]
+    return keyed.rep_rate * (
+        source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
+        - info_ae(source.v, chi_vac + eps_bounding)
+    )
+
+
+def ref_gmcs_rr_rate_dual(keyed, bounding, source, t):
+    if keyed.g_det != bounding.g_det:
+        raise MismatchedEfficiencyError(
+            f"detector efficiencies differ: {keyed.g_det} vs {bounding.g_det}"
+        )
+    g, chi_vac, eps_keyed = noise_budget(source, keyed, t)
+    eps_bounding = eps_keyed if bounding is keyed else noise_budget(source, bounding, t)[2]
+    return keyed.rep_rate * (
+        source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
+        - info_be(source.v, chi_vac + eps_bounding, g)
+    )
 
 
 def outcome(fn, *args):
@@ -132,3 +159,35 @@ def test_zero_gain_messages_are_kept():
         ZeroDivisionError, "gain is zero; QBER undefined")
     assert outcome(decoy_rate_dual, clean, None, cfg, 0.0) == (
         ZeroDivisionError, "signal gain is zero; QBER undefined")
+
+
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+#: Each field from its whole domain, where most draws leave the model's domain,
+#: or from the receivers' working range, where most rates are finite.
+homodynes = st.one_of(
+    st.builds(HomodyneSpec, rep_rate=positive(), g_det=st.floats(0.0, 1.0, exclude_min=True), eps_det=non_negative),
+    st.builds(HomodyneSpec, rep_rate=st.floats(1e5, 1e9), g_det=st.floats(0.05, 1.0), eps_det=st.floats(0.0, 1.0)),
+)
+sources = st.one_of(
+    st.builds(GmcsSource, v=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+              beta=st.floats(0.0, 1.0, exclude_min=True), eps_pre=non_negative),
+    st.builds(GmcsSource, v=st.floats(1.5, 100.0), beta=st.floats(0.5, 1.0), eps_pre=st.floats(0.0, 0.2)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed=homodynes, other=homodynes, arms=st.sampled_from(("dual", "single", "equal_g_det")),
+       t=st.one_of(transmittances, st.floats(1e-3, 1.0)), source=sources)
+def test_gmcs_rate_dual_matches_reference(keyed, other, arms, t, source):
+    # "equal_g_det" gives reverse reconciliation a bounding arm it accepts.
+    bounding = {"dual": other, "single": keyed,
+                "equal_g_det": HomodyneSpec(other.rep_rate, keyed.g_det, other.eps_det)}[arms]
+    for kernel, reference in ((gmcs_dr_rate_dual, ref_gmcs_dr_rate_dual), (gmcs_rr_rate_dual, ref_gmcs_rr_rate_dual)):
+        assert outcome(kernel, keyed, bounding, source, t) == outcome(reference, keyed, bounding, source, t), kernel
+
+
+def test_mismatched_efficiency_message_is_kept():
+    source = GmcsSource(v=40.0, beta=1.0, eps_pre=0.05)
+    fast, slow = HomodyneSpec(82e6, 0.8, 0.43), HomodyneSpec(1e6, 0.3, 0.01)
+    assert outcome(gmcs_rr_rate_dual, fast, slow, source, 0.5) == (
+        MismatchedEfficiencyError, "detector efficiencies differ: 0.8 vs 0.3")

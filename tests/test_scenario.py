@@ -339,13 +339,11 @@ def test_single_equals_dual_with_one_detector(protocol, mode, data):
     ("gmcs_rr", gmcs, "noise_budget"),
 ], ids=["bb84_single_photon", "gmcs_dr", "gmcs_rr"])
 @pytest.mark.parametrize("role, arms", [("fast", 1), ("slow", 1), ("dual", 2)])
-def test_each_detector_arm_is_computed_once(monkeypatch, protocol, module, arm_function, role, arms):
+def test_each_detector_arm_is_computed_once(count_calls, protocol, module, arm_function, role, arms):
     # A single-detector kernel gets one detector on both arms and computes it once.
-    preset = next(f for f in FIGURES if f.scenarios["dual"].protocol == protocol)
-    calls = []
-    original = getattr(module, arm_function)
-    monkeypatch.setattr(module, arm_function, lambda *a: calls.append(a) or original(*a))
-    evaluate(preset.scenarios[role], 10.0)
+    calls = count_calls(getattr(module, arm_function))
+    fig_id = next(f.fig_id for f in FIGURES if f.scenarios["dual"].protocol == protocol)
+    evaluate(figure_preset(fig_id).scenarios[role], 10.0)
     assert len(calls) == arms
 
 

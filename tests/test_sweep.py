@@ -13,10 +13,12 @@ import dualdet.scenario
 import dualdet.sweep
 from dualdet.bb84 import Bb84Config
 from dualdet.core import (
-    DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, bisect_sign_change, format_length, format_rate,
+    DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, binary_entropy, bisect_sign_change, format_length,
+    format_rate,
 )
 from dualdet.decoy import DecoyConfig
-from dualdet.presets import FIGURE_IDS, figure_preset
+from dualdet.gmcs import noise_budget
+from dualdet.presets import FIGURE_IDS, FigurePreset, figure_preset
 from dualdet.scenario import MODE_TO_ROLE, MODES, Scenario, evaluate
 from dualdet.sweep import (
     CSV_HEADER,
@@ -187,6 +189,47 @@ def test_sweep_preset_is_evaluate_bit_for_bit(monkeypatch, fig_id):
     alphas = {s.link.alpha for s in preset.scenarios.values()}
     assert len(calls) == len(alphas) * len(grid)
     assert len(grid) == (241 if preset.scenarios["dual"].protocol.startswith("gmcs") else 251)
+
+
+@pytest.mark.parametrize("fig_id, arm_function, columns", [
+    (1, binary_entropy, 2), (2, binary_entropy, 2), (3, binary_entropy, 2),
+    (4, binary_entropy, 4),  # decoy's keyed and bounding arms, per detector
+    (5, noise_budget, 2), (6, noise_budget, 2), (7, noise_budget, 2),
+    (8, binary_entropy, 4), (9, binary_entropy, 4),  # the switched dual sees another t
+])
+def test_sweep_preset_computes_each_arm_once_per_length(count_calls, fig_id, arm_function, columns):
+    # Without a switch the dual curve reuses the fast curve's keyed arm and
+    # the slow curve's bounding arm (at the parent: 4, 6, 4 and 4 columns).
+    calls = count_calls(arm_function)
+    preset = figure_preset(fig_id)
+    sweep_preset(preset)
+    assert len(calls) == columns * len(length_grid(preset.l_min, preset.l_max, preset.step))
+
+
+def _first_refusal(scenarios, grid):
+    """The exception type and message of the first evaluate that fails, scenario by scenario."""
+    return _hex_or_error(lambda: [evaluate(s, length) for s in scenarios for length in grid])
+
+
+@pytest.mark.parametrize("protocol, fast, slow, config, link", [
+    # The slow arm's noise budget overflows at 14,655 km, the fast arm's at 14,670 km.
+    ("gmcs_dr", HomodyneSpec(82e6, 0.8, 0.43), HomodyneSpec(1e6, 0.3, 0.01), GmcsSource(40.0, 1.0, 0.05),
+     LinkSpec(alpha=0.21)),
+    # Detectors with no dark counts: their gain is 0 where t underflows (15,315 km and 15,350 km).
+    ("bb84_single_photon", SpdSpec(1e9, 0.059, 0.0, 0.018), SpdSpec(2.5e6, 0.5, 0.0, 0.018),
+     Bb84Config(0.5, 1.22), LinkSpec(alpha=0.21, g_bob=0.16)),
+], ids=["gmcs_dr", "bb84_single_photon"])
+def test_shared_arms_refuse_in_evaluate_order(protocol, fast, slow, config, link):
+    scenarios = {role: Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast, slow=slow)
+                 for role, mode in (("dual", "dual"), ("fast", "single_fast"), ("slow", "single_slow"))}
+    grid = length_grid(14000.0, 16000.0, 5.0)
+    for scenario in scenarios.values():
+        expected = _first_refusal([scenario], grid)
+        assert expected[0] in (DomainError, ZeroDivisionError)
+        assert _hex_or_error(lambda: sweep(scenario, 14000.0, 16000.0, 5.0).raw) == expected
+    preset = FigurePreset(0, "past the model's domain", scenarios, 14000.0, 16000.0, 5.0)
+    expected = _first_refusal([scenarios[role] for role in CURVE_ROLES], grid)
+    assert _hex_or_error(lambda: [r for curve in sweep_preset(preset).values() for r in curve.raw]) == expected
 
 
 @pytest.mark.parametrize("fig_id", range(1, 10))
@@ -456,9 +499,19 @@ def test_figure_csv_matches_golden(fig_id):
     assert buf.getvalue().encode("utf-8") == (GOLDEN / f"fig{fig_id}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("fig_id", [1, 6])
+#: Raw rates around the clamp: negative, both zeros, the least subnormal, and large.
+EDGE_RAWS = (-1.0, -0.0, 0.0, 5e-324, 1.5e-7, 1e308)
+
+
+def _edge_curves():
+    """Hand-built curves holding every EDGE_RAWS value, in a different order per role."""
+    lengths = tuple(float(i) for i in range(len(EDGE_RAWS)))
+    return {role: RateCurve(lengths, EDGE_RAWS[i:] + EDGE_RAWS[:i]) for i, role in enumerate(CURVE_ROLES)}
+
+
+@pytest.mark.parametrize("fig_id", [1, 6, "edges"])
 def test_csv_every_role_subset_matches_row_by_row_reference(fig_id):
-    curves = sweep_preset(figure_preset(fig_id))
+    curves = _edge_curves() if fig_id == "edges" else sweep_preset(figure_preset(fig_id))
     rates = {role: curve.rates for role, curve in curves.items()}
     for n in (1, 2, 3):
         for roles in itertools.combinations(("dual", "fast", "slow"), n):
@@ -469,6 +522,15 @@ def test_csv_every_role_subset_matches_row_by_row_reference(fig_id):
             buf = io.StringIO()
             write_curves_csv({r: curves[r] for r in roles}, buf)
             assert buf.getvalue() == "".join(expected), roles
+
+
+def test_csv_clamped_cells_print_zero():
+    buf = io.StringIO()
+    write_curves_csv({"dual": _edge_curves()["dual"]}, buf)
+    assert buf.getvalue().splitlines()[1:] == [
+        "0.00,0.00000e+00,,", "1.00,0.00000e+00,,", "2.00,0.00000e+00,,",
+        "3.00,4.94066e-324,,", "4.00,1.50000e-07,,", "5.00,1.00000e+308,,",
+    ]
 
 
 def test_csv_format_details(tmp_path, fig1):
