@@ -49,28 +49,26 @@ def bb84_gain(spd: SpdSpec, t: float) -> float:
 
 def bb84_qber(spd: SpdSpec, t: float) -> float:
     """Error rate of detected bits; dark counts contribute at rate E0."""
-    gain = bb84_gain(spd, t)
-    if gain == 0.0:
-        raise ZeroDivisionError("gain is zero; QBER undefined")
-    return (E0 * spd.y0 + spd.e_det * (t * spd.eta_d)) / gain
+    return _arm(None, spd, t)[1]
 
 
-def _arm(cfg, spd: SpdSpec, t: float) -> tuple[float, float]:
-    """(gain, H2(QBER)) of one detector arm, the gain computed once; cfg is
-    not read. The terms of a BB84 arm and of decoy's bounding arm. The QBER
-    is bb84_qber's, written out: a call to it would add a call per arm to
-    evaluate, the distance searches' hot path."""
+def _arm(_, spd: SpdSpec, t: float) -> tuple[float, float, float]:
+    """(gain, QBER, H2(QBER)) of one detector arm, the gain computed once; a
+    BB84 arm reads nothing from its config, so the first argument is unused.
+    The terms of a BB84 arm and of decoy's bounding arm. The gain is
+    bb84_gain's, kept apart: at zero gain bb84_gain returns 0.0, where this raises."""
     eta = t * spd.eta_d
     gain = spd.y0 + eta
     if gain == 0.0:
         raise ZeroDivisionError("gain is zero; QBER undefined")
-    return gain, binary_entropy((E0 * spd.y0 + spd.e_det * eta) / gain)
+    e = (E0 * spd.y0 + spd.e_det * eta) / gain
+    return gain, e, binary_entropy(e)
 
 
 def _combine(cfg: Bb84Config, keyed: SpdSpec, keyed_terms, bounding_terms) -> float:
     """The rate from the keyed arm's gain and H2 and the bounding arm's H2."""
-    gain, h_keyed = keyed_terms
-    return cfg.basis_factor * keyed.rep_rate * gain * (1.0 - cfg.f_ec * h_keyed - bounding_terms[1])
+    gain, _, h_keyed = keyed_terms
+    return cfg.basis_factor * keyed.rep_rate * gain * (1.0 - cfg.f_ec * h_keyed - bounding_terms[2])
 
 
 def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float) -> float:
@@ -89,5 +87,5 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     the length, and the rate has its sign: the gain is > 0 wherever the
     QBER is defined.
     """
-    terms = _arm(cfg, keyed, t)
-    return _combine(cfg, keyed, terms, terms if bounding is keyed else _arm(cfg, bounding, t))
+    terms = _arm(None, keyed, t)
+    return _combine(cfg, keyed, terms, terms if bounding is keyed else _arm(None, bounding, t))

@@ -12,7 +12,7 @@ import math
 import os
 import sys
 
-from .core import ConfigError, DomainError, db_to_transmittance, format_length, format_rate
+from .core import LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, db_to_transmittance
 
 # Reference slow-arm efficiency for the schedule command: 21 dB channel,
 # 0.16 receiver optics, 3 dB switch, 0.5 detector efficiency.
@@ -31,7 +31,7 @@ def _finite_float(text: str) -> float:
 
 
 def _fmt_distance(value: float | None) -> str:
-    return "none" if value is None else format_length(value)
+    return "none" if value is None else LENGTH_FORMAT % value
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
@@ -40,7 +40,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     if args.length < 0.0:
         raise ConfigError(f"--length must be >= 0 km, got {args.length}")
     scenario = load_scenario(args.config)
-    print(format_rate(evaluate(scenario, args.length)))
+    print(RATE_FORMAT % evaluate(scenario, args.length))
     return 0
 
 
@@ -117,13 +117,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     qber = multi_pulse_qber(args.p, args.k)
     p_max = max_slow_probability(args.k, args.qber_budget)
     seconds = accumulation_time(args.p, args.rep_rate, args.mu, args.overall_eta, args.target_counts)
-    print(f"p0 {format_rate(p0)}")
-    print(f"p1 {format_rate(p1)}")
-    print(f"pm {format_rate(pm)}")
-    print(f"multi_pulse_qber {format_rate(qber)}")
-    print(f"p_max {format_rate(p_max)}")
-    print(f"accumulation_s {format_rate(seconds)}")
-    print(f"accumulation_hours {format_rate(seconds / 3600.0)}")
+    for label, value in (("p0", p0), ("p1", p1), ("pm", pm), ("multi_pulse_qber", qber), ("p_max", p_max),
+                         ("accumulation_s", seconds), ("accumulation_hours", seconds / 3600.0)):
+        print(f"{label} {RATE_FORMAT % value}")
     return 0
 
 

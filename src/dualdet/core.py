@@ -63,14 +63,6 @@ LENGTH_FORMAT = "%.2f"
 RATE_FORMAT = "%.5e"
 
 
-def format_length(length_km: float) -> str:
-    return LENGTH_FORMAT % length_km
-
-
-def format_rate(rate_bps: float) -> str:
-    return RATE_FORMAT % rate_bps
-
-
 #: Most halvings bisect_sign_change makes before it returns.
 BISECT_MAX_ITER = 200
 
@@ -126,16 +118,16 @@ def check_number(name: str, value, rule: str | None = None) -> None:
 
 def check_fields(spec, **rules: str) -> None:
     """check_number over a spec dataclass: every field finite, then rules in the order given.
-    Fields are read by getattr: vars(spec) would make a __dict__ that slows later reads."""
+    check_number's tests run inline and it is called only to raise: a call per field cost 5% of
+    a scan op. Fields are read by getattr: vars(spec) would make a __dict__ that slows later reads."""
     for name in spec.__dataclass_fields__:
         value = getattr(spec, name)
-        if value.__class__ is not float or value - value:  # check_number's own test, without a call
+        if value.__class__ is not float or value - value:
             check_number(name, value)
     for name, rule in rules.items():
         low, high = _BOUNDS.get(rule) or _BOUNDS.setdefault(rule, _bounds(rule))
-        value = getattr(spec, name)
-        if not low < value < high:
-            raise DomainError(f"{name} must be {rule}, got {value}")
+        if not low < getattr(spec, name) < high:
+            check_number(name, getattr(spec, name), rule)
 
 
 @dataclass(frozen=True)

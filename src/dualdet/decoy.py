@@ -20,7 +20,8 @@ from .core import E0, DomainError, SpdSpec, binary_entropy, bisect_sign_change, 
 class DecoyConfig:
     """Source intensity and protocol constants.
 
-    mu: mean photon number of the signal state.
+    mu: mean photon number of the signal state, at most 700: exp(-mu) stays
+        normal and Q_1 = (y0 + eta)*mu*exp(-mu) is never inf*0 = nan.
     """
 
     mu: float
@@ -28,7 +29,7 @@ class DecoyConfig:
     f_ec: float
 
     def __post_init__(self) -> None:
-        check_fields(self, mu="> 0")
+        check_fields(self, mu="in (0, 700]")
         check_sifting(self)
 
 
@@ -44,11 +45,7 @@ def decoy_signal_gain(mu: float, spd: SpdSpec, t: float) -> float:
 
 def decoy_signal_qber(mu: float, spd: SpdSpec, t: float) -> float:
     """Overall QBER of the signal state."""
-    eta = t * spd.eta_d
-    gain = decoy_signal_gain(mu, spd, t)
-    if gain == 0.0:
-        raise ZeroDivisionError("signal gain is zero; QBER undefined")
-    return (E0 * spd.y0 + spd.e_det * (1.0 - math.exp(-eta * mu))) / gain
+    return _signal(mu, spd, t)[1]
 
 
 def decoy_single_photon_gain(mu: float, spd: SpdSpec, t: float) -> float:
@@ -89,31 +86,29 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
       dual_no_pa only drops this term.
     For mu > 1 the y0 term can be positive, and no such bound is claimed.
     """
-    terms = _signal(cfg, keyed, t)
-    return _combine(cfg, keyed, terms, None if bounding is None else _arm(cfg, bounding, t))
+    terms = _signal(cfg.mu, keyed, t)
+    return _combine(cfg, keyed, terms, None if bounding is None else _arm(None, bounding, t))
 
 
-def _signal(cfg: DecoyConfig, spd: SpdSpec, t: float) -> tuple[float, float, float]:
-    """(Q_mu, H2(E_mu), Q_1) of the keyed arm, Q_mu and E_mu from one
-    exp(-eta*mu). E_mu is decoy_signal_qber's and Q_1 is
-    decoy_single_photon_gain's, written out: calls to them would add calls
-    per arm to evaluate, the distance searches' hot path."""
-    mu = cfg.mu
+def _signal(mu: float, spd: SpdSpec, t: float) -> tuple[float, float, float, float]:
+    """(Q_mu, E_mu, H2(E_mu), Q_1) of the keyed arm, Q_mu and E_mu from one
+    exp(-eta*mu). Q_mu and Q_1 are decoy_signal_gain's and
+    decoy_single_photon_gain's, kept apart: at zero gain they return a value, where this raises."""
     eta = t * spd.eta_d
     vacuum = math.exp(-eta * mu)
     q_mu = spd.y0 + 1.0 - vacuum
     if q_mu == 0.0:
         raise ZeroDivisionError("signal gain is zero; QBER undefined")
-    h_mu = binary_entropy((E0 * spd.y0 + spd.e_det * (1.0 - vacuum)) / q_mu)
-    return q_mu, h_mu, (spd.y0 + eta) * mu * math.exp(-mu)
+    e_mu = (E0 * spd.y0 + spd.e_det * (1.0 - vacuum)) / q_mu
+    return q_mu, e_mu, binary_entropy(e_mu), (spd.y0 + eta) * mu * math.exp(-mu)
 
 
 def _combine(cfg: DecoyConfig, keyed: SpdSpec, keyed_terms, bounding_terms) -> float:
     """The rate from the keyed arm's terms and, unless None, the bounding arm's H2(e_1)."""
-    q_mu, h_mu, q_1 = keyed_terms
+    q_mu, _, h_mu, q_1 = keyed_terms
     per_pulse = q_1 - cfg.f_ec * q_mu * h_mu
     if bounding_terms is not None:
-        per_pulse -= q_1 * bounding_terms[1]
+        per_pulse -= q_1 * bounding_terms[2]
     return cfg.basis_factor * keyed.rep_rate * per_pulse
 
 

@@ -21,21 +21,22 @@ from .core import (
     channel_transmittance, db_to_transmittance,
 )
 
-#: protocol -> (config type, detector type, keyed arm(config, detector, t),
-#: bounding arm(config, detector, t), combine(config, keyed detector, keyed
-#: terms, bounding terms or None), whether a config's rate turns from positive
-#: to non-positive at most once as the length grows, for every mode and
-#: detector: each True is proved in the public kernel's docstring, gmcs_rr has
-#: no proof, and max_secure_distance then binary-searches its grid). An arm
-#: returns one detector's terms; each public kernel (bb84_rate_dual, ...) is
-#: the row's three functions composed.
+#: protocol -> (config type, detector type, keyed arm(read, detector, t), bounding
+#: arm(read, detector, t), combine(config, keyed detector, keyed terms, bounding
+#: terms or None), read(config): what the arms read from it (nothing for BB84, mu
+#: for decoy, the source for GMCS), whether a config's rate turns from positive to
+#: non-positive at most once as the length grows, for every mode and detector:
+#: each True is proved in the public kernel's docstring, gmcs_rr has no proof, and
+#: max_secure_distance then binary-searches its grid). An arm returns one
+#: detector's terms; each public kernel (bb84_rate_dual, ...) is the row's three functions composed.
 _PROTOCOLS = {
-    "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84._arm, bb84._arm, bb84._combine, lambda cfg: True),
-    "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy._signal, bb84._arm, decoy._combine,
+    "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84._arm, bb84._arm, bb84._combine, lambda cfg: None,
+                           lambda cfg: True),
+    "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy._signal, bb84._arm, decoy._combine, lambda cfg: cfg.mu,
                    lambda cfg: cfg.mu <= 1.0),
-    "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs.noise_budget, gmcs.noise_budget, gmcs._dr_combine,
+    "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs.noise_budget, gmcs.noise_budget, gmcs._dr_combine, lambda cfg: cfg,
                 lambda cfg: True),
-    "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.noise_budget, gmcs.noise_budget, gmcs._rr_combine,
+    "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.noise_budget, gmcs.noise_budget, gmcs._rr_combine, lambda cfg: cfg,
                 lambda cfg: False),
 }
 #: mode -> (keyed arm, bounding arm, behind the switch). A single detector
@@ -70,7 +71,7 @@ class Scenario:
         # Resolve once what evaluate needs besides the length: the receiver
         # optics g_bob and the switch are one factor on the fiber transmittance.
         keyed, bounding, switched = _ARMS[self.mode]
-        _, _, keyed_arm, bounding_arm, combine, one_sign_change = _PROTOCOLS[self.protocol]
+        _, _, keyed_arm, bounding_arm, combine, read, one_sign_change = _PROTOCOLS[self.protocol]
         factor = self.link.g_bob
         if switched:
             factor *= db_to_transmittance(self.link.switch_loss)
@@ -80,8 +81,8 @@ class Scenario:
             bounding_arm = _no_arm
         # One detector with one arm function (the BB84 and GMCS single modes): evaluate computes it once.
         shared = bounding_det is keyed_det and bounding_arm is keyed_arm
-        plan = (keyed_arm, bounding_arm, combine, keyed_det, bounding_det, self.config, self.link.alpha, factor,
-                shared)
+        plan = (keyed_arm, bounding_arm, combine, keyed_det, bounding_det, self.config, read(self.config),
+                self.link.alpha, factor, shared)
         object.__setattr__(self, "_plan", plan)
         object.__setattr__(self, "_one_sign_change", one_sign_change(self.config))
 
@@ -122,13 +123,13 @@ def validate_scenario(s: Scenario) -> None:
 
 def evaluate(scenario: Scenario, length_km: float) -> float:
     """Raw (unclamped) key rate in bits/s at the given fiber length."""
-    keyed_arm, bounding_arm, combine, keyed, bounding, config, alpha, factor, shared = scenario._plan
+    keyed_arm, bounding_arm, combine, keyed, bounding, config, read, alpha, factor, shared = scenario._plan
     t = channel_transmittance(alpha, length_km) * factor
-    terms = keyed_arm(config, keyed, t)
-    return combine(config, keyed, terms, terms if shared else bounding_arm(config, bounding, t))
+    terms = keyed_arm(read, keyed, t)
+    return combine(config, keyed, terms, terms if shared else bounding_arm(read, bounding, t))
 
 
-def _no_arm(config, detector, t) -> None:
+def _no_arm(read, detector, t) -> None:
     """The bounding arm of a mode without one: no terms, no privacy-amplification cost."""
     return None
 
@@ -138,7 +139,8 @@ def _raw_rates(scenarios, lengths: tuple[float, ...]) -> list[tuple[float, ...]]
 
     Each column is computed once per call: the fiber transmittance for each
     distinct attenuation, t for each (attenuation, factor), and the terms of
-    each arm for each (arm function, detector, config, attenuation, factor).
+    each arm for each (arm function, detector, what it reads from the config,
+    attenuation, factor).
     A single-detector mode reads one column for both arms, and in a preset
     without a switch the dual curve takes its keyed terms from the fast
     curve and its bounding terms from the slow one. If anything raises, the
@@ -149,16 +151,16 @@ def _raw_rates(scenarios, lengths: tuple[float, ...]) -> list[tuple[float, ...]]
     rates = []
     try:
         for scenario in scenarios:
-            keyed_arm, bounding_arm, combine, keyed, bounding, config, alpha, factor, _ = scenario._plan
+            keyed_arm, bounding_arm, combine, keyed, bounding, config, read, alpha, factor, _ = scenario._plan
             if alpha not in columns:
                 columns[alpha] = [channel_transmittance(alpha, length) for length in lengths]
             if (alpha, factor) not in columns:
                 columns[alpha, factor] = [u * factor for u in columns[alpha]]
             arms = []
             for arm, det in ((keyed_arm, keyed), (bounding_arm, bounding)):
-                key = (arm, id(det), id(config), alpha, factor)
+                key = (arm, id(det), id(read), alpha, factor)
                 if key not in columns:
-                    columns[key] = [arm(config, det, t) for t in columns[alpha, factor]]
+                    columns[key] = [arm(read, det, t) for t in columns[alpha, factor]]
                 arms.append(columns[key])
             rates.append(tuple([combine(config, keyed, k, b) for k, b in zip(*arms)]))
     except (ArithmeticError, ValueError):  # DomainError is a ValueError

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import mpmath
 
-from dualdet.core import HomodyneSpec, binary_entropy, channel_transmittance, format_rate
+from dualdet.core import RATE_FORMAT, HomodyneSpec, binary_entropy, channel_transmittance
 from dualdet.gmcs import MismatchedEfficiencyError, gmcs_rr_rate_dual
 from dualdet.practical import (
     accumulation_time,
@@ -267,8 +267,8 @@ def test_criterion_12_property_suite():
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         for role, curve in curves.items():
-            emitted = [format_rate(r) for r in curve.rates]
-            reparsed = [format_rate(float(row[f"rate_{role}_bps"])) for row in rows]
+            emitted = [RATE_FORMAT % r for r in curve.rates]
+            reparsed = [RATE_FORMAT % float(row[f"rate_{role}_bps"]) for row in rows]
             if emitted != reparsed:
                 failures.append(f"CSV round trip for {role}")
 

@@ -374,6 +374,17 @@ def test_non_finite_flag_exit_code(dual_config, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_decoy_mu_past_its_rule_exit_code(tmp_path, capsys):
+    # At mu = 1.7e308, (y0 + eta)*mu overflows and the rate used to print as nan with exit 0.
+    bad = write_variant(
+        tmp_path, "mu.json", protocol="decoy_bb84", mode="single_fast",
+        detectors=[{"spd": {"rep_rate_hz": 1e9, "eta_d": 0.5, "y0": 0.9, "e_det": 0.01}}],
+        config={"mu": 1.7e308, "basis_factor": 0.5, "f_ec": 1.22},
+    )
+    assert main(["rate", "--config", bad, "--length", "0"]) == 2
+    assert capsys.readouterr().err == "configuration error: mu must be in (0, 700], got 1.7e+308\n"
+
+
 def test_non_finite_scenario_exit_code(tmp_path, capsys):
     bad = write_variant(tmp_path, "nan.json", link={**BB84_DUAL["link"], "alpha_db_per_km": float("nan")})
     assert main(["rate", "--config", bad, "--length", "10"]) == 2

@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from dualdet.core import DomainError, SpdSpec, binary_entropy, channel_transmittance
@@ -201,3 +202,35 @@ def test_config_validation():
         DecoyConfig(mu=0.0, basis_factor=0.5, f_ec=1.22)
     with pytest.raises(DomainError):
         DecoyConfig(mu=0.73, basis_factor=0.3, f_ec=1.22)
+
+
+#: Detectors with every field from its whole domain, except rep_rate: near
+#: the float range -f_ec*rep_rate overflows any rate to -inf, whatever mu is,
+#: so rep_rate and f_ec are drawn well below it.
+SPDS = st.floats(0.0, 1.0).flatmap(lambda eta_d: st.builds(
+    SpdSpec, rep_rate=st.floats(1e3, 1e10), eta_d=st.just(eta_d),
+    y0=st.floats(0.0, 1.0, exclude_min=eta_d == 0.0, exclude_max=True), e_det=st.floats(0.0, 0.5),
+))
+HOT = SpdSpec(rep_rate=1e9, eta_d=0.5, y0=0.9, e_det=0.01)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mu=st.one_of(st.floats(0.0, 700.0, exclude_min=True), st.floats(min_value=700.0, allow_infinity=False)),
+       basis_factor=st.sampled_from((0.5, 1.0)), f_ec=st.floats(1.0, 1e6), keyed=SPDS, other=SPDS,
+       arms=st.sampled_from(("dual", "single", "no_pa")),
+       t=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 5e-324))))
+# (y0 + eta)*mu overflows and Q_1 would be inf*0 = nan.
+@example(mu=1.7e308, basis_factor=0.5, f_ec=1.22, keyed=HOT, other=HOT, arms="single", t=1.0)
+@example(mu=700.0, basis_factor=1.0, f_ec=1.22, keyed=HOT, other=HOT, arms="dual", t=1.0)
+def test_accepted_config_gives_finite_rate_or_refusal(mu, basis_factor, f_ec, keyed, other, arms, t):
+    try:
+        cfg = DecoyConfig(mu=mu, basis_factor=basis_factor, f_ec=f_ec)
+    except DomainError as exc:
+        assert str(exc) == f"mu must be in (0, 700], got {mu}"
+        return
+    bounding = {"dual": other, "single": keyed, "no_pa": None}[arms]
+    try:
+        rate = decoy_rate_dual(keyed, bounding, cfg, t)
+    except (DomainError, ZeroDivisionError):
+        return
+    assert math.isfinite(rate)

@@ -71,7 +71,7 @@ CLASSES = {
     Bb84Config: (dict(basis_factor=0.5, f_ec=1.22), {"f_ec": (">= 1", [closed_low(1.0)])}),
     DecoyConfig: (
         dict(mu=0.5, basis_factor=0.5, f_ec=1.22),
-        {"mu": ("> 0", [open_low(0.0)]), "f_ec": (">= 1", [closed_low(1.0)])},
+        {"mu": ("in (0, 700]", [open_low(0.0), closed_high(700.0)]), "f_ec": (">= 1", [closed_low(1.0)])},
     ),
 }
 

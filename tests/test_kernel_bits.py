@@ -113,7 +113,9 @@ spds = st.floats(0.0, 1.0).flatmap(lambda eta_d: st.builds(
 ))
 #: Transmittances in [0, 1], with the ends and subnormals drawn on purpose.
 transmittances = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 5e-324, 1e-310, 2.0 ** -1060)))
+#: The helpers take mu from the whole float range; a DecoyConfig's mu is in (0, 700].
 mus = positive()
+config_mus = st.floats(0.0, 700.0, exclude_min=True)
 f_ecs = st.floats(min_value=1.0, allow_infinity=False)
 basis_factors = st.sampled_from((0.5, 1.0))
 
@@ -145,7 +147,7 @@ def test_bb84_rate_dual_matches_reference(keyed, other, same, t, cfg):
 
 @settings(max_examples=400, deadline=None)
 @given(keyed=spds, other=spds, arms=st.sampled_from(("dual", "single", "no_pa")), t=transmittances,
-       cfg=st.builds(DecoyConfig, mu=mus, basis_factor=basis_factors, f_ec=f_ecs))
+       cfg=st.builds(DecoyConfig, mu=config_mus, basis_factor=basis_factors, f_ec=f_ecs))
 def test_decoy_rate_dual_matches_reference(keyed, other, arms, t, cfg):
     bounding = {"dual": other, "single": keyed, "no_pa": None}[arms]
     assert outcome(decoy_rate_dual, keyed, bounding, cfg, t) == outcome(ref_decoy_rate_dual, keyed, bounding, cfg, t)
@@ -159,6 +161,7 @@ def test_zero_gain_messages_are_kept():
         ZeroDivisionError, "gain is zero; QBER undefined")
     assert outcome(decoy_rate_dual, clean, None, cfg, 0.0) == (
         ZeroDivisionError, "signal gain is zero; QBER undefined")
+    assert outcome(decoy_signal_qber, 0.5, clean, 0.0) == (ZeroDivisionError, "signal gain is zero; QBER undefined")
 
 
 non_negative = st.floats(min_value=0.0, allow_infinity=False)

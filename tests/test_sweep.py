@@ -13,8 +13,8 @@ import dualdet.scenario
 import dualdet.sweep
 from dualdet.bb84 import Bb84Config
 from dualdet.core import (
-    DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, binary_entropy, bisect_sign_change, format_length,
-    format_rate,
+    LENGTH_FORMAT, RATE_FORMAT, DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, binary_entropy,
+    bisect_sign_change,
 )
 from dualdet.decoy import DecoyConfig
 from dualdet.gmcs import noise_budget
@@ -482,12 +482,12 @@ def test_csv_round_trip(tmp_path, fig1):
 
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [format_length(float(row["length_km"])) for row in rows] == [
-        format_length(length) for length in curves["dual"].lengths
+    assert [LENGTH_FORMAT % float(row["length_km"]) for row in rows] == [
+        LENGTH_FORMAT % length for length in curves["dual"].lengths
     ]
     for role in ("dual", "fast", "slow"):
-        emitted = [format_rate(r) for r in curves[role].rates]
-        parsed = [format_rate(float(row[f"rate_{role}_bps"])) for row in rows]
+        emitted = [RATE_FORMAT % r for r in curves[role].rates]
+        parsed = [RATE_FORMAT % float(row[f"rate_{role}_bps"]) for row in rows]
         assert parsed == emitted
 
 
@@ -517,8 +517,8 @@ def test_csv_every_role_subset_matches_row_by_row_reference(fig_id):
         for roles in itertools.combinations(("dual", "fast", "slow"), n):
             expected = ["length_km,rate_dual_bps,rate_fast_bps,rate_slow_bps\n"]
             for i, length in enumerate(curves["dual"].lengths):
-                cells = [format_rate(rates[r][i]) if r in roles else "" for r in ("dual", "fast", "slow")]
-                expected.append(",".join([format_length(length), *cells]) + "\n")
+                cells = [RATE_FORMAT % rates[r][i] if r in roles else "" for r in ("dual", "fast", "slow")]
+                expected.append(",".join([LENGTH_FORMAT % length, *cells]) + "\n")
             buf = io.StringIO()
             write_curves_csv({r: curves[r] for r in roles}, buf)
             assert buf.getvalue() == "".join(expected), roles
