@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import E0, DomainError, SpdSpec, binary_entropy, check_fields, check_number
 
 BASIS_FACTORS = (0.5, 1.0)
-F_EC_RULE = ">= 1"
+F_EC_RULE = "in [1, 10]"
 
 
 def check_sifting(cfg) -> None:
@@ -30,7 +30,8 @@ class Bb84Config:
     """Protocol constants: sifting factor and error-correction efficiency.
 
     basis_factor is 1/2 for standard basis choice, 1 for the efficient
-    variant with biased bases. f_ec >= 1 multiplies the Shannon limit.
+    variant with biased bases. f_ec in [1, 10] multiplies the Shannon limit;
+    no error-correction code needs more than about 2.
     """
 
     basis_factor: float
@@ -85,7 +86,53 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     and de/dt = eta_d*y0*(e_det - 1/2)/(y0 + t*eta_d)^2 <= 0. H2 increases
     on [0, 1/2], so 1 - f_ec*H2(e_keyed) - H2(e_bounding) does not rise with
     the length, and the rate has its sign: the gain is > 0 wherever the
-    QBER is defined.
+    QBER is defined. The rate is that gain, positive and falling with
+    length, times a bracket that does not rise with length. So where the rate
+    is positive it does not rise with length, and once it is non-positive it
+    stays non-positive.
+
+    Twin rule. A receiver with the same keyed detector, config and t but
+    another bounding detector m (a twin) has this rate, with bounding
+    detector o, minus D = b*rep_rate*gain*(H2(e_m) - H2(e_o)). With eta_x,
+    y0_x and e_det_x the fields of detector x and den_x = y0_x + eta_x*t,
+    e_m - e_o = t*l(t)/(den_m*den_o), where
+    l(t) = eta_m*eta_o*(e_det_m - e_det_o)*t + eta_o*y0_m*(E0 - e_det_o) - eta_m*y0_o*(E0 - e_det_m),
+    so D changes sign at most once. If e_det_m >= e_det_o (_noisier), l does
+    not fall as t grows, and t*D = b*rep_rate*gain*S*l*t^2/(den_m*den_o), where S
+    is the slope of H2's chord from e_o to e_m: it does not fall as t grows,
+    as H2 is concave and both QBERs fall. Where D > 0, every factor is >= 0
+    and none falls as t grows. So if D(L) > 0, then D(L') >= D(L)*t(L)/t(L')
+    at every L' <= L.
     """
     terms = _arm(None, keyed, t)
     return _combine(cfg, keyed, terms, terms if bounding is keyed else _arm(None, bounding, t))
+
+
+def _noisier(dual: SpdSpec, member: SpdSpec) -> bool:
+    """Whether a twin with bounding detector member may be compared with a
+    receiver bounded by dual: member's e_det is at least dual's, so l(t) in
+    bb84_rate_dual's twin rule does not fall as t grows."""
+    return member.e_det >= dual.e_det
+
+
+def _error_scale(cfg, keyed: SpdSpec) -> float:
+    """rep_rate*2*(2 + f_ec) of the keyed detector: a bound on |rate| (the
+    gain is <= 2 and the bracket in [-(1 + f_ec), 1]) whose 2**-41 multiple
+    bounds the rate's rounding error, for BB84 and for decoy with mu <= 1.
+
+    The bound holds where each arm's gain is >= 2**-1000
+    (scenario._proof_length), up to 2**-1074 per rounding that underflows.
+    With u = 2**-53, the computed t = 10**(-alpha*L/10)*factor is off by a
+    relative rho < 1,500u: the exponent's two roundings are multiplied by
+    ln(10)*|exponent| <= 745 where t > 0; the pow and the products add a few
+    u; an underflowed t is off by at most 2**-1074, below 2**-74 of a gain.
+    Such an error moves the gain by rho*gain and each H2(e) by at most 0.53*rho,
+    since |dH2(e)/d ln t| = |H2'(e)|*w*(1 - w)*(1/2 - e_det) <= 0.53, with
+    w = eta/gain and e >= (1 - w)/2. So the rate moves by at most
+    1.53*rho*scale < 2,300u*scale. The kernel's other roundings and libm
+    calls add under 100u*scale. Decoy is the same, with Q_1 <= 2/e and Q_mu <= 2 in
+    the bracket: Q_mu and E_mu are off by under 3u absolutely (y0 + 1.0,
+    1.0 - exp), so f_ec*Q_mu*H2(E_mu) is off by under 3*f_ec*u plus the same
+    relative terms. In all, the error is below 2,400u*scale < 2**-41*scale.
+    """
+    return keyed.rep_rate * 2.0 * (2.0 + cfg.f_ec)

@@ -84,7 +84,15 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
       1/2 and H2(e_mu) does not fall.
     - e_1 is the BB84 QBER, which rises with length (bb84_rate_dual), and
       dual_no_pa only drops this term.
+    So the rate is q_1, positive and falling with length, times a bracket
+    that does not rise with length: where the rate is positive it does not
+    rise with length, and once it is non-positive it stays non-positive.
     For mu > 1 the y0 term can be positive, and no such bound is claimed.
+
+    Twin rule: a twin (bb84_rate_dual) differs from this rate by
+    b*rep_rate*q_1*(H2(e_1m) - H2(e_1d)), BB84's D with q_1 for the gain, as
+    q_1 is proportional to it. So BB84's twin rule holds, for every mu.
+    The error bound is bb84._error_scale's.
     """
     terms = _signal(cfg.mu, keyed, t)
     return _combine(cfg, keyed, terms, None if bounding is None else _arm(None, bounding, t))

@@ -105,10 +105,42 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     bounding arm's vacuum term uses the keyed g, which falls too).
     I_AB = (1/2)*log2[(v+chi)/(1+chi)] falls in chi since v > 1, and
     I_AE = (1/2)*log2[(v*chi+1)/(chi+1)] rises in chi, so with beta > 0
-    beta*I_AB - I_AE falls strictly.
+    beta*I_AB - I_AE falls strictly. So the rate is rep_rate, positive,
+    times a bracket that falls with length: where the rate is positive it
+    does not rise with length, and once it is non-positive it stays
+    non-positive.
+
+    Twin rule. A receiver with the same keyed detector, source and t but
+    another bounding detector m (a twin) has this rate, with bounding
+    detector o, minus D = rep_rate*(I_AE(chi_m) - I_AE(chi_o)), where
+    chi_m - chi_o = k/t with k = eps_det_m/g_det_m - eps_det_o/g_det_o:
+    D has the sign of k at every length. I_AE is concave and rising in chi, so
+    t*D = rep_rate*k*S, where S is the slope of I_AE's chord between the two
+    chi. Both chi fall as t grows, so S does not fall. So if D(L) > 0, then
+    D(L') >= D(L)*t(L)/t(L') at every L' <= L.
     """
     terms = noise_budget(source, keyed, t)
     return _dr_combine(source, keyed, terms, terms if bounding is keyed else noise_budget(source, bounding, t))
+
+
+def _dr_error_scale(source: GmcsSource, keyed: HomodyneSpec) -> float | None:
+    """rep_rate*(1 + v + log2(v)) of the keyed detector, whose 2**-41 multiple
+    bounds the DR rate's rounding error, up to 2**-1074 per rounding that
+    underflows (|rate| <= rep_rate*log2(v)); None for v > 2**900, where v + chi
+    and v + 1/chi may overflow.
+
+    With u = 2**-53, the computed g is off by a relative rho < 1,510u: t as in
+    bb84._error_scale, and a g small enough to be subnormal but keep chi
+    finite is off by under 5u more. That moves chi = (1 + eps_det)/g - 1 + eps_pre
+    by at most (1 + chi)*rho, so I_AB by at most 0.72*rho and I_AE by at most
+    0.72*(v - 1)*rho/(v*chi + 1), as dI/dchi is 0.72*(v - 1)/((v + chi)*(1 + chi))
+    and 0.72*(v - 1)/((v*chi + 1)*(chi + 1)). The roundings of chi itself are
+    relative (3u) and move each I by under 2.2u; the logs and the combine
+    add under 10*(1 + log2(v))*u. In all the error is below
+    1,100u*(1 + v) + 20u*(1 + log2(v)) < 2**-41*scale. A chi so small that
+    1/chi overflows makes the rate NaN, which proves nothing.
+    """
+    return keyed.rep_rate * (1.0 + source.v + math.log2(source.v)) if source.v <= 2.0 ** 900 else None
 
 
 def _dr_combine(source: GmcsSource, keyed: HomodyneSpec, keyed_terms, bounding_terms) -> float:

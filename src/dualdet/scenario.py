@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union
@@ -24,20 +25,22 @@ from .core import (
 #: protocol -> (config type, detector type, keyed arm(read, detector, t), bounding
 #: arm(read, detector, t), combine(config, keyed detector, keyed terms, bounding
 #: terms or None), read(config): what the arms read from it (nothing for BB84, mu
-#: for decoy, the source for GMCS), whether a config's rate turns from positive to
-#: non-positive at most once as the length grows, for every mode and detector:
-#: each True is proved in the public kernel's docstring, gmcs_rr has no proof, and
-#: max_secure_distance then binary-searches its grid). An arm returns one
-#: detector's terms; each public kernel (bb84_rate_dual, ...) is the row's three functions composed.
+#: for decoy, the source for GMCS), twin order(dual's bounding detector, member's
+#: bounding detector): whether _twins may pair them, error scale(config, keyed
+#: detector): None where no proof holds, otherwise a scale whose 2**-41 multiple
+#: bounds |fl(rate) - rate|, and then the rate is positive on a prefix of lengths and
+#: does not rise there, in every mode; each bound and proof is in the public
+#: kernel's docstring, gmcs_rr has none). An arm returns one detector's terms; each
+#: public kernel (bb84_rate_dual, ...) is the row's three functions composed.
 _PROTOCOLS = {
     "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84._arm, bb84._arm, bb84._combine, lambda cfg: None,
-                           lambda cfg: True),
+                           bb84._noisier, bb84._error_scale),
     "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy._signal, bb84._arm, decoy._combine, lambda cfg: cfg.mu,
-                   lambda cfg: cfg.mu <= 1.0),
+                   bb84._noisier, lambda cfg, keyed: bb84._error_scale(cfg, keyed) if cfg.mu <= 1.0 else None),
     "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs.noise_budget, gmcs.noise_budget, gmcs._dr_combine, lambda cfg: cfg,
-                lambda cfg: True),
+                lambda dual, member: True, gmcs._dr_error_scale),
     "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.noise_budget, gmcs.noise_budget, gmcs._rr_combine, lambda cfg: cfg,
-                lambda cfg: False),
+                lambda dual, member: False, lambda cfg, keyed: None),
 }
 #: mode -> (keyed arm, bounding arm, behind the switch). A single detector
 #: is the dual receiver with that detector on both arms at the same t; no
@@ -71,7 +74,7 @@ class Scenario:
         # Resolve once what evaluate needs besides the length: the receiver
         # optics g_bob and the switch are one factor on the fiber transmittance.
         keyed, bounding, switched = _ARMS[self.mode]
-        _, _, keyed_arm, bounding_arm, combine, read, one_sign_change = _PROTOCOLS[self.protocol]
+        _, _, keyed_arm, bounding_arm, combine, read, _, error_scale = _PROTOCOLS[self.protocol]
         factor = self.link.g_bob
         if switched:
             factor *= db_to_transmittance(self.link.switch_loss)
@@ -84,7 +87,7 @@ class Scenario:
         plan = (keyed_arm, bounding_arm, combine, keyed_det, bounding_det, self.config, read(self.config),
                 self.link.alpha, factor, shared)
         object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_one_sign_change", one_sign_change(self.config))
+        object.__setattr__(self, "_error_scale", error_scale(self.config, keyed_det))
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -127,6 +130,40 @@ def evaluate(scenario: Scenario, length_km: float) -> float:
     t = channel_transmittance(alpha, length_km) * factor
     terms = keyed_arm(read, keyed, t)
     return combine(config, keyed, terms, terms if shared else bounding_arm(read, bounding, t))
+
+
+def _twins(dual: Scenario, member: Scenario) -> bool:
+    """Whether member shares dual's keyed arm, combine and t, both have a
+    bounding arm, and the twin order holds: then t*(rate_dual - rate_member)
+    does not rise with the length while it is positive (the twin proofs in
+    bb84_rate_dual and gmcs_dr_rate_dual)."""
+    keyed_arm, bounding_arm, combine, keyed, bounding, config, read, alpha, factor, _ = dual._plan
+    plan = member._plan
+    return (
+        (keyed_arm, combine, keyed, config, read, alpha, factor) == (plan[0], plan[2], plan[3], *plan[5:9])
+        and _no_arm not in (bounding_arm, plan[1])
+        and _PROTOCOLS[dual.protocol][6](bounding, plan[4])
+    )
+
+
+#: The least gain y0 + t*eta_d of a photon-counting arm at which the proofs' error bounds hold.
+_LEAST_GAIN = 2.0 ** -1000
+
+
+def _proof_length(s: Scenario) -> float:
+    """The longest length at which every photon-counting arm of s has a gain
+    of at least _LEAST_GAIN: below it the QBER is a ratio of underflowed
+    numbers, which the error bounds do not cover. Infinite for homodyne arms:
+    a g small enough to lose accuracy overflows the input noise, and evaluate
+    refuses it."""
+    _, _, _, keyed, bounding, _, _, alpha, factor, _ = s._plan
+    limit = math.inf
+    for det in (keyed, bounding):
+        if isinstance(det, SpdSpec) and det.y0 < _LEAST_GAIN:
+            # t*eta_d >= _LEAST_GAIN while the fiber loss is at most 10*log10(factor*eta_d/_LEAST_GAIN) dB.
+            db = 10.0 * (math.log10(factor) + math.log10(det.eta_d) - math.log10(_LEAST_GAIN)) if det.eta_d else -1.0
+            limit = min(limit, -math.inf if db < 0.0 else db / alpha if alpha else math.inf)
+    return limit
 
 
 def _no_arm(read, detector, t) -> None:

@@ -3,10 +3,12 @@
 Raw rates may be negative; `RateCurve.rates` clamps them at zero for
 plotting and CSV output. Distance searches evaluate a coarse grid only as
 far as it takes to bracket their answer, then bisect to 0.01 km: the
-crossover walks forward from 0 to the first crossing. The maximum distance
-finds the last positive grid point by halving the grid's index range when
-the scenario's rate provably changes sign at most once, and otherwise walks
-backward from the search limit; both find the same point.
+crossover walks forward from 0 to the first crossing, skipping each block
+of grid points where the rates' monotonicity proves the sign of the
+difference. The maximum distance finds the last positive grid point by
+halving the grid's index range when the scenario's rate provably changes
+sign at most once, and otherwise walks backward from the search limit;
+both find the same point.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence, TextIO
 
-from .core import LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change, check_number
-from .scenario import Scenario, _raw_rates, evaluate
+from .core import (
+    LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change, channel_transmittance, check_number,
+)
+from .scenario import Scenario, _proof_length, _raw_rates, _twins, evaluate
 
 #: Half-width of the bracket accepted by the distance bisections, km.
 DISTANCE_TOL = 0.01
@@ -109,15 +113,16 @@ def max_secure_distance(
     l_max_search first: l_max_search if that is the last point, otherwise
     the zero crossing in the next cell, to 0.01 km. None if no grid point is
     positive. When the scenario's rate provably turns from positive to
-    non-positive at most once as the length grows (the last column of
-    `scenario._PROTOCOLS`), the point is found by evaluating 0 and then
-    halving the grid's index range; otherwise the grid is walked backward.
+    non-positive at most once as the length grows (it has an error scale,
+    the last column of `scenario._PROTOCOLS`), the point is found by
+    evaluating 0 and then halving the grid's index range; otherwise the grid
+    is walked backward.
     Both find the same point, and so bisect the same cell to the same float.
     """
     grid = _search_grid(l_max_search, coarse_step)
     if evaluate(scenario, grid[-1]) > 0.0:
         return l_max_search
-    if scenario._one_sign_change:
+    if scenario._error_scale is not None:
         if not evaluate(scenario, grid[0]) > 0.0:
             return None
         lo, hi = 0, len(grid) - 1
@@ -147,10 +152,39 @@ def crossover_distance(
 
     Walks the coarse grid forward from 0 and stops at the first crossing,
     evaluating one point more only when the difference there is exactly 0.
-    None when no such sign change occurs in [0, l_max_search].
+    None when no such sign change occurs in [0, l_max_search]. When every
+    scenario has an error scale, the blocks of grid points on which
+    _block_proof proves the sign of the difference are skipped (_gallop),
+    and the bisection does not evaluate a member proved below rate_a on its
+    cell: that leaves the sign of the difference at every length in the
+    cell. So the first bracketing cell, its bisection and the answer are
+    the walk's, and only a point the walk reaches may raise.
     """
     if not scenario_b:
         raise DomainError("scenario_b must contain at least one scenario")
+    diff = _difference(scenario_a, scenario_b)
+    grid = _search_grid(l_max_search, coarse_step)
+    proof = _block_proof((scenario_a, *scenario_b), grid)
+    found = _walk(diff, grid) if proof is None else _gallop((scenario_a, *scenario_b), grid, diff, *proof)
+    if found is None:
+        return None
+    i, end, *ends = found
+    if end == 0.0 and i + 2 < len(grid) and diff(grid[i + 2]) > 0.0:
+        # Tangency within the cell: no strict crossing to bisect.
+        warnings.warn(
+            f"curves touch near {grid[i + 1]:.2f} km without crossing; "
+            "reporting the bracketing cell midpoint",
+            stacklevel=2,
+        )
+        return 0.5 * (grid[i] + grid[i + 1])
+    if ends:  # the rates at both ends of the cell, from _gallop
+        below = proof[0](i, ends[0], i + 1, ends[1])
+        diff = _difference(scenario_a, [s for s, proved in zip(scenario_b, below) if not proved])
+    return bisect_sign_change(diff, grid[i], grid[i + 1], tol=DISTANCE_TOL / 5)
+
+
+def _difference(scenario_a: Scenario, scenario_b: Sequence[Scenario]):
+    """rate_a minus the best of the scenario_b rates, as a function of length."""
     first, rest = scenario_b[0], scenario_b[1:]
 
     def diff(length: float) -> float:
@@ -162,21 +196,128 @@ def crossover_distance(
                 best = rate
         return rate_a - best
 
-    grid = _search_grid(l_max_search, coarse_step)
-    here = diff(grid[0])
-    for i in range(len(grid) - 1):
+    return diff
+
+
+def _walk(diff, grid: list[float], start: int = 0, here: float | None = None) -> tuple[int, float] | None:
+    """The first cell i >= start where diff turns from positive to
+    non-positive, walking the grid forward, and diff at its end; None if
+    there is none. here is diff at grid[start], if known."""
+    if here is None:
+        here = diff(grid[start])
+    for i in range(start, len(grid) - 1):
         prev, here = here, diff(grid[i + 1])
         if prev > 0.0 and here <= 0.0:
-            if here == 0.0 and i + 2 < len(grid) and diff(grid[i + 2]) > 0.0:
-                # Tangency within the cell: no strict crossing to bisect.
-                warnings.warn(
-                    f"curves touch near {grid[i + 1]:.2f} km without crossing; "
-                    "reporting the bracketing cell midpoint",
-                    stacklevel=2,
-                )
-                return 0.5 * (grid[i] + grid[i + 1])
-            return bisect_sign_change(diff, grid[i], grid[i + 1], tol=DISTANCE_TOL / 5)
+            return i, here
     return None
+
+
+def _gallop(scenarios, grid: list[float], diff, below, above) -> tuple | None:
+    """_walk's answer for the difference of the scenarios' rates, with the
+    rates at both ends of the cell, skipping each block on which every
+    member is proved below the first rate or one is proved above it.
+
+    A block doubles after each skip and halves after each failed proof,
+    down to one cell, which is walked; after a block of at most 4 cells
+    fails, no block reaches its end before the walk does (the crossing is
+    likely inside). A point is evaluated once, in _walk's order, and a block
+    end that raises proves nothing: the walk may never reach it. Once no
+    rate is positive, none can be again (the monotone rule), so no block can
+    be proved, and _walk does the rest."""
+    seen = {}
+
+    def at(i: int) -> tuple[list[float], float]:
+        point = seen.get(i)
+        if point is None:
+            length = grid[i]
+            rates = [evaluate(s, length) for s in scenarios]
+            point = seen[i] = rates, rates[0] - max(rates[1:])  # max() picks as diff does
+        return point
+
+    i, (here, gap), step, last = 0, at(0), 2, len(grid) - 1
+    bound = len(grid)  # the end of the last short block that failed
+    while i < last:
+        if max(here) <= 0.0:
+            return _walk(diff, grid, i, gap)
+        if bound <= i:
+            bound = len(grid)
+        while step > 1 and (i + step > last or i + step >= bound):
+            step //= 2
+        j = i + step
+        if step > 1:
+            try:
+                there, there_gap = at(j)
+                skipped = all(below(i, here, j, there)) or above(i, here, j, there)
+            except (ArithmeticError, ValueError):  # DomainError is a ValueError
+                skipped = False
+            if skipped:
+                i, here, gap = j, there, there_gap
+            elif step <= 4:
+                bound = j
+            step = 2 * step if skipped else step // 2
+            continue
+        there, there_gap = at(j)
+        if gap > 0.0 and there_gap <= 0.0:
+            return i, there_gap, here, there
+        i, here, gap, step = j, there, there_gap, 2
+    return None
+
+
+#: Multiple of a pair's summed error scales by which a block proof's inequalities must
+#: hold, and the least margin, for the roundings that underflow (_block_proof).
+_MARGIN = 2.0 ** -40
+_LEAST_MARGIN = 2.0 ** -1000
+
+
+def _block_proof(scenarios, grid):
+    """Tests below(i, here, j, there), which gives for each member whether
+    its rate is proved below the first one at every length in
+    [grid[i], grid[j]], and above(i, here, j, there), which is true when a
+    member's rate is proved above it there, from the rates at both ends
+    (here, there); None when some scenario has no error scale.
+
+    Each rate's computed value is within E < 2,400u*scale of the rate in
+    real numbers, u = 2**-53 (the kernels' _error_scale docstrings), plus
+    2**-1074 per rounding that underflows. Every inequality below must hold
+    by a margin of 2**-40 = 8,192u times the pair's summed scales, plus
+    2**-1000: more than 2*E_a + 2*E_m and the test's own roundings. So it
+    holds for the real rates, and its conclusion, which then holds in real
+    numbers by more than E_a + E_m at each length of the block, holds for
+    the computed values. Each rate is positive on a prefix of lengths and
+    does not rise there (the monotone rule), so on [L_i, L_j]:
+    - rate_a(L_j) > max(rate_m(L_i), 0) proves rate_a > rate_m;
+    - rate_m(L_j) > max(rate_a(L_i), 0) proves rate_m > rate_a.
+    A member m that is scenario a's twin (scenario._twins) has
+    D = rate_a - rate_m >= D(L_j)*t(L_j)/t(L_i) on the block (the twin rule),
+    so D(L_j)*t(L_j)/t(L_i) > margin proves rate_a > rate_m.
+    The proofs hold only up to each scenario's _proof_length.
+    """
+    scales = [getattr(s, "_error_scale", None) for s in scenarios]
+    if None in scales:
+        return None
+    a = scenarios[0]
+    limit = min(map(_proof_length, scenarios))
+    members = [(k, _MARGIN * (scales[0] + scales[k]) + _LEAST_MARGIN, _twins(a, m))
+               for k, m in enumerate(scenarios[1:], 1)]
+
+    def below(i: int, here: list[float], j: int, there: list[float]) -> list[bool]:
+        if grid[j] > limit:
+            return [False] * len(members)
+        rate_a, ratio, proved = there[0], None, []
+        for k, margin, twin in members:
+            lower = rate_a > (here[k] if here[k] > 0.0 else 0.0) + margin
+            if not lower and twin:
+                if ratio is None:  # t(L_j)/t(L_i); the twins share the attenuation
+                    ratio = channel_transmittance(a.link.alpha, grid[j] - grid[i])
+                lower = (rate_a - there[k]) * ratio > margin
+            proved.append(lower)
+        return proved
+
+    def above(i: int, here: list[float], j: int, there: list[float]) -> bool:
+        floor = here[0] if here[0] > 0.0 else 0.0
+        return grid[j] <= limit and any(there[k] > floor + margin for k, margin, _ in members)
+
+    return below, above
 
 
 # ---------------------------------------------------------------------------

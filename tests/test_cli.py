@@ -385,6 +385,23 @@ def test_decoy_mu_past_its_rule_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == "configuration error: mu must be in (0, 700], got 1.7e+308\n"
 
 
+HOT_SPD = {"rep_rate_hz": 1e9, "eta_d": 1.0, "y0": 0.9, "e_det": 0.5}
+
+
+@pytest.mark.parametrize("detector, config, message", [
+    # The preset 1 fast detector at 10 km: f_ec*H2 overflows.
+    (BB84_DUAL["detectors"][0]["spd"], {"basis_factor": 0.5, "f_ec": 1e308}, "f_ec must be in [1, 10], got 1e+308"),
+    # A detector at QBER 1/2: rep_rate*gain*(1 - 2.22) overflows.
+    ({**HOT_SPD, "rep_rate_hz": 1.7e308}, {"basis_factor": 1.0, "f_ec": 1.22},
+     "rep_rate must be in (0, 1e15], got 1.7e+308"),
+])
+def test_rate_overflow_past_its_rule_exit_code(tmp_path, capsys, detector, config, message):
+    # Each file used to print -inf with exit 0.
+    bad = write_variant(tmp_path, "overflow.json", mode="single_fast", detectors=[{"spd": detector}], config=config)
+    assert main(["rate", "--config", bad, "--length", "10"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_non_finite_scenario_exit_code(tmp_path, capsys):
     bad = write_variant(tmp_path, "nan.json", link={**BB84_DUAL["link"], "alpha_db_per_km": float("nan")})
     assert main(["rate", "--config", bad, "--length", "10"]) == 2

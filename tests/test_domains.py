@@ -37,7 +37,7 @@ CLASSES = {
     SpdSpec: (
         dict(rep_rate=1e9, eta_d=0.1, y0=1e-6, e_det=0.01),
         {
-            "rep_rate": ("> 0 Hz", [open_low(0.0)]),
+            "rep_rate": ("in (0, 1e15]", [open_low(0.0), closed_high(1e15)]),
             "eta_d": ("in [0, 1]", [closed_low(0.0), closed_high(1.0)]),
             "y0": ("in [0, 1)", [closed_low(0.0), open_high(1.0)]),
             "e_det": ("in [0, 0.5]", [closed_low(0.0), closed_high(0.5)]),
@@ -46,7 +46,7 @@ CLASSES = {
     HomodyneSpec: (
         dict(rep_rate=1e7, g_det=0.6, eps_det=0.1),
         {
-            "rep_rate": ("> 0 Hz", [open_low(0.0)]),
+            "rep_rate": ("in (0, 1e15]", [open_low(0.0), closed_high(1e15)]),
             "g_det": ("in (0, 1]", [open_low(0.0), closed_high(1.0)]),
             "eps_det": (">= 0", [closed_low(0.0)]),
         },
@@ -68,10 +68,10 @@ CLASSES = {
             "eps_pre": (">= 0", [closed_low(0.0)]),
         },
     ),
-    Bb84Config: (dict(basis_factor=0.5, f_ec=1.22), {"f_ec": (">= 1", [closed_low(1.0)])}),
+    Bb84Config: (dict(basis_factor=0.5, f_ec=1.22), {"f_ec": ("in [1, 10]", [closed_low(1.0), closed_high(10.0)])}),
     DecoyConfig: (
         dict(mu=0.5, basis_factor=0.5, f_ec=1.22),
-        {"mu": ("in (0, 700]", [open_low(0.0), closed_high(700.0)]), "f_ec": (">= 1", [closed_low(1.0)])},
+        {"mu": ("in (0, 700]", [open_low(0.0), closed_high(700.0)]), "f_ec": ("in [1, 10]", [closed_low(1.0), closed_high(10.0)])},
     ),
 }
 
@@ -81,7 +81,7 @@ ACCUMULATION = dict(p=0.01, rep_rate=1e6, mu=1.0, overall_eta=1e-3, target_count
 ARGUMENTS = [
     # Within about 1e-8 of e_det = 0.5, H2 rounds to 1 (test_decoy covers that edge).
     (optimal_mu, dict(e_det=0.018, f_ec=1.22), "e_det", "in (0, 0.5)", [open_low(0.0), (0.49, 0.5)]),
-    (optimal_mu, dict(e_det=0.018, f_ec=1.22), "f_ec", ">= 1", [closed_low(1.0)]),
+    (optimal_mu, dict(e_det=0.018, f_ec=1.22), "f_ec", "in [1, 10]", [closed_low(1.0), closed_high(10.0)]),
     (choice_probabilities, dict(p=0.01, k=5), "p", "in [0, 1]", [closed_low(0.0), closed_high(1.0)]),
     (multi_pulse_qber, dict(p=0.01, k=5), "p", "in [0, 1]", [closed_low(0.0), closed_high(1.0)]),
     (max_slow_probability, dict(k=5, qber_budget=0.01), "qber_budget", "in (0, 0.25)",

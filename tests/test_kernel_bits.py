@@ -12,6 +12,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from dualdet import bb84, gmcs
 from dualdet.bb84 import Bb84Config, bb84_gain, bb84_qber, bb84_rate_dual
 from dualdet.core import E0, DomainError, GmcsSource, HomodyneSpec, SpdSpec, binary_entropy
 from dualdet.decoy import (
@@ -106,9 +107,11 @@ def positive(**kwargs):
     return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, **kwargs)
 
 
+#: Repetition rates from their whole domain.
+rep_rates = st.floats(0.0, 1e15, exclude_min=True)
 #: An SpdSpec from its whole domain: a detector with eta_d = 0 draws y0 > 0.
 spds = st.floats(0.0, 1.0).flatmap(lambda eta_d: st.builds(
-    SpdSpec, rep_rate=positive(), eta_d=st.just(eta_d),
+    SpdSpec, rep_rate=rep_rates, eta_d=st.just(eta_d),
     y0=st.floats(0.0, 1.0, exclude_min=eta_d == 0.0, exclude_max=True), e_det=st.floats(0.0, 0.5),
 ))
 #: Transmittances in [0, 1], with the ends and subnormals drawn on purpose.
@@ -116,7 +119,7 @@ transmittances = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 5e-32
 #: The helpers take mu from the whole float range; a DecoyConfig's mu is in (0, 700].
 mus = positive()
 config_mus = st.floats(0.0, 700.0, exclude_min=True)
-f_ecs = st.floats(min_value=1.0, allow_infinity=False)
+f_ecs = st.floats(1.0, 10.0)
 basis_factors = st.sampled_from((0.5, 1.0))
 
 HELPERS = [
@@ -168,7 +171,7 @@ non_negative = st.floats(min_value=0.0, allow_infinity=False)
 #: Each field from its whole domain, where most draws leave the model's domain,
 #: or from the receivers' working range, where most rates are finite.
 homodynes = st.one_of(
-    st.builds(HomodyneSpec, rep_rate=positive(), g_det=st.floats(0.0, 1.0, exclude_min=True), eps_det=non_negative),
+    st.builds(HomodyneSpec, rep_rate=rep_rates, g_det=st.floats(0.0, 1.0, exclude_min=True), eps_det=non_negative),
     st.builds(HomodyneSpec, rep_rate=st.floats(1e5, 1e9), g_det=st.floats(0.05, 1.0), eps_det=st.floats(0.0, 1.0)),
 )
 sources = st.one_of(
@@ -194,3 +197,38 @@ def test_mismatched_efficiency_message_is_kept():
     fast, slow = HomodyneSpec(82e6, 0.8, 0.43), HomodyneSpec(1e6, 0.3, 0.01)
     assert outcome(gmcs_rr_rate_dual, fast, slow, source, 0.5) == (
         MismatchedEfficiencyError, "detector efficiencies differ: 0.8 vs 0.3")
+
+
+def _rate_or_none(kernel, *args):
+    try:
+        return kernel(*args)
+    except (ArithmeticError, DomainError):
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed=spds, other=spds, same=st.booleans(), t=transmittances, mu=st.floats(0.0, 1.0, exclude_min=True),
+       cfg=st.builds(Bb84Config, basis_factor=basis_factors, f_ec=f_ecs))
+def test_spd_error_scale_is_finite_and_bounds_the_rate(keyed, other, same, t, mu, cfg):
+    # Every accepted detector and config has a finite error scale, and the
+    # scale bounds |rate|, for BB84 and for decoy with mu <= 1.
+    bounding = keyed if same else other
+    scale = bb84._error_scale(cfg, keyed)
+    assert math.isfinite(scale)
+    decoy_cfg = DecoyConfig(mu=mu, basis_factor=cfg.basis_factor, f_ec=cfg.f_ec)
+    for rate in (_rate_or_none(bb84_rate_dual, keyed, bounding, cfg, t),
+                 _rate_or_none(decoy_rate_dual, keyed, bounding, decoy_cfg, t),
+                 _rate_or_none(decoy_rate_dual, keyed, None, decoy_cfg, t)):
+        assert rate is None or abs(rate) <= scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed=homodynes, other=homodynes, same=st.booleans(), t=st.one_of(transmittances, st.floats(1e-3, 1.0)),
+       source=sources)
+def test_dr_error_scale_bounds_the_rate(keyed, other, same, t, source):
+    # Past v = 2**900 the rate may overflow and no scale is given. A NaN rate
+    # (1/chi overflowing for a subnormal chi) is outside the bound's claim.
+    scale = gmcs._dr_error_scale(source, keyed)
+    assert (scale is None) is (source.v > 2.0 ** 900)
+    rate = _rate_or_none(gmcs_dr_rate_dual, keyed, keyed if same else other, source, t)
+    assert scale is None or rate is None or math.isnan(rate) or abs(rate) <= scale < math.inf

@@ -14,7 +14,9 @@ from dualdet.core import (
 from dualdet.decoy import DecoyConfig, decoy_rate_dual
 from dualdet.gmcs import gmcs_rr_rate_dual
 from dualdet.presets import FIGURE_IDS, figure_preset
-from dualdet.scenario import PROTOCOLS, ConfigError, Scenario, evaluate, load_scenario, scenario_from_dict
+from dualdet.scenario import (
+    PROTOCOLS, ConfigError, Scenario, _proof_length, _twins, evaluate, load_scenario, scenario_from_dict,
+)
 from dualdet.sweep import length_grid
 
 BB84_DUAL = {
@@ -445,3 +447,48 @@ def test_schema_optional_key_default(spec, path, key, default):
     parsed = getattr(scenario_from_dict(_without(spec, path, key)), owner)
     assert getattr(parsed, field) == value
     assert type(getattr(parsed, field)) is type(value)
+
+
+def _receivers(fig_id, **link):
+    """The dual, fast and slow receivers of a preset, all on one link."""
+    scenarios = figure_preset(fig_id).scenarios
+    return {role: dataclasses.replace(s, link=dataclasses.replace(s.link, **link)) for role, s in scenarios.items()}
+
+
+@pytest.mark.parametrize("fig_id, switch_loss, fast_e_det, twins", [
+    (1, 0.0, None, True),  # equal e_det
+    (2, 0.0, None, True),  # the fast detector is the noisier
+    (4, 0.0, None, True),
+    (5, 0.0, None, True),  # GMCS DR: any excess noises
+    (6, 0.0, None, False),  # GMCS RR: no proof
+    (1, 3.0, None, False),  # the switch: another t
+    (1, 0.0, 0.01, False),  # the fast detector is the quieter
+])
+def test_twins(fig_id, switch_loss, fast_e_det, twins):
+    receivers = _receivers(fig_id, switch_loss=switch_loss)
+    if fast_e_det is not None:
+        fast = dataclasses.replace(receivers["fast"].fast, e_det=fast_e_det)
+        receivers = {role: dataclasses.replace(s, fast=fast) for role, s in receivers.items()}
+    dual = receivers["dual"]
+    assert _twins(dual, receivers["fast"]) is twins
+    # The slow receiver keys with the other detector, and dual_no_pa has no bounding arm.
+    assert not _twins(dual, receivers["slow"])
+    if dual.protocol == "decoy_bb84":
+        assert not _twins(dataclasses.replace(dual, mode="dual_no_pa"), receivers["fast"])
+
+
+def test_proof_length():
+    # Dark counts keep every preset gain above 2**-1000 at any length.
+    for fig_id in FIGURE_IDS:
+        assert all(_proof_length(s) == math.inf for s in figure_preset(fig_id).scenarios.values())
+    clean = SpdSpec(rep_rate=1e9, eta_d=0.5, y0=0.0, e_det=0.01)
+    link = LinkSpec(alpha=0.2, g_bob=1.0)
+    scenario = Scenario("bb84_single_photon", "single_fast", link, Bb84Config(0.5, 1.22), fast=clean)
+    limit = _proof_length(scenario)
+    # 10/0.2 * log10(0.5 * 2**1000) km: there t*eta_d is 2**-1000.
+    assert limit == pytest.approx(50.0 * (1000 * math.log10(2.0) - math.log10(2.0)))
+    assert channel_transmittance(0.2, limit) * 0.5 == pytest.approx(2.0 ** -1000)
+    blind = SpdSpec(rep_rate=1e9, eta_d=0.0, y0=1e-320, e_det=0.01)
+    assert _proof_length(dataclasses.replace(scenario, fast=blind)) == -math.inf
+    flat = dataclasses.replace(scenario, link=LinkSpec(alpha=0.0))
+    assert _proof_length(flat) == math.inf

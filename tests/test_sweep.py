@@ -318,10 +318,19 @@ def count_evaluations(monkeypatch, evaluate_fn=evaluate) -> list:
     return lengths
 
 
-@pytest.mark.parametrize("fig_id, l_max, crossover_calls, maxdist_calls", [(1, 250.0, 405, 19), (5, 60.0, 48, 17)])
+@pytest.mark.parametrize("fig_id, l_max, crossover_calls, maxdist_calls", [(1, 250.0, 69, 19), (5, 60.0, 33, 17)])
 def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, l_max, crossover_calls, maxdist_calls):
-    # Crossover: 3 scenarios x (grid 0..first crossing + 9 halvings of a 1 km
-    # cell). Maxdist (BB84 and GMCS DR change sign once): l_max, 0, then
+    # Crossover: 3 scenarios x grid points, + 2 x 9 halvings of the 1 km
+    # bracketing cell, as the fast single is proved below the dual there.
+    # Preset 1 (crossing in [124, 125]), 17 grid points: the blocks ending
+    # at 2, 6, 14, 30, 62 are proved (doubling); 126 fails and 94 is proved,
+    # 158 and 126 fail and 110 is proved, 142 and 126 fail and 118 is
+    # proved, 134 and 126 fail and 122 is proved, 130 and 126 fail (a short
+    # block: no block reaches 126 before the walk does) and 124 is proved,
+    # 125 is walked: 3 x 17 + 2 x 9 = 69, where the walk took 3 x (126 + 9)
+    # = 405. Preset 5 (crossing in [5, 6]): 2 is proved, 6 fails, 4 is
+    # proved, 5 and 6 are walked: 3 x 5 + 2 x 9 = 33, the walk 3 x (7 + 9)
+    # = 48. Maxdist (BB84 and GMCS DR change sign once): l_max, 0, then
     # ceil(log2(cells)) halvings of the grid's index range (8 of 250 cells,
     # 6 of 60) to the last positive point, + 9 halvings of its 1 km cell.
     preset = figure_preset(fig_id)
@@ -402,7 +411,7 @@ def test_max_distance_search_matches_backward_scan(protocol, data):
         protocol=protocol, mode=data.draw(st.sampled_from(ONE_SIGN_CHANGE[protocol])), link=data.draw(links),
         config=data.draw(configs), fast=data.draw(detectors), slow=data.draw(detectors),
     )
-    assert scenario._one_sign_change
+    assert scenario._error_scale is not None
     l_max = data.draw(st.one_of(st.floats(0.5, 30.0), st.floats(0.5, 300.0)))
     step = data.draw(st.floats(0.1, 20.0))
     expected = _hex_or_refusal(backward_scan, lambda length: evaluate(scenario, length), l_max, step)
@@ -420,13 +429,137 @@ def test_unproved_rates_keep_the_backward_scan(monkeypatch, fig_id, config):
     dual = figure_preset(fig_id).scenarios["dual"]
     if config is not None:
         dual = dataclasses.replace(dual, config=config)
-    assert not dual._one_sign_change
+    assert dual._error_scale is None
     l_max = 250.0 if config is not None else 60.0
     scanned = []
     expected = backward_scan(lambda length: scanned.append(length) or evaluate(dual, length), l_max, 1.0)
     lengths = count_evaluations(monkeypatch)
     assert expected is not None
     assert max_secure_distance(dual, l_max) == expected
+    assert lengths == scanned
+
+
+def forward_scan(rates, l_max, coarse_step):
+    """Reference crossover: walk the search grid forward from 0 to the first
+    cell where the first rate minus the best of the others turns from
+    positive to non-positive, and bisect it; at a tangency (0 at the cell
+    end, positive at the next point) the cell midpoint."""
+    def diff(length):
+        first, *others = rates(length)
+        return first - max(others)
+
+    grid = _search_grid(l_max, coarse_step)
+    here = diff(grid[0])
+    for i in range(len(grid) - 1):
+        prev, here = here, diff(grid[i + 1])
+        if prev > 0.0 and here <= 0.0:
+            if here == 0.0 and i + 2 < len(grid) and diff(grid[i + 2]) > 0.0:
+                return 0.5 * (grid[i] + grid[i + 1])
+            return bisect_sign_change(diff, grid[i], grid[i + 1], tol=DISTANCE_TOL / 5)
+    return None
+
+
+def _answer_or_error(search, *args):
+    """float.hex() of a search's answer, None, or its exception type and message."""
+    try:
+        answer = search(*args)
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return None if answer is None else answer.hex()
+
+
+#: Envelopes of the single-detector receivers, by role.
+ENVELOPES = (("fast", "slow"), ("slow", "fast"), ("slow",), ("fast",))
+
+
+@pytest.mark.filterwarnings("ignore:curves touch")
+@pytest.mark.parametrize("protocol", ["bb84_single_photon", "decoy_bb84", "gmcs_dr", "gmcs_rr"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_crossover_matches_forward_scan(protocol, data):
+    # Skipping the blocks a proof covers (BB84, decoy with mu <= 1, GMCS DR)
+    # leaves the first bracketing cell, so the answer is the same float; the
+    # rest (decoy with mu > 1, GMCS RR) walk the grid as the reference does.
+    # Random detectors include many whose dual receiver is below the fast one.
+    detectors, configs, links = specs("gmcs_dr" if protocol == "gmcs_rr" else protocol, data.draw(st.booleans()))
+    fast, slow, config = data.draw(detectors), data.draw(detectors), data.draw(configs)
+    if data.draw(st.booleans()):  # as in the paper, the fast detector runs 10 to 10^4 times faster
+        fast = dataclasses.replace(fast, rep_rate=slow.rep_rate * data.draw(st.floats(10.0, 1e4)))
+    if protocol == "decoy_bb84":
+        config = dataclasses.replace(config, mu=data.draw(st.floats(0.01, 2.0)))
+    if protocol == "gmcs_rr":  # a dual RR receiver needs equal efficiencies
+        slow = dataclasses.replace(slow, g_det=fast.g_det)
+    switch_loss = data.draw(st.one_of(st.sampled_from((0.0, 3.0)), st.floats(0.0, 6.0)))
+    link = dataclasses.replace(data.draw(links), switch_loss=switch_loss)
+    receivers = {role: Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast, slow=slow)
+                 for role, mode in (("dual", "dual"), ("fast", "single_fast"), ("slow", "single_slow"))}
+    scenarios = [receivers["dual"], *(receivers[role] for role in data.draw(st.sampled_from(ENVELOPES)))]
+    l_max = data.draw(st.floats(0.5, 300.0 if protocol in ONE_SIGN_CHANGE else 80.0))
+    step = data.draw(st.floats(0.37, 2.5))
+    expected = _answer_or_error(forward_scan, lambda length: [evaluate(s, length) for s in scenarios], l_max, step)
+    assert _answer_or_error(crossover_distance, scenarios[0], scenarios[1:], l_max, step) == expected
+
+
+def test_crossover_between_non_positive_rates_matches_forward_scan():
+    # Both rates are non-positive from about 39 km on, so no block can be
+    # proved there and the search walks; the difference still turns from
+    # positive to non-positive at 72.3 km, between two negative rates.
+    fast = SpdSpec(rep_rate=9177.483967668875, eta_d=0.535876655876376, y0=3.648386647903217e-05,
+                   e_det=0.016320176148989476)
+    slow = SpdSpec(rep_rate=1040890.8284087791, eta_d=0.3470461642340964, y0=3.1619681934409566e-08,
+                   e_det=0.04315161123523033)
+    link = LinkSpec(alpha=0.36582472381005215, g_bob=0.11865786479674223, switch_loss=3.0)
+    config = DecoyConfig(mu=0.5576576231825117, basis_factor=0.5, f_ec=1.7013735760221915)
+    dual, single = (Scenario("decoy_bb84", mode, link, config, fast, slow) for mode in ("dual", "single_slow"))
+    l_max, step = 169.93200913105014, 0.9278435063086035
+    answer = crossover_distance(dual, [single], l_max, step)
+    assert answer == forward_scan(lambda length: [evaluate(dual, length), evaluate(single, length)], l_max, step)
+    assert evaluate(dual, answer) < 0.0 and evaluate(single, answer) < 0.0
+
+
+def _refusing_past(limit):
+    """evaluate, but refusing every length past limit."""
+    def refusing(scenario, length):
+        if length > limit:
+            raise DomainError(f"no model past {limit} km")
+        return evaluate(scenario, length)
+    return refusing
+
+
+@pytest.mark.parametrize("fig_id", [1, 2, 4, 8])
+def test_crossover_reads_no_refusal_past_the_crossing(monkeypatch, fig_id):
+    # The skipping search evaluates block ends past the crossing that the
+    # walk never reaches; their refusals must not change the answer. A
+    # refusal the walk does reach, before the crossing, still raises.
+    preset = figure_preset(fig_id)
+    dual, envelope = preset.scenarios["dual"], [preset.scenarios["fast"], preset.scenarios["slow"]]
+    answer = crossover_distance(dual, envelope, 250.0)
+    cell_end = float(math.ceil(answer))
+    monkeypatch.setattr(dualdet.sweep, "evaluate", _refusing_past(cell_end))
+    assert crossover_distance(dual, envelope, 250.0) == answer
+    monkeypatch.setattr(dualdet.sweep, "evaluate", _refusing_past(cell_end - 10.0))
+    with pytest.raises(DomainError, match=f"^no model past {cell_end - 10.0} km$"):
+        crossover_distance(dual, envelope, 250.0)
+
+
+@pytest.mark.parametrize("fig_id, config, l_max", [
+    (4, DecoyConfig(mu=1.5, basis_factor=0.5, f_ec=1.22), 250.0),
+    (6, None, 60.0),
+    (7, None, 60.0),
+], ids=["decoy_mu_above_1", "gmcs_rr_v40", "gmcs_rr_v20"])
+def test_unproved_rates_keep_the_forward_walk(monkeypatch, fig_id, config, l_max):
+    # Without an error scale nothing is skipped: the crossover evaluates the
+    # reference scan's lengths, in its order.
+    scenarios = list(figure_preset(fig_id).scenarios.values())
+    if config is not None:
+        scenarios = [dataclasses.replace(s, config=config) for s in scenarios]
+    assert all(s._error_scale is None for s in scenarios)
+    scanned = []
+    expected = forward_scan(lambda length: [scanned.append(length) or evaluate(s, length) for s in scenarios],
+                            l_max, 1.0)
+    lengths = count_evaluations(monkeypatch)
+    assert expected is not None
+    assert crossover_distance(scenarios[0], scenarios[1:], l_max) == expected
     assert lengths == scanned
 
 
