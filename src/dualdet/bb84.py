@@ -89,7 +89,10 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     QBER is defined. The rate is that gain, positive and falling with
     length, times a bracket that does not rise with length. So where the rate
     is positive it does not rise with length, and once it is non-positive it
-    stays non-positive.
+    stays non-positive. Where it is non-positive, rate/t does not rise with
+    length either (the monotone rule in both signs): rate/t =
+    b*rep_rate*(y0/t + eta_d)*bracket, a factor >= 0 that rises as t falls
+    times a bracket <= 0 that does not rise, and such a product does not rise.
 
     Twin rule. A receiver with the same keyed detector, config and t but
     another bounding detector m (a twin) has this rate, with bounding

@@ -197,7 +197,9 @@ class LinkSpec:
 class GmcsSource:
     """Gaussian-modulated coherent-state source and reconciliation model.
 
-    v: total quadrature variance V = V_mod + 1 in shot-noise units.
+    v: total quadrature variance V = V_mod + 1 in shot-noise units, at most
+        1e270: v + chi and v + 1/chi stay finite, and so does the DR rate's
+        error scale.
     beta: reconciliation efficiency in (0, 1].
     eps_pre: state-preparation excess noise, shot-noise units.
     """
@@ -207,4 +209,4 @@ class GmcsSource:
     eps_pre: float = 0.0
 
     def __post_init__(self) -> None:
-        check_fields(self, v="> 1 shot-noise unit", beta="in (0, 1]", eps_pre=">= 0")
+        check_fields(self, v="in (1, 1e270]", beta="in (0, 1]", eps_pre=">= 0")

@@ -87,6 +87,9 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
     So the rate is q_1, positive and falling with length, times a bracket
     that does not rise with length: where the rate is positive it does not
     rise with length, and once it is non-positive it stays non-positive.
+    Where it is non-positive, rate/t does not rise with length either:
+    q_1/t = (y0/t + eta_d)*mu*exp(-mu) is >= 0 and rises as t falls, and the
+    bracket is <= 0 and does not rise, as in bb84_rate_dual.
     For mu > 1 the y0 term can be positive, and no such bound is claimed.
 
     Twin rule: a twin (bb84_rate_dual) differs from this rate by

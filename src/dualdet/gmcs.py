@@ -64,12 +64,16 @@ def info_ae(v: float, chi: float) -> float:
     """Eavesdropper information on the sender: (1/2)*log2[(v+1/chi)/(1+1/chi)].
 
     At chi = 0 the channel is lossless and noiseless and the expression's
-    limit is 0 bits; that edge is returned directly.
+    limit is 0 bits; that edge is returned directly. A subnormal chi, whose
+    1/chi overflows, gives the limit (v - 1)*chi/(2 ln 2): with v <= 1e270
+    (GmcsSource) it is within a relative (v - 1)*chi < 1e-38 of the value.
     """
     _check_v_chi(v, chi)
     if chi == 0.0:
         return 0.0
     inv = 1.0 / chi
+    if inv == math.inf:
+        return (v - 1.0) * chi / (2.0 * math.log(2.0))
     return 0.5 * math.log2((v + inv) / (1.0 + inv))
 
 
@@ -78,6 +82,9 @@ def info_be(v: float, chi: float, g: float) -> float:
 
     The argument is at least g^2, so it can only reach 0 by g^2 underflowing
     (about 7,750 km at 0.21 dB/km): there g is outside the model's domain.
+    A g*chi past about 1e154 (a huge excess noise) overflows the argument;
+    the logs of its factors are added instead, which stay finite as
+    v <= 1e270 (GmcsSource).
     """
     _check_v_chi(v, chi)
     if not 0.0 < g <= 1.0:
@@ -88,6 +95,8 @@ def info_be(v: float, chi: float, g: float) -> float:
     arg = g * g * (v + chi) * (1.0 / v + chi)
     if arg <= 0.0:
         raise DomainError(f"overall transmittance {g!r} is too small: its square underflows")
+    if arg == math.inf:
+        return math.log2(g) + 0.5 * (math.log2(v + chi) + math.log2(1.0 / v + chi))
     return 0.5 * math.log2(arg)
 
 
@@ -108,7 +117,9 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     beta*I_AB - I_AE falls strictly. So the rate is rep_rate, positive,
     times a bracket that falls with length: where the rate is positive it
     does not rise with length, and once it is non-positive it stays
-    non-positive.
+    non-positive. Where it is non-positive, rate/t does not rise with length
+    either: 1/t is positive and rises as t falls, and the bracket is <= 0
+    and falls.
 
     Twin rule. A receiver with the same keyed detector, source and t but
     another bounding detector m (a twin) has this rate, with bounding
@@ -123,11 +134,10 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     return _dr_combine(source, keyed, terms, terms if bounding is keyed else noise_budget(source, bounding, t))
 
 
-def _dr_error_scale(source: GmcsSource, keyed: HomodyneSpec) -> float | None:
+def _dr_error_scale(source: GmcsSource, keyed: HomodyneSpec) -> float:
     """rep_rate*(1 + v + log2(v)) of the keyed detector, whose 2**-41 multiple
     bounds the DR rate's rounding error, up to 2**-1074 per rounding that
-    underflows (|rate| <= rep_rate*log2(v)); None for v > 2**900, where v + chi
-    and v + 1/chi may overflow.
+    underflows (|rate| <= rep_rate*log2(v)); finite, as v <= 1e270.
 
     With u = 2**-53, the computed g is off by a relative rho < 1,510u: t as in
     bb84._error_scale, and a g small enough to be subnormal but keep chi
@@ -138,9 +148,10 @@ def _dr_error_scale(source: GmcsSource, keyed: HomodyneSpec) -> float | None:
     relative (3u) and move each I by under 2.2u; the logs and the combine
     add under 10*(1 + log2(v))*u. In all the error is below
     1,100u*(1 + v) + 20u*(1 + log2(v)) < 2**-41*scale. A chi so small that
-    1/chi overflows makes the rate NaN, which proves nothing.
+    1/chi overflows takes info_ae's limit, off by under 1e-38 of I_AE and a
+    few roundings that underflow.
     """
-    return keyed.rep_rate * (1.0 + source.v + math.log2(source.v)) if source.v <= 2.0 ** 900 else None
+    return keyed.rep_rate * (1.0 + source.v + math.log2(source.v))
 
 
 def _dr_combine(source: GmcsSource, keyed: HomodyneSpec, keyed_terms, bounding_terms) -> float:

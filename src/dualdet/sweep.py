@@ -1,14 +1,15 @@
 """Distance sweeps, secure-distance and crossover finding, CSV emission.
 
 Raw rates may be negative; `RateCurve.rates` clamps them at zero for
-plotting and CSV output. Distance searches evaluate a coarse grid only as
-far as it takes to bracket their answer, then bisect to 0.01 km: the
-crossover walks forward from 0 to the first crossing, skipping each block
-of grid points where the rates' monotonicity proves the sign of the
-difference. The maximum distance finds the last positive grid point by
+plotting and CSV output. Distance searches evaluate a coarse grid, whose
+points are computed on demand, only as far as it takes to bracket their
+answer, then bisect to 0.01 km: the crossover walks forward from 0 to the
+first crossing, skipping each block of grid points where the rates'
+monotonicity, for positive and for non-positive rates, proves the sign of
+the difference. The maximum distance finds the last positive grid point by
 halving the grid's index range when the scenario's rate provably changes
-sign at most once, and otherwise walks backward from the search limit;
-both find the same point.
+sign at most once and every rate it reads is clear of its rounding error,
+and otherwise walks backward from the search limit; both find the same point.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import io
 import math
 import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, TextIO
 
 from .core import (
     LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change, channel_transmittance, check_number,
@@ -65,8 +67,10 @@ class RateCurve:
         return tuple([r if r > 0.0 else 0.0 for r in self.raw])
 
 
-def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
-    """Inclusive grid l_min, l_min+step, ... up to l_max."""
+def _grid_steps(l_min: float, l_max: float, step: float) -> int:
+    """The number n of whole steps from l_min toward l_max: the grid's points
+    are l_min + i*step for i in 0..n. GridError for bounds or a step that
+    describe no grid, or for more than MAX_GRID_POINTS steps."""
     try:
         for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
             check_number(name, value)
@@ -79,7 +83,12 @@ def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
     steps = (l_max - l_min) / step
     if not steps <= MAX_GRID_POINTS:
         raise GridError(f"step {step} gives more than {MAX_GRID_POINTS} grid points")
-    n = int(steps + 1e-9)
+    return int(steps + 1e-9)
+
+
+def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
+    """Inclusive grid l_min, l_min+step, ... up to l_max."""
+    n = _grid_steps(l_min, l_max, step)
     grid = [l_min + i * step for i in range(n + 1)]
     if not all(map(operator.lt, grid, grid[1:])):
         raise GridError(f"step {step} is too small to separate grid points in [{l_min}, {l_max}]")
@@ -92,16 +101,44 @@ def sweep(scenario: Scenario, l_min: float, l_max: float, step: float) -> RateCu
     return RateCurve(lengths, _raw_rates((scenario,), lengths)[0])
 
 
-def _search_grid(l_max_search: float, coarse_step: float) -> list[float]:
+class _SearchGrid(Sequence):
+    """The coarse grid from 0 that the searches walk, its points computed on
+    demand: point i is i*step, as in length_grid(0, l_max, step), and the
+    last point is l_max."""
+
+    __slots__ = ("step", "last", "l_max")
+
+    def __init__(self, step: float, last: int, l_max: float) -> None:
+        self.step, self.last, self.l_max = step, last, l_max
+
+    def __len__(self) -> int:
+        return self.last + 1
+
+    def __getitem__(self, i: int) -> float:
+        if i < 0:
+            i += self.last + 1
+        if 0 <= i < self.last:
+            return i * self.step
+        if i == self.last:
+            return self.l_max
+        raise IndexError("search grid index out of range")
+
+
+def _search_grid(l_max_search: float, coarse_step: float) -> _SearchGrid:
     """The coarse grid from 0 that the searches walk, ending at l_max_search:
     the limit closes the grid when it is not a whole number of steps, and
     replaces a last grid point within length_grid's rounding of it. The
-    grid has at least the two points 0 and l_max_search."""
-    grid = length_grid(0.0, l_max_search, coarse_step)
-    if len(grid) == 1 or l_max_search - grid[-1] > 1e-9 * coarse_step:
-        grid.append(l_max_search)
-    grid[-1] = l_max_search
-    return grid
+    grid has at least the two points 0 and l_max_search.
+
+    Its points are length_grid(0, l_max_search, coarse_step)'s, and they are
+    strictly increasing without being checked one by one: with s the step
+    and 0 <= i < j <= n <= MAX_GRID_POINTS < 2**52, j*s - i*s >= s exceeds
+    ulp(j*s) <= 2**-52*j*s where j*s is a normal float, and a subnormal
+    product is exact; so the rounded products differ, as rounding keeps order.
+    """
+    n = _grid_steps(0.0, l_max_search, coarse_step)
+    closed = n == 0 or l_max_search - n * coarse_step > 1e-9 * coarse_step
+    return _SearchGrid(coarse_step, n + 1 if closed else n, l_max_search)
 
 
 def max_secure_distance(
@@ -112,33 +149,55 @@ def max_secure_distance(
     Finds the last positive point of the coarse grid, evaluating
     l_max_search first: l_max_search if that is the last point, otherwise
     the zero crossing in the next cell, to 0.01 km. None if no grid point is
-    positive. When the scenario's rate provably turns from positive to
-    non-positive at most once as the length grows (it has an error scale,
-    the last column of `scenario._PROTOCOLS`), the point is found by
-    evaluating 0 and then halving the grid's index range; otherwise the grid
-    is walked backward.
-    Both find the same point, and so bisect the same cell to the same float.
+    positive. Where _halve proves the point, it is found by halving the
+    grid's index range; otherwise the grid is walked backward. Both find the
+    same point, and so bisect the same cell to the same float.
     """
     grid = _search_grid(l_max_search, coarse_step)
-    if evaluate(scenario, grid[-1]) > 0.0:
+    last = len(grid) - 1
+    if evaluate(scenario, grid[last]) > 0.0:
         return l_max_search
-    if scenario._error_scale is not None:
-        if not evaluate(scenario, grid[0]) > 0.0:
-            return None
-        lo, hi = 0, len(grid) - 1
-        while hi - lo > 1:  # the rate is positive at grid[lo] and not at grid[hi]
-            mid = (lo + hi) // 2
-            if evaluate(scenario, grid[mid]) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-    else:
-        lo = next((i for i in reversed(range(len(grid) - 1)) if evaluate(scenario, grid[i]) > 0.0), None)
-        if lo is None:
-            return None
+    lo = _halve(scenario, grid)
+    if lo is None:
+        lo = next((i for i in reversed(range(last)) if evaluate(scenario, grid[i]) > 0.0), -1)
+    if lo < 0:
+        return None
     return bisect_sign_change(
         lambda length: evaluate(scenario, length), grid[lo], grid[lo + 1], tol=DISTANCE_TOL / 5
     )
+
+
+def _halve(scenario: Scenario, grid: Sequence[float]) -> int | None:
+    """The last grid point before grid[-1] with a positive rate, or -1 if
+    there is none, found by evaluating 0 and then halving the grid's index
+    range; the rate at grid[-1] is not positive.
+
+    The scenario's rate in real numbers turns from positive to non-positive
+    at most once as the length grows (it has an error scale, the last column
+    of `scenario._PROTOCOLS`; the monotone rule in the kernel docstrings).
+    A computed rate whose size exceeds 2**-40*scale + 2**-1000, more than
+    its rounding error, has the real rate's sign there (_block_proof). None
+    when that proves nothing: the scenario has no error scale, or a rate
+    evaluated is within that margin of 0 or past _proof_length, where a
+    rounding may flip its sign, as where 1 - f_ec*H2(e_k) - H2(e_b) rounds
+    to 0 while the real rate is positive.
+    """
+    scale = scenario._error_scale
+    if scale is None:
+        return None
+    margin, limit = _MARGIN * scale + _LEAST_MARGIN, _proof_length(scenario)
+    lo, hi, probe = -1, len(grid) - 1, 0  # the rate is positive at grid[lo] (if lo >= 0), not at grid[hi]
+    while hi - lo > 1:
+        length = grid[probe]
+        rate = evaluate(scenario, length)
+        if not (abs(rate) > margin and length <= limit):
+            return None
+        if rate > 0.0:
+            lo = probe
+        else:
+            hi = probe
+        probe = (lo + hi) // 2
+    return lo
 
 
 def crossover_distance(
@@ -165,7 +224,7 @@ def crossover_distance(
     diff = _difference(scenario_a, scenario_b)
     grid = _search_grid(l_max_search, coarse_step)
     proof = _block_proof((scenario_a, *scenario_b), grid)
-    found = _walk(diff, grid) if proof is None else _gallop((scenario_a, *scenario_b), grid, diff, *proof)
+    found = _walk(diff, grid) if proof is None else _gallop((scenario_a, *scenario_b), grid, *proof)
     if found is None:
         return None
     i, end, *ends = found
@@ -199,20 +258,18 @@ def _difference(scenario_a: Scenario, scenario_b: Sequence[Scenario]):
     return diff
 
 
-def _walk(diff, grid: list[float], start: int = 0, here: float | None = None) -> tuple[int, float] | None:
-    """The first cell i >= start where diff turns from positive to
-    non-positive, walking the grid forward, and diff at its end; None if
-    there is none. here is diff at grid[start], if known."""
-    if here is None:
-        here = diff(grid[start])
-    for i in range(start, len(grid) - 1):
+def _walk(diff, grid: Sequence[float]) -> tuple[int, float] | None:
+    """The first cell i where diff turns from positive to non-positive,
+    walking the grid forward, and diff at its end; None if there is none."""
+    here = diff(grid[0])
+    for i in range(len(grid) - 1):
         prev, here = here, diff(grid[i + 1])
         if prev > 0.0 and here <= 0.0:
             return i, here
     return None
 
 
-def _gallop(scenarios, grid: list[float], diff, below, above) -> tuple | None:
+def _gallop(scenarios, grid: Sequence[float], below, above) -> tuple | None:
     """_walk's answer for the difference of the scenarios' rates, with the
     rates at both ends of the cell, skipping each block on which every
     member is proved below the first rate or one is proved above it.
@@ -221,9 +278,9 @@ def _gallop(scenarios, grid: list[float], diff, below, above) -> tuple | None:
     down to one cell, which is walked; after a block of at most 4 cells
     fails, no block reaches its end before the walk does (the crossing is
     likely inside). A point is evaluated once, in _walk's order, and a block
-    end that raises proves nothing: the walk may never reach it. Once no
-    rate is positive, none can be again (the monotone rule), so no block can
-    be proved, and _walk does the rest."""
+    end that raises proves nothing: the walk may never reach it. The proofs
+    hold for rates of either sign, so blocks are skipped to the grid's end
+    where every rate is non-positive too."""
     seen = {}
 
     def at(i: int) -> tuple[list[float], float]:
@@ -237,8 +294,6 @@ def _gallop(scenarios, grid: list[float], diff, below, above) -> tuple | None:
     i, (here, gap), step, last = 0, at(0), 2, len(grid) - 1
     bound = len(grid)  # the end of the last short block that failed
     while i < last:
-        if max(here) <= 0.0:
-            return _walk(diff, grid, i, gap)
         if bound <= i:
             bound = len(grid)
         while step > 1 and (i + step > last or i + step >= bound):
@@ -269,53 +324,88 @@ _MARGIN = 2.0 ** -40
 _LEAST_MARGIN = 2.0 ** -1000
 
 
-def _block_proof(scenarios, grid):
+def _block_proof(scenarios, grid: Sequence[float]):
     """Tests below(i, here, j, there), which gives for each member whether
     its rate is proved below the first one at every length in
     [grid[i], grid[j]], and above(i, here, j, there), which is true when a
     member's rate is proved above it there, from the rates at both ends
     (here, there); None when some scenario has no error scale.
 
-    Each rate's computed value is within E < 2,400u*scale of the rate in
-    real numbers, u = 2**-53 (the kernels' _error_scale docstrings), plus
-    2**-1074 per rounding that underflows. Every inequality below must hold
-    by a margin of 2**-40 = 8,192u times the pair's summed scales, plus
-    2**-1000: more than 2*E_a + 2*E_m and the test's own roundings. So it
-    holds for the real rates, and its conclusion, which then holds in real
-    numbers by more than E_a + E_m at each length of the block, holds for
-    the computed values. Each rate is positive on a prefix of lengths and
-    does not rise there (the monotone rule), so on [L_i, L_j]:
-    - rate_a(L_j) > max(rate_m(L_i), 0) proves rate_a > rate_m;
-    - rate_m(L_j) > max(rate_a(L_i), 0) proves rate_m > rate_a.
-    A member m that is scenario a's twin (scenario._twins) has
-    D = rate_a - rate_m >= D(L_j)*t(L_j)/t(L_i) on the block (the twin rule),
-    so D(L_j)*t(L_j)/t(L_i) > margin proves rate_a > rate_m.
-    The proofs hold only up to each scenario's _proof_length.
+    The monotone rule (kernel docstrings): each rate is positive on a prefix
+    of lengths and does not rise there, and where it is non-positive, rate/t
+    does not rise with length. Let r_X = t(L_j)/t(L_i) in (0, 1] be the fall
+    of scenario X's t across the block, 10**(-alpha*(L_j - L_i)/10) whatever
+    its factor, and x_i, x_j its rates at the ends. On the block, X's rate is
+    - at most x_i if x_i > 0, and at most x_i*r_X if not: then the rate
+      stays non-positive, and at L >= L_i it is at most
+      x_i*t(L)/t(L_i) <= x_i*r_X;
+    - at least x_j if x_j > 0, and at least x_j/r_X if not: a rate that is
+      non-positive at L <= L_j is non-positive on [L, L_j], so at least
+      x_j*t(L)/t(L_j) >= x_j/r_X.
+    So X is above Y on the block when x_j > V, with V = y_i if y_i > 0 and
+    V = r_X*r_Y*y_i if not: for x_j <= 0 that is x_j/r_X > r_Y*y_i multiplied
+    through by r_X, and for x_j > 0 it holds as r_Y*y_i <= 0. below tests
+    X = a against each member Y, above each member X against Y = a. A member
+    m that is scenario a's twin (scenario._twins) has D = rate_a - rate_m >=
+    D(L_j)*t(L_j)/t(L_i) on the block (the twin rule), so
+    D(L_j)*t(L_j)/t(L_i) > 0 proves rate_a > rate_m. The proofs hold only up
+    to each scenario's _proof_length.
+
+    Each computed rate is within E < 2,400u*scale of the rate in real
+    numbers, u = 2**-53 (the kernels' _error_scale docstrings), plus 2**-1074
+    per rounding that underflows. Every inequality must hold by a margin m of
+    2**-40 = 8,192u times the pair's summed scales, plus 2**-1000: more than
+    2*E_X + 2*E_Y and the test's own roundings, so its conclusion holds in
+    real numbers by more than E_X + E_Y at each length of the block, and so
+    for the computed values. For the monotone rule, with x and y the
+    computed rates: Y's rate is at most U + E_Y, where U = y if y > 0 and
+    U = r_Y*y if not (U has slope 1 or r_Y <= 1 in y). X's rate is at least
+    x - E_X where x > E_X (the real x_j is then positive), and at least
+    (x - E_X)/r_X where x <= E_X. The test is x > V + m, V = U if U > 0 and
+    r_X*U if not. If x > E_X, then x > U + m, as r_X*U >= U where U <= 0,
+    so X - Y > x - E_X - U - E_Y > E_X + E_Y. If not, then
+    x - r_X*U > m >= E_X*(1 + r_X) + 2*r_X*E_Y, which is X - Y > E_X + E_Y
+    multiplied by r_X. The computed r is off by at most 2.2u in absolute
+    terms, plus 2**-1074: the exponent's three roundings (L_j - L_i, times
+    alpha, over 10) scale it by exp(3u*ln(1/r)), r*ln(1/r) <= 1/e, and the
+    power adds u. So V moves by under 7u times Y's scale.
     """
     scales = [getattr(s, "_error_scale", None) for s in scenarios]
     if None in scales:
         return None
     a = scenarios[0]
     limit = min(map(_proof_length, scenarios))
+    alphas = [s.link.alpha for s in scenarios]
     members = [(k, _MARGIN * (scales[0] + scales[k]) + _LEAST_MARGIN, _twins(a, m))
                for k, m in enumerate(scenarios[1:], 1)]
+    ratios = {}
+
+    def ratio(i: int, j: int, k: int) -> float:
+        """Scenario k's r on [grid[i], grid[j]], one power per attenuation and block."""
+        key = (i, j, alphas[k])
+        r = ratios.get(key)
+        if r is None:
+            r = ratios[key] = channel_transmittance(alphas[k], grid[j] - grid[i])
+        return r
 
     def below(i: int, here: list[float], j: int, there: list[float]) -> list[bool]:
         if grid[j] > limit:
             return [False] * len(members)
-        rate_a, ratio, proved = there[0], None, []
+        rate_a, proved = there[0], []
         for k, margin, twin in members:
-            lower = rate_a > (here[k] if here[k] > 0.0 else 0.0) + margin
+            bound = here[k] if here[k] > 0.0 else here[k] * ratio(i, j, k) * ratio(i, j, 0)
+            lower = rate_a > bound + margin
             if not lower and twin:
-                if ratio is None:  # t(L_j)/t(L_i); the twins share the attenuation
-                    ratio = channel_transmittance(a.link.alpha, grid[j] - grid[i])
-                lower = (rate_a - there[k]) * ratio > margin
+                lower = (rate_a - there[k]) * ratio(i, j, 0) > margin
             proved.append(lower)
         return proved
 
     def above(i: int, here: list[float], j: int, there: list[float]) -> bool:
-        floor = here[0] if here[0] > 0.0 else 0.0
-        return grid[j] <= limit and any(there[k] > floor + margin for k, margin, _ in members)
+        if grid[j] > limit:
+            return False
+        rate_a = here[0]
+        return any(there[k] > (rate_a if rate_a > 0.0 else rate_a * ratio(i, j, 0) * ratio(i, j, k)) + margin
+                   for k, margin, _ in members)
 
     return below, above
 

@@ -63,7 +63,7 @@ CLASSES = {
     GmcsSource: (
         dict(v=20.0, beta=0.9, eps_pre=0.01),
         {
-            "v": ("> 1 shot-noise unit", [open_low(1.0)]),
+            "v": ("in (1, 1e270]", [open_low(1.0), closed_high(1e270)]),
             "beta": ("in (0, 1]", [open_low(0.0), closed_high(1.0)]),
             "eps_pre": (">= 0", [closed_low(0.0)]),
         },

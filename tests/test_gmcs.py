@@ -2,6 +2,7 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dualdet.core import DomainError, GmcsSource, HomodyneSpec, channel_transmittance, db_to_transmittance
 from dualdet.gmcs import (
@@ -226,3 +227,31 @@ def test_realistic_rr_dual_positive_at_short_range_only():
     assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE_REALISTIC, t_at(12.0)) < 0.0
     for length in (0.0, 2.0, 10.0, 40.0):
         assert rr_single(SOURCE_REALISTIC, FAST, t_at(length)) < 0.0
+
+
+#: Detectors and sources with every field from its whole domain, v past its rule too.
+ANY_HOMODYNE = st.builds(HomodyneSpec, rep_rate=st.floats(0.0, 1e15, exclude_min=True),
+                         g_det=st.floats(0.0, 1.0, exclude_min=True), eps_det=st.floats(0.0, allow_infinity=False))
+ANY_V = st.one_of(st.floats(1.0, 1e270, exclude_min=True), st.floats(min_value=1e270, allow_infinity=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(v=ANY_V, beta=st.floats(0.0, 1.0, exclude_min=True), eps_pre=st.floats(0.0, allow_infinity=False),
+       keyed=ANY_HOMODYNE, other=ANY_HOMODYNE, arms=st.sampled_from(("dual", "single", "equal_g_det")),
+       t=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 5e-324))))
+# A subnormal chi at 0 km: 1/chi overflows in info_ae, which gave nan.
+@example(v=40.0, beta=1.0, eps_pre=0.0, keyed=HomodyneSpec(1e6, 1.0, 5e-324), other=QUIET, arms="single", t=1.0)
+@example(v=1e270, beta=1.0, eps_pre=1e300, keyed=FAST, other=QUIET, arms="single", t=1.0)
+def test_accepted_source_gives_finite_rate_or_refusal(v, beta, eps_pre, keyed, other, arms, t):
+    try:
+        source = GmcsSource(v=v, beta=beta, eps_pre=eps_pre)
+    except DomainError as exc:
+        assert str(exc) == f"v must be in (1, 1e270], got {v}"
+        return
+    bounding = {"dual": other, "single": keyed, "equal_g_det": HomodyneSpec(other.rep_rate, keyed.g_det, other.eps_det)}[arms]
+    for kernel in (gmcs_dr_rate_dual, gmcs_rr_rate_dual):
+        try:
+            rate = kernel(keyed, bounding, source, t)
+        except DomainError:
+            continue
+        assert math.isfinite(rate), kernel

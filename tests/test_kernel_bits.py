@@ -175,7 +175,7 @@ homodynes = st.one_of(
     st.builds(HomodyneSpec, rep_rate=st.floats(1e5, 1e9), g_det=st.floats(0.05, 1.0), eps_det=st.floats(0.0, 1.0)),
 )
 sources = st.one_of(
-    st.builds(GmcsSource, v=st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    st.builds(GmcsSource, v=st.floats(1.0, 1e270, exclude_min=True),
               beta=st.floats(0.0, 1.0, exclude_min=True), eps_pre=non_negative),
     st.builds(GmcsSource, v=st.floats(1.5, 100.0), beta=st.floats(0.5, 1.0), eps_pre=st.floats(0.0, 0.2)),
 )
@@ -226,9 +226,55 @@ def test_spd_error_scale_is_finite_and_bounds_the_rate(keyed, other, same, t, mu
 @given(keyed=homodynes, other=homodynes, same=st.booleans(), t=st.one_of(transmittances, st.floats(1e-3, 1.0)),
        source=sources)
 def test_dr_error_scale_bounds_the_rate(keyed, other, same, t, source):
-    # Past v = 2**900 the rate may overflow and no scale is given. A NaN rate
-    # (1/chi overflowing for a subnormal chi) is outside the bound's claim.
+    # Every accepted source (v <= 1e270) has a finite scale, and it bounds
+    # |rate|, also where a subnormal chi makes info_ae take its limit.
     scale = gmcs._dr_error_scale(source, keyed)
-    assert (scale is None) is (source.v > 2.0 ** 900)
     rate = _rate_or_none(gmcs_dr_rate_dual, keyed, keyed if same else other, source, t)
-    assert scale is None or rate is None or math.isnan(rate) or abs(rate) <= scale < math.inf
+    assert math.isfinite(scale)
+    assert rate is None or abs(rate) <= scale
+
+
+def _monotone_within(near, far, r, err):
+    """The monotone rule for the computed rates near and far of one receiver,
+    at t and at r*t, each within err of its real value: the real rate is at
+    most near at r*t if near > 0 and at most near*r if not (a non-positive
+    rate/t does not rise as t falls), and the real rate at t is at least far
+    if far > 0 and at least far/r if not, multiplied through by r."""
+    upper = near if near > 0.0 else near * r
+    return far <= upper + 2.0 * err and (near if far > 2.0 * err else r * near) >= far - 2.0 * err
+
+
+#: A fall of t across a block: t(L_j)/t(L_i), from 1 down to the smallest float.
+falls = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from((1.0, 0.5, 1e-300, 5e-324)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed=spds, other=spds, same=st.booleans(), t=st.floats(0.0, 1.0, exclude_min=True), r=falls,
+       mu=st.floats(0.0, 1.0, exclude_min=True), cfg=st.builds(Bb84Config, basis_factor=basis_factors, f_ec=f_ecs))
+def test_spd_rates_keep_the_monotone_rule_in_both_signs(keyed, other, same, t, r, mu, cfg):
+    # BB84, and decoy with mu <= 1 (dual, single, no PA): where the rate is
+    # positive it does not rise as t falls, and where it is not, rate/t does
+    # not rise, within the error bound; only where each arm's gain is at
+    # least 2**-1000 (scenario._proof_length).
+    bounding = keyed if same else other
+    far_t = t * r
+    if min(det.y0 + far_t * det.eta_d for det in (keyed, bounding)) < 2.0 ** -1000:
+        return
+    err = 2.0 ** -41 * bb84._error_scale(cfg, keyed) + 2.0 ** -1000
+    decoy_cfg = DecoyConfig(mu=mu, basis_factor=cfg.basis_factor, f_ec=cfg.f_ec)
+    for kernel, args in ((bb84_rate_dual, (keyed, bounding, cfg)), (decoy_rate_dual, (keyed, bounding, decoy_cfg)),
+                         (decoy_rate_dual, (keyed, None, decoy_cfg))):
+        near, far = _rate_or_none(kernel, *args, t), _rate_or_none(kernel, *args, far_t)
+        assert near is None or far is None or _monotone_within(near, far, far_t / t, err), kernel
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed=homodynes, other=homodynes, same=st.booleans(), t=st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(1e-3, 1.0)), r=falls, source=sources)
+def test_dr_rate_keeps_the_monotone_rule_in_both_signs(keyed, other, same, t, r, source):
+    bounding = keyed if same else other
+    far_t = t * r
+    err = 2.0 ** -41 * gmcs._dr_error_scale(source, keyed) + 2.0 ** -1000
+    near = _rate_or_none(gmcs_dr_rate_dual, keyed, bounding, source, t)
+    far = _rate_or_none(gmcs_dr_rate_dual, keyed, bounding, source, far_t)
+    assert near is None or far is None or _monotone_within(near, far, far_t / t, err)

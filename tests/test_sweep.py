@@ -7,7 +7,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dualdet.scenario
 import dualdet.sweep
@@ -75,6 +75,54 @@ def test_search_grid_keeps_zero_under_a_huge_step(fig1):
     assert max_secure_distance(dual, 200.0, coarse_step=1e12) == max_secure_distance(dual, 200.0, coarse_step=200.0)
     with pytest.raises(GridError, match="^step must be a finite number, got inf$"):
         max_secure_distance(dual, 250.0, coarse_step=math.inf)
+
+
+def reference_search_grid(l_max, step):
+    """The search grid as a list: length_grid from 0, closed by l_max."""
+    grid = length_grid(0.0, l_max, step)
+    if len(grid) == 1 or l_max - grid[-1] > 1e-9 * step:
+        grid.append(l_max)
+    grid[-1] = l_max
+    return grid
+
+
+def _grid_or_error(build, l_max, step):
+    try:
+        return [x.hex() for x in build(l_max, step)]
+    except GridError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(l_max=st.one_of(st.floats(0.0, 300.0), st.floats(allow_nan=True), st.sampled_from((0.0, 5e-324, 1e300))),
+       cells=st.one_of(st.floats(0.0, 2000.0, exclude_min=True), st.integers(1, 2000).map(float)),
+       step=st.one_of(st.none(), st.floats(allow_nan=True)))
+def test_search_grid_is_the_checked_length_grid(l_max, cells, step):
+    # A step of l_max over a whole or partial number of cells, or any float:
+    # the same points as the list from length_grid, or its GridError message.
+    if step is None:
+        step = l_max / cells
+    assert _grid_or_error(_search_grid, l_max, step) == _grid_or_error(reference_search_grid, l_max, step)
+
+
+@pytest.mark.parametrize("l_max, step", [
+    (250.0, 250.0 / 999_999.5),  # a partial last cell
+    (250.0, 250.0 / 1_000_000),
+    (1_000_000 * 5e-324, 5e-324),  # subnormal points, each an exact multiple of the step
+    (1e300, 1e294),
+])
+def test_search_grid_at_the_finest_steps_is_the_checked_list(l_max, step):
+    # Every step that length_grid accepts from 0, up to its 1,000,000 steps,
+    # keeps the points strictly increasing, so the search grid checks none
+    # of them one by one.
+    grid = _search_grid(l_max, step)
+    assert list(grid) == reference_search_grid(l_max, step)
+    assert len(grid) in (1_000_001, 1_000_002)
+    assert grid[-1] == grid[len(grid) - 1] == l_max and grid[-len(grid)] == 0.0
+    with pytest.raises(IndexError):
+        grid[len(grid)]
+    with pytest.raises(GridError, match=r"^step 0\.00024 gives more than 1000000 grid points$"):
+        _search_grid(250.0, 0.00024)
 
 
 def test_every_mode_fills_a_curve_role():
@@ -318,8 +366,10 @@ def count_evaluations(monkeypatch, evaluate_fn=evaluate) -> list:
     return lengths
 
 
-@pytest.mark.parametrize("fig_id, l_max, crossover_calls, maxdist_calls", [(1, 250.0, 69, 19), (5, 60.0, 33, 17)])
-def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, l_max, crossover_calls, maxdist_calls):
+@pytest.mark.parametrize("fig_id, switch_loss, l_max, crossover_calls, maxdist_calls", [
+    (1, 0.0, 250.0, 69, 19), (5, 0.0, 60.0, 33, 17), (4, 3.0, 250.0, 51, 19), (5, 3.0, 60.0, 27, 2),
+], ids=["1-250.0-69-19", "5-60.0-33-17", "4-3dB-250.0-51-19", "5-3dB-60.0-27-2"])
+def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, switch_loss, l_max, crossover_calls, maxdist_calls):
     # Crossover: 3 scenarios x grid points, + 2 x 9 halvings of the 1 km
     # bracketing cell, as the fast single is proved below the dual there.
     # Preset 1 (crossing in [124, 125]), 17 grid points: the blocks ending
@@ -330,11 +380,23 @@ def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, l_max, crossov
     # 125 is walked: 3 x 17 + 2 x 9 = 69, where the walk took 3 x (126 + 9)
     # = 405. Preset 5 (crossing in [5, 6]): 2 is proved, 6 fails, 4 is
     # proved, 5 and 6 are walked: 3 x 5 + 2 x 9 = 33, the walk 3 x (7 + 9)
-    # = 48. Maxdist (BB84 and GMCS DR change sign once): l_max, 0, then
-    # ceil(log2(cells)) halvings of the grid's index range (8 of 250 cells,
-    # 6 of 60) to the last positive point, + 9 halvings of its 1 km cell.
+    # = 48. With a 3 dB switch both have no crossing, and every block is
+    # proved by a single above the dual, across non-positive rates too.
+    # Preset 4 (a single is above the dual everywhere; the dual is negative
+    # from 68 km, the fast single from 76 km, the slow from 198 km): 2, 6, 14
+    # are proved; then each 16 km block fails and the 8 km one is proved, to
+    # 22, 30, ..., 70, its failed ends being the later 8 km ends 30, ..., 78;
+    # then 86, 118, 182, 246 (the blocks double, up to what the grid's end
+    # leaves) and 250: 3 x 17 = 51, where the walk took 3 x 251 = 753.
+    # Preset 5 (the dual is negative from 0 km): 2, 6, 14, 30, then 62 is
+    # past the end and the block halves to 46, 54, 58, 60: 3 x 9 = 27, the
+    # walk 3 x 61 = 183. Maxdist (BB84, decoy with mu <= 1 and GMCS DR change
+    # sign once): l_max, 0, then ceil(log2(cells)) halvings of the grid's
+    # index range (8 of 250 cells, 6 of 60) to the last positive point, + 9
+    # halvings of its 1 km cell; with no positive point, l_max and 0 only.
     preset = figure_preset(fig_id)
     dual, envelope = preset.scenarios["dual"], [preset.scenarios["fast"], preset.scenarios["slow"]]
+    dual = dataclasses.replace(dual, link=dataclasses.replace(dual.link, switch_loss=switch_loss))
     lengths = count_evaluations(monkeypatch)
     crossover_distance(dual, envelope, l_max)
     assert len(lengths) == crossover_calls
@@ -400,12 +462,34 @@ ONE_SIGN_CHANGE = {
 }
 
 
+class Replay:
+    """Stands in for st.data() in an explicit example: returns the given
+    draws in order, from the first again after the last. A test
+    parametrized by protocol runs the example for that protocol only."""
+
+    def __init__(self, protocol, *draws):
+        self.protocol, self.draws, self.count = protocol, draws, 0
+
+    def draw(self, strategy):
+        self.count += 1
+        return self.draws[(self.count - 1) % len(self.draws)]
+
+
 @pytest.mark.parametrize("protocol", ONE_SIGN_CHANGE)
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
+# The dual rate is 0.0 at 83 km, where H2 of the slow QBER rounds to 1, and
+# 2.98e-23 at 84 km, both within the error bound of 0: halving alone would
+# bisect the cell [82, 83] and the scan bisects [84, 85].
+@example(data=Replay(
+    "bb84_single_photon", False, "dual", LinkSpec(alpha=0.99609375, g_bob=0.125), Bb84Config(0.5, 1.0),
+    SpdSpec(1000.0, 1.0, 0.0, 0.0), SpdSpec(1000.0, 1.0, 0.0625, 0.0), 134.0, 1.0,
+))
 def test_max_distance_search_matches_backward_scan(protocol, data):
     # Where the rate changes sign once, halving the grid's index range finds
-    # the scan's last positive point, so the answer is the same float.
+    # the scan's last positive point, so the answer is the same float; where
+    # a rate it reads is within its error bound of 0, it scans as well.
+    assume(getattr(data, "protocol", protocol) == protocol)
     detectors, configs, links = specs(protocol, data.draw(st.booleans()))
     scenario = Scenario(
         protocol=protocol, mode=data.draw(st.sampled_from(ONE_SIGN_CHANGE[protocol])), link=data.draw(links),
@@ -472,15 +556,10 @@ def _answer_or_error(search, *args):
 ENVELOPES = (("fast", "slow"), ("slow", "fast"), ("slow",), ("fast",))
 
 
-@pytest.mark.filterwarnings("ignore:curves touch")
-@pytest.mark.parametrize("protocol", ["bb84_single_photon", "decoy_bb84", "gmcs_dr", "gmcs_rr"])
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_crossover_matches_forward_scan(protocol, data):
-    # Skipping the blocks a proof covers (BB84, decoy with mu <= 1, GMCS DR)
-    # leaves the first bracketing cell, so the answer is the same float; the
-    # rest (decoy with mu > 1, GMCS RR) walk the grid as the reference does.
-    # Random detectors include many whose dual receiver is below the fast one.
+def check_crossover_matches_forward_scan(protocol, data, switch_losses):
+    """Draw a dual receiver behind a switch loss from switch_losses and an
+    envelope of its single receivers, and compare the crossover with the
+    reference scan, float for float or error for error."""
     detectors, configs, links = specs("gmcs_dr" if protocol == "gmcs_rr" else protocol, data.draw(st.booleans()))
     fast, slow, config = data.draw(detectors), data.draw(detectors), data.draw(configs)
     if data.draw(st.booleans()):  # as in the paper, the fast detector runs 10 to 10^4 times faster
@@ -489,7 +568,7 @@ def test_crossover_matches_forward_scan(protocol, data):
         config = dataclasses.replace(config, mu=data.draw(st.floats(0.01, 2.0)))
     if protocol == "gmcs_rr":  # a dual RR receiver needs equal efficiencies
         slow = dataclasses.replace(slow, g_det=fast.g_det)
-    switch_loss = data.draw(st.one_of(st.sampled_from((0.0, 3.0)), st.floats(0.0, 6.0)))
+    switch_loss = data.draw(switch_losses)
     link = dataclasses.replace(data.draw(links), switch_loss=switch_loss)
     receivers = {role: Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast, slow=slow)
                  for role, mode in (("dual", "dual"), ("fast", "single_fast"), ("slow", "single_slow"))}
@@ -500,10 +579,34 @@ def test_crossover_matches_forward_scan(protocol, data):
     assert _answer_or_error(crossover_distance, scenarios[0], scenarios[1:], l_max, step) == expected
 
 
+@pytest.mark.filterwarnings("ignore:curves touch")
+@pytest.mark.parametrize("protocol", ["bb84_single_photon", "decoy_bb84", "gmcs_dr", "gmcs_rr"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_crossover_matches_forward_scan(protocol, data):
+    # Skipping the blocks a proof covers (BB84, decoy with mu <= 1, GMCS DR)
+    # leaves the first bracketing cell, so the answer is the same float; the
+    # rest (decoy with mu > 1, GMCS RR) walk the grid as the reference does.
+    # Random detectors include many whose dual receiver is below the fast one.
+    check_crossover_matches_forward_scan(protocol, data, st.one_of(st.sampled_from((0.0, 3.0)), st.floats(0.0, 6.0)))
+
+
+@pytest.mark.filterwarnings("ignore:curves touch")
+@pytest.mark.parametrize("protocol", ONE_SIGN_CHANGE)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_crossover_past_a_non_positive_dual_matches_forward_scan(protocol, data):
+    # A switch loss of 6 to 40 dB keeps the dual rate non-positive from short
+    # lengths, so most blocks are proved between non-positive rates, where
+    # rate/t does not rise; the answer is still the reference scan's.
+    check_crossover_matches_forward_scan(protocol, data, st.floats(6.0, 40.0))
+
+
 def test_crossover_between_non_positive_rates_matches_forward_scan():
-    # Both rates are non-positive from about 39 km on, so no block can be
-    # proved there and the search walks; the difference still turns from
-    # positive to non-positive at 72.3 km, between two negative rates.
+    # Both rates are non-positive from about 39 km on, and the difference
+    # still turns from positive to non-positive at 72.3 km, between two
+    # negative rates: the blocks skipped there are proved by rate/t, which
+    # does not rise where a rate is non-positive.
     fast = SpdSpec(rep_rate=9177.483967668875, eta_d=0.535876655876376, y0=3.648386647903217e-05,
                    e_det=0.016320176148989476)
     slow = SpdSpec(rep_rate=1040890.8284087791, eta_d=0.3470461642340964, y0=3.1619681934409566e-08,
