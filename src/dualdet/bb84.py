@@ -37,6 +37,8 @@ class Bb84Config:
     basis_factor: float
     f_ec: float
 
+    RULES = {}  # check_sifting checks both fields
+
     def __post_init__(self) -> None:
         check_fields(self)
         check_sifting(self)

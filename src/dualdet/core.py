@@ -116,18 +116,37 @@ def check_number(name: str, value, rule: str | None = None) -> None:
             raise DomainError(f"{name} must be {rule}, got {value}")
 
 
-def check_fields(spec, **rules: str) -> None:
-    """check_number over a spec dataclass: every field finite, then rules in the order given.
-    check_number's tests run inline and it is called only to raise: a call per field cost 5% of
-    a scan op. Fields are read by getattr: vars(spec) would make a __dict__ that slows later reads."""
-    for name in spec.__dataclass_fields__:
+_FIELD_BOUNDS: dict[type, tuple] = {}  # spec class -> ((field, low, high), ...), filled on first use
+
+
+def check_fields(spec) -> None:
+    """check_number over a spec dataclass: every field finite, then the class's RULES in order.
+
+    RULES maps a field to its rule. On first use per class they resolve to (field, low, high)
+    for every field, (-inf, inf) where no rule applies: a float strictly inside proves the
+    field finite too, as NaN fails every comparison. The two-phase check below runs only where
+    a field fails that test (an int, a bool, a bound crossed), so it raises the first message
+    of check_number in that order, or accepts an in-range int. Fields are read by getattr:
+    vars(spec) would make a __dict__ that slows later reads."""
+    cls = spec.__class__
+    for name, low, high in _FIELD_BOUNDS.get(cls) or _resolve_fields(cls):
+        value = getattr(spec, name)
+        if value.__class__ is not float or not low < value < high:
+            break
+    else:
+        return
+    for name in cls.__dataclass_fields__:
         value = getattr(spec, name)
         if value.__class__ is not float or value - value:
             check_number(name, value)
-    for name, rule in rules.items():
-        low, high = _BOUNDS.get(rule) or _BOUNDS.setdefault(rule, _bounds(rule))
-        if not low < getattr(spec, name) < high:
-            check_number(name, getattr(spec, name), rule)
+    for name, rule in cls.RULES.items():
+        check_number(name, getattr(spec, name), rule)
+
+
+def _resolve_fields(cls: type) -> tuple:
+    bounds = tuple((name, *(_bounds(cls.RULES[name]) if name in cls.RULES else (-math.inf, math.inf)))
+                   for name in cls.__dataclass_fields__)
+    return _FIELD_BOUNDS.setdefault(cls, bounds)
 
 
 @dataclass(frozen=True)
@@ -149,8 +168,10 @@ class SpdSpec:
     y0: float
     e_det: float
 
+    RULES = {"rep_rate": "in (0, 1e15]", "eta_d": "in [0, 1]", "y0": "in [0, 1)", "e_det": "in [0, 0.5]"}
+
     def __post_init__(self) -> None:
-        check_fields(self, rep_rate="in (0, 1e15]", eta_d="in [0, 1]", y0="in [0, 1)", e_det="in [0, 0.5]")
+        check_fields(self)
         if self.eta_d == 0.0 and self.y0 == 0.0:
             raise DomainError("eta_d and y0 must not both be 0: the detector would never click")
 
@@ -168,8 +189,10 @@ class HomodyneSpec:
     g_det: float
     eps_det: float
 
+    RULES = {"rep_rate": "in (0, 1e15]", "g_det": "in (0, 1]", "eps_det": ">= 0"}
+
     def __post_init__(self) -> None:
-        check_fields(self, rep_rate="in (0, 1e15]", g_det="in (0, 1]", eps_det=">= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -189,8 +212,10 @@ class LinkSpec:
     g_bob: float = 1.0
     switch_loss: float = 0.0
 
+    RULES = {"alpha": ">= 0 dB/km", "length": ">= 0 km", "g_bob": "in (0, 1]", "switch_loss": ">= 0 dB"}
+
     def __post_init__(self) -> None:
-        check_fields(self, alpha=">= 0 dB/km", length=">= 0 km", g_bob="in (0, 1]", switch_loss=">= 0 dB")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -208,5 +233,7 @@ class GmcsSource:
     beta: float
     eps_pre: float = 0.0
 
+    RULES = {"v": "in (1, 1e270]", "beta": "in (0, 1]", "eps_pre": ">= 0"}
+
     def __post_init__(self) -> None:
-        check_fields(self, v="in (1, 1e270]", beta="in (0, 1]", eps_pre=">= 0")
+        check_fields(self)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .bb84 import F_EC_RULE, _arm, bb84_gain, bb84_qber, check_sifting
-from .core import E0, DomainError, SpdSpec, binary_entropy, bisect_sign_change, check_fields, check_number
+from .core import E0, DomainError, SpdSpec, binary_entropy, check_fields, check_number
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,10 @@ class DecoyConfig:
     basis_factor: float
     f_ec: float
 
+    RULES = {"mu": "in (0, 700]"}  # check_sifting checks the others
+
     def __post_init__(self) -> None:
-        check_fields(self, mu="in (0, 700]")
+        check_fields(self)
         check_sifting(self)
 
 
@@ -123,7 +125,7 @@ def _combine(cfg: DecoyConfig, keyed: SpdSpec, keyed_terms, bounding_terms) -> f
     return cfg.basis_factor * keyed.rep_rate * per_pulse
 
 
-#: Largest residual optimal_mu accepts from its bisection.
+#: Largest residual optimal_mu accepts from its closed form.
 MU_RESIDUAL_TOL = 1e-10
 
 
@@ -131,8 +133,9 @@ def optimal_mu(e_det: float, f_ec: float) -> float:
     """Solve (1 - mu) * exp(-mu) = f_ec * H2(e_det) / (1 - H2(e_det)) for mu.
 
     The left side falls strictly from 1 to 0 as mu goes from 0 to 1, so a
-    root exists and is unique whenever the right side lies in (0, 1).
-    Found by bisection; the returned value has residual below MU_RESIDUAL_TOL.
+    root exists and is unique whenever the right side lies in (0, 1). It is
+    computed in closed form (_mu_root); the returned value has residual below
+    MU_RESIDUAL_TOL.
     """
     check_number("e_det", e_det, "in (0, 0.5)")
     check_number("f_ec", f_ec, F_EC_RULE)
@@ -142,10 +145,33 @@ def optimal_mu(e_det: float, f_ec: float) -> float:
         raise DomainError(
             f"no root: f_ec*H2(e_det)/(1-H2(e_det)) = {rhs} falls outside (0, 1)"
         )
-    root = bisect_sign_change(
-        lambda mu: (1.0 - mu) * math.exp(-mu) - rhs, 0.0, 1.0, tol=1e-14
-    )
+    root = _mu_root(rhs)
     residual = abs((1.0 - root) * math.exp(-root) - rhs)
     if residual >= MU_RESIDUAL_TOL:
-        raise DomainError(f"bisection residual {residual} exceeds {MU_RESIDUAL_TOL}")
+        raise DomainError(f"residual {residual} exceeds {MU_RESIDUAL_TOL}")
     return root
+
+
+def _mu_root(rhs: float) -> float:
+    """The root mu of (1 - mu) * exp(-mu) = rhs for rhs in (0, 1).
+
+    With w = 1 - mu the equation is w * exp(w) = e * rhs, so w = W0(e * rhs),
+    the principal branch of the Lambert W function (Corless et al., Adv.
+    Comput. Math. 5, 329 (1996)), and W0 maps (0, e) onto (0, 1). Halley's
+    iteration on w * exp(w) - z starts from log1p(z), within 0.32 of W0(z)
+    there, and converges cubically: once a step is below 1e-8 * w, the error
+    left is far below an ulp. It takes 1 to 4 steps across (0, 1); the loop
+    is bounded, and optimal_mu's residual check would catch a miss. As rhs
+    < 1, fl(e * rhs) is at most the float below e, whose W0 is about
+    1 - 8.2e-17, nearer the float below 1 than 1 itself: mu > 0.
+    """
+    z = math.e * rhs
+    w = math.log1p(z)
+    for _ in range(8):
+        ew = math.exp(w)
+        f = w * ew - z
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-8 * w:
+            break
+    return 1.0 - w

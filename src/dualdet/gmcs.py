@@ -57,6 +57,10 @@ def mutual_info_ab(v: float, chi: float) -> float:
     the sender-referenced and receiver-referenced key maps.
     """
     _check_v_chi(v, chi)
+    return _mutual_info_ab(v, chi)
+
+
+def _mutual_info_ab(v: float, chi: float) -> float:
     return 0.5 * math.log2((v + chi) / (1.0 + chi))
 
 
@@ -69,6 +73,10 @@ def info_ae(v: float, chi: float) -> float:
     (GmcsSource) it is within a relative (v - 1)*chi < 1e-38 of the value.
     """
     _check_v_chi(v, chi)
+    return _info_ae(v, chi)
+
+
+def _info_ae(v: float, chi: float) -> float:
     if chi == 0.0:
         return 0.0
     inv = 1.0 / chi
@@ -89,6 +97,10 @@ def info_be(v: float, chi: float, g: float) -> float:
     _check_v_chi(v, chi)
     if not 0.0 < g <= 1.0:
         raise DomainError(f"g must be in (0, 1], got {g}")
+    return _info_be(v, chi, g)
+
+
+def _info_be(v: float, chi: float, g: float) -> float:
     if chi == 0.0:
         # v*(1/v) rounds off exact 1; at chi = 0 the argument is exactly g^2.
         return math.log2(g)
@@ -155,12 +167,21 @@ def _dr_error_scale(source: GmcsSource, keyed: HomodyneSpec) -> float:
 
 
 def _dr_combine(source: GmcsSource, keyed: HomodyneSpec, keyed_terms, bounding_terms) -> float:
-    """The DR rate from two noise budgets: the keyed arm's chi_vac, each arm's eps."""
+    """The DR rate from two noise budgets: the keyed arm's chi_vac, each arm's eps.
+
+    GmcsSource has checked v, so the information functions run unchecked
+    where both chi are in [0, inf). Either can leave it: a t above 1 makes
+    chi_vac negative, and the keyed chi_vac plus the bounding arm's eps can
+    overflow though each arm's own sum is finite. There the checked
+    functions raise their message.
+    """
     _, chi_vac, eps_keyed = keyed_terms
-    return keyed.rep_rate * (
-        source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
-        - info_ae(source.v, chi_vac + bounding_terms[2])
-    )
+    chi_keyed, chi_bounding = chi_vac + eps_keyed, chi_vac + bounding_terms[2]
+    if 0.0 <= chi_keyed < math.inf and 0.0 <= chi_bounding < math.inf:
+        mutual, info = _mutual_info_ab, _info_ae
+    else:
+        mutual, info = mutual_info_ab, info_ae
+    return keyed.rep_rate * (source.beta * mutual(source.v, chi_keyed) - info(source.v, chi_bounding))
 
 
 def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsSource, t: float) -> float:
@@ -180,9 +201,12 @@ def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
 
 
 def _rr_combine(source: GmcsSource, keyed: HomodyneSpec, keyed_terms, bounding_terms) -> float:
-    """The RR rate from two noise budgets: the keyed arm's g and chi_vac, each arm's eps."""
+    """The RR rate from two noise budgets: the keyed arm's g and chi_vac, each
+    arm's eps. Unchecked as in _dr_combine, where g is in (0, 1] too."""
     g, chi_vac, eps_keyed = keyed_terms
-    return keyed.rep_rate * (
-        source.beta * mutual_info_ab(source.v, chi_vac + eps_keyed)
-        - info_be(source.v, chi_vac + bounding_terms[2], g)
-    )
+    chi_keyed, chi_bounding = chi_vac + eps_keyed, chi_vac + bounding_terms[2]
+    if 0.0 <= chi_keyed < math.inf and 0.0 <= chi_bounding < math.inf and 0.0 < g <= 1.0:
+        mutual, info = _mutual_info_ab, _info_be
+    else:
+        mutual, info = mutual_info_ab, info_be
+    return keyed.rep_rate * (source.beta * mutual(source.v, chi_keyed) - info(source.v, chi_bounding, g))

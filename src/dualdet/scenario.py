@@ -214,27 +214,30 @@ _JSON_NAMES = {"rep_rate": "rep_rate_hz", "alpha": "alpha_db_per_km", "length": 
 _DETECTOR_KINDS = {"spd": SpdSpec, "homodyne": HomodyneSpec}
 
 
-def _schema(cls: type) -> tuple[dict[str, str], set[str], set[str]]:
-    """(JSON key -> field name, required keys, optional keys) of a spec
-    dataclass; a key is optional exactly when its field has a default."""
-    names, required, optional = {}, set(), set()
-    for f in dataclasses.fields(cls):
-        key = _JSON_NAMES.get(f.name, f.name)
-        names[key] = f.name
-        (required if f.default is dataclasses.MISSING else optional).add(key)
-    return names, required, optional
+def _schema(cls: type) -> tuple[frozenset, frozenset, tuple[str, ...], tuple]:
+    """(required keys, allowed keys, keys in field order, their defaults) of a
+    spec dataclass; a key is optional exactly when its field has a default."""
+    fields = dataclasses.fields(cls)
+    keys = tuple(_JSON_NAMES.get(f.name, f.name) for f in fields)
+    required = frozenset(key for key, f in zip(keys, fields) if f.default is dataclasses.MISSING)
+    return required, frozenset(keys), keys, tuple(f.default for f in fields)
 
 
 #: Resolved once here: scenario_from_dict runs per scan point and must not re-read the fields.
 _SCHEMAS = {
     cls: _schema(cls) for cls in (LinkSpec, *_DETECTOR_KINDS.values(), *(row[0] for row in _PROTOCOLS.values()))
 }
+_SCENARIO_KEYS = frozenset({"protocol", "mode", "link", "detectors", "config"})
 
 
-def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
+def _check_keys(obj: dict, required: frozenset, allowed: frozenset, where: str) -> None:
+    """Refuse a non-object, then unknown keys, then missing ones. A plain dict
+    with the right keys passes on two set comparisons."""
+    if obj.__class__ is dict and obj.keys() >= required and obj.keys() <= allowed:
+        return
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(obj) - required - optional
+    unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     missing = required - set(obj)
@@ -243,10 +246,11 @@ def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
 
 
 def _spec(cls: type, obj: Any, where: str):
-    """Build a spec of type cls from its JSON object."""
-    names, required, optional = _SCHEMAS[cls]
-    _check_keys(obj, required, optional, where)
-    return cls(**{names[key]: value for key, value in obj.items()})
+    """Build a spec of type cls from its JSON object, positionally in field
+    order; an absent optional key takes its field's default."""
+    required, allowed, keys, defaults = _SCHEMAS[cls]
+    _check_keys(obj, required, allowed, where)
+    return cls(*map(obj.get, keys, defaults))
 
 
 def _parse_detector(entry: Any, index: int) -> Detector:
@@ -261,7 +265,7 @@ def _parse_detector(entry: Any, index: int) -> Detector:
 
 def scenario_from_dict(data: Any) -> Scenario:
     """Build and validate a Scenario from decoded JSON."""
-    _check_keys(data, {"protocol", "mode", "link", "detectors", "config"}, set(), "scenario")
+    _check_keys(data, _SCENARIO_KEYS, _SCENARIO_KEYS, "scenario")
     protocol, mode, detectors = data["protocol"], data["mode"], data["detectors"]
     try:
         link = _spec(LinkSpec, data["link"], "link")

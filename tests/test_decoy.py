@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +15,7 @@ from dualdet.decoy import (
     decoy_single_photon_gain,
     decoy_single_photon_qber,
     optimal_mu,
+    _mu_root,
 )
 
 FAST = SpdSpec(rep_rate=1e9, eta_d=0.059, y0=1.3e-5, e_det=0.018)
@@ -182,6 +184,53 @@ def test_optimal_mu_no_root():
     # Just below 0.5, H2(e_det) rounds to 1 and the right-hand side is infinite.
     with pytest.raises(DomainError, match="no root"):
         optimal_mu(math.nextafter(0.5, 0.0), 1.22)
+
+
+def bisection_mu(rhs):
+    """optimal_mu's root as it was found before the closed form: [0, 1] halved
+    to a width of at most 1e-14, so within 3.6e-15 of the root."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if (1.0 - mid) * math.exp(-mid) - rhs > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_rng = random.Random(19)
+#: Right-hand sides across (0, 1): uniform, down to the least subnormal, and up to the largest float below 1.
+RHS_GRID = (
+    [_rng.random() for _ in range(2000)]
+    + [10.0 ** _rng.uniform(-323, 0) for _ in range(2000)]
+    + [1.0 - 10.0 ** _rng.uniform(-16, 0) for _ in range(2000)]
+    + [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-16, 0.5, 1 - 2**-52, math.nextafter(1.0, 0.0)]
+)
+
+
+def test_mu_root_matches_bisection():
+    for rhs in RHS_GRID:
+        mu = _mu_root(rhs)
+        assert 0.0 < mu <= 1.0, rhs
+        assert abs(mu - bisection_mu(rhs)) <= 4e-15, rhs
+
+
+def test_optimal_mu_matches_bisection():
+    # e_det from its whole domain, uniform or log-uniform down to 1e-300, and f_ec
+    # from [1, 10]: the same root within 4e-15, or both without one.
+    rng = random.Random(20)
+    for i in range(4000):
+        e_det = rng.uniform(0.0, 0.5) if i % 2 else 0.5 * 10.0 ** -rng.uniform(0, 300)
+        e_det = min(max(e_det, 5e-324), math.nextafter(0.5, 0.0))
+        f_ec = rng.uniform(1.0, 10.0)
+        h = binary_entropy(e_det)
+        rhs = f_ec * h / (1.0 - h) if h < 1.0 else math.inf
+        if not 0.0 < rhs < 1.0:
+            with pytest.raises(DomainError, match="^no root: "):
+                optimal_mu(e_det, f_ec)
+            continue
+        assert abs(optimal_mu(e_det, f_ec) - bisection_mu(rhs)) <= 4e-15, (e_det, f_ec)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, True])

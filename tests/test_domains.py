@@ -7,11 +7,13 @@ the classes, non-finite values and bools are refused first, before any range.
 """
 
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualdet.bb84 import Bb84Config
-from dualdet.core import DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec
+from dualdet.core import DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, _bounds, check_fields, check_number
 from dualdet.decoy import DecoyConfig, optimal_mu
 from dualdet.practical import accumulation_time, choice_probabilities, max_slow_probability, multi_pulse_qber
 
@@ -147,3 +149,60 @@ def test_spd_must_be_able_to_click(eta_d, y0):
         return
     with pytest.raises(DomainError, match="^eta_d and y0 must not both be 0: the detector would never click$"):
         SpdSpec(**kwargs)
+
+
+#: The rules each class passed to check_fields before the classes declared them.
+REF_RULES = {
+    SpdSpec: dict(rep_rate="in (0, 1e15]", eta_d="in [0, 1]", y0="in [0, 1)", e_det="in [0, 0.5]"),
+    HomodyneSpec: dict(rep_rate="in (0, 1e15]", g_det="in (0, 1]", eps_det=">= 0"),
+    LinkSpec: dict(alpha=">= 0 dB/km", length=">= 0 km", g_bob="in (0, 1]", switch_loss=">= 0 dB"),
+    GmcsSource: dict(v="in (1, 1e270]", beta="in (0, 1]", eps_pre=">= 0"),
+    Bb84Config: {},
+    DecoyConfig: dict(mu="in (0, 700]"),
+}
+
+
+def ref_check_fields(spec, **rules):
+    """check_fields as it was: every field finite, then the rules in the order given."""
+    for name in spec.__dataclass_fields__:
+        value = getattr(spec, name)
+        if value.__class__ is not float or value - value:
+            check_number(name, value)
+    for name, rule in rules.items():
+        low, high = _bounds(rule)
+        if not low < getattr(spec, name) < high:
+            check_number(name, getattr(spec, name), rule)
+
+
+def rule_ends(rule):
+    """Each number a rule names, the floats on both sides of it, and it as an int."""
+    ends = [float(x) for x in re.findall(r"\d[\d.e]*", rule or "")]
+    return [p for x in ends for p in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf), int(x))]
+
+
+SPECIAL_VALUES = [0, 1, -1, 10**400, -10**400, True, False, None, "0.5", math.nan, math.inf, -math.inf, -0.0, 5e-324]
+
+
+def field_values(rule):
+    return st.one_of(st.sampled_from(rule_ends(rule) + SPECIAL_VALUES), st.floats(), st.integers())
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:  # any refusal: its type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cls", list(REF_RULES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_fields_matches_reference(cls, data):
+    # Any mix of valid and invalid fields: the same refusal, message and all, or both accept.
+    valid, rules = CLASSES[cls][0], REF_RULES[cls]
+    spec = object.__new__(cls)  # no __post_init__: check_fields alone is compared
+    for name, value in valid.items():
+        drawn = data.draw(st.one_of(st.just(value), field_values(rules.get(name))), label=name)
+        object.__setattr__(spec, name, drawn)
+    assert outcome(check_fields, spec) == outcome(ref_check_fields, spec, **rules)

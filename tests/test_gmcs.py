@@ -133,6 +133,25 @@ def test_informations_refuse_non_finite(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize("kernel, keyed, bounding, t, message", [
+    # Each arm's own input noise is finite (1e308), but the keyed arm's vacuum
+    # noise plus the bounding arm's excess noise overflows.
+    (gmcs_dr_rate_dual, HomodyneSpec(1e6, 1e-10, 0.0), HomodyneSpec(1e6, 1.0, 1e10), 1e-298,
+     "chi must be >= 0, got inf"),
+    # A t above 1 makes the vacuum noise negative, or g exceed 1.
+    (gmcs_dr_rate_dual, HomodyneSpec(1e6, 1.0, 0.0), HomodyneSpec(1e6, 1.0, 0.0), 1.5,
+     "chi must be >= 0, got -0.3333333333333333"),
+    (gmcs_rr_rate_dual, HomodyneSpec(1e6, 1.0, 0.0), HomodyneSpec(1e6, 1.0, 0.0), 1.5,
+     "chi must be >= 0, got -0.3333333333333333"),
+    (gmcs_rr_rate_dual, HomodyneSpec(1e6, 1.0, 5.0), HomodyneSpec(1e6, 1.0, 5.0), 1.5, "g must be in (0, 1], got 1.5"),
+])
+def test_kernels_keep_the_information_refusals(kernel, keyed, bounding, t, message):
+    # The kernels call the information functions unchecked only where their checks would pass.
+    with pytest.raises(DomainError) as info:
+        kernel(keyed, bounding, GmcsSource(v=2.0, beta=0.9), t)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("v", [1.0, 2.0, 40.0, 49.0, 1e6])
 def test_info_be_lossless_noiseless_is_exactly_zero(v):
     assert info_be(v, 0.0, 1.0) == 0.0

@@ -449,6 +449,89 @@ def test_schema_optional_key_default(spec, path, key, default):
     assert type(getattr(parsed, field)) is type(value)
 
 
+def test_schema_every_optional_key_absent():
+    data = _without(_without(_without(BB84_DUAL, ("link",), "length_km"), ("link",), "g_bob"), ("link",), "switch_loss_db")
+    assert scenario_from_dict(data).link == LinkSpec(alpha=0.21)
+    assert scenario_from_dict(_without(GMCS_DR_DUAL, ("config",), "eps_pre")).config == GmcsSource(v=40, beta=1.0)
+
+
+def _set(path, key, value):
+    def edit(data):
+        for step in path:
+            data = data[step]
+        data[key] = value
+    return edit
+
+
+def _rr_unequal_g_det(data):
+    data.update(protocol="gmcs_rr", mode="dual", config={"v": 20.0, "beta": 0.8}, detectors=[
+        {"homodyne": {"rep_rate_hz": 8.2e7, "g_det": 0.8, "eps_det": 0.43}},
+        {"homodyne": {"rep_rate_hz": 1e6, "g_det": 0.6, "eps_det": 0.01}},
+    ])
+
+
+class Subclass(dict):
+    pass
+
+
+#: (edit of a copy of BB84_DUAL, the exact ConfigError message): the scan
+#: workload's malformed kinds first, then the other refusals of scenario_from_dict.
+REFUSALS = {
+    "unknown_key": (_set(("link",), "colour", 1.0), "unknown keys in link: ['colour']"),
+    "missing_key": (lambda d: d["detectors"][0]["spd"].pop("rep_rate_hz"),
+                    "missing keys in detectors[0]: ['rep_rate_hz']"),
+    "out_of_range": (_set(("link",), "g_bob", 1.5), "g_bob must be in (0, 1], got 1.5"),
+    "rr_unequal_g_det": (_rr_unequal_g_det, "reverse reconciliation with dual detectors requires equal "
+                                            "detection efficiencies, got 0.8 and 0.6"),
+    "bool": (_set(("link",), "g_bob", True), "g_bob must be a finite number, got True"),
+    "nan": (_set(("link",), "alpha_db_per_km", math.nan), "alpha must be a finite number, got nan"),
+    "infinity": (_set(("detectors", 0, "spd"), "rep_rate_hz", math.inf), "rep_rate must be a finite number, got inf"),
+    "unknown_and_missing": (lambda d: (d["link"].pop("alpha_db_per_km"), d["link"].update(colour=1.0)),
+                            "unknown keys in link: ['colour']"),
+    "scenario_key": (_set((), "extra", 1), "unknown keys in scenario: ['extra']"),
+    "scenario_missing": (lambda d: d.pop("config"), "missing keys in scenario: ['config']"),
+    "link_array": (_set((), "link", [1]), "link must be a JSON object"),
+    "config_string": (_set((), "config", "x"), "config must be a JSON object"),
+    "detector_number": (_set(("detectors", 0), "spd", 3), "detectors[0] must be a JSON object"),
+    "no_detectors": (_set((), "detectors", []), "detectors must be an array of 1 or 2 entries (fast first)"),
+    "three_detectors": (lambda d: d["detectors"].append(d["detectors"][0]),
+                        "detectors must be an array of 1 or 2 entries (fast first)"),
+    "detectors_object": (_set((), "detectors", {"spd": {}}),
+                         "detectors must be an array of 1 or 2 entries (fast first)"),
+    "detector_kind": (lambda d: d["detectors"][0].update(apd=d["detectors"][0].pop("spd")),
+                      "detectors[0]: unknown detector kind 'apd'; expected 'spd' or 'homodyne'"),
+    "protocol": (_set((), "protocol", "e91"), "unknown protocol 'e91'; expected one of "
+                                              "('bb84_single_photon', 'decoy_bb84', 'gmcs_dr', 'gmcs_rr')"),
+    "string_field": (_set(("link",), "g_bob", "0.5"), "malformed scenario: must be real number, not str"),
+    "null_field": (_set(("link",), "g_bob", None), "malformed scenario: must be real number, not NoneType"),
+    "huge_int": (_set(("link",), "g_bob", 10**400), f"g_bob must be a finite number, got {10**400!r}"),
+    "subclass_unknown_key": (lambda d: d.update(link=Subclass(d["link"], colour=1.0)),
+                             "unknown keys in link: ['colour']"),
+    "subclass_missing_key": (lambda d: d.update(config=Subclass(f_ec=1.22)), "missing keys in config: ['basis_factor']"),
+}
+
+
+@pytest.mark.parametrize("kind", list(REFUSALS))
+def test_scenario_from_dict_refusal_messages(kind):
+    edit, message = REFUSALS[kind]
+    data = copy.deepcopy(BB84_DUAL)
+    edit(data)
+    with pytest.raises(ConfigError) as info:
+        scenario_from_dict(data)
+    assert str(info.value) == message
+
+
+def test_dict_subclasses_are_read_like_dicts():
+    # A dict subclass (an OrderedDict from object_pairs_hook, say) takes the full key checks.
+    data = copy.deepcopy(BB84_DUAL)
+    data["link"] = Subclass(data["link"])
+    data["detectors"][1] = Subclass(spd=Subclass(data["detectors"][1]["spd"]))
+    del data["link"]["g_bob"]
+    assert scenario_from_dict(Subclass(data)) == scenario_from_dict(_without(BB84_DUAL, ("link",), "g_bob"))
+    assert scenario_from_dict(json.loads(json.dumps(BB84_DUAL), object_pairs_hook=Subclass)) == scenario_from_dict(
+        BB84_DUAL)
+
+
 def _receivers(fig_id, **link):
     """The dual, fast and slow receivers of a preset, all on one link."""
     scenarios = figure_preset(fig_id).scenarios
