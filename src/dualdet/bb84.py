@@ -77,7 +77,7 @@ def _combine(cfg: Bb84Config, keyed: SpdSpec, keyed_terms, bounding_terms) -> fl
 def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float) -> float:
     """Key rate in bits/s with `keyed` making the key and `bounding` bounding leakage.
 
-    t is the transmittance from the source to either detector. May be
+    t, in [0, 1], is the transmittance from the source to either detector. May be
     negative when the error-correction and privacy-amplification costs
     exceed one bit per detection; callers clamp for plotting. A
     single-detector receiver passes one detector twice: its arm is computed once.
@@ -109,6 +109,7 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     and none falls as t grows. So if D(L) > 0, then D(L') >= D(L)*t(L)/t(L')
     at every L' <= L.
     """
+    check_number("t", t, "in [0, 1]")
     terms = _arm(None, keyed, t)
     return _combine(cfg, keyed, terms, terms if bounding is keyed else _arm(None, bounding, t))
 

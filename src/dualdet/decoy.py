@@ -66,7 +66,7 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
     """Key rate in bits/s with gains and error correction from the keyed
     detector and the privacy-amplification error bound from the bounding one.
 
-    t is the transmittance from the source to either detector. A
+    t, in [0, 1], is the transmittance from the source to either detector. A
     single-detector receiver passes one detector twice. With no bounding
     detector the rate charges no privacy amplification, showing how much
     of the rate loss is error correction alone.
@@ -99,6 +99,7 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
     q_1 is proportional to it. So BB84's twin rule holds, for every mu.
     The error bound is bb84._error_scale's.
     """
+    check_number("t", t, "in [0, 1]")
     terms = _signal(cfg.mu, keyed, t)
     return _combine(cfg, keyed, terms, None if bounding is None else _arm(None, bounding, t))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .core import DomainError, GmcsSource, HomodyneSpec
+from .core import DomainError, GmcsSource, HomodyneSpec, check_number
 
 
 class MismatchedEfficiencyError(DomainError):
@@ -89,7 +89,7 @@ def info_be(v: float, chi: float, g: float) -> float:
     """Eavesdropper information on the receiver: (1/2)*log2[g^2*(v+chi)*(1/v+chi)].
 
     The argument is at least g^2, so it can only reach 0 by g^2 underflowing
-    (about 7,750 km at 0.21 dB/km): there g is outside the model's domain.
+    (about 7,700 km at 0.21 dB/km): there g is outside the model's domain.
     A g*chi past about 1e154 (a huge excess noise) overflows the argument;
     the logs of its factors are added instead, which stay finite as
     v <= 1e270 (GmcsSource).
@@ -115,7 +115,7 @@ def _info_be(v: float, chi: float, g: float) -> float:
 def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsSource, t: float) -> float:
     """Direct-reconciliation rate in bits/s with the keyed arm making the key.
 
-    t is the transmittance from the source to either detector. The
+    t, in [0, 1], is the transmittance from the source to either detector. The
     vacuum-noise term is shared (taken from the keyed arm); each arm
     contributes its own excess noise. A single-detector receiver passes
     one detector twice, and its noise budget is computed once.
@@ -142,6 +142,7 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     chi. Both chi fall as t grows, so S does not fall. So if D(L) > 0, then
     D(L') >= D(L)*t(L)/t(L') at every L' <= L.
     """
+    check_number("t", t, "in [0, 1]")
     terms = noise_budget(source, keyed, t)
     return _dr_combine(source, keyed, terms, terms if bounding is keyed else noise_budget(source, bounding, t))
 
@@ -189,15 +190,69 @@ def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
 
     Arguments as for gmcs_dr_rate_dual. Requires identical detection
     efficiencies on the two arms; otherwise the bounding arm's
-    eavesdropper bound does not transfer to the keyed arm. I_BE's argument
-    is not monotone in g in general, so no single sign change is claimed.
+    eavesdropper bound does not transfer to the keyed arm.
+
+    rate/t does not rise with length, whatever its sign, and a positive rate
+    falls: the rate is positive on a prefix of lengths and changes sign at
+    most once. Both arms share g = t*g_det in (0, 1]. With a_k = 1 + eps_det
+    of the keyed arm, a_b that of the bounding arm, e = eps_pre,
+    p = v - 1 + e and s = 1/v - 1 + e: g*(v + chi_k) = a_k + p*g,
+    g*(1 + chi_k) = a_k + e*g and
+    g^2*(v + chi_b)*(1/v + chi_b) = (a_b + p*g)*(a_b + s*g). So in
+    natural-log units F(g) = 2*ln(2)*rate/rep_rate is
+    beta*[ln(1 + x_p) - ln(1 + x_e)] - 2*ln(a_b) - ln(1 + y_p) - ln(1 + y_s),
+    with x_p = p*g/a_k, x_e = e*g/a_k, y_p = p*g/a_b and y_s = s*g/a_b. Let
+    c(x) = ln(1 + x) - x/(1 + x), which is >= 0 for x > -1 and rises for
+    x >= 0. As g*d ln(1 + x)/dg = x/(1 + x) for each of these x,
+    K = g*F' - F = c(y_p) - beta*c(x_p) + beta*c(x_e) + c(y_s) + 2*ln(a_b).
+    Here c(y_p) >= c(x_p) - ln(a_b): if a_k >= a_b, then y_p >= x_p >= 0 and
+    c rises; if not, c(x_p) - c(y_p) <= ln(x_p/y_p) = ln(a_b/a_k) <= ln(a_b),
+    as c'(x) = x/(1 + x)^2 <= 1/x. Then c(x_p) >= beta*c(x_p) and
+    c(x_e) >= 0; a_b + s*g >= 1 - g + g/v > 0 as g <= 1, so 1 + y_s > 0 and
+    c(y_s) >= 0. So K >= ln(a_b) >= 0, and (F/g)' = K/g^2 >= 0: F/g, a
+    positive multiple of rate/t, does not rise as g falls, that is with
+    length. Where F > 0, g*F' = K + F > 0, so the rate falls with length.
+    The error bound is _rr_error_scale's.
     """
+    check_number("t", t, "in [0, 1]")
     if keyed.g_det != bounding.g_det:
         raise MismatchedEfficiencyError(
             f"detector efficiencies differ: {keyed.g_det} vs {bounding.g_det}"
         )
     terms = noise_budget(source, keyed, t)
     return _rr_combine(source, keyed, terms, terms if bounding is keyed else noise_budget(source, bounding, t))
+
+
+def _rr_error_scale(source: GmcsSource, keyed: HomodyneSpec, bounding: HomodyneSpec) -> float:
+    """rep_rate*(2 + v + log2(v) + log2(1 + eps_det) + log2(1 + eps_pre)), with
+    the keyed detector's rep_rate and the bounding detector's eps_det, whose
+    2**-41 multiple bounds the RR rate's rounding error where g = t*g_det >=
+    2**-500 (scenario._proof_length), up to 2**-1074 per rounding that
+    underflows. Finite, as v <= 1e270 and the log2 of a float is at most 1,024.
+
+    With u = 2**-53, the computed g is off by a relative rho < 1,510u, as in
+    _dr_error_scale (g >= 2**-500 is normal). In gmcs_rr_rate_dual's terms,
+    F moves by at most |g*F'| per unit of |ln g|, and |g*F'| <= 2 + v on
+    (0, 1]: each x/(1 + x) with x >= 0 is in [0, 1), and where s < 0,
+    |y_s|/(1 + y_s) <= (1 - 1/v)*g/(1 - g + g/v) <= v - 1. So the rate moves
+    by at most rep_rate*0.73*(2 + v)*rho < 1,100u*(2 + v)*rep_rate. At the
+    computed g, chi's roundings are relative (3u), and |dI/d ln chi| is at most
+    0.73 for I_AB and 1.45 for I_BE, so they move the bracket by under 7u. The
+    arguments of the logs are off by at most a relative 6u, so under 9u in
+    all. Each log2 and the combine add at most 2u of their results and terms:
+    under 3u*(log2(v) + 2*|I_BE|), with
+    |I_BE| <= log2(v)/2 + log2(1 + eps_det) + log2(1 + eps_pre), as
+    1/v <= (a_b + p*g)*(a_b + s*g) <= v*(a_b + e)^2. Where I_BE's argument
+    overflows (info_be's log-sum branch), its three logs are at most 1,024 in
+    size (g >= 2**-500) and add under 4,100u, but there
+    log2(v) + 2*log2((1 + eps_det)*(1 + eps_pre)) >= 1,023, so under 4u
+    times that sum. In all the error is below
+    1,100u*(2 + v) + 20u + 9u*log2(v) + 12u*(log2(1 + eps_det) + log2(1 + eps_pre)),
+    under 2,400u*scale < 2**-41*scale. _rr_combine's checked fallback yields
+    no rate: it runs only where a chi or g fails its checks, and raises.
+    """
+    return keyed.rep_rate * (2.0 + source.v + math.log2(source.v) + math.log2(1.0 + bounding.eps_det)
+                             + math.log2(1.0 + source.eps_pre))
 
 
 def _rr_combine(source: GmcsSource, keyed: HomodyneSpec, keyed_terms, bounding_terms) -> float:

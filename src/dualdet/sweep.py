@@ -8,8 +8,9 @@ first crossing, skipping each block of grid points where the rates'
 monotonicity, for positive and for non-positive rates, proves the sign of
 the difference. The maximum distance finds the last positive grid point by
 halving the grid's index range when the scenario's rate provably changes
-sign at most once and every rate it reads is clear of its rounding error,
-and otherwise walks backward from the search limit; both find the same point.
+sign at most once, every rate it reads is clear of its rounding error and
+every grid point past the answer is proved negative, and otherwise walks
+backward from the search limit; both find the same point.
 """
 
 from __future__ import annotations
@@ -176,27 +177,46 @@ def _halve(scenario: Scenario, grid: Sequence[float]) -> int | None:
     at most once as the length grows (it has an error scale, the last column
     of `scenario._PROTOCOLS`; the monotone rule in the kernel docstrings).
     A computed rate whose size exceeds 2**-40*scale + 2**-1000, more than
-    its rounding error, has the real rate's sign there (_block_proof). None
-    when that proves nothing: the scenario has no error scale, or a rate
-    evaluated is within that margin of 0 or past _proof_length, where a
-    rounding may flip its sign, as where 1 - f_ec*H2(e_k) - H2(e_b) rounds
-    to 0 while the real rate is positive.
+    its rounding error, has the real rate's sign there (_block_proof). The
+    backward walk also reads the points past the answer that the halving
+    skips, where a real rate within its rounding error of 0 may round
+    positive (a GMCS RR rate with eps_det = 0 tends to 0 with t). So each
+    block past the answer is proved negative too: between x_i < -margin at
+    grid[i] and a non-positive rate at grid[j], the rate is at most x_i*r,
+    r = t(grid[j])/t(grid[i]) (rate/t does not rise), and x_i*r < -margin
+    makes every computed rate on the block negative, as in _block_proof. A
+    block that fails is split at its middle point, which must be below
+    -margin. None when that proves nothing: the scenario has no error scale,
+    grid[-1] is past _proof_length, or a rate evaluated is within that margin
+    of 0, where a rounding may flip its sign (as where 1 - f_ec*H2(e_k) -
+    H2(e_b) rounds to 0 while the real rate is positive), or positive past
+    the answer.
     """
     scale = scenario._error_scale
-    if scale is None:
+    if scale is None or grid[-1] > _proof_length(scenario):
         return None
-    margin, limit = _MARGIN * scale + _LEAST_MARGIN, _proof_length(scenario)
+    margin = _MARGIN * scale + _LEAST_MARGIN
     lo, hi, probe = -1, len(grid) - 1, 0  # the rate is positive at grid[lo] (if lo >= 0), not at grid[hi]
+    blocks = []  # (i, x_i, j): the rate is x_i < -margin at grid[i] and not positive at grid[j]
     while hi - lo > 1:
-        length = grid[probe]
-        rate = evaluate(scenario, length)
-        if not (abs(rate) > margin and length <= limit):
+        rate = evaluate(scenario, grid[probe])
+        if not abs(rate) > margin:
             return None
         if rate > 0.0:
             lo = probe
         else:
+            blocks.append((probe, rate, hi))
             hi = probe
         probe = (lo + hi) // 2
+    alpha = scenario.link.alpha
+    while blocks:
+        i, rate, j = blocks.pop()
+        if j - i > 1 and not rate * channel_transmittance(alpha, grid[j] - grid[i]) < -margin:
+            mid = (i + j) // 2
+            mid_rate = evaluate(scenario, grid[mid])
+            if not mid_rate < -margin:
+                return None
+            blocks += [(i, rate, mid), (mid, mid_rate, j)]
     return lo
 
 

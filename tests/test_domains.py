@@ -1,7 +1,7 @@
 """Every bounded input, at both ends of its rule.
 
 For each field of the spec and config classes and each checked argument of
-decoy and practical, a value just inside an end is accepted and one just
+the rate kernels, decoy and practical, a value just inside an end is accepted and one just
 outside is refused with exactly "<name> must be <rule>, got <value>". For
 the classes, non-finite values and bools are refused first, before any range.
 """
@@ -12,9 +12,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualdet.bb84 import Bb84Config
+from dualdet.bb84 import Bb84Config, bb84_rate_dual
 from dualdet.core import DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, _bounds, check_fields, check_number
-from dualdet.decoy import DecoyConfig, optimal_mu
+from dualdet.decoy import DecoyConfig, decoy_rate_dual, optimal_mu
+from dualdet.gmcs import gmcs_dr_rate_dual, gmcs_rr_rate_dual
 from dualdet.practical import accumulation_time, choice_probabilities, max_slow_probability, multi_pulse_qber
 
 
@@ -79,6 +80,16 @@ CLASSES = {
 
 ACCUMULATION = dict(p=0.01, rep_rate=1e6, mu=1.0, overall_eta=1e-3, target_counts=0.0)
 
+_SPDS = dict(keyed=SpdSpec(1e9, 0.1, 1e-6, 0.01), bounding=SpdSpec(1e6, 0.5, 1e-7, 0.01))
+_HOMODYNES = dict(keyed=HomodyneSpec(1e7, 0.6, 0.1), bounding=HomodyneSpec(1e6, 0.6, 0.01))
+#: The rate kernels, each with valid keyword arguments but t.
+KERNELS = [
+    (bb84_rate_dual, dict(_SPDS, cfg=Bb84Config(0.5, 1.22))),
+    (decoy_rate_dual, dict(_SPDS, cfg=DecoyConfig(0.5, 0.5, 1.22))),
+    (gmcs_dr_rate_dual, dict(_HOMODYNES, source=GmcsSource(20.0, 0.9, 0.01))),
+    (gmcs_rr_rate_dual, dict(_HOMODYNES, source=GmcsSource(20.0, 0.9, 0.01))),
+]
+
 #: (function, valid keyword arguments, argument, rule, its ends as (inside, outside) pairs).
 ARGUMENTS = [
     # Within about 1e-8 of e_det = 0.5, H2 rounds to 1 (test_decoy covers that edge).
@@ -90,6 +101,8 @@ ARGUMENTS = [
      [open_low(0.0), open_high(0.25)]),
     (accumulation_time, ACCUMULATION, "p", "in [0, 1]", [closed_low(0.0), closed_high(1.0)]),
     *((accumulation_time, ACCUMULATION, name, ">= 0", [closed_low(0.0)]) for name in ACCUMULATION if name != "p"),
+    *((kernel, {**kwargs, "t": 0.5}, "t", "in [0, 1]", [closed_low(0.0), closed_high(1.0)])
+      for kernel, kwargs in KERNELS),
 ]
 
 CASES = [
@@ -114,6 +127,18 @@ def test_rule_both_ends(call, kwargs, name, rule, inside, outside):
     with pytest.raises(DomainError) as exc:
         call(**{**kwargs, name: outside})
     assert str(exc.value) == f"{name} must be {rule}, got {outside}"
+
+
+@pytest.mark.parametrize("t, message", [
+    (-0.5, "t must be in [0, 1], got -0.5"),
+    (math.nan, "t must be a finite number, got nan"),
+])
+@pytest.mark.parametrize("kernel, kwargs", KERNELS, ids=[kernel.__name__ for kernel, _ in KERNELS])
+def test_kernels_refuse_t_outside_0_1(kernel, kwargs, t, message):
+    # t is checked before anything else: the kernels' monotone rules assume t <= 1.
+    with pytest.raises(DomainError) as exc:
+        kernel(**kwargs, t=t)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])

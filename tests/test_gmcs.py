@@ -138,12 +138,12 @@ def test_informations_refuse_non_finite(call, args):
     # noise plus the bounding arm's excess noise overflows.
     (gmcs_dr_rate_dual, HomodyneSpec(1e6, 1e-10, 0.0), HomodyneSpec(1e6, 1.0, 1e10), 1e-298,
      "chi must be >= 0, got inf"),
-    # A t above 1 makes the vacuum noise negative, or g exceed 1.
+    # A t above 1 would make the vacuum noise negative, or g exceed 1: the kernels refuse it first.
     (gmcs_dr_rate_dual, HomodyneSpec(1e6, 1.0, 0.0), HomodyneSpec(1e6, 1.0, 0.0), 1.5,
-     "chi must be >= 0, got -0.3333333333333333"),
+     "t must be in [0, 1], got 1.5"),
     (gmcs_rr_rate_dual, HomodyneSpec(1e6, 1.0, 0.0), HomodyneSpec(1e6, 1.0, 0.0), 1.5,
-     "chi must be >= 0, got -0.3333333333333333"),
-    (gmcs_rr_rate_dual, HomodyneSpec(1e6, 1.0, 5.0), HomodyneSpec(1e6, 1.0, 5.0), 1.5, "g must be in (0, 1], got 1.5"),
+     "t must be in [0, 1], got 1.5"),
+    (gmcs_rr_rate_dual, HomodyneSpec(1e6, 1.0, 5.0), HomodyneSpec(1e6, 1.0, 5.0), 1.5, "t must be in [0, 1], got 1.5"),
 ])
 def test_kernels_keep_the_information_refusals(kernel, keyed, bounding, t, message):
     # The kernels call the information functions unchecked only where their checks would pass.

@@ -10,11 +10,12 @@ with the same message, for numbers drawn from each field's whole domain.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+import mpmath
+from hypothesis import example, given, settings, strategies as st
 
 from dualdet import bb84, gmcs
 from dualdet.bb84 import Bb84Config, bb84_gain, bb84_qber, bb84_rate_dual
-from dualdet.core import E0, DomainError, GmcsSource, HomodyneSpec, SpdSpec, binary_entropy
+from dualdet.core import E0, DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, binary_entropy
 from dualdet.decoy import (
     DecoyConfig, decoy_rate_dual, decoy_signal_gain, decoy_signal_qber, decoy_single_photon_gain,
     decoy_single_photon_qber,
@@ -22,6 +23,7 @@ from dualdet.decoy import (
 from dualdet.gmcs import (
     MismatchedEfficiencyError, gmcs_dr_rate_dual, gmcs_rr_rate_dual, info_ae, info_be, mutual_info_ab, noise_budget,
 )
+from dualdet.scenario import Scenario, evaluate
 
 
 def ref_bb84_gain(spd, t):
@@ -234,6 +236,86 @@ def test_dr_error_scale_bounds_the_rate(keyed, other, same, t, source):
     assert rate is None or abs(rate) <= scale
 
 
+def _rr_bounding(keyed, other, same):
+    """keyed (a single receiver), or other with keyed's g_det, as reverse reconciliation requires."""
+    return keyed if same else HomodyneSpec(other.rep_rate, keyed.g_det, other.eps_det)
+
+
+#: The least g = t*g_det at which the RR error bound holds (scenario._proof_length).
+LEAST_RR_G = 2.0 ** -500
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed=homodynes, other=homodynes, same=st.booleans(), t=st.one_of(transmittances, st.floats(1e-3, 1.0)),
+       source=sources)
+def test_rr_error_scale_bounds_the_rate(keyed, other, same, t, source):
+    # Every accepted source and pair of detectors has a finite scale, and it bounds |rate|.
+    bounding = _rr_bounding(keyed, other, same)
+    scale = gmcs._rr_error_scale(source, keyed, bounding)
+    rate = _rate_or_none(gmcs_rr_rate_dual, keyed, bounding, source, t)
+    assert math.isfinite(scale)
+    assert rate is None or abs(rate) <= scale
+
+
+def mp_rr_rate(keyed, bounding, source, t):
+    """gmcs_rr_rate_dual in 50-digit arithmetic from the same float inputs."""
+    with mpmath.workdps(50):
+        g = mpmath.mpf(t) * keyed.g_det
+        chi_vac = (1 - g) / g
+        chi_keyed = chi_vac + source.eps_pre + mpmath.mpf(keyed.eps_det) / g
+        chi_bounding = chi_vac + source.eps_pre + mpmath.mpf(bounding.eps_det) / g
+        v = mpmath.mpf(source.v)
+        mutual = mpmath.log((v + chi_keyed) / (1 + chi_keyed), 2) / 2
+        info = mpmath.log(g * g * (v + chi_bounding) * (1 / v + chi_bounding), 2) / 2
+        return keyed.rep_rate * (source.beta * mutual - info)
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed=homodynes, other=homodynes, same=st.booleans(),
+       t=st.one_of(transmittances, st.floats(1e-3, 1.0), st.floats(LEAST_RR_G, 1e-100)), source=sources)
+# I_BE's argument overflows and info_be adds the logs of its factors.
+@example(keyed=HomodyneSpec(1e6, 1.0, 1e200), other=HomodyneSpec(1e6, 1.0, 0.0), same=True, t=0.5,
+         source=GmcsSource(v=40.0, beta=1.0))
+@example(keyed=HomodyneSpec(1e6, 1.0, 0.0), other=HomodyneSpec(1e6, 1.0, 1e300), same=False, t=1e-100,
+         source=GmcsSource(v=1e270, beta=0.5, eps_pre=1e-300))
+# The least g the bound covers, and the largest v at g = 1, where a_b + s*g = 1/v.
+@example(keyed=HomodyneSpec(1e6, 1.0, 0.43), other=HomodyneSpec(1e6, 1.0, 0.01), same=False, t=LEAST_RR_G,
+         source=GmcsSource(v=40.0, beta=1.0, eps_pre=0.05))
+@example(keyed=HomodyneSpec(1e6, 1.0, 0.0), other=HomodyneSpec(1e6, 1.0, 0.0), same=True, t=1.0,
+         source=GmcsSource(v=1e270, beta=1.0))
+def test_rr_error_scale_bounds_the_rounding(keyed, other, same, t, source):
+    bounding = _rr_bounding(keyed, other, same)
+    rate = _rate_or_none(gmcs_rr_rate_dual, keyed, bounding, source, t)
+    if rate is None or t * keyed.g_det < LEAST_RR_G:
+        return
+    bound = 2.0 ** -41 * gmcs._rr_error_scale(source, keyed, bounding) + 2.0 ** -1000
+    assert abs(rate - mp_rr_rate(keyed, bounding, source, t)) <= bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed=homodynes, other=homodynes, mode=st.sampled_from(("single_fast", "dual")), source=sources,
+       link=st.builds(LinkSpec, alpha=st.floats(0.0, 1.0), g_bob=st.floats(0.0, 1.0, exclude_min=True),
+                      switch_loss=st.floats(0.0, 10.0)),
+       length=st.one_of(st.floats(0.0, 1e-12), st.floats(0.0, 2000.0)))
+# Real t is below 1 by 9e-18 and rounds to 1: at g = 1 and v = 1e270,
+# a_b + s*g is 1/v, 1e-270, where the real one is 9e-18.
+@example(keyed=HomodyneSpec(1e6, 1.0, 0.0), other=HomodyneSpec(1e6, 1.0, 0.0), mode="single_fast",
+         source=GmcsSource(v=1e270, beta=1.0), link=LinkSpec(alpha=0.2), length=2e-16)
+def test_rr_error_scale_bounds_the_rounding_at_a_length(keyed, other, mode, source, link, length):
+    # evaluate's rate against the real one at the real t = 10**(-alpha*L/10)*factor,
+    # so the rounding of t counts too.
+    scenario = Scenario("gmcs_rr", mode, link, source, fast=keyed, slow=_rr_bounding(keyed, other, False))
+    with mpmath.workdps(50):
+        loss_db = mpmath.mpf(link.alpha) * length + (link.switch_loss if mode == "dual" else 0)
+        t = mpmath.mpf(10) ** (-loss_db / 10) * link.g_bob
+        if t * keyed.g_det < LEAST_RR_G:
+            return
+        bounding = keyed if mode == "single_fast" else scenario.slow
+        reference = mp_rr_rate(keyed, bounding, source, t)
+    rate = _rate_or_none(evaluate, scenario, length)
+    assert rate is None or abs(rate - reference) <= 2.0 ** -41 * scenario._error_scale + 2.0 ** -1000
+
+
 def _monotone_within(near, far, r, err):
     """The monotone rule for the computed rates near and far of one receiver,
     at t and at r*t, each within err of its real value: the real rate is at
@@ -277,4 +359,19 @@ def test_dr_rate_keeps_the_monotone_rule_in_both_signs(keyed, other, same, t, r,
     err = 2.0 ** -41 * gmcs._dr_error_scale(source, keyed) + 2.0 ** -1000
     near = _rate_or_none(gmcs_dr_rate_dual, keyed, bounding, source, t)
     far = _rate_or_none(gmcs_dr_rate_dual, keyed, bounding, source, far_t)
+    assert near is None or far is None or _monotone_within(near, far, far_t / t, err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed=homodynes, other=homodynes, same=st.booleans(), t=st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(1e-3, 1.0)), r=falls, source=sources)
+def test_rr_rate_keeps_the_monotone_rule_in_both_signs(keyed, other, same, t, r, source):
+    # With equal g_det and either arm the noisier, only where g >= 2**-500 (scenario._proof_length).
+    bounding = _rr_bounding(keyed, other, same)
+    far_t = t * r
+    if far_t * keyed.g_det < LEAST_RR_G:
+        return
+    err = 2.0 ** -41 * gmcs._rr_error_scale(source, keyed, bounding) + 2.0 ** -1000
+    near = _rate_or_none(gmcs_rr_rate_dual, keyed, bounding, source, t)
+    far = _rate_or_none(gmcs_rr_rate_dual, keyed, bounding, source, far_t)
     assert near is None or far is None or _monotone_within(near, far, far_t / t, err)

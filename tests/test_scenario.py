@@ -543,7 +543,7 @@ def _receivers(fig_id, **link):
     (2, 0.0, None, True),  # the fast detector is the noisier
     (4, 0.0, None, True),
     (5, 0.0, None, True),  # GMCS DR: any excess noises
-    (6, 0.0, None, False),  # GMCS RR: no proof
+    (6, 0.0, None, False),  # GMCS RR: no twin rule
     (1, 3.0, None, False),  # the switch: another t
     (1, 0.0, 0.01, False),  # the fast detector is the quieter
 ])
@@ -561,9 +561,20 @@ def test_twins(fig_id, switch_loss, fast_e_det, twins):
 
 
 def test_proof_length():
-    # Dark counts keep every preset gain above 2**-1000 at any length.
+    # Dark counts keep every photon-counting preset gain above 2**-1000 at any
+    # length, and GMCS DR needs no least g.
     for fig_id in FIGURE_IDS:
-        assert all(_proof_length(s) == math.inf for s in figure_preset(fig_id).scenarios.values())
+        if figure_preset(fig_id).scenarios["dual"].protocol != "gmcs_rr":
+            assert all(_proof_length(s) == math.inf for s in figure_preset(fig_id).scenarios.values())
+    # GMCS RR holds while g = t*g_det >= 2**-500, so that I_BE's g*g is a normal float.
+    rr = figure_preset(6).scenarios
+    limit = _proof_length(rr["fast"])
+    assert limit == pytest.approx(10.0 / 0.21 * (500 * math.log10(2.0) + math.log10(0.8)))
+    assert channel_transmittance(0.21, limit) * 0.8 == pytest.approx(2.0 ** -500)
+    assert _proof_length(rr["slow"]) == limit
+    # Behind a 3 dB switch g reaches 2**-500 about 14.3 km sooner.
+    switched = dataclasses.replace(rr["dual"], link=dataclasses.replace(rr["dual"].link, switch_loss=3.0))
+    assert _proof_length(switched) == pytest.approx(limit - 3.0 / 0.21)
     clean = SpdSpec(rep_rate=1e9, eta_d=0.5, y0=0.0, e_det=0.01)
     link = LinkSpec(alpha=0.2, g_bob=1.0)
     scenario = Scenario("bb84_single_photon", "single_fast", link, Bb84Config(0.5, 1.22), fast=clean)

@@ -367,8 +367,9 @@ def count_evaluations(monkeypatch, evaluate_fn=evaluate) -> list:
 
 
 @pytest.mark.parametrize("fig_id, switch_loss, l_max, crossover_calls, maxdist_calls", [
-    (1, 0.0, 250.0, 69, 19), (5, 0.0, 60.0, 33, 17), (4, 3.0, 250.0, 51, 19), (5, 3.0, 60.0, 27, 2),
-], ids=["1-250.0-69-19", "5-60.0-33-17", "4-3dB-250.0-51-19", "5-3dB-60.0-27-2"])
+    (1, 0.0, 250.0, 69, 19), (5, 0.0, 60.0, 33, 17), (6, 0.0, 60.0, 48, 17), (4, 3.0, 250.0, 51, 19),
+    (5, 3.0, 60.0, 27, 2), (7, 3.0, 60.0, 27, 2),
+], ids=["1-250.0-69-19", "5-60.0-33-17", "6-60.0-48-17", "4-3dB-250.0-51-19", "5-3dB-60.0-27-2", "7-3dB-60.0-27-2"])
 def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, switch_loss, l_max, crossover_calls, maxdist_calls):
     # Crossover: 3 scenarios x grid points, + 2 x 9 halvings of the 1 km
     # bracketing cell, as the fast single is proved below the dual there.
@@ -380,7 +381,11 @@ def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, switch_loss, l
     # 125 is walked: 3 x 17 + 2 x 9 = 69, where the walk took 3 x (126 + 9)
     # = 405. Preset 5 (crossing in [5, 6]): 2 is proved, 6 fails, 4 is
     # proved, 5 and 6 are walked: 3 x 5 + 2 x 9 = 33, the walk 3 x (7 + 9)
-    # = 48. With a 3 dB switch both have no crossing, and every block is
+    # = 48. Preset 6 (GMCS RR, crossing in [18, 19]; its fast single is no
+    # twin, but negative): 2, 6, 14 are proved; 30 and 22 fail and 18 is
+    # proved; 26, 22 and 20 fail (20 a short block) and 19 is walked:
+    # 3 x 10 + 2 x 9 = 48, the walk 3 x (20 + 9) = 87. With a 3 dB switch
+    # presets 4, 5 and 7 have no crossing, and every block is
     # proved by a single above the dual, across non-positive rates too.
     # Preset 4 (a single is above the dual everywhere; the dual is negative
     # from 68 km, the fast single from 76 km, the slow from 198 km): 2, 6, 14
@@ -390,10 +395,11 @@ def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, switch_loss, l
     # leaves) and 250: 3 x 17 = 51, where the walk took 3 x 251 = 753.
     # Preset 5 (the dual is negative from 0 km): 2, 6, 14, 30, then 62 is
     # past the end and the block halves to 46, 54, 58, 60: 3 x 9 = 27, the
-    # walk 3 x 61 = 183. Maxdist (BB84, decoy with mu <= 1 and GMCS DR change
-    # sign once): l_max, 0, then ceil(log2(cells)) halvings of the grid's
-    # index range (8 of 250 cells, 6 of 60) to the last positive point, + 9
-    # halvings of its 1 km cell; with no positive point, l_max and 0 only.
+    # walk 3 x 61 = 183; preset 7 (GMCS RR) the same. Maxdist (BB84, decoy
+    # with mu <= 1 and GMCS change sign once): l_max, 0, then
+    # ceil(log2(cells)) halvings of the grid's index range (8 of 250 cells,
+    # 6 of 60) to the last positive point, + 9 halvings of its 1 km cell;
+    # with no positive point, l_max and 0 only.
     preset = figure_preset(fig_id)
     dual, envelope = preset.scenarios["dual"], [preset.scenarios["fast"], preset.scenarios["slow"]]
     dual = dataclasses.replace(dual, link=dataclasses.replace(dual.link, switch_loss=switch_loss))
@@ -447,6 +453,7 @@ def specs(protocol, keyed):
                       eps_pre=floats((0.0, 0.02), (0.0, 0.2))),
         ),
     }
+    parts["gmcs_rr"] = parts["gmcs_dr"]  # a dual RR receiver also needs equal g_det (same_g_det)
     link = st.builds(
         LinkSpec, alpha=floats((0.15, 0.3), (0.0, 1.0)), g_bob=floats((0.8, 1.0), (0.01, 1.0)),
         switch_loss=st.sampled_from((0.0, 3.0)),
@@ -459,7 +466,13 @@ ONE_SIGN_CHANGE = {
     "bb84_single_photon": ("single_fast", "single_slow", "dual"),
     "decoy_bb84": MODES,
     "gmcs_dr": ("single_fast", "single_slow", "dual"),
+    "gmcs_rr": ("single_fast", "single_slow", "dual"),
 }
+
+
+def same_g_det(protocol, fast, slow):
+    """slow, with fast's g_det under reverse reconciliation, which refuses a dual receiver without it."""
+    return dataclasses.replace(slow, g_det=fast.g_det) if protocol == "gmcs_rr" else slow
 
 
 class Replay:
@@ -485,16 +498,24 @@ class Replay:
     "bb84_single_photon", False, "dual", LinkSpec(alpha=0.99609375, g_bob=0.125), Bb84Config(0.5, 1.0),
     SpdSpec(1000.0, 1.0, 0.0, 0.0), SpdSpec(1000.0, 1.0, 0.0625, 0.0), 134.0, 1.0,
 ))
+# The RR rate is negative from 4.6 km and tends to 0 with t: past about
+# 140 km it is within its rounding error of 0, and at 153 km it rounds
+# positive, which the scan finds. The halving cannot prove the blocks past
+# its answer there, and scans as well.
+@example(data=Replay(
+    "gmcs_rr", False, "single_fast", LinkSpec(alpha=1.0), GmcsSource(v=3.0, beta=0.5),
+    HomodyneSpec(1000.0, 1.0, 0.0), HomodyneSpec(1000.0, 1.0, 0.0), 154.0, 1.0,
+))
 def test_max_distance_search_matches_backward_scan(protocol, data):
     # Where the rate changes sign once, halving the grid's index range finds
     # the scan's last positive point, so the answer is the same float; where
     # a rate it reads is within its error bound of 0, it scans as well.
     assume(getattr(data, "protocol", protocol) == protocol)
     detectors, configs, links = specs(protocol, data.draw(st.booleans()))
-    scenario = Scenario(
-        protocol=protocol, mode=data.draw(st.sampled_from(ONE_SIGN_CHANGE[protocol])), link=data.draw(links),
-        config=data.draw(configs), fast=data.draw(detectors), slow=data.draw(detectors),
-    )
+    mode = data.draw(st.sampled_from(ONE_SIGN_CHANGE[protocol]))
+    link, config, fast = data.draw(links), data.draw(configs), data.draw(detectors)
+    scenario = Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast,
+                        slow=same_g_det(protocol, fast, data.draw(detectors)))
     assert scenario._error_scale is not None
     l_max = data.draw(st.one_of(st.floats(0.5, 30.0), st.floats(0.5, 300.0)))
     step = data.draw(st.floats(0.1, 20.0))
@@ -502,19 +523,14 @@ def test_max_distance_search_matches_backward_scan(protocol, data):
     assert _hex_or_refusal(max_secure_distance, scenario, l_max, step) == expected
 
 
-@pytest.mark.parametrize("fig_id, config", [
-    (4, DecoyConfig(mu=1.5, basis_factor=0.5, f_ec=1.22)),
-    (6, None),
-    (7, None),
-], ids=["decoy_mu_above_1", "gmcs_rr_v40", "gmcs_rr_v20"])
-def test_unproved_rates_keep_the_backward_scan(monkeypatch, fig_id, config):
-    # Decoy with mu > 1 and GMCS RR have no proof of one sign change: the
-    # search walks the grid as the reference scan does, point for point.
-    dual = figure_preset(fig_id).scenarios["dual"]
-    if config is not None:
-        dual = dataclasses.replace(dual, config=config)
+@pytest.mark.parametrize("fig_id, config, l_max", [
+    (4, DecoyConfig(mu=1.5, basis_factor=0.5, f_ec=1.22), 250.0),
+], ids=["decoy_mu_above_1"])
+def test_unproved_rates_keep_the_backward_scan(monkeypatch, fig_id, config, l_max):
+    # Decoy with mu > 1 has no proof of one sign change: the search walks
+    # the grid as the reference scan does, point for point.
+    dual = dataclasses.replace(figure_preset(fig_id).scenarios["dual"], config=config)
     assert dual._error_scale is None
-    l_max = 250.0 if config is not None else 60.0
     scanned = []
     expected = backward_scan(lambda length: scanned.append(length) or evaluate(dual, length), l_max, 1.0)
     lengths = count_evaluations(monkeypatch)
@@ -560,14 +576,13 @@ def check_crossover_matches_forward_scan(protocol, data, switch_losses):
     """Draw a dual receiver behind a switch loss from switch_losses and an
     envelope of its single receivers, and compare the crossover with the
     reference scan, float for float or error for error."""
-    detectors, configs, links = specs("gmcs_dr" if protocol == "gmcs_rr" else protocol, data.draw(st.booleans()))
+    detectors, configs, links = specs(protocol, data.draw(st.booleans()))
     fast, slow, config = data.draw(detectors), data.draw(detectors), data.draw(configs)
     if data.draw(st.booleans()):  # as in the paper, the fast detector runs 10 to 10^4 times faster
         fast = dataclasses.replace(fast, rep_rate=slow.rep_rate * data.draw(st.floats(10.0, 1e4)))
     if protocol == "decoy_bb84":
         config = dataclasses.replace(config, mu=data.draw(st.floats(0.01, 2.0)))
-    if protocol == "gmcs_rr":  # a dual RR receiver needs equal efficiencies
-        slow = dataclasses.replace(slow, g_det=fast.g_det)
+    slow = same_g_det(protocol, fast, slow)
     switch_loss = data.draw(switch_losses)
     link = dataclasses.replace(data.draw(links), switch_loss=switch_loss)
     receivers = {role: Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast, slow=slow)
@@ -584,9 +599,9 @@ def check_crossover_matches_forward_scan(protocol, data, switch_losses):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_crossover_matches_forward_scan(protocol, data):
-    # Skipping the blocks a proof covers (BB84, decoy with mu <= 1, GMCS DR)
+    # Skipping the blocks a proof covers (BB84, decoy with mu <= 1, GMCS)
     # leaves the first bracketing cell, so the answer is the same float; the
-    # rest (decoy with mu > 1, GMCS RR) walk the grid as the reference does.
+    # rest (decoy with mu > 1) walk the grid as the reference does.
     # Random detectors include many whose dual receiver is below the fast one.
     check_crossover_matches_forward_scan(protocol, data, st.one_of(st.sampled_from((0.0, 3.0)), st.floats(0.0, 6.0)))
 
@@ -647,15 +662,11 @@ def test_crossover_reads_no_refusal_past_the_crossing(monkeypatch, fig_id):
 
 @pytest.mark.parametrize("fig_id, config, l_max", [
     (4, DecoyConfig(mu=1.5, basis_factor=0.5, f_ec=1.22), 250.0),
-    (6, None, 60.0),
-    (7, None, 60.0),
-], ids=["decoy_mu_above_1", "gmcs_rr_v40", "gmcs_rr_v20"])
+], ids=["decoy_mu_above_1"])
 def test_unproved_rates_keep_the_forward_walk(monkeypatch, fig_id, config, l_max):
     # Without an error scale nothing is skipped: the crossover evaluates the
     # reference scan's lengths, in its order.
-    scenarios = list(figure_preset(fig_id).scenarios.values())
-    if config is not None:
-        scenarios = [dataclasses.replace(s, config=config) for s in scenarios]
+    scenarios = [dataclasses.replace(s, config=config) for s in figure_preset(fig_id).scenarios.values()]
     assert all(s._error_scale is None for s in scenarios)
     scanned = []
     expected = forward_scan(lambda length: [scanned.append(length) or evaluate(s, length) for s in scenarios],
@@ -682,6 +693,48 @@ def test_crossover_answers_before_the_model_domain_ends():
     preset = figure_preset(5)
     envelope = [preset.scenarios["fast"], preset.scenarios["slow"]]
     assert crossover_distance(preset.scenarios["dual"], envelope, 20000.0) == 5.6533203125
+
+
+def test_rr_dual_keyed_by_the_quieter_detector_is_proved(monkeypatch):
+    # The RR monotone rule needs no order of the arms' noise (gmcs_rr_rate_dual):
+    # a dual that keys with the quiet detector and bounds with the noisy one
+    # halves and skips too, and finds the scans' answers.
+    fast, slow = HomodyneSpec(82e6, 0.8, 0.01), HomodyneSpec(1e6, 0.8, 0.43)
+    dual, single = (dataclasses.replace(figure_preset(6).scenarios["dual"], mode=mode, fast=fast, slow=slow)
+                    for mode in ("dual", "single_slow"))
+    assert dual._error_scale is not None
+    expected = (backward_scan(lambda length: evaluate(dual, length), 60.0, 1.0),
+                forward_scan(lambda length: [evaluate(dual, length), evaluate(single, length)], 60.0, 1.0))
+    lengths = count_evaluations(monkeypatch)
+    assert (max_secure_distance(dual, 60.0), crossover_distance(dual, [single], 60.0)) == expected
+    assert expected[1] is not None
+    # Maxdist: 60, 0, 6 halvings of the index range and 9 of the cell [8, 9].
+    # Crossover, 2 rates a point: 0, 2, 6 and 8 proved, 14 and 10 failing,
+    # 9 walked, and 9 halvings of [8, 9]; the walk reads 10 points.
+    assert len(lengths) == 17 + 2 * (7 + 9)
+
+
+def test_maxdist_proves_long_blocks_past_the_answer_piece_by_piece(monkeypatch):
+    # Past 19 km the preset 6 dual rate tends to -rep_rate*log2(1.01) (the
+    # quiet arm's eps_det), so x_i*r over a block of thousands of km is
+    # within the margin of 0: such a block is split until each piece is
+    # proved: 7,000 km, 0, 13 halvings of 7,000 cells, 26 middle points and
+    # 9 halvings of the cell, 50 where the backward walk takes 7,006; then
+    # 17 for the same answer within 60 km.
+    dual = figure_preset(6).scenarios["dual"]
+    expected = backward_scan(lambda length: evaluate(dual, length), 7000.0, 1.0)
+    lengths = count_evaluations(monkeypatch)
+    assert max_secure_distance(dual, 7000.0) == expected == max_secure_distance(dual, 60.0)
+    assert len(lengths) == 2 + 13 + 26 + 9 + 17
+
+
+def test_rr_crossover_answers_before_the_model_domain_ends():
+    # Past about 7,700 km I_BE's g^2 underflows and evaluate raises, and block
+    # ends past 7,163 km (g below 2**-500, scenario._proof_length) prove
+    # nothing; the crossover is found near 18.7 km, as within 60 km.
+    preset = figure_preset(6)
+    dual, envelope = preset.scenarios["dual"], [preset.scenarios["fast"], preset.scenarios["slow"]]
+    assert crossover_distance(dual, envelope, 20000.0) == crossover_distance(dual, envelope, 60.0) == 18.6689453125
 
 
 def test_crossover_self_is_none(fig1):
