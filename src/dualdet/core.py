@@ -182,17 +182,21 @@ class HomodyneSpec:
 
     rep_rate: pulse measurement rate, Hz, at most 1e15.
     g_det: detection efficiency.
-    eps_det: detector excess noise at its input, shot-noise units.
+    eps_det: detector excess noise at its input, shot-noise units, at most
+        1e30, and eps_det/g_det at most 1e36: with GmcsSource's bounds every
+        product in the GMCS rates stays below 1e307.
     """
 
     rep_rate: float
     g_det: float
     eps_det: float
 
-    RULES = {"rep_rate": "in (0, 1e15]", "g_det": "in (0, 1]", "eps_det": ">= 0"}
+    RULES = {"rep_rate": "in (0, 1e15]", "g_det": "in (0, 1]", "eps_det": "in [0, 1e30]"}
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if not self.eps_det / self.g_det <= 1e36:
+            raise DomainError(f"eps_det/g_det must be at most 1e36, got {self.eps_det / self.g_det}")
 
 
 @dataclass(frozen=True)
@@ -223,17 +227,17 @@ class GmcsSource:
     """Gaussian-modulated coherent-state source and reconciliation model.
 
     v: total quadrature variance V = V_mod + 1 in shot-noise units, at most
-        1e270: v + chi and v + 1/chi stay finite, and so does the DR rate's
-        error scale.
+        1e270: with the eps_pre and eps_det bounds every product in the GMCS
+        rates stays finite, and so do their error scales.
     beta: reconciliation efficiency in (0, 1].
-    eps_pre: state-preparation excess noise, shot-noise units.
+    eps_pre: state-preparation excess noise, shot-noise units, at most 1e30.
     """
 
     v: float
     beta: float
     eps_pre: float = 0.0
 
-    RULES = {"v": "in (1, 1e270]", "beta": "in (0, 1]", "eps_pre": ">= 0"}
+    RULES = {"v": "in (1, 1e270]", "beta": "in (0, 1]", "eps_pre": "in [0, 1e30]"}
 
     def __post_init__(self) -> None:
         check_fields(self)

@@ -38,9 +38,9 @@ _PROTOCOLS = {
     "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy._signal, bb84._arm, decoy._combine, lambda cfg: cfg.mu,
                    bb84._noisier,
                    lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed) if cfg.mu <= 1.0 else None),
-    "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs.noise_budget, gmcs.noise_budget, gmcs._dr_combine, lambda cfg: cfg,
+    "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs._arm, gmcs._arm, gmcs._dr_combine, lambda cfg: cfg,
                 lambda dual, member: True, lambda cfg, keyed, bounding: gmcs._dr_error_scale(cfg, keyed)),
-    "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs.noise_budget, gmcs.noise_budget, gmcs._rr_combine, lambda cfg: cfg,
+    "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs._arm, gmcs._arm, gmcs._rr_combine, lambda cfg: cfg,
                 lambda dual, member: False, gmcs._rr_error_scale),
 }
 #: mode -> (keyed arm, bounding arm, behind the switch). A single detector
@@ -149,28 +149,20 @@ def _twins(dual: Scenario, member: Scenario) -> bool:
 
 #: The least gain y0 + t*eta_d of a photon-counting arm at which the proofs' error bounds hold.
 _LEAST_GAIN = 2.0 ** -1000
-#: The least g = t*g_det of a GMCS RR receiver at which its error bound holds: g*g is 2**-1000 there.
-_LEAST_RR_G = 2.0 ** -500
 
 
 def _proof_length(s: Scenario) -> float:
     """The longest length at which every photon-counting arm of s has a gain
-    of at least _LEAST_GAIN, and a GMCS RR receiver a g of at least
-    _LEAST_RR_G: below them the QBER is a ratio of underflowed numbers, or
-    I_BE's g*g loses bits to underflow, which the error bounds do not cover.
-    Infinite for GMCS DR: a g small enough to lose accuracy overflows the
-    input noise, and evaluate refuses it."""
+    of at least _LEAST_GAIN: below it the QBER is a ratio of underflowed
+    numbers, which the error bounds do not cover. Infinite for GMCS: its
+    bounds hold at every t in [0, 1]."""
     _, _, _, keyed, bounding, _, _, alpha, factor, _ = s._plan
-    # (efficiency, least t*efficiency) of each arm that has a least one.
-    floors = [(det.eta_d, _LEAST_GAIN) for det in (keyed, bounding)
-              if isinstance(det, SpdSpec) and det.y0 < _LEAST_GAIN]
-    if s.protocol == "gmcs_rr":  # both arms share g
-        floors.append((keyed.g_det, _LEAST_RR_G))
     limit = math.inf
-    for efficiency, least in floors:
-        # t*efficiency >= least while the fiber loss is at most 10*log10(factor*efficiency/least) dB.
-        db = 10.0 * (math.log10(factor) + math.log10(efficiency) - math.log10(least)) if efficiency else -1.0
-        limit = min(limit, -math.inf if db < 0.0 else db / alpha if alpha else math.inf)
+    for det in (keyed, bounding):
+        if isinstance(det, SpdSpec) and det.y0 < _LEAST_GAIN:
+            # t*eta_d >= _LEAST_GAIN while the fiber loss is at most 10*log10(factor*eta_d/_LEAST_GAIN) dB.
+            db = 10.0 * (math.log10(factor) + math.log10(det.eta_d) - math.log10(_LEAST_GAIN)) if det.eta_d else -1.0
+            limit = min(limit, -math.inf if db < 0.0 else db / alpha if alpha else math.inf)
     return limit
 
 

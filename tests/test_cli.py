@@ -238,23 +238,25 @@ def test_unwritable_out_is_refused_before_any_evaluation(dual_config, tmp_path, 
     assert calls == []
 
 
+def _dark_free_single(tmp_path):
+    """A BB84 single_fast file whose detector has no dark counts: its gain
+    is zero, and the QBER undefined, where t underflows (about 15,300 km)."""
+    clean = {"spd": {"rep_rate_hz": 1e9, "eta_d": 0.059, "y0": 0.0, "e_det": 0.018}}
+    return write_variant(tmp_path, "clean.json", mode="single_fast", detectors=[clean])
+
+
 def test_failed_sweep_leaves_no_out_file(tmp_path, capsys):
-    # Past about 14,700 km the GMCS noise overflows: exit 3, and the CSV
-    # opened before the sweep is removed.
-    path = tmp_path / "gmcs.json"
-    path.write_text(json.dumps(GMCS_DR_DUAL))
-    out = tmp_path / "gmcs.csv"
-    assert main(["sweep", "--config", str(path), "--lmax", "20000", "--out", str(out)]) == 3
-    assert "numeric error" in capsys.readouterr().err
+    # The sweep fails at 20,000 km: exit 3, and the CSV opened before the sweep is removed.
+    out = tmp_path / "clean.csv"
+    assert main(["sweep", "--config", _dark_free_single(tmp_path), "--lmax", "20000", "--out", str(out)]) == 3
+    assert "numeric error: gain is zero; QBER undefined" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_failed_sweep_leaves_an_existing_out_file_as_it_was(tmp_path):
-    path = tmp_path / "gmcs.json"
-    path.write_text(json.dumps(GMCS_DR_DUAL))
-    out = tmp_path / "gmcs.csv"
+    out = tmp_path / "clean.csv"
     out.write_text("kept\n")
-    assert main(["sweep", "--config", str(path), "--lmax", "20000", "--out", str(out)]) == 3
+    assert main(["sweep", "--config", _dark_free_single(tmp_path), "--lmax", "20000", "--out", str(out)]) == 3
     assert out.read_text() == "kept\n"
 
 
@@ -316,36 +318,42 @@ def test_oversized_grid_is_a_config_error(dual_config, tmp_path, step):
     assert not out.exists()
 
 
-def test_rate_past_the_gmcs_domain_is_a_numeric_error(tmp_path, capsys):
-    # At 15000 km the overall transmittance is subnormal: exit 3, no "nan".
-    path = tmp_path / "gmcs.json"
-    path.write_text(json.dumps(GMCS_DR_DUAL))
-    assert main(["rate", "--config", str(path), "--length", "15000"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "overall transmittance" in captured.err
-
-
-@pytest.mark.parametrize("protocol, lmax", [("gmcs_dr", "15000"), ("gmcs_rr", "8000")])
-def test_maxdist_past_the_gmcs_domain_is_a_numeric_error(tmp_path, capsys, protocol, lmax):
-    # maxdist evaluates --lmax first, by binary search (DR) and by scan (RR)
-    # alike, so a limit outside the model exits 3 instead of answering.
+@pytest.mark.parametrize("protocol, length, limit", [
+    ("gmcs_dr", "15000", "-2.18199e+08"),  # -rep_rate*log2(v)/2
+    ("gmcs_rr", "7760", "-1.17713e+06"),  # -rep_rate*log2(1 + eps_det) of the quiet arm
+])
+def test_rate_far_out_prints_the_gmcs_limit(tmp_path, capsys, protocol, length, limit):
+    # g is subnormal at 15,000 km, and the input-referred RR bound's g*g
+    # underflows at 7,760 km: there the rate is its g -> 0 limit.
     path = tmp_path / "gmcs.json"
     path.write_text(json.dumps({**GMCS_DR_DUAL, "protocol": protocol}))
-    assert main(["maxdist", "--config", str(path), "--lmax", lmax]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "overall transmittance" in captured.err
+    assert main(["rate", "--config", str(path), "--length", length]) == 0
+    assert capsys.readouterr().out == f"{limit}\n"
 
 
-def test_rate_past_the_gmcs_rr_domain_names_the_transmittance(tmp_path, capsys):
-    # At 7,760 km g*g underflows in the RR bound, half the DR limit: exit 3.
-    path = tmp_path / "gmcs_rr.json"
-    path.write_text(json.dumps({**GMCS_DR_DUAL, "protocol": "gmcs_rr"}))
-    assert main(["rate", "--config", str(path), "--length", "7760"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "overall transmittance" in captured.err and "is too small" in captured.err
+@pytest.mark.parametrize("protocol, answer", [("gmcs_dr", "5.69"), ("gmcs_rr", "18.88")])
+def test_maxdist_from_a_far_l_max(tmp_path, capsys, protocol, answer):
+    # maxdist evaluates --lmax first, where g is subnormal.
+    path = tmp_path / "gmcs.json"
+    path.write_text(json.dumps({**GMCS_DR_DUAL, "protocol": protocol}))
+    assert main(["maxdist", "--config", str(path), "--lmax", "15000"]) == 0
+    assert capsys.readouterr().out == f"{answer}\n"
+
+
+@pytest.mark.parametrize("protocol", ["gmcs_dr", "gmcs_rr"])
+@pytest.mark.parametrize("detector, config, message", [
+    ({"g_det": 0.8, "eps_det": 1e307}, {}, "eps_det must be in [0, 1e30], got 1e+307"),
+    ({"g_det": 1e-10, "eps_det": 1e30}, {}, f"eps_det/g_det must be at most 1e36, got {1e30 / 1e-10}"),
+    ({}, {"eps_pre": 4.5e38}, "eps_pre must be in [0, 1e30], got 4.5e+38"),
+])
+def test_gmcs_excess_noise_past_its_rule_exit_code(tmp_path, capsys, protocol, detector, config, message):
+    # Past these bounds a product in the rates can overflow: DR gives -inf at eps_det = 1e307.
+    fast = {"homodyne": {**GMCS_DR_DUAL["detectors"][0]["homodyne"], **detector}}
+    path = tmp_path / "noisy.json"
+    path.write_text(json.dumps({**GMCS_DR_DUAL, "protocol": protocol, "mode": "single_fast", "detectors": [fast],
+                                "config": {**GMCS_DR_DUAL["config"], **config}}))
+    assert main(["rate", "--config", str(path), "--length", "10"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_config_error_exit_code(tmp_path, capsys):

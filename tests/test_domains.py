@@ -51,7 +51,7 @@ CLASSES = {
         {
             "rep_rate": ("in (0, 1e15]", [open_low(0.0), closed_high(1e15)]),
             "g_det": ("in (0, 1]", [open_low(0.0), closed_high(1.0)]),
-            "eps_det": (">= 0", [closed_low(0.0)]),
+            "eps_det": ("in [0, 1e30]", [closed_low(0.0), closed_high(1e30)]),
         },
     ),
     LinkSpec: (
@@ -68,7 +68,7 @@ CLASSES = {
         {
             "v": ("in (1, 1e270]", [open_low(1.0), closed_high(1e270)]),
             "beta": ("in (0, 1]", [open_low(0.0), closed_high(1.0)]),
-            "eps_pre": (">= 0", [closed_low(0.0)]),
+            "eps_pre": ("in [0, 1e30]", [closed_low(0.0), closed_high(1e30)]),
         },
     ),
     Bb84Config: (dict(basis_factor=0.5, f_ec=1.22), {"f_ec": ("in [1, 10]", [closed_low(1.0), closed_high(10.0)])}),
@@ -176,12 +176,26 @@ def test_spd_must_be_able_to_click(eta_d, y0):
         SpdSpec(**kwargs)
 
 
+@pytest.mark.parametrize("g_det, eps_det", [(1e-6, 1e30), (1e-300, 1e-264), (5e-324, 0.0),
+                                            (math.nextafter(1e-6, 0.0), 1e30), (5e-324, 1e-287), (1e-300, 1e30)])
+def test_homodyne_excess_noise_over_efficiency_is_bounded(g_det, eps_det):
+    # Each field's own rule admits these, but the GMCS rates read eps_det/g_det:
+    # up to 1e36 every product in them stays finite (v <= 1e270).
+    kwargs = dict(CLASSES[HomodyneSpec][0], g_det=g_det, eps_det=eps_det)
+    if eps_det / g_det <= 1e36:
+        HomodyneSpec(**kwargs)
+        return
+    with pytest.raises(DomainError) as exc:
+        HomodyneSpec(**kwargs)
+    assert str(exc.value) == f"eps_det/g_det must be at most 1e36, got {eps_det / g_det}"
+
+
 #: The rules each class passed to check_fields before the classes declared them.
 REF_RULES = {
     SpdSpec: dict(rep_rate="in (0, 1e15]", eta_d="in [0, 1]", y0="in [0, 1)", e_det="in [0, 0.5]"),
-    HomodyneSpec: dict(rep_rate="in (0, 1e15]", g_det="in (0, 1]", eps_det=">= 0"),
+    HomodyneSpec: dict(rep_rate="in (0, 1e15]", g_det="in (0, 1]", eps_det="in [0, 1e30]"),
     LinkSpec: dict(alpha=">= 0 dB/km", length=">= 0 km", g_bob="in (0, 1]", switch_loss=">= 0 dB"),
-    GmcsSource: dict(v="in (1, 1e270]", beta="in (0, 1]", eps_pre=">= 0"),
+    GmcsSource: dict(v="in (1, 1e270]", beta="in (0, 1]", eps_pre="in [0, 1e30]"),
     Bb84Config: {},
     DecoyConfig: dict(mu="in (0, 700]"),
 }

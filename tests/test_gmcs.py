@@ -1,9 +1,11 @@
 import math
+import re
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dualdet import gmcs
 from dualdet.core import DomainError, GmcsSource, HomodyneSpec, channel_transmittance, db_to_transmittance
 from dualdet.gmcs import (
     MismatchedEfficiencyError,
@@ -133,23 +135,27 @@ def test_informations_refuse_non_finite(call, args):
         call(*args)
 
 
-@pytest.mark.parametrize("kernel, keyed, bounding, t, message", [
-    # Each arm's own input noise is finite (1e308), but the keyed arm's vacuum
-    # noise plus the bounding arm's excess noise overflows.
-    (gmcs_dr_rate_dual, HomodyneSpec(1e6, 1e-10, 0.0), HomodyneSpec(1e6, 1.0, 1e10), 1e-298,
-     "chi must be >= 0, got inf"),
-    # A t above 1 would make the vacuum noise negative, or g exceed 1: the kernels refuse it first.
-    (gmcs_dr_rate_dual, HomodyneSpec(1e6, 1.0, 0.0), HomodyneSpec(1e6, 1.0, 0.0), 1.5,
-     "t must be in [0, 1], got 1.5"),
-    (gmcs_rr_rate_dual, HomodyneSpec(1e6, 1.0, 0.0), HomodyneSpec(1e6, 1.0, 0.0), 1.5,
-     "t must be in [0, 1], got 1.5"),
-    (gmcs_rr_rate_dual, HomodyneSpec(1e6, 1.0, 5.0), HomodyneSpec(1e6, 1.0, 5.0), 1.5, "t must be in [0, 1], got 1.5"),
+@pytest.mark.parametrize("kernel, keyed, bounding", [
+    (gmcs_dr_rate_dual, HomodyneSpec(1e6, 1.0, 0.0), HomodyneSpec(1e6, 1.0, 0.0)),
+    (gmcs_rr_rate_dual, HomodyneSpec(1e6, 1.0, 0.0), HomodyneSpec(1e6, 1.0, 0.0)),
+    (gmcs_rr_rate_dual, HomodyneSpec(1e6, 1.0, 5.0), HomodyneSpec(1e6, 1.0, 5.0)),
 ])
-def test_kernels_keep_the_information_refusals(kernel, keyed, bounding, t, message):
-    # The kernels call the information functions unchecked only where their checks would pass.
+def test_kernels_refuse_t_above_1(kernel, keyed, bounding):
+    # A t above 1 would make g exceed 1 and the vacuum noise negative: the kernels refuse it first.
     with pytest.raises(DomainError) as info:
-        kernel(keyed, bounding, GmcsSource(v=2.0, beta=0.9), t)
-    assert str(info.value) == message
+        kernel(keyed, bounding, GmcsSource(v=2.0, beta=0.9), 1.5)
+    assert str(info.value) == "t must be in [0, 1], got 1.5"
+
+
+@pytest.mark.parametrize("kernel, limit", [
+    # DR: I_AB -> 0 and I_AE -> (1/2)*log2(v) as g -> 0.
+    (gmcs_dr_rate_dual, -FAST.rep_rate * 0.5 * math.log2(SOURCE.v)),
+    # RR: I_AB -> 0 and I_BE -> log2(1 + eps_det) of the bounding arm.
+    (gmcs_rr_rate_dual, -FAST.rep_rate * math.log2(1.0 + QUIET.eps_det)),
+])
+@pytest.mark.parametrize("t", [0.0, 5e-324, t_at(15000.0)])
+def test_rates_reach_their_limits_as_the_transmittance_vanishes(kernel, limit, t):
+    assert kernel(FAST, QUIET, SOURCE, t) == pytest.approx(limit, rel=1e-12)
 
 
 @pytest.mark.parametrize("v", [1.0, 2.0, 40.0, 49.0, 1e6])
@@ -248,29 +254,71 @@ def test_realistic_rr_dual_positive_at_short_range_only():
         assert rr_single(SOURCE_REALISTIC, FAST, t_at(length)) < 0.0
 
 
-#: Detectors and sources with every field from its whole domain, v past its rule too.
-ANY_HOMODYNE = st.builds(HomodyneSpec, rep_rate=st.floats(0.0, 1e15, exclude_min=True),
-                         g_det=st.floats(0.0, 1.0, exclude_min=True), eps_det=st.floats(0.0, allow_infinity=False))
+#: Every field from the whole float range, past its rule too.
+ANY_FLOAT = st.one_of(st.floats(0.0, 1e30), st.floats(min_value=0.0, allow_infinity=False))
 ANY_V = st.one_of(st.floats(1.0, 1e270, exclude_min=True), st.floats(min_value=1e270, allow_infinity=False))
+RULE_MESSAGE = (r"^(v must be in \(1, 1e270\]|eps_pre must be in \[0, 1e30\]|eps_det must be in \[0, 1e30\]"
+                r"|eps_det/g_det must be at most 1e36), got ")
 
 
 @settings(max_examples=400, deadline=None)
-@given(v=ANY_V, beta=st.floats(0.0, 1.0, exclude_min=True), eps_pre=st.floats(0.0, allow_infinity=False),
-       keyed=ANY_HOMODYNE, other=ANY_HOMODYNE, arms=st.sampled_from(("dual", "single", "equal_g_det")),
+@given(v=ANY_V, beta=st.floats(0.0, 1.0, exclude_min=True), eps_pre=ANY_FLOAT,
+       g_dets=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2, max_size=2),
+       eps_dets=st.lists(ANY_FLOAT, min_size=2, max_size=2), equal_g_det=st.booleans(),
        t=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 5e-324))))
-# A subnormal chi at 0 km: 1/chi overflows in info_ae, which gave nan.
-@example(v=40.0, beta=1.0, eps_pre=0.0, keyed=HomodyneSpec(1e6, 1.0, 5e-324), other=QUIET, arms="single", t=1.0)
-@example(v=1e270, beta=1.0, eps_pre=1e300, keyed=FAST, other=QUIET, arms="single", t=1.0)
-def test_accepted_source_gives_finite_rate_or_refusal(v, beta, eps_pre, keyed, other, arms, t):
+# A subnormal chi at 0 km, whose 1/chi overflows in info_ae.
+@example(v=40.0, beta=1.0, eps_pre=0.0, g_dets=[1.0, 0.8], eps_dets=[5e-324, 0.01], equal_g_det=False, t=1.0)
+# Each field at the end of its domain, at g = 1, at a subnormal g and at g = 0.
+@example(v=1e270, beta=1.0, eps_pre=1e30, g_dets=[1.0, 1e-6], eps_dets=[1e30, 1e30], equal_g_det=False, t=1.0)
+@example(v=1e270, beta=1.0, eps_pre=0.0, g_dets=[1.0, 1.0], eps_dets=[0.0, 0.0], equal_g_det=True, t=1.0)
+@example(v=1e270, beta=1.0, eps_pre=1e30, g_dets=[1.0, 1e-6], eps_dets=[1e30, 1e30], equal_g_det=False, t=5e-324)
+@example(v=1e270, beta=1.0, eps_pre=1e30, g_dets=[1.0, 1e-6], eps_dets=[1e30, 1e30], equal_g_det=False, t=0.0)
+def test_accepted_file_gives_finite_rate(v, beta, eps_pre, g_dets, eps_dets, equal_g_det, t):
+    # Whatever the rules accept gives a finite DR and RR rate in every mode, at every t in [0, 1].
+    if equal_g_det:
+        g_dets = [g_dets[0], g_dets[0]]
     try:
         source = GmcsSource(v=v, beta=beta, eps_pre=eps_pre)
+        fast, slow = (HomodyneSpec(1e6, g_det, eps_det) for g_det, eps_det in zip(g_dets, eps_dets))
     except DomainError as exc:
-        assert str(exc) == f"v must be in (1, 1e270], got {v}"
+        assert re.match(RULE_MESSAGE, str(exc)), exc
         return
-    bounding = {"dual": other, "single": keyed, "equal_g_det": HomodyneSpec(other.rep_rate, keyed.g_det, other.eps_det)}[arms]
+    modes = [(fast, fast), (slow, slow), (fast, slow)]
     for kernel in (gmcs_dr_rate_dual, gmcs_rr_rate_dual):
+        for keyed, bounding in modes if kernel is gmcs_dr_rate_dual or equal_g_det else modes[:2]:
+            assert math.isfinite(kernel(keyed, bounding, source, t)), kernel
+
+
+def chi_rate(kernel, keyed, bounding, source, t):
+    """The kernel's rate in the input-referred spelling: noise_budget and the information functions."""
+    g, chi_vac, eps_keyed = noise_budget(source, keyed, t)
+    chi_keyed, chi_bounding = chi_vac + eps_keyed, chi_vac + noise_budget(source, bounding, t)[2]
+    info = info_ae(source.v, chi_bounding) if kernel is gmcs_dr_rate_dual else info_be(source.v, chi_bounding, g)
+    return keyed.rep_rate * (source.beta * mutual_info_ab(source.v, chi_keyed) - info)
+
+
+#: Excess noises from their whole domain or the receivers' working range.
+EXCESS = st.one_of(st.floats(0.0, 1e30), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(v=st.one_of(st.floats(1.0, 1e270, exclude_min=True), st.floats(1.5, 100.0)),
+       beta=st.floats(0.0, 1.0, exclude_min=True), eps_pre=EXCESS, g_det=st.floats(1e-6, 1.0),
+       eps_dets=st.lists(EXCESS, min_size=2, max_size=2), same=st.booleans(),
+       t=st.one_of(st.floats(0.0, 1.0), st.floats(1e-160, 1e-140), st.sampled_from((1.0, 5e-324))))
+def test_kernels_agree_with_the_chi_spelling(v, beta, eps_pre, g_det, eps_dets, same, t):
+    # Where the input-referred spelling is defined, and for RR where its g*g
+    # is a normal float (below, info_be loses bits to underflow), both forms
+    # are within 2**-41*scale of each other (each kernel's error-scale docstring).
+    source = GmcsSource(v=v, beta=beta, eps_pre=eps_pre)
+    keyed, other = (HomodyneSpec(1e6, g_det, eps_det) for eps_det in eps_dets)
+    bounding = keyed if same else other
+    for kernel, scale in ((gmcs_dr_rate_dual, gmcs._dr_error_scale(source, keyed)),
+                          (gmcs_rr_rate_dual, gmcs._rr_error_scale(source, keyed, bounding))):
         try:
-            rate = kernel(keyed, bounding, source, t)
-        except DomainError:
+            reference = chi_rate(kernel, keyed, bounding, source, t)
+        except DomainError:  # g = 0, chi overflows, or g*g underflows
             continue
-        assert math.isfinite(rate), kernel
+        if kernel is gmcs_rr_rate_dual and t * g_det < 2.0 ** -500:
+            continue
+        assert abs(kernel(keyed, bounding, source, t) - reference) <= 2.0 ** -41 * scale, kernel

@@ -337,8 +337,8 @@ def test_single_equals_dual_with_one_detector(protocol, mode, data):
 
 @pytest.mark.parametrize("protocol, module, arm_function", [
     ("bb84_single_photon", bb84, "binary_entropy"),
-    ("gmcs_dr", gmcs, "noise_budget"),
-    ("gmcs_rr", gmcs, "noise_budget"),
+    ("gmcs_dr", gmcs, "_arm"),
+    ("gmcs_rr", gmcs, "_arm"),
 ], ids=["bb84_single_photon", "gmcs_dr", "gmcs_rr"])
 @pytest.mark.parametrize("role, arms", [("fast", 1), ("slow", 1), ("dual", 2)])
 def test_each_detector_arm_is_computed_once(count_calls, protocol, module, arm_function, role, arms):
@@ -381,8 +381,8 @@ PRESET_SCENARIOS["fig4_dual_no_pa"] = dataclasses.replace(figure_preset(4).scena
 @pytest.mark.parametrize("name", PRESET_SCENARIOS)
 @settings(max_examples=40, deadline=None)
 @given(length=st.floats(0.0, 1e5))
-# From about 14,700 km the GMCS transmittance is subnormal and the noise
-# budget overflows: evaluate must refuse these lengths, not return NaN.
+# From about 14,700 km the GMCS transmittance is subnormal, and past about
+# 15,400 km it is 0: the rates there are finite too.
 @example(length=14700.0)
 @example(length=15000.0)
 def test_rate_is_finite_or_refused(name, length):
@@ -393,11 +393,15 @@ def test_rate_is_finite_or_refused(name, length):
     assert isinstance(rate, float) and math.isfinite(rate)
 
 
-@pytest.mark.parametrize("fig_id", [6, 7])
-def test_rr_refusal_names_the_transmittance(fig_id):
-    # The RR bound squares g, which underflows near 7,750 km.
-    with pytest.raises(DomainError, match=r"^overall transmittance \S+ is too small: "):
-        evaluate(figure_preset(fig_id).scenarios["dual"], 7760.0)
+@pytest.mark.parametrize("fig_id, limit", [
+    (5, -218_199_051.89),  # DR: -rep_rate*log2(v)/2, rep_rate 82 MHz and v = 40
+    (6, -1_177_134.02),  # RR: -rep_rate*log2(1 + eps_det) of the quiet arm, 0.01
+])
+@pytest.mark.parametrize("length", [7760.0, 15000.0, 1e5])
+def test_gmcs_dual_reaches_its_limit_far_out(fig_id, limit, length):
+    # At 7,760 km the input-referred RR bound's g*g underflows, and at 15,000 km
+    # g is subnormal: there the rate is its g -> 0 limit.
+    assert round(evaluate(figure_preset(fig_id).scenarios["dual"], length), 2) == limit
 
 
 # Every key of every JSON object, per object: (scenario, path to the object,
@@ -562,19 +566,11 @@ def test_twins(fig_id, switch_loss, fast_e_det, twins):
 
 def test_proof_length():
     # Dark counts keep every photon-counting preset gain above 2**-1000 at any
-    # length, and GMCS DR needs no least g.
+    # length, and GMCS DR and RR need no least g, behind a switch too.
     for fig_id in FIGURE_IDS:
-        if figure_preset(fig_id).scenarios["dual"].protocol != "gmcs_rr":
-            assert all(_proof_length(s) == math.inf for s in figure_preset(fig_id).scenarios.values())
-    # GMCS RR holds while g = t*g_det >= 2**-500, so that I_BE's g*g is a normal float.
-    rr = figure_preset(6).scenarios
-    limit = _proof_length(rr["fast"])
-    assert limit == pytest.approx(10.0 / 0.21 * (500 * math.log10(2.0) + math.log10(0.8)))
-    assert channel_transmittance(0.21, limit) * 0.8 == pytest.approx(2.0 ** -500)
-    assert _proof_length(rr["slow"]) == limit
-    # Behind a 3 dB switch g reaches 2**-500 about 14.3 km sooner.
-    switched = dataclasses.replace(rr["dual"], link=dataclasses.replace(rr["dual"].link, switch_loss=3.0))
-    assert _proof_length(switched) == pytest.approx(limit - 3.0 / 0.21)
+        assert all(_proof_length(s) == math.inf for s in figure_preset(fig_id).scenarios.values())
+    rr = figure_preset(6).scenarios["dual"]
+    assert _proof_length(dataclasses.replace(rr, link=dataclasses.replace(rr.link, switch_loss=3.0))) == math.inf
     clean = SpdSpec(rep_rate=1e9, eta_d=0.5, y0=0.0, e_det=0.01)
     link = LinkSpec(alpha=0.2, g_bob=1.0)
     scenario = Scenario("bb84_single_photon", "single_fast", link, Bb84Config(0.5, 1.22), fast=clean)

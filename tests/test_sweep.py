@@ -17,7 +17,7 @@ from dualdet.core import (
     bisect_sign_change,
 )
 from dualdet.decoy import DecoyConfig
-from dualdet.gmcs import noise_budget
+from dualdet.gmcs import _arm as gmcs_arm
 from dualdet.presets import FIGURE_IDS, FigurePreset, figure_preset
 from dualdet.scenario import MODE_TO_ROLE, MODES, Scenario, evaluate
 from dualdet.sweep import (
@@ -242,7 +242,7 @@ def test_sweep_preset_is_evaluate_bit_for_bit(monkeypatch, fig_id):
 @pytest.mark.parametrize("fig_id, arm_function, columns", [
     (1, binary_entropy, 2), (2, binary_entropy, 2), (3, binary_entropy, 2),
     (4, binary_entropy, 4),  # decoy's keyed and bounding arms, per detector
-    (5, noise_budget, 2), (6, noise_budget, 2), (7, noise_budget, 2),
+    (5, gmcs_arm, 2), (6, gmcs_arm, 2), (7, gmcs_arm, 2),
     (8, binary_entropy, 4), (9, binary_entropy, 4),  # the switched dual sees another t
 ])
 def test_sweep_preset_computes_each_arm_once_per_length(count_calls, fig_id, arm_function, columns):
@@ -260,13 +260,10 @@ def _first_refusal(scenarios, grid):
 
 
 @pytest.mark.parametrize("protocol, fast, slow, config, link", [
-    # The slow arm's noise budget overflows at 14,655 km, the fast arm's at 14,670 km.
-    ("gmcs_dr", HomodyneSpec(82e6, 0.8, 0.43), HomodyneSpec(1e6, 0.3, 0.01), GmcsSource(40.0, 1.0, 0.05),
-     LinkSpec(alpha=0.21)),
     # Detectors with no dark counts: their gain is 0 where t underflows (15,315 km and 15,350 km).
     ("bb84_single_photon", SpdSpec(1e9, 0.059, 0.0, 0.018), SpdSpec(2.5e6, 0.5, 0.0, 0.018),
      Bb84Config(0.5, 1.22), LinkSpec(alpha=0.21, g_bob=0.16)),
-], ids=["gmcs_dr", "bb84_single_photon"])
+], ids=["bb84_single_photon"])
 def test_shared_arms_refuse_in_evaluate_order(protocol, fast, slow, config, link):
     scenarios = {role: Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast, slow=slow)
                  for role, mode in (("dual", "dual"), ("fast", "single_fast"), ("slow", "single_slow"))}
@@ -728,13 +725,21 @@ def test_maxdist_proves_long_blocks_past_the_answer_piece_by_piece(monkeypatch):
     assert len(lengths) == 2 + 13 + 26 + 9 + 17
 
 
-def test_rr_crossover_answers_before_the_model_domain_ends():
-    # Past about 7,700 km I_BE's g^2 underflows and evaluate raises, and block
-    # ends past 7,163 km (g below 2**-500, scenario._proof_length) prove
-    # nothing; the crossover is found near 18.7 km, as within 60 km.
+def test_rr_crossover_answers_the_same_far_out():
+    # The RR rates are defined and proved at every t, 0 included: with a grid
+    # to 20,000 km the crossover is found near 18.7 km, as within 60 km.
     preset = figure_preset(6)
     dual, envelope = preset.scenarios["dual"], [preset.scenarios["fast"], preset.scenarios["slow"]]
     assert crossover_distance(dual, envelope, 20000.0) == crossover_distance(dual, envelope, 60.0) == 18.6689453125
+
+
+def test_rr_maxdist_halves_from_a_far_l_max(monkeypatch):
+    # The RR proofs hold at every g, so the halving runs from 7,500 km too,
+    # where the backward walk takes 7,492 evaluations.
+    dual = figure_preset(6).scenarios["dual"]
+    lengths = count_evaluations(monkeypatch)
+    assert max_secure_distance(dual, 7500.0) == 18.8779296875
+    assert len(lengths) <= 100
 
 
 def test_crossover_self_is_none(fig1):
