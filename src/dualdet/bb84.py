@@ -124,7 +124,7 @@ def _noisier(dual: SpdSpec, member: SpdSpec) -> bool:
 def _error_scale(cfg, keyed: SpdSpec) -> float:
     """rep_rate*2*(2 + f_ec) of the keyed detector: a bound on |rate| (the
     gain is <= 2 and the bracket in [-(1 + f_ec), 1]) whose 2**-41 multiple
-    bounds the rate's rounding error, for BB84 and for decoy with mu <= 1.
+    bounds the rate's rounding error, for BB84 and for decoy at every mu.
 
     The bound holds where each arm's gain is >= 2**-1000
     (scenario._proof_length), up to 2**-1074 per rounding that underflows.
@@ -136,9 +136,16 @@ def _error_scale(cfg, keyed: SpdSpec) -> float:
     since |dH2(e)/d ln t| = |H2'(e)|*w*(1 - w)*(1/2 - e_det) <= 0.53, with
     w = eta/gain and e >= (1 - w)/2. So the rate moves by at most
     1.53*rho*scale < 2,300u*scale. The kernel's other roundings and libm
-    calls add under 100u*scale. Decoy is the same, with Q_1 <= 2/e and Q_mu <= 2 in
-    the bracket: Q_mu and E_mu are off by under 3u absolutely (y0 + 1.0,
-    1.0 - exp), so f_ec*Q_mu*H2(E_mu) is off by under 3*f_ec*u plus the same
-    relative terms. In all, the error is below 2,400u*scale < 2**-41*scale.
+    calls add under 100u*scale. Decoy is the same at every mu, with Q_1 <= 2/e
+    and Q_mu <= 2 in the bracket. Q_1 moves with t as the gain does. With
+    x = mu*t*eta_d and s = 1 - exp(-x), d ln Q_mu/d ln t = x*exp(-x)/(y0 + s) <= 1,
+    and E_mu = 1/2 - (1/2 - e_det)*w, w = s/(y0 + s), |dw/d ln t| <= w*(1 - w),
+    so H2(E_mu) moves by at most 0.53*rho. exp(-x) is off by under u
+    absolutely (x*exp(-x) <= 1/e carries the product's rounding), so s is off
+    by under 2u and Q_mu by under 3u (y0 + 1.0); Q_mu*H2(E_mu) moves by
+    -log2(1 - E_mu) <= 1 per unit of Q_mu and by e_det*H2'(E_mu) <= 0.53 per
+    unit of s in E_mu's numerator, as E_mu >= e_det: so f_ec*Q_mu*H2(E_mu) is
+    off by under 5*f_ec*u plus the same relative terms. In all, the error is
+    below 2,400u*scale < 2**-41*scale.
     """
     return keyed.rep_rate * 2.0 * (2.0 + cfg.f_ec)

@@ -71,28 +71,30 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
     detector the rate charges no privacy amplification, showing how much
     of the rate loss is error correction alone.
 
-    For mu <= 1 the rate turns from positive to non-positive at most once
-    as the length grows, that is as eta = t*eta_d (keyed arm) falls. Its
-    sign is that of per_pulse/q_1 = 1 - f_ec*(q_mu/q_1)*H2(e_mu) - H2(e_1),
-    as q_1 = (y0 + eta)*mu*exp(-mu) > 0 wherever the QBERs are defined, and
-    each subtracted term is >= 0 and does not fall:
-    - q_mu/q_1 = [(y0 + 1 - exp(-eta*mu))/(y0 + eta)] / (mu*exp(-mu)). Its
-      eta-derivative has the sign of
-      mu*eta*exp(-eta*mu) - (1 - exp(-eta*mu)) + y0*(mu*exp(-eta*mu) - 1),
-      where the first two terms are (1 + x)*exp(-x) - 1 <= 0 with x = eta*mu,
-      and the last is <= 0 for mu <= 1. So the ratio does not fall with length.
-    - e_mu is a weighted mean of E0 = 1/2 (weight y0) and e_det <= 1/2
-      (weight 1 - exp(-eta*mu)); that weight falls, so e_mu moves toward
-      1/2 and H2(e_mu) does not fall.
-    - e_1 is the BB84 QBER, which rises with length (bb84_rate_dual), and
-      dual_no_pa only drops this term.
-    So the rate is q_1, positive and falling with length, times a bracket
-    that does not rise with length: where the rate is positive it does not
-    rise with length, and once it is non-positive it stays non-positive.
-    Where it is non-positive, rate/t does not rise with length either:
-    q_1/t = (y0/t + eta_d)*mu*exp(-mu) is >= 0 and rises as t falls, and the
-    bracket is <= 0 and does not rise, as in bb84_rate_dual.
-    For mu > 1 the y0 term can be positive, and no such bound is claimed.
+    The monotone rule, for every mu and in every mode: rate/t does not rise
+    with length, in either sign. Let n = y0 of the keyed arm, x = mu*t*eta_d,
+    s = 1 - exp(-x), c = mu*exp(-mu) <= 1/e, P = 1 - H2(e_1) of the bounding
+    arm (P = 1 with none) and F(n, s) = (n + s)*H2(e_mu). As q_1 = c*(n + t*eta_d)
+    and q_mu = n + s, the rate per pulse is c*(n + t*eta_d)*P - f_ec*F, so
+    rate/t = b*rep_rate*(c*eta_d*P + W/t) with W = c*n*P - f_ec*F. The
+    first term does not rise with length: e_1 is the BB84 QBER, which rises
+    with length (bb84_rate_dual), so P in [0, 1] does not rise. With
+    l = -ln t, d(W/t)/dl = (W + dW/dl)/t, and three facts about F bound it:
+    - F is 1-homogeneous in (n, s): e_mu = (n/2 + e_det*s)/(n + s) does not
+      change when both are scaled.
+    - dF/dn = H2(e_mu) + H2'(e_mu)*(1/2 - e_mu) >= H2(1/2) = 1, as
+      de_mu/dn = (1/2 - e_mu)/(n + s) and a tangent of the concave H2 lies
+      above it.
+    - F >= n, as H2(p) >= 2p on [0, 1/2] and 2*(n + s)*e_mu = n + 2*e_det*s.
+    As ds/dl = -x*exp(-x), Euler's F = n*dF/dn + s*dF/ds gives
+    F + dF/dl = (1 - lam)*F + lam*n*dF/dn >= n, with lam = x/(exp(x) - 1) in
+    (0, 1]. As c*n >= 0 and P neither exceeds 1 nor rises,
+    W + dW/dl <= c*n - f_ec*n < 0 where n > 0, since f_ec >= 1 > c; where
+    n = 0, F + dF/dl = H2(e_det)*(s - x*exp(-x)) >= 0, so W + dW/dl <= 0.
+    rate/t has the rate's sign, so once the rate is non-positive it stays
+    so, and where it is positive it is t, falling, times a positive rate/t
+    that does not rise: the rate is positive on a prefix of lengths and
+    does not rise there.
 
     Twin rule: a twin (bb84_rate_dual) differs from this rate by
     b*rep_rate*q_1*(H2(e_1m) - H2(e_1d)), BB84's D with q_1 for the gain, as

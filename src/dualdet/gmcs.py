@@ -83,11 +83,13 @@ def info_ae(v: float, chi: float) -> float:
 def info_be(v: float, chi: float, g: float) -> float:
     """Eavesdropper information on the receiver: (1/2)*log2[g^2*(v+chi)*(1/v+chi)].
 
-    The argument is at least g^2, so it can only reach 0 by g^2 underflowing
-    (about 7,700 km at 0.21 dB/km): there g is outside this spelling's domain.
-    A g*chi past about 1e154 (a huge excess noise) overflows the argument;
-    the logs of its factors are added instead, which stay finite as
-    v <= 1e270 (GmcsSource).
+    The argument is formed as (g*(v+chi))*(g*(1/v+chi)): with chi the input
+    noise of noise_budget, at least about 1/g, each factor is of order 1, so
+    the argument keeps its bits where g*g is subnormal. It is at least g^2,
+    so it reaches 0 only for a small chi at a g whose square underflows,
+    outside this spelling's domain. A g*chi past about 1e154 (a huge excess
+    noise) overflows the argument; the logs of its factors are added
+    instead, which stay finite as v <= 1e270 (GmcsSource).
     """
     _check_v_chi(v, chi)
     if not 0.0 < g <= 1.0:
@@ -95,7 +97,7 @@ def info_be(v: float, chi: float, g: float) -> float:
     if chi == 0.0:
         # v*(1/v) rounds off exact 1; at chi = 0 the argument is exactly g^2.
         return math.log2(g)
-    arg = g * g * (v + chi) * (1.0 / v + chi)
+    arg = (g * (v + chi)) * (g * (1.0 / v + chi))
     if arg <= 0.0:
         raise DomainError(f"overall transmittance {g!r} is too small: its square underflows")
     if arg == math.inf:

@@ -27,17 +27,16 @@ from .core import (
 #: terms or None), read(config): what the arms read from it (nothing for BB84, mu
 #: for decoy, the source for GMCS), twin order(dual's bounding detector, member's
 #: bounding detector): whether _twins may pair them, error scale(config, keyed
-#: detector, bounding detector or None): None where no proof holds, otherwise a scale
-#: whose 2**-41 multiple bounds |fl(rate) - rate|, and then the rate is positive on a
-#: prefix of lengths and does not rise there, in every mode; each bound and proof is in
-#: the public kernel's docstring). An arm returns one detector's terms; each public
-#: kernel (bb84_rate_dual, ...) is the row's three functions composed.
+#: detector, bounding detector or None): a scale whose 2**-41 multiple bounds
+#: |fl(rate) - rate|; in every mode the rate is positive on a prefix of lengths and
+#: does not rise there, and where it is not positive, rate/t does not rise; each bound
+#: and proof is in the public kernel's docstring). An arm returns one detector's
+#: terms; each public kernel (bb84_rate_dual, ...) is the row's three functions composed.
 _PROTOCOLS = {
     "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84._arm, bb84._arm, bb84._combine, lambda cfg: None,
                            bb84._noisier, lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed)),
     "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy._signal, bb84._arm, decoy._combine, lambda cfg: cfg.mu,
-                   bb84._noisier,
-                   lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed) if cfg.mu <= 1.0 else None),
+                   bb84._noisier, lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed)),
     "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs._arm, gmcs._arm, gmcs._dr_combine, lambda cfg: cfg,
                 lambda dual, member: True, lambda cfg, keyed, bounding: gmcs._dr_error_scale(cfg, keyed)),
     "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs._arm, gmcs._arm, gmcs._rr_combine, lambda cfg: cfg,

@@ -6,11 +6,12 @@ points are computed on demand, only as far as it takes to bracket their
 answer, then bisect to 0.01 km: the crossover walks forward from 0 to the
 first crossing, skipping each block of grid points where the rates'
 monotonicity, for positive and for non-positive rates, proves the sign of
-the difference. The maximum distance finds the last positive grid point by
-halving the grid's index range when the scenario's rate provably changes
-sign at most once, every rate it reads is clear of its rounding error and
-every grid point past the answer is proved negative, and otherwise walks
-backward from the search limit; both find the same point.
+the difference. Every scenario's rate changes sign at most once (the
+monotone rule in the kernel docstrings), so the maximum distance finds the
+last positive grid point by halving the grid's index range when every rate
+it reads is clear of its rounding error and every grid point past the
+answer is proved negative, and otherwise walks backward from the search
+limit; both find the same point.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ def _halve(scenario: Scenario, grid: Sequence[float]) -> int | None:
     range; the rate at grid[-1] is not positive.
 
     The scenario's rate in real numbers turns from positive to non-positive
-    at most once as the length grows (it has an error scale, the last column
-    of `scenario._PROTOCOLS`; the monotone rule in the kernel docstrings).
+    at most once as the length grows (the monotone rule in the kernel
+    docstrings), and its error scale is the last column of
+    `scenario._PROTOCOLS`.
     A computed rate whose size exceeds 2**-40*scale + 2**-1000, more than
     its rounding error, has the real rate's sign there (_block_proof). The
     backward walk also reads the points past the answer that the halving
@@ -186,16 +188,14 @@ def _halve(scenario: Scenario, grid: Sequence[float]) -> int | None:
     r = t(grid[j])/t(grid[i]) (rate/t does not rise), and x_i*r < -margin
     makes every computed rate on the block negative, as in _block_proof. A
     block that fails is split at its middle point, which must be below
-    -margin. None when that proves nothing: the scenario has no error scale,
-    grid[-1] is past _proof_length, or a rate evaluated is within that margin
-    of 0, where a rounding may flip its sign (as where 1 - f_ec*H2(e_k) -
-    H2(e_b) rounds to 0 while the real rate is positive), or positive past
-    the answer.
+    -margin. None when that proves nothing: grid[-1] is past _proof_length,
+    or a rate evaluated is within that margin of 0, where a rounding may
+    flip its sign (as where 1 - f_ec*H2(e_k) - H2(e_b) rounds to 0 while the
+    real rate is positive), or positive past the answer.
     """
-    scale = scenario._error_scale
-    if scale is None or grid[-1] > _proof_length(scenario):
+    if grid[-1] > _proof_length(scenario):
         return None
-    margin = _MARGIN * scale + _LEAST_MARGIN
+    margin = _MARGIN * scenario._error_scale + _LEAST_MARGIN
     lo, hi, probe = -1, len(grid) - 1, 0  # the rate is positive at grid[lo] (if lo >= 0), not at grid[hi]
     blocks = []  # (i, x_i, j): the rate is x_i < -margin at grid[i] and not positive at grid[j]
     while hi - lo > 1:
@@ -231,23 +231,23 @@ def crossover_distance(
 
     Walks the coarse grid forward from 0 and stops at the first crossing,
     evaluating one point more only when the difference there is exactly 0.
-    None when no such sign change occurs in [0, l_max_search]. When every
-    scenario has an error scale, the blocks of grid points on which
-    _block_proof proves the sign of the difference are skipped (_gallop),
-    and the bisection does not evaluate a member proved below rate_a on its
-    cell: that leaves the sign of the difference at every length in the
-    cell. So the first bracketing cell, its bisection and the answer are
-    the walk's, and only a point the walk reaches may raise.
+    None when no such sign change occurs in [0, l_max_search]. The blocks of
+    grid points on which _block_proof proves the sign of the difference are
+    skipped (_gallop), and the bisection does not evaluate a member proved
+    below rate_a on its cell: that leaves the sign of the difference at
+    every length in the cell. So the first bracketing cell, its bisection
+    and the answer are those of a walk over every grid point, and only a
+    point that walk reaches may raise.
     """
     if not scenario_b:
         raise DomainError("scenario_b must contain at least one scenario")
     diff = _difference(scenario_a, scenario_b)
     grid = _search_grid(l_max_search, coarse_step)
-    proof = _block_proof((scenario_a, *scenario_b), grid)
-    found = _walk(diff, grid) if proof is None else _gallop((scenario_a, *scenario_b), grid, *proof)
+    below, above = _block_proof((scenario_a, *scenario_b), grid)
+    found = _gallop((scenario_a, *scenario_b), grid, below, above)
     if found is None:
         return None
-    i, end, *ends = found
+    i, end, here, there = found
     if end == 0.0 and i + 2 < len(grid) and diff(grid[i + 2]) > 0.0:
         # Tangency within the cell: no strict crossing to bisect.
         warnings.warn(
@@ -256,9 +256,8 @@ def crossover_distance(
             stacklevel=2,
         )
         return 0.5 * (grid[i] + grid[i + 1])
-    if ends:  # the rates at both ends of the cell, from _gallop
-        below = proof[0](i, ends[0], i + 1, ends[1])
-        diff = _difference(scenario_a, [s for s, proved in zip(scenario_b, below) if not proved])
+    proved = below(i, here, i + 1, there)
+    diff = _difference(scenario_a, [s for s, below_a in zip(scenario_b, proved) if not below_a])
     return bisect_sign_change(diff, grid[i], grid[i + 1], tol=DISTANCE_TOL / 5)
 
 
@@ -278,29 +277,20 @@ def _difference(scenario_a: Scenario, scenario_b: Sequence[Scenario]):
     return diff
 
 
-def _walk(diff, grid: Sequence[float]) -> tuple[int, float] | None:
-    """The first cell i where diff turns from positive to non-positive,
-    walking the grid forward, and diff at its end; None if there is none."""
-    here = diff(grid[0])
-    for i in range(len(grid) - 1):
-        prev, here = here, diff(grid[i + 1])
-        if prev > 0.0 and here <= 0.0:
-            return i, here
-    return None
-
-
 def _gallop(scenarios, grid: Sequence[float], below, above) -> tuple | None:
-    """_walk's answer for the difference of the scenarios' rates, with the
-    rates at both ends of the cell, skipping each block on which every
-    member is proved below the first rate or one is proved above it.
+    """The first cell i where the first rate minus the best of the others
+    turns from positive to non-positive, walking the grid forward: (i, the
+    difference at its end, the rates at both ends), or None if there is
+    none. Each block on which every member is proved below the first rate or
+    one is proved above it is skipped.
 
     A block doubles after each skip and halves after each failed proof,
     down to one cell, which is walked; after a block of at most 4 cells
     fails, no block reaches its end before the walk does (the crossing is
-    likely inside). A point is evaluated once, in _walk's order, and a block
-    end that raises proves nothing: the walk may never reach it. The proofs
-    hold for rates of either sign, so blocks are skipped to the grid's end
-    where every rate is non-positive too."""
+    likely inside). A point is evaluated once, in the walk's order, and a
+    block end that raises proves nothing: the walk may never reach it. The
+    proofs hold for rates of either sign, so blocks are skipped to the
+    grid's end where every rate is non-positive too."""
     seen = {}
 
     def at(i: int) -> tuple[list[float], float]:
@@ -349,7 +339,7 @@ def _block_proof(scenarios, grid: Sequence[float]):
     its rate is proved below the first one at every length in
     [grid[i], grid[j]], and above(i, here, j, there), which is true when a
     member's rate is proved above it there, from the rates at both ends
-    (here, there); None when some scenario has no error scale.
+    (here, there).
 
     The monotone rule (kernel docstrings): each rate is positive on a prefix
     of lengths and does not rise there, and where it is non-positive, rate/t
@@ -390,9 +380,7 @@ def _block_proof(scenarios, grid: Sequence[float]):
     alpha, over 10) scale it by exp(3u*ln(1/r)), r*ln(1/r) <= 1/e, and the
     power adds u. So V moves by under 7u times Y's scale.
     """
-    scales = [getattr(s, "_error_scale", None) for s in scenarios]
-    if None in scales:
-        return None
+    scales = [s._error_scale for s in scenarios]
     a = scenarios[0]
     limit = min(map(_proof_length, scenarios))
     alphas = [s.link.alpha for s in scenarios]

@@ -158,6 +158,17 @@ def test_rates_reach_their_limits_as_the_transmittance_vanishes(kernel, limit, t
     assert kernel(FAST, QUIET, SOURCE, t) == pytest.approx(limit, rel=1e-12)
 
 
+@pytest.mark.parametrize("length, exact", [(7680.0, 0.01435529297706989), (7760.0, 0.01435529297706998)])
+def test_info_be_keeps_its_bits_where_g_squared_is_subnormal(length, exact):
+    # The preset 6 dual's quiet arm: past about 7,300 km g*g is subnormal, and
+    # from about 7,700 km it underflows. Each factor of the argument carries
+    # its own g, so the value is the 60-digit one to a few ulps (it was 0.0968
+    # at 7,680 km, and a refusal at 7,760 km).
+    g, chi_vac, eps = noise_budget(SOURCE, QUIET, t_at(length))
+    assert g * g < 2.0 ** -1022
+    assert info_be(SOURCE.v, chi_vac + eps, g) == pytest.approx(exact, rel=1e-13)
+
+
 @pytest.mark.parametrize("v", [1.0, 2.0, 40.0, 49.0, 1e6])
 def test_info_be_lossless_noiseless_is_exactly_zero(v):
     assert info_be(v, 0.0, 1.0) == 0.0
@@ -307,9 +318,8 @@ EXCESS = st.one_of(st.floats(0.0, 1e30), st.floats(0.0, 1.0))
        eps_dets=st.lists(EXCESS, min_size=2, max_size=2), same=st.booleans(),
        t=st.one_of(st.floats(0.0, 1.0), st.floats(1e-160, 1e-140), st.sampled_from((1.0, 5e-324))))
 def test_kernels_agree_with_the_chi_spelling(v, beta, eps_pre, g_det, eps_dets, same, t):
-    # Where the input-referred spelling is defined, and for RR where its g*g
-    # is a normal float (below, info_be loses bits to underflow), both forms
-    # are within 2**-41*scale of each other (each kernel's error-scale docstring).
+    # Where the input-referred spelling is defined, both forms are within
+    # 2**-41*scale of each other (each kernel's error-scale docstring).
     source = GmcsSource(v=v, beta=beta, eps_pre=eps_pre)
     keyed, other = (HomodyneSpec(1e6, g_det, eps_det) for eps_det in eps_dets)
     bounding = keyed if same else other
@@ -317,8 +327,6 @@ def test_kernels_agree_with_the_chi_spelling(v, beta, eps_pre, g_det, eps_dets, 
                           (gmcs_rr_rate_dual, gmcs._rr_error_scale(source, keyed, bounding))):
         try:
             reference = chi_rate(kernel, keyed, bounding, source, t)
-        except DomainError:  # g = 0, chi overflows, or g*g underflows
-            continue
-        if kernel is gmcs_rr_rate_dual and t * g_det < 2.0 ** -500:
+        except DomainError:  # g = 0, or chi overflows
             continue
         assert abs(kernel(keyed, bounding, source, t) - reference) <= 2.0 ** -41 * scale, kernel

@@ -223,12 +223,16 @@ def _rate_or_none(kernel, *args):
         return None
 
 
+#: Decoy intensities below 1, where most keys are made, or from the config's whole domain (0, 700].
+spd_mus = st.one_of(st.floats(0.0, 1.0, exclude_min=True), config_mus)
+
+
 @settings(max_examples=400, deadline=None)
-@given(keyed=spds, other=spds, same=st.booleans(), t=transmittances, mu=st.floats(0.0, 1.0, exclude_min=True),
+@given(keyed=spds, other=spds, same=st.booleans(), t=transmittances, mu=spd_mus,
        cfg=st.builds(Bb84Config, basis_factor=basis_factors, f_ec=f_ecs))
 def test_spd_error_scale_is_finite_and_bounds_the_rate(keyed, other, same, t, mu, cfg):
     # Every accepted detector and config has a finite error scale, and the
-    # scale bounds |rate|, for BB84 and for decoy with mu <= 1.
+    # scale bounds |rate|, for BB84 and for decoy at every mu.
     bounding = keyed if same else other
     scale = bb84._error_scale(cfg, keyed)
     assert math.isfinite(scale)
@@ -260,6 +264,60 @@ def test_rr_error_scale_bounds_the_rate(keyed, other, same, t, source):
     rate = gmcs_rr_rate_dual(keyed, bounding, source, t)
     assert math.isfinite(scale)
     assert abs(rate) <= scale
+
+
+def mp_h2(e):
+    return -e * mpmath.log(e, 2) - (1 - e) * mpmath.log(1 - e, 2) if 0 < e < 1 else mpmath.mpf(0)
+
+
+def mp_spd_rate(keyed, bounding, cfg, t):
+    """The BB84 rate (a Bb84Config) or the decoy rate (a DecoyConfig; no
+    bounding detector for no PA) in 50-digit arithmetic from the same float inputs."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+
+        def arm(det):  # gain and H2(QBER)
+            eta = t * det.eta_d
+            gain = det.y0 + eta
+            return gain, mp_h2((mpmath.mpf(det.y0) / 2 + det.e_det * eta) / gain)
+
+        gain, h_keyed = arm(keyed)
+        h_bounding = 0 if bounding is None else arm(bounding)[1]
+        if isinstance(cfg, Bb84Config):
+            per_pulse = gain * (1 - cfg.f_ec * h_keyed - h_bounding)
+        else:
+            mu = mpmath.mpf(cfg.mu)
+            s = -mpmath.expm1(-mu * t * keyed.eta_d)
+            q_mu = keyed.y0 + s
+            e_mu = (mpmath.mpf(keyed.y0) / 2 + keyed.e_det * s) / q_mu
+            per_pulse = gain * mu * mpmath.exp(-mu) * (1 - h_bounding) - cfg.f_ec * q_mu * mp_h2(e_mu)
+        return cfg.basis_factor * keyed.rep_rate * per_pulse
+
+
+@settings(max_examples=400, deadline=None)
+@given(keyed=spds, other=spds, arms=st.sampled_from(("dual", "single", "no_pa")),
+       t=st.one_of(transmittances, st.floats(0.0, 1e-100)), mu=config_mus,
+       cfg=st.builds(Bb84Config, basis_factor=basis_factors, f_ec=f_ecs))
+# The ends of the decoy intensity and of the QBER at t = 1, at a gain near 2**-1000, and where y0 + 1.0 rounds y0.
+@example(keyed=SpdSpec(1e15, 1.0, 0.0, 0.5), other=SpdSpec(1e15, 1.0, 0.0, 0.0), arms="dual", t=1.0, mu=700.0,
+         cfg=Bb84Config(1.0, 10.0))
+@example(keyed=SpdSpec(1e9, 1.0, 0.0, 0.01), other=SpdSpec(1e9, 0.5, 1e-6, 0.0), arms="dual", t=2.0 ** -999,
+         mu=700.0, cfg=Bb84Config(0.5, 1.0))
+@example(keyed=SpdSpec(1e9, 0.1, 1e-12, 0.0), other=SpdSpec(1e9, 0.1, 1e-12, 0.0), arms="no_pa", t=1e-13,
+         mu=5e-324, cfg=Bb84Config(0.5, 1.22))
+def test_spd_error_scale_bounds_the_rounding(keyed, other, arms, t, mu, cfg):
+    # BB84 and decoy (dual, single, no PA) against the real rate from the
+    # same float inputs, within 2**-41*scale + 2**-1000 wherever each arm's
+    # gain is at least 2**-1000 (scenario._proof_length) and a rate is given.
+    bounding = {"dual": other, "single": keyed, "no_pa": None}[arms]
+    if min(det.y0 + t * det.eta_d for det in (keyed, bounding or keyed)) < 2.0 ** -1000:
+        return
+    bound = 2.0 ** -41 * bb84._error_scale(cfg, keyed) + 2.0 ** -1000
+    decoy_cfg = DecoyConfig(mu=mu, basis_factor=cfg.basis_factor, f_ec=cfg.f_ec)
+    kernels = [(decoy_rate_dual, decoy_cfg)] + ([(bb84_rate_dual, cfg)] if bounding is not None else [])
+    for kernel, config in kernels:
+        rate = _rate_or_none(kernel, keyed, bounding, config, t)
+        assert rate is None or abs(rate - mp_spd_rate(keyed, bounding, config, t)) <= bound, kernel
 
 
 def mp_rate(protocol, keyed, bounding, source, t):
@@ -354,9 +412,9 @@ falls = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from((1.0, 0
 
 @settings(max_examples=400, deadline=None)
 @given(keyed=spds, other=spds, same=st.booleans(), t=st.floats(0.0, 1.0, exclude_min=True), r=falls,
-       mu=st.floats(0.0, 1.0, exclude_min=True), cfg=st.builds(Bb84Config, basis_factor=basis_factors, f_ec=f_ecs))
+       mu=spd_mus, cfg=st.builds(Bb84Config, basis_factor=basis_factors, f_ec=f_ecs))
 def test_spd_rates_keep_the_monotone_rule_in_both_signs(keyed, other, same, t, r, mu, cfg):
-    # BB84, and decoy with mu <= 1 (dual, single, no PA): where the rate is
+    # BB84, and decoy at every mu (dual, single, no PA): where the rate is
     # positive it does not rise as t falls, and where it is not, rate/t does
     # not rise, within the error bound; only where each arm's gain is at
     # least 2**-1000 (scenario._proof_length).

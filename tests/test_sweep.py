@@ -392,8 +392,8 @@ def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, switch_loss, l
     # leaves) and 250: 3 x 17 = 51, where the walk took 3 x 251 = 753.
     # Preset 5 (the dual is negative from 0 km): 2, 6, 14, 30, then 62 is
     # past the end and the block halves to 46, 54, 58, 60: 3 x 9 = 27, the
-    # walk 3 x 61 = 183; preset 7 (GMCS RR) the same. Maxdist (BB84, decoy
-    # with mu <= 1 and GMCS change sign once): l_max, 0, then
+    # walk 3 x 61 = 183; preset 7 (GMCS RR) the same. Maxdist (every
+    # scenario's rate changes sign once): l_max, 0, then
     # ceil(log2(cells)) halvings of the grid's index range (8 of 250 cells,
     # 6 of 60) to the last positive point, + 9 halvings of its 1 km cell;
     # with no positive point, l_max and 0 only.
@@ -428,6 +428,10 @@ def _hex_or_refusal(search, *args):
     return None if answer is None else answer.hex()
 
 
+#: Decoy intensities from the config's whole domain, (0, 700].
+DECOY_MUS = st.floats(0.0, 700.0, exclude_min=True)
+
+
 def specs(protocol, keyed):
     """(detector, config, link) strategies drawing every number from a range
     where keys are made (keyed) or from its whole domain."""
@@ -442,7 +446,7 @@ def specs(protocol, keyed):
     sifting = dict(basis_factor=st.sampled_from((0.5, 1.0)), f_ec=floats((1.0, 1.3), (1.0, 2.0)))
     parts = {
         "bb84_single_photon": (spd, st.builds(Bb84Config, **sifting)),
-        "decoy_bb84": (spd, st.builds(DecoyConfig, mu=st.floats(0.01, 1.0), **sifting)),
+        "decoy_bb84": (spd, st.builds(DecoyConfig, mu=st.one_of(st.floats(0.01, 1.0), DECOY_MUS), **sifting)),
         "gmcs_dr": (
             st.builds(HomodyneSpec, rep_rate=st.floats(1e3, 1e9), g_det=floats((0.8, 1.0), (0.01, 1.0)),
                       eps_det=floats((0.0, 0.05), (0.0, 1.0))),
@@ -513,27 +517,11 @@ def test_max_distance_search_matches_backward_scan(protocol, data):
     link, config, fast = data.draw(links), data.draw(configs), data.draw(detectors)
     scenario = Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast,
                         slow=same_g_det(protocol, fast, data.draw(detectors)))
-    assert scenario._error_scale is not None
+    assert math.isfinite(scenario._error_scale)
     l_max = data.draw(st.one_of(st.floats(0.5, 30.0), st.floats(0.5, 300.0)))
     step = data.draw(st.floats(0.1, 20.0))
     expected = _hex_or_refusal(backward_scan, lambda length: evaluate(scenario, length), l_max, step)
     assert _hex_or_refusal(max_secure_distance, scenario, l_max, step) == expected
-
-
-@pytest.mark.parametrize("fig_id, config, l_max", [
-    (4, DecoyConfig(mu=1.5, basis_factor=0.5, f_ec=1.22), 250.0),
-], ids=["decoy_mu_above_1"])
-def test_unproved_rates_keep_the_backward_scan(monkeypatch, fig_id, config, l_max):
-    # Decoy with mu > 1 has no proof of one sign change: the search walks
-    # the grid as the reference scan does, point for point.
-    dual = dataclasses.replace(figure_preset(fig_id).scenarios["dual"], config=config)
-    assert dual._error_scale is None
-    scanned = []
-    expected = backward_scan(lambda length: scanned.append(length) or evaluate(dual, length), l_max, 1.0)
-    lengths = count_evaluations(monkeypatch)
-    assert expected is not None
-    assert max_secure_distance(dual, l_max) == expected
-    assert lengths == scanned
 
 
 def forward_scan(rates, l_max, coarse_step):
@@ -578,14 +566,14 @@ def check_crossover_matches_forward_scan(protocol, data, switch_losses):
     if data.draw(st.booleans()):  # as in the paper, the fast detector runs 10 to 10^4 times faster
         fast = dataclasses.replace(fast, rep_rate=slow.rep_rate * data.draw(st.floats(10.0, 1e4)))
     if protocol == "decoy_bb84":
-        config = dataclasses.replace(config, mu=data.draw(st.floats(0.01, 2.0)))
+        config = dataclasses.replace(config, mu=data.draw(st.one_of(st.floats(0.01, 2.0), DECOY_MUS)))
     slow = same_g_det(protocol, fast, slow)
     switch_loss = data.draw(switch_losses)
     link = dataclasses.replace(data.draw(links), switch_loss=switch_loss)
     receivers = {role: Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast, slow=slow)
                  for role, mode in (("dual", "dual"), ("fast", "single_fast"), ("slow", "single_slow"))}
     scenarios = [receivers["dual"], *(receivers[role] for role in data.draw(st.sampled_from(ENVELOPES)))]
-    l_max = data.draw(st.floats(0.5, 300.0 if protocol in ONE_SIGN_CHANGE else 80.0))
+    l_max = data.draw(st.floats(0.5, 300.0))
     step = data.draw(st.floats(0.37, 2.5))
     expected = _answer_or_error(forward_scan, lambda length: [evaluate(s, length) for s in scenarios], l_max, step)
     assert _answer_or_error(crossover_distance, scenarios[0], scenarios[1:], l_max, step) == expected
@@ -596,9 +584,8 @@ def check_crossover_matches_forward_scan(protocol, data, switch_losses):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_crossover_matches_forward_scan(protocol, data):
-    # Skipping the blocks a proof covers (BB84, decoy with mu <= 1, GMCS)
-    # leaves the first bracketing cell, so the answer is the same float; the
-    # rest (decoy with mu > 1) walk the grid as the reference does.
+    # Skipping the blocks a proof covers (every protocol, decoy at every mu)
+    # leaves the first bracketing cell, so the answer is the same float.
     # Random detectors include many whose dual receiver is below the fast one.
     check_crossover_matches_forward_scan(protocol, data, st.one_of(st.sampled_from((0.0, 3.0)), st.floats(0.0, 6.0)))
 
@@ -657,31 +644,46 @@ def test_crossover_reads_no_refusal_past_the_crossing(monkeypatch, fig_id):
         crossover_distance(dual, envelope, 250.0)
 
 
-@pytest.mark.parametrize("fig_id, config, l_max", [
-    (4, DecoyConfig(mu=1.5, basis_factor=0.5, f_ec=1.22), 250.0),
-], ids=["decoy_mu_above_1"])
-def test_unproved_rates_keep_the_forward_walk(monkeypatch, fig_id, config, l_max):
-    # Without an error scale nothing is skipped: the crossover evaluates the
-    # reference scan's lengths, in its order.
-    scenarios = [dataclasses.replace(s, config=config) for s in figure_preset(fig_id).scenarios.values()]
-    assert all(s._error_scale is None for s in scenarios)
-    scanned = []
-    expected = forward_scan(lambda length: [scanned.append(length) or evaluate(s, length) for s in scenarios],
-                            l_max, 1.0)
+@pytest.mark.parametrize("mu, crossover, crossover_calls, maxdist, maxdist_calls", [
+    (1.5, 51.4462890625, 57, 51.9111328125, 19), (3.0, None, 36, None, 2),
+], ids=["1.5", "3.0"])
+def test_decoy_above_mu_1_skips_and_halves(monkeypatch, mu, crossover, crossover_calls, maxdist, maxdist_calls):
+    # Decoy's monotone rule holds at every mu (decoy_rate_dual), so preset 4
+    # with mu > 1 skips and halves as every scenario does and finds the
+    # scans' answers: at mu 1.5 the scans take 186 and 209 evaluations, and
+    # at mu 3.0, where the dual makes no key, 753 and 251.
+    config = DecoyConfig(mu=mu, basis_factor=0.5, f_ec=1.22)
+    dual, *envelope = (dataclasses.replace(s, config=config) for s in figure_preset(4).scenarios.values())
+    assert math.isfinite(dual._error_scale)
+    assert forward_scan(lambda length: [evaluate(s, length) for s in (dual, *envelope)], 250.0, 1.0) == crossover
+    assert backward_scan(lambda length: evaluate(dual, length), 250.0, 1.0) == maxdist
     lengths = count_evaluations(monkeypatch)
-    assert expected is not None
-    assert crossover_distance(scenarios[0], scenarios[1:], l_max) == expected
-    assert lengths == scanned
+    assert crossover_distance(dual, envelope, 250.0) == crossover
+    assert len(lengths) == crossover_calls
+    lengths.clear()
+    assert max_secure_distance(dual, 250.0) == maxdist
+    assert len(lengths) == maxdist_calls
 
 
 def test_crossover_tangency_looks_one_point_ahead(monkeypatch):
-    # diff(L) = (L - 3)^2 touches 0 at the grid point 3 and rises again: the
-    # cell midpoint is reported, after evaluating the grid 0..4 only.
-    lengths = count_evaluations(monkeypatch, lambda curve, length: curve(length))
+    # Step rates that do not rise: the preset 1 dual's is 2 up to 2.5 km and 1
+    # after, the slow single's (not its twin) 1 up to 3 km and 0.5 after. The
+    # difference touches 0 at the grid point 3 and is positive again at 4:
+    # the cell midpoint is reported, after 12 evaluations.
+    preset = figure_preset(1)
+    dual, slow = preset.scenarios["dual"], preset.scenarios["slow"]
+    assert not dualdet.scenario._twins(dual, slow)
+
+    def steps(scenario, length):
+        if scenario is dual:
+            return 2.0 if length <= 2.5 else 1.0
+        return 1.0 if length <= 3.0 else 0.5
+
+    lengths = count_evaluations(monkeypatch, steps)
     with pytest.warns(UserWarning, match="curves touch near 3.00 km") as record:
-        assert crossover_distance(lambda L: (L - 3.0) ** 2, [lambda L: 0.0], 10.0) == 2.5
+        assert crossover_distance(dual, [slow], 10.0) == 2.5
     assert len(record) == 1
-    assert len(lengths) == 10
+    assert len(lengths) == 12
 
 
 def test_crossover_answers_before_the_model_domain_ends():
