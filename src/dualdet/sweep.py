@@ -231,20 +231,18 @@ def crossover_distance(
 
     Walks the coarse grid forward from 0 and stops at the first crossing,
     evaluating one point more only when the difference there is exactly 0.
-    None when no such sign change occurs in [0, l_max_search]. The blocks of
-    grid points on which _block_proof proves the sign of the difference are
-    skipped (_gallop), and the bisection does not evaluate a member proved
-    below rate_a on its cell: that leaves the sign of the difference at
-    every length in the cell. So the first bracketing cell, its bisection
-    and the answer are those of a walk over every grid point, and only a
-    point that walk reaches may raise.
+    None when no such sign change occurs in [0, l_max_search]. _gallop
+    skips the blocks _block_proof proves, and the bisection does not
+    evaluate a member proved below rate_a on its cell, which leaves the
+    difference's sign there: so the answer is that of a walk over every
+    grid point, and only a point that walk reaches may raise.
     """
     if not scenario_b:
         raise DomainError("scenario_b must contain at least one scenario")
     diff = _difference(scenario_a, scenario_b)
     grid = _search_grid(l_max_search, coarse_step)
-    below, above = _block_proof((scenario_a, *scenario_b), grid)
-    found = _gallop((scenario_a, *scenario_b), grid, below, above)
+    below, proves = _block_proof((scenario_a, *scenario_b), grid)
+    found = _gallop((scenario_a, *scenario_b), grid, proves)
     if found is None:
         return None
     i, end, here, there = found
@@ -277,20 +275,22 @@ def _difference(scenario_a: Scenario, scenario_b: Sequence[Scenario]):
     return diff
 
 
-def _gallop(scenarios, grid: Sequence[float], below, above) -> tuple | None:
+def _gallop(scenarios, grid: Sequence[float], proves) -> tuple | None:
     """The first cell i where the first rate minus the best of the others
     turns from positive to non-positive, walking the grid forward: (i, the
     difference at its end, the rates at both ends), or None if there is
-    none. Each block on which every member is proved below the first rate or
-    one is proved above it is skipped.
+    none. Each block that proves(i, here, j, there) covers is skipped.
 
     A block doubles after each skip and halves after each failed proof,
-    down to one cell, which is walked; after a block of at most 4 cells
-    fails, no block reaches its end before the walk does (the crossing is
-    likely inside). A point is evaluated once, in the walk's order, and a
-    block end that raises proves nothing: the walk may never reach it. The
-    proofs hold for rates of either sign, so blocks are skipped to the
-    grid's end where every rate is non-positive too."""
+    down to one cell, which is walked. After a block [i, j] fails, no block
+    reaches j before the walk does if it has at most 4 cells (the crossing
+    is likely inside) or if the difference is positive at i and not at j:
+    skipped blocks keep its sign, so the walk's first crossing is in
+    (i, j] and it reads no point past j. A point is evaluated once, and a
+    block end that raises proves nothing, so the walk, its first bracketing
+    cell and the points that raise are those of a walk over every grid
+    point. The proofs hold for rates of either sign, so blocks are skipped
+    to the grid's end where every rate is non-positive too."""
     seen = {}
 
     def at(i: int) -> tuple[list[float], float]:
@@ -302,21 +302,23 @@ def _gallop(scenarios, grid: Sequence[float], below, above) -> tuple | None:
         return point
 
     i, (here, gap), step, last = 0, at(0), 2, len(grid) - 1
-    bound = len(grid)  # the end of the last short block that failed
+    crossed = bound = len(grid)  # the end of a crossing seen, and of the last block that failed before it
     while i < last:
         if bound <= i:
-            bound = len(grid)
+            bound = crossed
         while step > 1 and (i + step > last or i + step >= bound):
             step //= 2
         j = i + step
         if step > 1:
             try:
                 there, there_gap = at(j)
-                skipped = all(below(i, here, j, there)) or above(i, here, j, there)
+                skipped = proves(i, here, j, there)
             except (ArithmeticError, ValueError):  # DomainError is a ValueError
-                skipped = False
+                there_gap, skipped = math.nan, False
             if skipped:
                 i, here, gap = j, there, there_gap
+            elif gap > 0.0 >= there_gap:
+                crossed = bound = j
             elif step <= 4:
                 bound = j
             step = 2 * step if skipped else step // 2
@@ -335,11 +337,12 @@ _LEAST_MARGIN = 2.0 ** -1000
 
 
 def _block_proof(scenarios, grid: Sequence[float]):
-    """Tests below(i, here, j, there), which gives for each member whether
-    its rate is proved below the first one at every length in
-    [grid[i], grid[j]], and above(i, here, j, there), which is true when a
-    member's rate is proved above it there, from the rates at both ends
-    (here, there).
+    """Tests from the rates at both ends (here, there) of [grid[i], grid[j]]:
+    below(i, here, j, there) gives for each member whether its rate is
+    proved below the first one at every length there, and the gallop's one
+    test proves(i, here, j, there) is all(below(...)) or a member proved
+    above it, stopping at the first member not proved below, with r (below)
+    computed once per distinct attenuation.
 
     The monotone rule (kernel docstrings): each rate is positive on a prefix
     of lengths and does not rise there, and where it is non-positive, rate/t
@@ -355,7 +358,7 @@ def _block_proof(scenarios, grid: Sequence[float]):
     So X is above Y on the block when x_j > V, with V = y_i if y_i > 0 and
     V = r_X*r_Y*y_i if not: for x_j <= 0 that is x_j/r_X > r_Y*y_i multiplied
     through by r_X, and for x_j > 0 it holds as r_Y*y_i <= 0. below tests
-    X = a against each member Y, above each member X against Y = a. A member
+    X = a against each member Y; proves tests each X against Y = a. A member
     m that is scenario a's twin (scenario._twins) has D = rate_a - rate_m >=
     D(L_j)*t(L_j)/t(L_i) on the block (the twin rule), so
     D(L_j)*t(L_j)/t(L_i) > 0 proves rate_a > rate_m. The proofs hold only up
@@ -380,42 +383,39 @@ def _block_proof(scenarios, grid: Sequence[float]):
     alpha, over 10) scale it by exp(3u*ln(1/r)), r*ln(1/r) <= 1/e, and the
     power adds u. So V moves by under 7u times Y's scale.
     """
-    scales = [s._error_scale for s in scenarios]
     a = scenarios[0]
     limit = min(map(_proof_length, scenarios))
-    alphas = [s.link.alpha for s in scenarios]
-    members = [(k, _MARGIN * (scales[0] + scales[k]) + _LEAST_MARGIN, _twins(a, m))
-               for k, m in enumerate(scenarios[1:], 1)]
-    ratios = {}
+    alphas = tuple(dict.fromkeys(s.link.alpha for s in scenarios))  # a's first
+    members = [(k, _MARGIN * (a._error_scale + m._error_scale) + _LEAST_MARGIN, _twins(a, m),
+                alphas.index(m.link.alpha)) for k, m in enumerate(scenarios[1:], 1)]
 
-    def ratio(i: int, j: int, k: int) -> float:
-        """Scenario k's r on [grid[i], grid[j]], one power per attenuation and block."""
-        key = (i, j, alphas[k])
-        r = ratios.get(key)
-        if r is None:
-            r = ratios[key] = channel_transmittance(alphas[k], grid[j] - grid[i])
-        return r
+    def ratios(span: float) -> list[float]:  # r on a block span km long, for each of alphas
+        return [channel_transmittance(alpha, span) for alpha in alphas]
 
     def below(i: int, here: list[float], j: int, there: list[float]) -> list[bool]:
         if grid[j] > limit:
             return [False] * len(members)
-        rate_a, proved = there[0], []
-        for k, margin, twin in members:
-            bound = here[k] if here[k] > 0.0 else here[k] * ratio(i, j, k) * ratio(i, j, 0)
-            lower = rate_a > bound + margin
-            if not lower and twin:
-                lower = (rate_a - there[k]) * ratio(i, j, 0) > margin
-            proved.append(lower)
-        return proved
+        r, rate_a = ratios(grid[j] - grid[i]), there[0]
+        return [rate_a > (here[k] if here[k] > 0.0 else here[k] * r[n] * r[0]) + margin
+                or twin and (rate_a - there[k]) * r[0] > margin for k, margin, twin, n in members]
 
-    def above(i: int, here: list[float], j: int, there: list[float]) -> bool:
-        if grid[j] > limit:
+    def proves(i: int, here: list[float], j: int, there: list[float]) -> bool:
+        end = grid[j]
+        if end > limit:
             return False
+        r, rate_a = ratios(end - grid[i]), there[0]
+        for k, margin, twin, n in members:  # below's test, to the first member it fails
+            x = here[k]
+            if not (rate_a > (x if x > 0.0 else x * r[n] * r[0]) + margin
+                    or twin and (rate_a - there[k]) * r[0] > margin):
+                break
+        else:
+            return True
         rate_a = here[0]
-        return any(there[k] > (rate_a if rate_a > 0.0 else rate_a * ratio(i, j, 0) * ratio(i, j, k)) + margin
-                   for k, margin, _ in members)
+        return any(there[k] > (rate_a if rate_a > 0.0 else rate_a * r[0] * r[n]) + margin
+                   for k, margin, _, n in members)
 
-    return below, above
+    return below, proves
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import dualdet.sweep
 from dualdet.bb84 import Bb84Config
 from dualdet.core import (
     LENGTH_FORMAT, RATE_FORMAT, DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, binary_entropy,
-    bisect_sign_change,
+    bisect_sign_change, channel_transmittance,
 )
 from dualdet.decoy import DecoyConfig
 from dualdet.gmcs import _arm as gmcs_arm
@@ -328,20 +328,26 @@ def test_max_secure_distance_grid_refinement_invariant(fig1):
     assert abs(coarse - fine) <= 0.01
 
 
-def test_searches_match_golden():
-    # The 28 distance searches of the benchmark, rebuilt from the catalogue
-    # fields of the committed answers: the "same behaviour" gate for searches.
+def catalogue_searches():
+    """The 28 distance searches of the benchmark, rebuilt from the catalogue
+    fields of the committed answers: (entry, dual, envelope, l_max)."""
     entries = json.loads((GOLDEN / "searches.json").read_text(encoding="utf-8"))
     assert len(entries) == 28
-    wrong = []
     for entry in entries:
         preset = figure_preset(entry["figure"])
         dual = preset.scenarios["dual"]
         if entry["switch_loss_db"]:
             dual = dataclasses.replace(dual, link=dataclasses.replace(dual.link, switch_loss=entry["switch_loss_db"]))
         l_max = 250.0 if isinstance(dual.fast, SpdSpec) else 60.0
+        yield entry, dual, [preset.scenarios["fast"], preset.scenarios["slow"]], l_max
+
+
+def test_searches_match_golden():
+    # The "same behaviour" gate for searches.
+    wrong = []
+    for entry, dual, envelope, l_max in catalogue_searches():
         if entry["kind"] == "crossover":
-            answer = crossover_distance(dual, [preset.scenarios["fast"], preset.scenarios["slow"]], l_max)
+            answer = crossover_distance(dual, envelope, l_max)
         else:
             answer = max_secure_distance(dual, l_max)
         # However much of the grid a search scans, it bisects the same
@@ -364,24 +370,24 @@ def count_evaluations(monkeypatch, evaluate_fn=evaluate) -> list:
 
 
 @pytest.mark.parametrize("fig_id, switch_loss, l_max, crossover_calls, maxdist_calls", [
-    (1, 0.0, 250.0, 69, 19), (5, 0.0, 60.0, 33, 17), (6, 0.0, 60.0, 48, 17), (4, 3.0, 250.0, 51, 19),
+    (1, 0.0, 250.0, 57, 19), (5, 0.0, 60.0, 33, 17), (6, 0.0, 60.0, 45, 17), (4, 3.0, 250.0, 51, 19),
     (5, 3.0, 60.0, 27, 2), (7, 3.0, 60.0, 27, 2),
-], ids=["1-250.0-69-19", "5-60.0-33-17", "6-60.0-48-17", "4-3dB-250.0-51-19", "5-3dB-60.0-27-2", "7-3dB-60.0-27-2"])
+], ids=["1-250.0-57-19", "5-60.0-33-17", "6-60.0-45-17", "4-3dB-250.0-51-19", "5-3dB-60.0-27-2", "7-3dB-60.0-27-2"])
 def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, switch_loss, l_max, crossover_calls, maxdist_calls):
     # Crossover: 3 scenarios x grid points, + 2 x 9 halvings of the 1 km
     # bracketing cell, as the fast single is proved below the dual there.
-    # Preset 1 (crossing in [124, 125]), 17 grid points: the blocks ending
-    # at 2, 6, 14, 30, 62 are proved (doubling); 126 fails and 94 is proved,
-    # 158 and 126 fail and 110 is proved, 142 and 126 fail and 118 is
-    # proved, 134 and 126 fail and 122 is proved, 130 and 126 fail (a short
-    # block: no block reaches 126 before the walk does) and 124 is proved,
-    # 125 is walked: 3 x 17 + 2 x 9 = 69, where the walk took 3 x (126 + 9)
-    # = 405. Preset 5 (crossing in [5, 6]): 2 is proved, 6 fails, 4 is
-    # proved, 5 and 6 are walked: 3 x 5 + 2 x 9 = 33, the walk 3 x (7 + 9)
-    # = 48. Preset 6 (GMCS RR, crossing in [18, 19]; its fast single is no
-    # twin, but negative): 2, 6, 14 are proved; 30 and 22 fail and 18 is
-    # proved; 26, 22 and 20 fail (20 a short block) and 19 is walked:
-    # 3 x 10 + 2 x 9 = 48, the walk 3 x (20 + 9) = 87. With a 3 dB switch
+    # Preset 1 (crossing in [124, 125]), 13 grid points: the blocks ending
+    # at 2, 6, 14, 30, 62 are proved (doubling); 126 fails, with the
+    # difference positive at 62 and not at 126, so no later block reaches
+    # 126: 94, 110, 118, 122 and 124 are proved, each block halved to stop
+    # short of 126, and 125 is walked: 3 x 13 + 2 x 9 = 57, where the walk
+    # took 3 x (126 + 9) = 405. Preset 5 (crossing in [5, 6]): 2 is proved,
+    # 6 fails, 4 is proved, 5 and 6 are walked: 3 x 5 + 2 x 9 = 33, the walk
+    # 3 x (7 + 9) = 48. Preset 6 (GMCS RR, crossing in [18, 19]; its fast
+    # single is no twin, but negative): 2, 6, 14 are proved; 30 and 22 fail
+    # across the crossing (positive at 14, not at either end) and 18 is
+    # proved; 20 fails and 19 is walked: 3 x 9 + 2 x 9 = 45, the walk
+    # 3 x (20 + 9) = 87. With a 3 dB switch
     # presets 4, 5 and 7 have no crossing, and every block is
     # proved by a single above the dual, across non-positive rates too.
     # Preset 4 (a single is above the dual everywhere; the dual is negative
@@ -557,10 +563,65 @@ def _answer_or_error(search, *args):
 ENVELOPES = (("fast", "slow"), ("slow", "fast"), ("slow",), ("fast",))
 
 
+def _gap(rates):
+    """The first rate minus the best of the others, as the crossover's gallop computes it."""
+    return rates[0] - max(rates[1:])
+
+
+def record_grid_phase(patch) -> list:
+    """Record the crossover's grid phase through patch, in order:
+    ("evaluate", length) for each evaluation, ("block", grid[i], gap at i,
+    grid[j], gap at j) for each block its gallop tests, and ("end",) when
+    the gallop returns."""
+    events = []
+    sweep_module = dualdet.sweep
+    real_evaluate, real_block_proof = sweep_module.evaluate, sweep_module._block_proof
+    real_gallop = sweep_module._gallop
+
+    def evaluate_(scenario, length):
+        events.append(("evaluate", length))
+        return real_evaluate(scenario, length)
+
+    def block_proof(scenarios, grid):
+        below, proves = real_block_proof(scenarios, grid)
+
+        def recorded(i, here, j, there):
+            events.append(("block", grid[i], _gap(here), grid[j], _gap(there)))
+            return proves(i, here, j, there)
+
+        return below, recorded
+
+    def gallop(*args):
+        found = real_gallop(*args)
+        events.append(("end",))
+        return found
+
+    patch.setattr(sweep_module, "evaluate", evaluate_)
+    patch.setattr(sweep_module, "_block_proof", block_proof)
+    patch.setattr(sweep_module, "_gallop", gallop)
+    return events
+
+
+def assert_no_probe_past_a_seen_crossing(events) -> float:
+    """Once a block has been tested with the difference positive at its
+    start and not at its end, the grid phase evaluates no length past that
+    end. Returns the least such end, inf if there is none."""
+    crossed = math.inf
+    for event in itertools.takewhile(lambda event: event[0] != "end", events):
+        if event[0] == "block":
+            _, _, start_gap, end, end_gap = event
+            if start_gap > 0.0 >= end_gap:
+                crossed = min(crossed, end)
+        else:
+            assert event[1] <= crossed, f"evaluated {event[1]} km past a crossing seen at {crossed} km"
+    return crossed
+
+
 def check_crossover_matches_forward_scan(protocol, data, switch_losses):
     """Draw a dual receiver behind a switch loss from switch_losses and an
-    envelope of its single receivers, and compare the crossover with the
-    reference scan, float for float or error for error."""
+    envelope of its single receivers, compare the crossover with the
+    reference scan, float for float or error for error, and check that its
+    grid phase reads no length past a crossing it has seen."""
     detectors, configs, links = specs(protocol, data.draw(st.booleans()))
     fast, slow, config = data.draw(detectors), data.draw(detectors), data.draw(configs)
     if data.draw(st.booleans()):  # as in the paper, the fast detector runs 10 to 10^4 times faster
@@ -576,7 +637,10 @@ def check_crossover_matches_forward_scan(protocol, data, switch_losses):
     l_max = data.draw(st.floats(0.5, 300.0))
     step = data.draw(st.floats(0.37, 2.5))
     expected = _answer_or_error(forward_scan, lambda length: [evaluate(s, length) for s in scenarios], l_max, step)
-    assert _answer_or_error(crossover_distance, scenarios[0], scenarios[1:], l_max, step) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        events = record_grid_phase(patch)
+        assert _answer_or_error(crossover_distance, scenarios[0], scenarios[1:], l_max, step) == expected
+    assert_no_probe_past_a_seen_crossing(events)
 
 
 @pytest.mark.filterwarnings("ignore:curves touch")
@@ -599,6 +663,112 @@ def test_crossover_past_a_non_positive_dual_matches_forward_scan(protocol, data)
     # lengths, so most blocks are proved between non-positive rates, where
     # rate/t does not rise; the answer is still the reference scan's.
     check_crossover_matches_forward_scan(protocol, data, st.floats(6.0, 40.0))
+
+
+def test_crossover_probes_nothing_past_a_crossing_it_has_seen(monkeypatch):
+    # A block that fails with the difference positive at its start and not
+    # at its end holds the walk's first crossing, so no later block reaches
+    # past it. Each of the 11 catalogue crossovers with an answer sees one
+    # before its bracketing cell, the 3 without see none.
+    searched = 0
+    for entry, dual, envelope, l_max in catalogue_searches():
+        if entry["kind"] == "crossover":
+            with monkeypatch.context() as patch:
+                events = record_grid_phase(patch)
+                assert crossover_distance(dual, envelope, l_max) == entry["answer"]
+            crossed = assert_no_probe_past_a_seen_crossing(events)
+            assert crossed == math.inf if entry["answer"] is None else entry["answer"] < crossed
+            searched += 1
+    assert searched == 14
+
+
+def two_pass_block_proof(scenarios, grid):
+    """Reference: _block_proof's below and above as the crossover's gallop
+    used them before its single block test, all(below(...)) or above(...)."""
+    scales = [s._error_scale for s in scenarios]
+    a = scenarios[0]
+    limit = min(map(dualdet.scenario._proof_length, scenarios))
+    alphas = [s.link.alpha for s in scenarios]
+    members = [(k, dualdet.sweep._MARGIN * (scales[0] + scales[k]) + dualdet.sweep._LEAST_MARGIN,
+                dualdet.scenario._twins(a, m))
+               for k, m in enumerate(scenarios[1:], 1)]
+    ratios = {}
+
+    def ratio(i, j, k):
+        key = (i, j, alphas[k])
+        r = ratios.get(key)
+        if r is None:
+            r = ratios[key] = channel_transmittance(alphas[k], grid[j] - grid[i])
+        return r
+
+    def below(i, here, j, there):
+        if grid[j] > limit:
+            return [False] * len(members)
+        rate_a, proved = there[0], []
+        for k, margin, twin in members:
+            bound = here[k] if here[k] > 0.0 else here[k] * ratio(i, j, k) * ratio(i, j, 0)
+            lower = rate_a > bound + margin
+            if not lower and twin:
+                lower = (rate_a - there[k]) * ratio(i, j, 0) > margin
+            proved.append(lower)
+        return proved
+
+    def above(i, here, j, there):
+        if grid[j] > limit:
+            return False
+        rate_a = here[0]
+        return any(there[k] > (rate_a if rate_a > 0.0 else rate_a * ratio(i, j, 0) * ratio(i, j, k)) + margin
+                   for k, margin, _ in members)
+
+    return below, above
+
+
+#: Rates in units of an error scale: either sign, ties and subnormal sizes.
+UNIT_RATES = st.one_of(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)), st.floats(-1.0, 1.0), st.floats(-1e-300, 1e-300))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+# The fast single is the dual's twin, and only the twin rule proves it below.
+@example(data=Replay(
+    "bb84_single_photon", "bb84_single_photon", False, LinkSpec(alpha=0.2, g_bob=1.0), Bb84Config(0.5, 1.22),
+    SpdSpec(1e6, 0.5, 1e-6, 0.05), False, SpdSpec(1e6, 0.5, 1e-6, 0.01), [0.3], [("single_fast", 0.2)],
+    100.0, 1.0, 0, 4, [1.0, 2.0], [1.5, 1.0],
+))
+# The block ends at 20,000 km, past the dual's proof length of about 15,036 km
+# (its fast detector has y0 = 0), where the rates alone would prove it.
+@example(data=Replay(
+    "bb84_single_photon", "bb84_single_photon", False, LinkSpec(alpha=0.2, g_bob=1.0), Bb84Config(0.5, 1.22),
+    SpdSpec(1e6, 0.5, 1e-6, 0.05), True, SpdSpec(1e6, 0.5, 1e-6, 0.01), [0.3], [("single_slow", 0.3)],
+    20000.0, 1000.0, 0, 20, [1.0, 0.5], [1.5, 0.1],
+))
+def test_block_test_is_the_two_pass_form(data):
+    # The gallop's single test is all(below(...)) or above(...) of the
+    # two-pass form, and below its list, for rates of either sign, members
+    # twin or not, with attenuations of their own, and blocks past
+    # _proof_length (a detector with y0 = 0 has a finite one).
+    protocol = data.draw(st.sampled_from(sorted(ONE_SIGN_CHANGE)))
+    detectors, configs, links = specs(protocol, data.draw(st.booleans()))
+    link, config, fast = data.draw(links), data.draw(configs), data.draw(detectors)
+    if isinstance(fast, SpdSpec) and fast.eta_d > 0.0 and data.draw(st.booleans()):
+        fast = dataclasses.replace(fast, y0=0.0)  # a finite _proof_length
+    slow = same_g_det(protocol, fast, data.draw(detectors))
+    alphas = (link.alpha, *data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2)))
+    roles = data.draw(st.lists(st.tuples(st.sampled_from(ONE_SIGN_CHANGE[protocol]), st.sampled_from(alphas)),
+                               min_size=1, max_size=3))
+    scenarios = [Scenario(protocol, "dual", link, config, fast, slow),
+                 *(Scenario(protocol, mode, dataclasses.replace(link, alpha=alpha), config, fast, slow)
+                   for mode, alpha in roles)]
+    grid = _search_grid(data.draw(st.floats(1.0, 1e5)), data.draw(st.floats(0.2, 1e3)))
+    i = data.draw(st.integers(0, len(grid) - 2))
+    j = data.draw(st.integers(i + 1, len(grid) - 1))
+    rates = st.lists(UNIT_RATES.map(lambda unit: unit * scenarios[0]._error_scale),
+                     min_size=len(scenarios), max_size=len(scenarios))
+    here, there = data.draw(rates), data.draw(rates)
+    below, proves = dualdet.sweep._block_proof(scenarios, grid)
+    ref_below, ref_above = two_pass_block_proof(scenarios, grid)
+    assert proves(i, here, j, there) == (all(ref_below(i, here, j, there)) or ref_above(i, here, j, there))
+    assert below(i, here, j, there) == ref_below(i, here, j, there)
 
 
 def test_crossover_between_non_positive_rates_matches_forward_scan():
@@ -645,13 +815,16 @@ def test_crossover_reads_no_refusal_past_the_crossing(monkeypatch, fig_id):
 
 
 @pytest.mark.parametrize("mu, crossover, crossover_calls, maxdist, maxdist_calls", [
-    (1.5, 51.4462890625, 57, 51.9111328125, 19), (3.0, None, 36, None, 2),
+    (1.5, 51.4462890625, 51, 51.9111328125, 19), (3.0, None, 36, None, 2),
 ], ids=["1.5", "3.0"])
 def test_decoy_above_mu_1_skips_and_halves(monkeypatch, mu, crossover, crossover_calls, maxdist, maxdist_calls):
     # Decoy's monotone rule holds at every mu (decoy_rate_dual), so preset 4
     # with mu > 1 skips and halves as every scenario does and finds the
     # scans' answers: at mu 1.5 the scans take 186 and 209 evaluations, and
-    # at mu 3.0, where the dual makes no key, 753 and 251.
+    # at mu 3.0, where the dual makes no key, 753 and 251. At mu 1.5 the
+    # crossover proves 2, 6, 14 and 30; 62 fails across the crossing, 46 is
+    # proved, 54 fails across it, 50 is proved, 52 fails, 51 is walked and
+    # [51, 52] bisected: 3 x 11 + 2 x 9 = 51.
     config = DecoyConfig(mu=mu, basis_factor=0.5, f_ec=1.22)
     dual, *envelope = (dataclasses.replace(s, config=config) for s in figure_preset(4).scenarios.values())
     assert math.isfinite(dual._error_scale)
@@ -684,6 +857,32 @@ def test_crossover_tangency_looks_one_point_ahead(monkeypatch):
         assert crossover_distance(dual, [slow], 10.0) == 2.5
     assert len(record) == 1
     assert len(lengths) == 12
+
+
+def test_crossover_keeps_a_crossing_seen_before_a_short_block(monkeypatch):
+    # Step rates that do not rise: the preset 1 dual's is 6, 4, 2 and 1 past
+    # 7.5, 17.5 and 24.5 km, the slow single's 4, 2 and 1 past 0.5 and
+    # 16.5 km, so the difference is positive up to 24 km and 0 from 25 km.
+    # 2, 6 and 14 are proved; 30 fails across the crossing, 22 fails, 18
+    # fails (a short block), 16 is proved, and 17 and 18 are walked. No
+    # block reaches past 30 after that either: 20 and 24 are proved, 28 and
+    # 26 fail across the crossing, 25 is walked, 26 is read once more (the
+    # difference is 0 at 25) and [24, 25] is bisected.
+    preset = figure_preset(1)
+    dual, slow = preset.scenarios["dual"], preset.scenarios["slow"]
+
+    def steps(scenario, length):
+        if scenario is dual:
+            return 6.0 if length <= 7.5 else 4.0 if length <= 17.5 else 2.0 if length <= 24.5 else 1.0
+        return 4.0 if length <= 0.5 else 2.0 if length <= 16.5 else 1.0
+
+    lengths = count_evaluations(monkeypatch, steps)
+    answer = crossover_distance(dual, [slow], 40.0)
+    assert answer == forward_scan(lambda length: [steps(dual, length), steps(slow, length)], 40.0, 1.0)
+    grid_phase = [0.0, 2.0, 6.0, 14.0, 30.0, 22.0, 18.0, 16.0, 17.0, 20.0, 24.0, 28.0, 26.0, 25.0]
+    assert lengths[:2 * len(grid_phase)] == [length for length in grid_phase for _ in "ds"]
+    assert lengths[2 * len(grid_phase):2 * len(grid_phase) + 2] == [26.0, 26.0]
+    assert max(lengths) == 30.0
 
 
 def test_crossover_answers_before_the_model_domain_ends():
