@@ -230,23 +230,34 @@ def crossover_distance(
     the scenario_b rates turns from positive to non-positive.
 
     Walks the coarse grid forward from 0 and stops at the first crossing,
-    evaluating one point more only when the difference there is exactly 0.
-    None when no such sign change occurs in [0, l_max_search]. _gallop
-    skips the blocks _block_proof proves, and the bisection does not
-    evaluate a member proved below rate_a on its cell, which leaves the
-    difference's sign there: so the answer is that of a walk over every
-    grid point, and only a point that walk reaches may raise.
+    reading one point more only when the difference there is exactly 0.
+    None when no such sign change occurs in [0, l_max_search]. A grid
+    point is evaluated once, unless it raised. _gallop skips the blocks
+    _block_proof proves, and the bisection does not evaluate a member
+    proved below rate_a on its cell, which leaves the difference's sign
+    there: so the answer is that of a walk over every grid point, and only
+    a point that walk reaches may raise.
     """
     if not scenario_b:
         raise DomainError("scenario_b must contain at least one scenario")
-    diff = _difference(scenario_a, scenario_b)
+    scenarios = (scenario_a, *scenario_b)
     grid = _search_grid(l_max_search, coarse_step)
-    below, proves = _block_proof((scenario_a, *scenario_b), grid)
-    found = _gallop((scenario_a, *scenario_b), grid, proves)
-    if found is None:
+    seen = {}
+
+    def at(i: int) -> tuple[list[float], float]:  # the rates at grid[i] and their difference
+        point = seen.get(i)
+        if point is None:
+            length = grid[i]
+            rates = [evaluate(s, length) for s in scenarios]
+            point = seen[i] = rates, rates[0] - max(rates[1:])  # max() picks as the bisection does
+        return point
+
+    below, proves = _block_proof(scenarios, grid)
+    i = _gallop(at, len(grid) - 1, proves)
+    if i is None:
         return None
-    i, end, here, there = found
-    if end == 0.0 and i + 2 < len(grid) and diff(grid[i + 2]) > 0.0:
+    (here, _), (there, end) = at(i), at(i + 1)
+    if end == 0.0 and i + 2 < len(grid) and at(i + 2)[1] > 0.0:
         # Tangency within the cell: no strict crossing to bisect.
         warnings.warn(
             f"curves touch near {grid[i + 1]:.2f} km without crossing; "
@@ -254,16 +265,9 @@ def crossover_distance(
             stacklevel=2,
         )
         return 0.5 * (grid[i] + grid[i + 1])
-    proved = below(i, here, i + 1, there)
-    diff = _difference(scenario_a, [s for s, below_a in zip(scenario_b, proved) if not below_a])
-    return bisect_sign_change(diff, grid[i], grid[i + 1], tol=DISTANCE_TOL / 5)
+    first, *rest = [s for s, below_a in zip(scenario_b, below(i, here, i + 1, there)) if not below_a]
 
-
-def _difference(scenario_a: Scenario, scenario_b: Sequence[Scenario]):
-    """rate_a minus the best of the scenario_b rates, as a function of length."""
-    first, rest = scenario_b[0], scenario_b[1:]
-
-    def diff(length: float) -> float:
+    def difference(length: float) -> float:
         rate_a = evaluate(scenario_a, length)
         best = evaluate(first, length)
         for s in rest:  # as max() does: a later member wins only when strictly greater
@@ -272,37 +276,27 @@ def _difference(scenario_a: Scenario, scenario_b: Sequence[Scenario]):
                 best = rate
         return rate_a - best
 
-    return diff
+    return bisect_sign_change(difference, grid[i], grid[i + 1], tol=DISTANCE_TOL / 5)
 
 
-def _gallop(scenarios, grid: Sequence[float], proves) -> tuple | None:
-    """The first cell i where the first rate minus the best of the others
-    turns from positive to non-positive, walking the grid forward: (i, the
-    difference at its end, the rates at both ends), or None if there is
-    none. Each block that proves(i, here, j, there) covers is skipped.
+def _gallop(at, last: int, proves) -> int | None:
+    """The first cell i in 0..last - 1 where the difference turns from
+    positive to non-positive, walking the indices forward, or None if there
+    is none. at(i) gives the rates at point i and their difference, and each
+    block that proves(i, here, j, there) covers is skipped.
 
     A block doubles after each skip and halves after each failed proof,
     down to one cell, which is walked. After a block [i, j] fails, no block
     reaches j before the walk does if it has at most 4 cells (the crossing
     is likely inside) or if the difference is positive at i and not at j:
     skipped blocks keep its sign, so the walk's first crossing is in
-    (i, j] and it reads no point past j. A point is evaluated once, and a
-    block end that raises proves nothing, so the walk, its first bracketing
-    cell and the points that raise are those of a walk over every grid
-    point. The proofs hold for rates of either sign, so blocks are skipped
-    to the grid's end where every rate is non-positive too."""
-    seen = {}
-
-    def at(i: int) -> tuple[list[float], float]:
-        point = seen.get(i)
-        if point is None:
-            length = grid[i]
-            rates = [evaluate(s, length) for s in scenarios]
-            point = seen[i] = rates, rates[0] - max(rates[1:])  # max() picks as diff does
-        return point
-
-    i, (here, gap), step, last = 0, at(0), 2, len(grid) - 1
-    crossed = bound = len(grid)  # the end of a crossing seen, and of the last block that failed before it
+    (i, j] and it reads no point past j. A block end that raises proves
+    nothing, so the walk, its first bracketing cell and the points that
+    raise are those of a walk over every index. The proofs hold for rates
+    of either sign, so blocks are skipped to the end where every rate is
+    non-positive too."""
+    i, (here, gap), step = 0, at(0), 2
+    crossed = bound = last + 1  # the end of a crossing seen, and of the last block that failed before it
     while i < last:
         if bound <= i:
             bound = crossed
@@ -325,7 +319,7 @@ def _gallop(scenarios, grid: Sequence[float], proves) -> tuple | None:
             continue
         there, there_gap = at(j)
         if gap > 0.0 and there_gap <= 0.0:
-            return i, there_gap, here, there
+            return i
         i, here, gap, step = j, there, there_gap, 2
     return None
 

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import io
@@ -208,11 +209,16 @@ def test_sweep_is_evaluate_bit_for_bit(fig_id, mode, alpha, switch_loss):
 
 
 def test_sweep_refuses_as_evaluate_does():
-    # Past the GMCS model domain the sweep raises evaluate's first refusal.
-    dual = figure_preset(5).scenarios["dual"]
-    grid = length_grid(0.0, 20000.0, 1000.0)
-    assert _hex_or_error(lambda: sweep(dual, 0.0, 20000.0, 1000.0).raw) == _hex_or_error(
-        lambda: [evaluate(dual, length) for length in grid])
+    # With y0 = 0 on both detectors the preset 4 decoy dual's signal gain
+    # rounds to 0 from 680 km on this grid, and the sweep raises evaluate's
+    # first refusal.
+    dual = figure_preset(4).scenarios["dual"]
+    dual = dataclasses.replace(dual, fast=dataclasses.replace(dual.fast, y0=0.0),
+                               slow=dataclasses.replace(dual.slow, y0=0.0))
+    grid = length_grid(0.0, 1000.0, 10.0)
+    expected = _hex_or_error(lambda: [evaluate(dual, length) for length in grid])
+    assert expected == (ZeroDivisionError, "signal gain is zero; QBER undefined")
+    assert _hex_or_error(lambda: sweep(dual, 0.0, 1000.0, 10.0).raw) == expected
 
 
 def _mixed_attenuation_preset():
@@ -259,21 +265,27 @@ def _first_refusal(scenarios, grid):
     return _hex_or_error(lambda: [evaluate(s, length) for s in scenarios for length in grid])
 
 
-@pytest.mark.parametrize("protocol, fast, slow, config, link", [
+@pytest.mark.parametrize("protocol, fast, slow, config, link, bounds", [
     # Detectors with no dark counts: their gain is 0 where t underflows (15,315 km and 15,350 km).
     ("bb84_single_photon", SpdSpec(1e9, 0.059, 0.0, 0.018), SpdSpec(2.5e6, 0.5, 0.0, 0.018),
-     Bb84Config(0.5, 1.22), LinkSpec(alpha=0.21, g_bob=0.16)),
-], ids=["bb84_single_photon"])
-def test_shared_arms_refuse_in_evaluate_order(protocol, fast, slow, config, link):
+     Bb84Config(0.5, 1.22), LinkSpec(alpha=0.21, g_bob=0.16), (14000.0, 16000.0, 5.0)),
+    # The dual's bounding arm (the slow detector) refuses first: evaluate
+    # raises "gain is zero" at 615 km, where the keyed column alone would
+    # raise "signal gain is zero" at 675 km.
+    ("decoy_bb84", SpdSpec(1e9, 0.059, 0.0, 0.018), SpdSpec(2.5e6, 1e-310, 0.0, 0.018),
+     DecoyConfig(0.73, 0.5, 1.22), LinkSpec(alpha=0.21, g_bob=0.16), (0.0, 1000.0, 5.0)),
+], ids=["bb84_single_photon", "decoy_bb84"])
+def test_shared_arms_refuse_in_evaluate_order(protocol, fast, slow, config, link, bounds):
     scenarios = {role: Scenario(protocol=protocol, mode=mode, link=link, config=config, fast=fast, slow=slow)
                  for role, mode in (("dual", "dual"), ("fast", "single_fast"), ("slow", "single_slow"))}
-    grid = length_grid(14000.0, 16000.0, 5.0)
+    grid = length_grid(*bounds)
     for scenario in scenarios.values():
         expected = _first_refusal([scenario], grid)
         assert expected[0] in (DomainError, ZeroDivisionError)
-        assert _hex_or_error(lambda: sweep(scenario, 14000.0, 16000.0, 5.0).raw) == expected
-    preset = FigurePreset(0, "past the model's domain", scenarios, 14000.0, 16000.0, 5.0)
+        assert _hex_or_error(lambda: sweep(scenario, *bounds).raw) == expected
+    preset = FigurePreset(0, "past the model's domain", scenarios, *bounds)
     expected = _first_refusal([scenarios[role] for role in CURVE_ROLES], grid)
+    assert expected[0] in (DomainError, ZeroDivisionError)
     assert _hex_or_error(lambda: [r for curve in sweep_preset(preset).values() for r in curve.raw]) == expected
 
 
@@ -569,18 +581,22 @@ def _gap(rates):
 
 
 def record_grid_phase(patch) -> list:
-    """Record the crossover's grid phase through patch, in order:
-    ("evaluate", length) for each evaluation, ("block", grid[i], gap at i,
-    grid[j], gap at j) for each block its gallop tests, and ("end",) when
-    the gallop returns."""
+    """Record the crossover through patch, in order: ("evaluate", length,
+    scenario) for each evaluation, followed by ("refused", length) if it
+    raises, ("block", grid[i], gap at i, grid[j], gap at j) for each block
+    its gallop tests, and ("end",) when the gallop returns."""
     events = []
     sweep_module = dualdet.sweep
     real_evaluate, real_block_proof = sweep_module.evaluate, sweep_module._block_proof
     real_gallop = sweep_module._gallop
 
     def evaluate_(scenario, length):
-        events.append(("evaluate", length))
-        return real_evaluate(scenario, length)
+        events.append(("evaluate", length, scenario))
+        try:
+            return real_evaluate(scenario, length)
+        except (ArithmeticError, ValueError):
+            events.append(("refused", length))
+            raise
 
     def block_proof(scenarios, grid):
         below, proves = real_block_proof(scenarios, grid)
@@ -617,11 +633,23 @@ def assert_no_probe_past_a_seen_crossing(events) -> float:
     return crossed
 
 
+def assert_each_point_read_once(events) -> None:
+    """No length is evaluated twice for one scenario over the whole search:
+    grid phase, tangency check and bisection. A length where an evaluation
+    refused is left out: the grid phase keeps no refusal, so a later probe
+    or the walk reads it again."""
+    refused = {event[1] for event in events if event[0] == "refused"}
+    reads = collections.Counter((id(event[2]), event[1]) for event in events
+                                if event[0] == "evaluate" and event[1] not in refused)
+    assert [key for key, n in reads.items() if n > 1] == []
+
+
 def check_crossover_matches_forward_scan(protocol, data, switch_losses):
     """Draw a dual receiver behind a switch loss from switch_losses and an
     envelope of its single receivers, compare the crossover with the
     reference scan, float for float or error for error, and check that its
-    grid phase reads no length past a crossing it has seen."""
+    grid phase reads no length past a crossing it has seen and that it
+    evaluates each length once per scenario."""
     detectors, configs, links = specs(protocol, data.draw(st.booleans()))
     fast, slow, config = data.draw(detectors), data.draw(detectors), data.draw(configs)
     if data.draw(st.booleans()):  # as in the paper, the fast detector runs 10 to 10^4 times faster
@@ -641,6 +669,7 @@ def check_crossover_matches_forward_scan(protocol, data, switch_losses):
         events = record_grid_phase(patch)
         assert _answer_or_error(crossover_distance, scenarios[0], scenarios[1:], l_max, step) == expected
     assert_no_probe_past_a_seen_crossing(events)
+    assert_each_point_read_once(events)
 
 
 @pytest.mark.filterwarnings("ignore:curves touch")
@@ -678,8 +707,48 @@ def test_crossover_probes_nothing_past_a_crossing_it_has_seen(monkeypatch):
                 assert crossover_distance(dual, envelope, l_max) == entry["answer"]
             crossed = assert_no_probe_past_a_seen_crossing(events)
             assert crossed == math.inf if entry["answer"] is None else entry["answer"] < crossed
+            assert_each_point_read_once(events)
             searched += 1
     assert searched == 14
+
+
+#: Differences of either sign, ties and subnormal sizes.
+GAPS = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324)), st.floats(-2.0, 2.0), st.floats(-1e-310, 1e-310))
+
+
+def _cell_or_refusal(search):
+    """A search's result, or its exception type and message."""
+    try:
+        return search()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(gaps=st.lists(GAPS, min_size=2, max_size=120), refuse_from=st.none() | st.integers(0, 120),
+       data=st.data())
+def test_gallop_is_the_forward_scan_over_its_reader(gaps, refuse_from, data):
+    # _gallop sees the points only through at(i), which refuses every index
+    # from refuse_from on, the way evaluate refuses past some length. A
+    # proof holds only where every difference on the block has one strict
+    # sign, and may fail there too. The walk finds the forward scan's first
+    # bracketing cell, raises what the scan raises, or returns None.
+    def at(i):
+        assert 0 <= i < len(gaps)
+        if refuse_from is not None and i >= refuse_from:
+            raise DomainError(f"no point {i}")
+        return (i,), gaps[i]
+
+    def proves(i, here, j, there):
+        assert here == (i,) and there == (j,) and i < j
+        block = gaps[i:j + 1]
+        one_sign = all(gap > 0.0 for gap in block) or all(gap < 0.0 for gap in block)
+        return one_sign and data.draw(st.booleans())
+
+    def scan():
+        return next((i for i in range(len(gaps) - 1) if at(i)[1] > 0.0 >= at(i + 1)[1]), None)
+
+    assert _cell_or_refusal(lambda: dualdet.sweep._gallop(at, len(gaps) - 1, proves)) == _cell_or_refusal(scan)
 
 
 def two_pass_block_proof(scenarios, grid):
@@ -842,7 +911,9 @@ def test_crossover_tangency_looks_one_point_ahead(monkeypatch):
     # Step rates that do not rise: the preset 1 dual's is 2 up to 2.5 km and 1
     # after, the slow single's (not its twin) 1 up to 3 km and 0.5 after. The
     # difference touches 0 at the grid point 3 and is positive again at 4:
-    # the cell midpoint is reported, after 12 evaluations.
+    # the cell midpoint is reported. 2 is proved, 6 fails, 4 fails (a short
+    # block) and 3 is walked; the tangency check reads 4 from the walk, so
+    # no point is evaluated twice: 2 x 5 = 10 evaluations.
     preset = figure_preset(1)
     dual, slow = preset.scenarios["dual"], preset.scenarios["slow"]
     assert not dualdet.scenario._twins(dual, slow)
@@ -856,7 +927,7 @@ def test_crossover_tangency_looks_one_point_ahead(monkeypatch):
     with pytest.warns(UserWarning, match="curves touch near 3.00 km") as record:
         assert crossover_distance(dual, [slow], 10.0) == 2.5
     assert len(record) == 1
-    assert len(lengths) == 12
+    assert lengths == [length for length in (0.0, 2.0, 6.0, 4.0, 3.0) for _ in "ds"]
 
 
 def test_crossover_keeps_a_crossing_seen_before_a_short_block(monkeypatch):
@@ -866,8 +937,9 @@ def test_crossover_keeps_a_crossing_seen_before_a_short_block(monkeypatch):
     # 2, 6 and 14 are proved; 30 fails across the crossing, 22 fails, 18
     # fails (a short block), 16 is proved, and 17 and 18 are walked. No
     # block reaches past 30 after that either: 20 and 24 are proved, 28 and
-    # 26 fail across the crossing, 25 is walked, 26 is read once more (the
-    # difference is 0 at 25) and [24, 25] is bisected.
+    # 26 fail across the crossing, 25 is walked, and [24, 25] is bisected
+    # from 24.5 on: the tangency check (the difference is 0 at 25) reads 26
+    # from the walk. 2 x 14 grid points + 2 x 9 halvings = 46 evaluations.
     preset = figure_preset(1)
     dual, slow = preset.scenarios["dual"], preset.scenarios["slow"]
 
@@ -881,13 +953,14 @@ def test_crossover_keeps_a_crossing_seen_before_a_short_block(monkeypatch):
     assert answer == forward_scan(lambda length: [steps(dual, length), steps(slow, length)], 40.0, 1.0)
     grid_phase = [0.0, 2.0, 6.0, 14.0, 30.0, 22.0, 18.0, 16.0, 17.0, 20.0, 24.0, 28.0, 26.0, 25.0]
     assert lengths[:2 * len(grid_phase)] == [length for length in grid_phase for _ in "ds"]
-    assert lengths[2 * len(grid_phase):2 * len(grid_phase) + 2] == [26.0, 26.0]
-    assert max(lengths) == 30.0
+    assert lengths[2 * len(grid_phase):2 * len(grid_phase) + 2] == [24.5, 24.5]
+    assert all(24.0 < length < 25.0 for length in lengths[2 * len(grid_phase):])
+    assert len(lengths) == 46
 
 
 def test_crossover_answers_before_the_model_domain_ends():
-    # Past about 14,700 km the GMCS noise budget is out of its domain and
-    # evaluate raises; the crossover at 5.65 km is found before that.
+    # The GMCS rates are finite at every t: far out they sit at their g -> 0
+    # limits, and the crossover at 5.65 km is found with a grid to 20,000 km.
     preset = figure_preset(5)
     envelope = [preset.scenarios["fast"], preset.scenarios["slow"]]
     assert crossover_distance(preset.scenarios["dual"], envelope, 20000.0) == 5.6533203125
