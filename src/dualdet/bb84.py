@@ -89,10 +89,12 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     on [0, 1/2], so 1 - f_ec*H2(e_keyed) - H2(e_bounding) does not rise with
     the length, and the rate has its sign: the gain is > 0 wherever the
     QBER is defined. The rate is that gain, positive and falling with
-    length, times a bracket that does not rise with length. So where the rate
-    is positive it does not rise with length, and once it is non-positive it
-    stays non-positive. Where it is non-positive, rate/t does not rise with
-    length either (the monotone rule in both signs): rate/t =
+    length, times a bracket that does not rise with length. So the rate over
+    the keyed gain, b*rep_rate*bracket, does not rise with length in either
+    sign: the normalizer rule, with N = y0 + eta_d*t of the keyed detector
+    (scenario._PROTOCOLS). Where the rate is positive it does not rise with
+    length, and once it is non-positive it stays non-positive. Where it is
+    non-positive, rate/t does not rise with length either: rate/t =
     b*rep_rate*(y0/t + eta_d)*bracket, a factor >= 0 that rises as t falls
     times a bracket <= 0 that does not rise, and such a product does not rise.
 

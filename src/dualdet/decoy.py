@@ -71,9 +71,9 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
     detector the rate charges no privacy amplification, showing how much
     of the rate loss is error correction alone.
 
-    The monotone rule, for every mu and in every mode: rate/t does not rise
-    with length, in either sign. Let n = y0 of the keyed arm, x = mu*t*eta_d,
-    s = 1 - exp(-x), c = mu*exp(-mu) <= 1/e, P = 1 - H2(e_1) of the bounding
+    The normalizer rule, with N = t, for every mu and in every mode: rate/t
+    does not rise with length, in either sign. Let n = y0 of the keyed arm,
+    x = mu*t*eta_d, s = 1 - exp(-x), c = mu*exp(-mu) <= 1/e, P = 1 - H2(e_1) of the bounding
     arm (P = 1 with none) and F(n, s) = (n + s)*H2(e_mu). As q_1 = c*(n + t*eta_d)
     and q_mu = n + s, the rate per pulse is c*(n + t*eta_d)*P - f_ec*F, so
     rate/t = b*rep_rate*(c*eta_d*P + W/t) with W = c*n*P - f_ec*F. The

@@ -129,7 +129,8 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     and I_AE = (1/2)*log2[(v*chi_b + 1)/(chi_b + 1)] = (1/2)*log2[(v*x + g)/(c + e*g)],
     defined on all of [0, 1]; at g = 0 the rate is -rep_rate*log2(v)/2.
 
-    The rate falls strictly with length, so it changes sign at most once.
+    The normalizer rule, with N = 1: the rate falls strictly with length, in
+    either sign, so it changes sign at most once.
     d ln[(a + p*g)/(a + e*g)]/dg = a*(p - e)/((a + p*g)*(a + e*g)) > 0, as
     p - e = v - 1 > 0: I_AB rises strictly with g. As v*x + g = v*(c + e*g) - (v - 1)*g,
     I_AE = phi(y), where phi(y) = (1/2)*log2(v - (v - 1)*y) falls and is
@@ -205,9 +206,10 @@ def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     terms. Both are defined on all of [0, 1]; at g = 0 the rate is
     -rep_rate*log2(a_b).
 
-    rate/t does not rise with length, whatever its sign, and a positive rate
-    falls: the rate is positive on a prefix of lengths and changes sign at
-    most once. In natural-log units F(g) = 2*ln(2)*rate/rep_rate is
+    The normalizer rule, with N = t: rate/t does not rise with length,
+    whatever its sign, and a positive rate falls: the rate is positive on a
+    prefix of lengths and changes sign at most once. In natural-log units
+    F(g) = 2*ln(2)*rate/rep_rate is
     beta*[ln(1 + x_p) - ln(1 + x_e)] - 2*ln(a_b) - ln(1 + y_p) - ln(1 + y_s),
     with x_p = p*g/a_k, x_e = e*g/a_k, y_p = p*g/a_b and y_s = s*g/a_b. Let
     c(x) = ln(1 + x) - x/(1 + x), which is >= 0 for x > -1 and rises for

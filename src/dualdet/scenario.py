@@ -28,19 +28,24 @@ from .core import (
 #: for decoy, the source for GMCS), twin order(dual's bounding detector, member's
 #: bounding detector): whether _twins may pair them, error scale(config, keyed
 #: detector, bounding detector or None): a scale whose 2**-41 multiple bounds
-#: |fl(rate) - rate|; in every mode the rate is positive on a prefix of lengths and
-#: does not rise there, and where it is not positive, rate/t does not rise; each bound
-#: and proof is in the public kernel's docstring). An arm returns one detector's
-#: terms; each public kernel (bb84_rate_dual, ...) is the row's three functions composed.
+#: |fl(rate) - rate|, normalizer(keyed detector): (c, d) of N(t) = c + d*t > 0, such
+#: that rate/N does not rise with the length, in either sign: the keyed gain for BB84,
+#: t for decoy and GMCS RR, 1 for GMCS DR, whose rate falls; so in every mode the rate is
+#: positive on a prefix of lengths and does not rise there; each bound and proof is in
+#: the public kernel's docstring). An arm returns one detector's terms; each public
+#: kernel (bb84_rate_dual, ...) is the row's three functions composed.
 _PROTOCOLS = {
     "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84._arm, bb84._arm, bb84._combine, lambda cfg: None,
-                           bb84._noisier, lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed)),
+                           bb84._noisier, lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed),
+                           lambda keyed: (keyed.y0, keyed.eta_d)),
     "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy._signal, bb84._arm, decoy._combine, lambda cfg: cfg.mu,
-                   bb84._noisier, lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed)),
+                   bb84._noisier, lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed),
+                   lambda keyed: (0.0, 1.0)),
     "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs._arm, gmcs._arm, gmcs._dr_combine, lambda cfg: cfg,
-                lambda dual, member: True, lambda cfg, keyed, bounding: gmcs._dr_error_scale(cfg, keyed)),
+                lambda dual, member: True, lambda cfg, keyed, bounding: gmcs._dr_error_scale(cfg, keyed),
+                lambda keyed: (1.0, 0.0)),
     "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs._arm, gmcs._arm, gmcs._rr_combine, lambda cfg: cfg,
-                lambda dual, member: False, gmcs._rr_error_scale),
+                lambda dual, member: False, gmcs._rr_error_scale, lambda keyed: (0.0, 1.0)),
 }
 #: mode -> (keyed arm, bounding arm, behind the switch). A single detector
 #: is the dual receiver with that detector on both arms at the same t; no
@@ -74,7 +79,7 @@ class Scenario:
         # Resolve once what evaluate needs besides the length: the receiver
         # optics g_bob and the switch are one factor on the fiber transmittance.
         keyed, bounding, switched = _ARMS[self.mode]
-        _, _, keyed_arm, bounding_arm, combine, read, _, error_scale = _PROTOCOLS[self.protocol]
+        _, _, keyed_arm, bounding_arm, combine, read, _, error_scale, _ = _PROTOCOLS[self.protocol]
         factor = self.link.g_bob
         if switched:
             factor *= db_to_transmittance(self.link.switch_loss)
@@ -163,6 +168,15 @@ def _proof_length(s: Scenario) -> float:
             db = 10.0 * (math.log10(factor) + math.log10(det.eta_d) - math.log10(_LEAST_GAIN)) if det.eta_d else -1.0
             limit = min(limit, -math.inf if db < 0.0 else db / alpha if alpha else math.inf)
     return limit
+
+
+def _normalizer(s: Scenario) -> tuple[float, float]:
+    """(c, d) of s's normalizer (the last column of _PROTOCOLS) as a function
+    of the fiber transmittance 10**(-alpha*L/10): N = c + d*10**(-alpha*L/10),
+    with the receiver's factor (g_bob and the switch) folded into d."""
+    _, _, _, keyed, _, _, _, _, factor, _ = s._plan
+    c, d = _PROTOCOLS[s.protocol][8](keyed)
+    return c, d * factor
 
 
 def _no_arm(read, detector, t) -> None:

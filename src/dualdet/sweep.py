@@ -3,15 +3,16 @@
 Raw rates may be negative; `RateCurve.rates` clamps them at zero for
 plotting and CSV output. Distance searches evaluate a coarse grid, whose
 points are computed on demand, only as far as it takes to bracket their
-answer, then bisect to 0.01 km: the crossover walks forward from 0 to the
-first crossing, skipping each block of grid points where the rates'
-monotonicity, for positive and for non-positive rates, proves the sign of
-the difference. Every scenario's rate changes sign at most once (the
-monotone rule in the kernel docstrings), so the maximum distance finds the
-last positive grid point by halving the grid's index range when every rate
-it reads is clear of its rounding error and every grid point past the
-answer is proved negative, and otherwise walks backward from the search
-limit; both find the same point.
+answer, then bisect to 0.01 km: the crossover finds the first crossing of
+a forward walk from 0, testing blocks that halve down from about the whole
+grid and skipping each one where the rates' normalizer rule, for positive
+and for non-positive rates, proves the sign of the difference. Every
+scenario's rate changes sign at most once (the normalizer rule in the
+kernel docstrings: rate/N does not rise with length for a positive N), so
+the maximum distance finds the last positive grid point by halving the
+grid's index range when every rate it reads is clear of its rounding error
+and every grid point past the answer is proved negative, and otherwise
+walks backward from the search limit; both find the same point.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Mapping, TextIO
 from .core import (
     LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change, channel_transmittance, check_number,
 )
-from .scenario import Scenario, _proof_length, _raw_rates, _twins, evaluate
+from .scenario import Scenario, _normalizer, _proof_length, _raw_rates, _twins, evaluate
 
 #: Half-width of the bracket accepted by the distance bisections, km.
 DISTANCE_TOL = 0.01
@@ -175,7 +176,7 @@ def _halve(scenario: Scenario, grid: Sequence[float]) -> int | None:
     range; the rate at grid[-1] is not positive.
 
     The scenario's rate in real numbers turns from positive to non-positive
-    at most once as the length grows (the monotone rule in the kernel
+    at most once as the length grows (the normalizer rule in the kernel
     docstrings), and its error scale is the last column of
     `scenario._PROTOCOLS`.
     A computed rate whose size exceeds 2**-40*scale + 2**-1000, more than
@@ -232,7 +233,8 @@ def crossover_distance(
     Walks the coarse grid forward from 0 and stops at the first crossing,
     reading one point more only when the difference there is exactly 0.
     None when no such sign change occurs in [0, l_max_search]. A grid
-    point is evaluated once, unless it raised. _gallop skips the blocks
+    point is evaluated once, and a point that raised raises again when read
+    again. _gallop skips the blocks
     _block_proof proves, and the bisection does not evaluate a member
     proved below rate_a on its cell, which leaves the difference's sign
     there: so the answer is that of a walk over every grid point, and only
@@ -248,8 +250,14 @@ def crossover_distance(
         point = seen.get(i)
         if point is None:
             length = grid[i]
-            rates = [evaluate(s, length) for s in scenarios]
+            try:
+                rates = [evaluate(s, length) for s in scenarios]
+            except (ArithmeticError, ValueError) as exc:  # DomainError is a ValueError
+                seen[i] = exc  # a later probe reads the refusal, not the point again
+                raise
             point = seen[i] = rates, rates[0] - max(rates[1:])  # max() picks as the bisection does
+        elif isinstance(point, Exception):
+            raise point
         return point
 
     below, proves = _block_proof(scenarios, grid)
@@ -285,17 +293,20 @@ def _gallop(at, last: int, proves) -> int | None:
     is none. at(i) gives the rates at point i and their difference, and each
     block that proves(i, here, j, there) covers is skipped.
 
-    A block doubles after each skip and halves after each failed proof,
-    down to one cell, which is walked. After a block [i, j] fails, no block
-    reaches j before the walk does if it has at most 4 cells (the crossing
-    is likely inside) or if the difference is positive at i and not at j:
-    skipped blocks keep its sign, so the walk's first crossing is in
-    (i, j] and it reads no point past j. A block end that raises proves
-    nothing, so the walk, its first bracketing cell and the points that
-    raise are those of a walk over every index. The proofs hold for rates
-    of either sign, so blocks are skipped to the end where every rate is
-    non-positive too."""
-    i, (here, gap), step = 0, at(0), 2
+    The first block spans the largest power of two cells not past last, so
+    the blocks halve down from about the whole grid: a proof that bounds a
+    rate by its normalizer holds on long blocks, and a long block that fails
+    mostly holds the crossing. A block doubles after each skip and halves
+    after each failed proof, down to one cell, which is walked. After a
+    block [i, j] fails, no block reaches j before the walk does if it has at
+    most 4 cells (the crossing is likely inside) or if the difference is
+    positive at i and not at j: skipped blocks keep its sign, so the walk's
+    first crossing is in (i, j] and it reads no point past j. A block end
+    that raises proves nothing, so the walk, its first bracketing cell and
+    the points that raise are those of a walk over every index. The proofs
+    hold for rates of either sign, so blocks are skipped to the end where
+    every rate is non-positive too."""
+    i, (here, gap), step = 0, at(0), max(2, 1 << (last.bit_length() - 1))
     crossed = bound = last + 1  # the end of a crossing seen, and of the last block that failed before it
     while i < last:
         if bound <= i:
@@ -335,79 +346,118 @@ def _block_proof(scenarios, grid: Sequence[float]):
     below(i, here, j, there) gives for each member whether its rate is
     proved below the first one at every length there, and the gallop's one
     test proves(i, here, j, there) is all(below(...)) or a member proved
-    above it, stopping at the first member not proved below, with r (below)
-    computed once per distinct attenuation.
+    above it, stopping at the first member not proved below, with the
+    ratios below computed once per tested block and distinct normalizer.
 
-    The monotone rule (kernel docstrings): each rate is positive on a prefix
-    of lengths and does not rise there, and where it is non-positive, rate/t
-    does not rise with length. Let r_X = t(L_j)/t(L_i) in (0, 1] be the fall
-    of scenario X's t across the block, 10**(-alpha*(L_j - L_i)/10) whatever
-    its factor, and x_i, x_j its rates at the ends. On the block, X's rate is
-    - at most x_i if x_i > 0, and at most x_i*r_X if not: then the rate
-      stays non-positive, and at L >= L_i it is at most
-      x_i*t(L)/t(L_i) <= x_i*r_X;
-    - at least x_j if x_j > 0, and at least x_j/r_X if not: a rate that is
-      non-positive at L <= L_j is non-positive on [L, L_j], so at least
-      x_j*t(L)/t(L_j) >= x_j/r_X.
-    So X is above Y on the block when x_j > V, with V = y_i if y_i > 0 and
-    V = r_X*r_Y*y_i if not: for x_j <= 0 that is x_j/r_X > r_Y*y_i multiplied
-    through by r_X, and for x_j > 0 it holds as r_Y*y_i <= 0. below tests
-    X = a against each member Y; proves tests each X against Y = a. A member
-    m that is scenario a's twin (scenario._twins) has D = rate_a - rate_m >=
+    The normalizer rule (the last column of scenario._PROTOCOLS; each proof
+    is in its kernel's docstring): scenario Z's rate divided by
+    N_Z = c + d*s > 0 does not rise with length in either sign, where
+    s = 10**(-alpha*L/10) is its fiber transmittance, c, d >= 0, and d
+    holds the receiver's factor (scenario._normalizer). Let x_j be X's rate
+    at L_j and y_i Y's at L_i. On the block, X(L) >= x_j*N_X(L)/N_X(L_j),
+    as L <= L_j, and Y(L) <= y_i*N_Y(L)/N_Y(L_i), as L >= L_i. Where X and Y
+    share an attenuation, both bounds are affine in one s, so their
+    difference is least at a block end: X is above Y on the block when
+    x_j - rho_Y*y_i > 0 (at L_j) and x_j - rho_X*y_i > 0 (at L_i,
+    multiplied through by rho_X), with rho_Z = N_Z(L_j)/N_Z(L_i) in (0, 1].
+    Where they do not, the rule gives what holds for each rate alone, with
+    r_Z = t(L_j)/t(L_i) in (0, 1], 10**(-alpha*(L_j - L_i)/10) whatever
+    Z's factor: a positive rate does not rise, as N falls; a non-positive
+    one stays so, and rate/s = (rate/N)*(c/s + d) does not rise there, a
+    product of a factor <= 0 that does not rise and one > 0 that rises as
+    s falls. So X's rate is at least x_j on the block if x_j > 0, and
+    x_j/r_X if not; Y's is at most y_i if y_i > 0, and r_Y*y_i if not; and
+    X is above Y when x_j - y_i > 0 and x_j - r_X*r_Y*y_i > 0 (for
+    x_j <= 0, x_j/r_X > r_Y*y_i multiplied through by r_X; for x_j > 0, it
+    holds as r_Y*y_i <= 0 where y_i <= 0). Each member's test is thus
+    x - p*y > m and x - q*y > m, with (p, q) = (rho_a, rho_m) where it
+    shares a's attenuation and (1, r_a*r_m) where not; below tests X = a
+    against each member Y, proves each X against Y = a. A member m that is
+    scenario a's twin (scenario._twins) has D = rate_a - rate_m >=
     D(L_j)*t(L_j)/t(L_i) on the block (the twin rule), so
     D(L_j)*t(L_j)/t(L_i) > 0 proves rate_a > rate_m. The proofs hold only up
     to each scenario's _proof_length.
 
     Each computed rate is within E < 2,400u*scale of the rate in real
     numbers, u = 2**-53 (the kernels' _error_scale docstrings), plus 2**-1074
-    per rounding that underflows. Every inequality must hold by a margin m of
-    2**-40 = 8,192u times the pair's summed scales, plus 2**-1000: more than
-    2*E_X + 2*E_Y and the test's own roundings, so its conclusion holds in
-    real numbers by more than E_X + E_Y at each length of the block, and so
-    for the computed values. For the monotone rule, with x and y the
-    computed rates: Y's rate is at most U + E_Y, where U = y if y > 0 and
+    per rounding that underflows, and is at most twice its scale in size.
+    Every inequality must hold by a margin m of 2**-40 = 8,192u times the
+    pair's summed scales, plus 2**-1000: more than 2*E_X + 2*E_Y and the
+    test's own roundings, so its conclusion holds in real numbers by more
+    than E_X + E_Y at each length of the block, and so for the computed
+    values. With x and y the computed rates, where X and Y share an
+    attenuation: X(L) - Y(L) >= (x - E_X)*N_X(L)/N_X(L_j) - (y + E_Y)*N_Y(L)/N_Y(L_i),
+    affine in s, which is at least x - rho_Y*y - E_X - E_Y at L_j and
+    (x - rho_X*y - E_X - rho_X*E_Y)/rho_X at L_i, both above E_X + E_Y. Where
+    they do not: Y's rate is at most U + E_Y, where U = y if y > 0 and
     U = r_Y*y if not (U has slope 1 or r_Y <= 1 in y). X's rate is at least
     x - E_X where x > E_X (the real x_j is then positive), and at least
-    (x - E_X)/r_X where x <= E_X. The test is x > V + m, V = U if U > 0 and
-    r_X*U if not. If x > E_X, then x > U + m, as r_X*U >= U where U <= 0,
-    so X - Y > x - E_X - U - E_Y > E_X + E_Y. If not, then
+    (x - E_X)/r_X where x <= E_X. The test is x > V + m,
+    V = max(y, r_X*r_Y*y), which is U if U > 0 and r_X*U if not. If
+    x > E_X, then x > U + m, as r_X*U >= U where U <= 0, so
+    X - Y > x - E_X - U - E_Y > E_X + E_Y. If not, then
     x - r_X*U > m >= E_X*(1 + r_X) + 2*r_X*E_Y, which is X - Y > E_X + E_Y
     multiplied by r_X. The computed r is off by at most 2.2u in absolute
     terms, plus 2**-1074: the exponent's three roundings (L_j - L_i, times
     alpha, over 10) scale it by exp(3u*ln(1/r)), r*ln(1/r) <= 1/e, and the
-    power adds u. So V moves by under 7u times Y's scale.
+    power adds u. rho is r where c = 0 (decoy, GMCS RR, BB84 with y0 = 0)
+    and 1 where d = 0 (GMCS DR); otherwise (BB84's keyed gain) it is
+    (c + d*s_i*r)/(c + d*s_i), one more power for s_i = s(L_i), which is off
+    by a relative 1,500u (as t in bb84._error_scale), and d*s_i by 2u more.
+    With w = d*s_i/(c + d*s_i), |d rho/d ln(d*s_i)| = w*(1 - w)*(1 - r) <= 1/4
+    and d rho/dr = w <= 1, so with the five roundings of the quotient rho is
+    off by under 400u; the gain is at least 2**-1000 on the block, so an
+    underflow moves it by under 2**-70 relative. So p*y and q*y move by
+    under 810u times Y's scale, with their product, well inside m.
     """
     a = scenarios[0]
     limit = min(map(_proof_length, scenarios))
-    alphas = tuple(dict.fromkeys(s.link.alpha for s in scenarios))  # a's first
-    members = [(k, _MARGIN * (a._error_scale + m._error_scale) + _LEAST_MARGIN, _twins(a, m),
-                alphas.index(m.link.alpha)) for k, m in enumerate(scenarios[1:], 1)]
+    alpha = a.link.alpha
+    others = tuple(dict.fromkeys(s.link.alpha for s in scenarios if s.link.alpha != alpha))
+    norms = list(dict.fromkeys(_normalizer(s) for s in scenarios if s.link.alpha == alpha))  # a's first
+    reads_s = any(c and d for c, d in norms)  # a gain normalizer: its rho reads s(L_i)
 
-    def ratios(span: float) -> list[float]:  # r on a block span km long, for each of alphas
-        return [channel_transmittance(alpha, span) for alpha in alphas]
+    def places(m: Scenario) -> tuple[int, int]:  # where member m's p and q sit in ratios' list
+        if m.link.alpha == alpha:
+            return 0, norms.index(_normalizer(m))
+        return len(norms) + others.index(m.link.alpha), len(norms) + len(others)
+
+    members = [(k, _MARGIN * (a._error_scale + m._error_scale) + _LEAST_MARGIN, _twins(a, m), *places(m))
+               for k, m in enumerate(scenarios[1:], 1)]
+
+    def ratios(start: float, end: float) -> tuple[float, list[float]]:
+        # r_a, and [rho of each of norms, r_a*r of each of others, 1]
+        span = end - start
+        r_a = channel_transmittance(alpha, span)
+        s_i = channel_transmittance(alpha, start) if reads_s else 0.0
+        f = [(c + d * s_i * r_a) / (c + d * s_i) if c else r_a for c, d in norms]
+        if others:
+            f += [r_a * channel_transmittance(other, span) for other in others] + [1.0]
+        return r_a, f
 
     def below(i: int, here: list[float], j: int, there: list[float]) -> list[bool]:
         if grid[j] > limit:
             return [False] * len(members)
-        r, rate_a = ratios(grid[j] - grid[i]), there[0]
-        return [rate_a > (here[k] if here[k] > 0.0 else here[k] * r[n] * r[0]) + margin
-                or twin and (rate_a - there[k]) * r[0] > margin for k, margin, twin, n in members]
+        r_a, f = ratios(grid[i], grid[j])
+        rate_a = there[0]
+        return [rate_a > here[k] * f[p] + margin and rate_a > here[k] * f[q] + margin
+                or twin and (rate_a - there[k]) * r_a > margin for k, margin, twin, p, q in members]
 
     def proves(i: int, here: list[float], j: int, there: list[float]) -> bool:
         end = grid[j]
         if end > limit:
             return False
-        r, rate_a = ratios(end - grid[i]), there[0]
-        for k, margin, twin, n in members:  # below's test, to the first member it fails
-            x = here[k]
-            if not (rate_a > (x if x > 0.0 else x * r[n] * r[0]) + margin
-                    or twin and (rate_a - there[k]) * r[0] > margin):
+        r_a, f = ratios(grid[i], end)
+        rate_a = there[0]
+        for k, margin, twin, p, q in members:  # below's test, to the first member it fails
+            y = here[k]
+            if not (rate_a > y * f[p] + margin and rate_a > y * f[q] + margin
+                    or twin and (rate_a - there[k]) * r_a > margin):
                 break
         else:
             return True
-        rate_a = here[0]
-        return any(there[k] > (rate_a if rate_a > 0.0 else rate_a * r[0] * r[n]) + margin
-                   for k, margin, _, n in members)
+        y = here[0]
+        return any(there[k] > y * f[p] + margin and there[k] > y * f[q] + margin for k, margin, _, p, q in members)
 
     return below, proves
 

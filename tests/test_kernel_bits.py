@@ -22,7 +22,7 @@ from dualdet.decoy import (
     decoy_single_photon_qber,
 )
 from dualdet.gmcs import MismatchedEfficiencyError, gmcs_dr_rate_dual, gmcs_rr_rate_dual
-from dualdet.scenario import Scenario, evaluate
+from dualdet.scenario import _PROTOCOLS, Scenario, evaluate
 
 
 def ref_bb84_gain(spd, t):
@@ -451,3 +451,65 @@ def test_rr_rate_keeps_the_monotone_rule_in_both_signs(keyed, other, same, t, r,
     err = 2.0 ** -41 * gmcs._rr_error_scale(source, keyed, bounding) + 2.0 ** -1000
     near, far = gmcs_rr_rate_dual(keyed, bounding, source, t), gmcs_rr_rate_dual(keyed, bounding, source, far_t)
     assert _monotone_within(near, far, far_t / t, err)
+
+
+def _normalized(protocol, keyed, rate, t):
+    """rate/N(t), N the protocol's normalizer (the last column of scenario._PROTOCOLS)."""
+    c, d = _PROTOCOLS[protocol][8](keyed)
+    return rate / (c + d * t)
+
+
+def _does_not_rise(protocol, keyed, rate, t, r, tol):
+    """rate(r*t)/N(r*t) <= rate(t)/N(t) in 50 digits, within tol(r*t), a
+    bound on their rounding there. The pair of values if not."""
+    with mpmath.workdps(50):
+        near_t = mpmath.mpf(t)
+        far_t = near_t * r
+        near, far = (_normalized(protocol, keyed, rate(at), at) for at in (near_t, far_t))
+        return far <= near + tol(far_t) or (near, far)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed=spds, other=spds, arms=st.sampled_from(("dual", "single", "no_pa")),
+       t=st.floats(0.0, 1.0, exclude_min=True), r=falls, mu=spd_mus,
+       cfg=st.builds(Bb84Config, basis_factor=basis_factors, f_ec=f_ecs))
+# A negative rate (the keyed QBER near 0.3), and a positive one at a gain near 2**-1000.
+@example(keyed=SpdSpec(1e9, 0.1, 1e-3, 0.3), other=SpdSpec(1e6, 0.5, 1e-6, 0.01), arms="dual", t=1e-3, r=0.5,
+         mu=0.5, cfg=Bb84Config(0.5, 1.22))
+@example(keyed=SpdSpec(1e9, 1.0, 0.0, 0.01), other=SpdSpec(1e9, 1.0, 0.0, 0.0), arms="dual", t=2.0 ** -990,
+         r=2.0 ** -9, mu=0.5, cfg=Bb84Config(1.0, 1.0))
+def test_spd_rates_over_their_normalizer_do_not_rise(keyed, other, arms, t, r, mu, cfg):
+    # The normalizer rule, rates of either sign: BB84's rate over its keyed
+    # gain y0 + eta_d*t, and decoy's over t (dual, single, no PA, at every
+    # mu), do not rise from t to r*t, a longer length. In 50 digits BB84's
+    # rate/N is its bracket, off by 1e-50 of the error scale; decoy's rate/t
+    # has terms up to the scale times 1 + mu + y0/t (mu*t*eta_d bounds
+    # 1 - exp(-mu*t*eta_d)).
+    bounding = {"dual": other, "single": keyed, "no_pa": None}[arms]
+    scale = mpmath.mpf(bb84._error_scale(cfg, keyed)) * 1e-40  # an mpf: a subnormal scale keeps its size
+    decoy_cfg = DecoyConfig(mu=mu, basis_factor=cfg.basis_factor, f_ec=cfg.f_ec)
+    kernels = [("decoy_bb84", decoy_cfg, lambda at: scale * (1 + mu + keyed.y0 / at))]
+    if bounding is not None:
+        kernels.append(("bb84_single_photon", cfg, lambda at: scale))
+    for protocol, config, tol in kernels:
+        rate = lambda at: mp_spd_rate(keyed, bounding, config, at)  # noqa: E731
+        assert _does_not_rise(protocol, keyed, rate, t, r, tol) is True, protocol
+
+
+@pytest.mark.parametrize("protocol", GMCS)
+@settings(max_examples=300, deadline=None)
+@given(keyed=homodynes, other=homodynes, same=st.booleans(), t=st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(1e-3, 1.0)), r=falls, source=sources)
+# The preset 6 detectors: the rates are negative past about 6 km (t = 0.75).
+@example(keyed=HomodyneSpec(82e6, 0.8, 0.43), other=HomodyneSpec(1e6, 0.8, 0.01), same=False, t=0.75, r=0.1,
+         source=GmcsSource(v=40.0, beta=1.0, eps_pre=0.05))
+def test_gmcs_rates_over_their_normalizer_do_not_rise(protocol, keyed, other, same, t, r, source):
+    # The normalizer rule, rates of either sign: the DR rate (over 1) falls,
+    # and the RR rate over t does not rise, from t to r*t. In 50 digits each
+    # rate is off by 1e-50 of the error scale, so rate/N by that over N.
+    kernel, pick_bounding, error_scale = GMCS[protocol]
+    bounding = pick_bounding(keyed, other, same)
+    scale = mpmath.mpf(error_scale(source, keyed, bounding)) * 1e-40  # an mpf: a subnormal scale keeps its size
+    rate = lambda at: mp_rate(protocol, keyed, bounding, source, at)  # noqa: E731
+    tol = lambda at: scale * _normalized(protocol, keyed, 1, at)  # noqa: E731
+    assert _does_not_rise(protocol, keyed, rate, t, r, tol) is True

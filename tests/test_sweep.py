@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import dualdet.scenario
 import dualdet.sweep
-from dualdet.bb84 import Bb84Config
+from dualdet.bb84 import Bb84Config, bb84_gain
 from dualdet.core import (
     LENGTH_FORMAT, RATE_FORMAT, DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, binary_entropy,
     bisect_sign_change, channel_transmittance,
@@ -381,40 +381,42 @@ def count_evaluations(monkeypatch, evaluate_fn=evaluate) -> list:
     return lengths
 
 
+# The ids are kept as the tests' names: they carry the crossover counts of an
+# earlier search (57, 33, 45, 51, 27 and 27), not today's.
 @pytest.mark.parametrize("fig_id, switch_loss, l_max, crossover_calls, maxdist_calls", [
-    (1, 0.0, 250.0, 57, 19), (5, 0.0, 60.0, 33, 17), (6, 0.0, 60.0, 45, 17), (4, 3.0, 250.0, 51, 19),
-    (5, 3.0, 60.0, 27, 2), (7, 3.0, 60.0, 27, 2),
+    (1, 0.0, 250.0, 45, 19), (5, 0.0, 60.0, 39, 17), (6, 0.0, 60.0, 39, 17), (4, 3.0, 250.0, 39, 19),
+    (5, 3.0, 60.0, 15, 2), (7, 3.0, 60.0, 15, 2),
 ], ids=["1-250.0-57-19", "5-60.0-33-17", "6-60.0-45-17", "4-3dB-250.0-51-19", "5-3dB-60.0-27-2", "7-3dB-60.0-27-2"])
 def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, switch_loss, l_max, crossover_calls, maxdist_calls):
     # Crossover: 3 scenarios x grid points, + 2 x 9 halvings of the 1 km
     # bracketing cell, as the fast single is proved below the dual there.
-    # Preset 1 (crossing in [124, 125]), 13 grid points: the blocks ending
-    # at 2, 6, 14, 30, 62 are proved (doubling); 126 fails, with the
-    # difference positive at 62 and not at 126, so no later block reaches
-    # 126: 94, 110, 118, 122 and 124 are proved, each block halved to stop
-    # short of 126, and 125 is walked: 3 x 13 + 2 x 9 = 57, where the walk
-    # took 3 x (126 + 9) = 405. Preset 5 (crossing in [5, 6]): 2 is proved,
-    # 6 fails, 4 is proved, 5 and 6 are walked: 3 x 5 + 2 x 9 = 33, the walk
+    # The first block spans the largest power of two cells in the grid, 128
+    # of 250 and 32 of 60, and the blocks halve from there. Preset 1
+    # (crossing in [124, 125]): 128 fails across the crossing, so no later
+    # block reaches past it; 64, 96, 112, 120 and 124 are proved, each block
+    # halved to stop short of 128; 126 fails across the crossing and 125 is
+    # walked: 3 x 9 + 2 x 9 = 45, where the walk took 3 x (126 + 9) = 405.
+    # Preset 5 (GMCS DR, crossing in [5, 6]): 32, 16 and 8 fail across it, 4
+    # is proved, 6 fails, 5 is walked: 3 x 7 + 2 x 9 = 39, the walk
     # 3 x (7 + 9) = 48. Preset 6 (GMCS RR, crossing in [18, 19]; its fast
-    # single is no twin, but negative): 2, 6, 14 are proved; 30 and 22 fail
-    # across the crossing (positive at 14, not at either end) and 18 is
-    # proved; 20 fails and 19 is walked: 3 x 9 + 2 x 9 = 45, the walk
-    # 3 x (20 + 9) = 87. With a 3 dB switch
-    # presets 4, 5 and 7 have no crossing, and every block is
-    # proved by a single above the dual, across non-positive rates too.
-    # Preset 4 (a single is above the dual everywhere; the dual is negative
-    # from 68 km, the fast single from 76 km, the slow from 198 km): 2, 6, 14
-    # are proved; then each 16 km block fails and the 8 km one is proved, to
-    # 22, 30, ..., 70, its failed ends being the later 8 km ends 30, ..., 78;
-    # then 86, 118, 182, 246 (the blocks double, up to what the grid's end
-    # leaves) and 250: 3 x 17 = 51, where the walk took 3 x 251 = 753.
-    # Preset 5 (the dual is negative from 0 km): 2, 6, 14, 30, then 62 is
-    # past the end and the block halves to 46, 54, 58, 60: 3 x 9 = 27, the
-    # walk 3 x 61 = 183; preset 7 (GMCS RR) the same. Maxdist (every
-    # scenario's rate changes sign once): l_max, 0, then
-    # ceil(log2(cells)) halvings of the grid's index range (8 of 250 cells,
-    # 6 of 60) to the last positive point, + 9 halvings of its 1 km cell;
-    # with no positive point, l_max and 0 only.
+    # single is no twin, but negative): 32 fails across it, 16 is proved, 24
+    # and 20 fail across it, 18 is proved, 19 is walked: 3 x 7 + 2 x 9 = 39, the walk
+    # 3 x (20 + 9) = 87. With a 3 dB switch presets 4, 5 and 7 have no
+    # crossing, and every block is proved by a single above the dual,
+    # across non-positive rates too. Preset 4 (a single is above the dual
+    # everywhere; the dual is negative from 68 km, the fast single from 76
+    # km, the slow from 198 km): 128 and 64 fail and 32 is proved; while
+    # the dual nears and passes 0, 96 and 64 fail and 48 is proved, 80
+    # fails and 64 is proved, 96 and 80 fail and 72 is proved; then 88, 120,
+    # 184, 248 and 250 are proved (the blocks double, up to what the grid's
+    # end leaves): 3 x 13 = 39, where the walk took 3 x 251 = 753. Preset 5
+    # (the dual is negative from 0 km): 32 is proved, then the block halves
+    # to what the grid's end leaves, 48, 56 and 60: 3 x 5 = 15, the walk
+    # 3 x 61 = 183; preset 7 (GMCS RR) the same. Maxdist (every scenario's
+    # rate changes sign once): l_max, 0, then ceil(log2(cells)) halvings of
+    # the grid's index range (8 of 250 cells, 6 of 60) to the last positive
+    # point, + 9 halvings of its 1 km cell; with no positive point, l_max
+    # and 0 only.
     preset = figure_preset(fig_id)
     dual, envelope = preset.scenarios["dual"], [preset.scenarios["fast"], preset.scenarios["slow"]]
     dual = dataclasses.replace(dual, link=dataclasses.replace(dual.link, switch_loss=switch_loss))
@@ -635,12 +637,8 @@ def assert_no_probe_past_a_seen_crossing(events) -> float:
 
 def assert_each_point_read_once(events) -> None:
     """No length is evaluated twice for one scenario over the whole search:
-    grid phase, tangency check and bisection. A length where an evaluation
-    refused is left out: the grid phase keeps no refusal, so a later probe
-    or the walk reads it again."""
-    refused = {event[1] for event in events if event[0] == "refused"}
-    reads = collections.Counter((id(event[2]), event[1]) for event in events
-                                if event[0] == "evaluate" and event[1] not in refused)
+    grid phase, tangency check and bisection, a length that refused too."""
+    reads = collections.Counter((id(event[2]), event[1]) for event in events if event[0] == "evaluate")
     assert [key for key, n in reads.items() if n > 1] == []
 
 
@@ -753,41 +751,46 @@ def test_gallop_is_the_forward_scan_over_its_reader(gaps, refuse_from, data):
 
 def two_pass_block_proof(scenarios, grid):
     """Reference: _block_proof's below and above as the crossover's gallop
-    used them before its single block test, all(below(...)) or above(...)."""
-    scales = [s._error_scale for s in scenarios]
+    used them before its single block test, all(below(...)) or above(...),
+    each pair's bound written out. X is proved above Y when x > y*p + margin
+    and x > y*q + margin, with (p, q) = (rho_a, rho_m), each scenario's
+    N(L_j)/N(L_i), where the member shares the first scenario's attenuation,
+    and (1, r_a*r_m), r = t(L_j)/t(L_i), where it does not."""
     a = scenarios[0]
     limit = min(map(dualdet.scenario._proof_length, scenarios))
-    alphas = [s.link.alpha for s in scenarios]
-    members = [(k, dualdet.sweep._MARGIN * (scales[0] + scales[k]) + dualdet.sweep._LEAST_MARGIN,
+    members = [(k, dualdet.sweep._MARGIN * (a._error_scale + m._error_scale) + dualdet.sweep._LEAST_MARGIN,
                 dualdet.scenario._twins(a, m))
                for k, m in enumerate(scenarios[1:], 1)]
-    ratios = {}
 
     def ratio(i, j, k):
-        key = (i, j, alphas[k])
-        r = ratios.get(key)
-        if r is None:
-            r = ratios[key] = channel_transmittance(alphas[k], grid[j] - grid[i])
-        return r
+        return channel_transmittance(scenarios[k].link.alpha, grid[j] - grid[i])
+
+    def rho(i, j, k):  # N(L_j)/N(L_i), N = c + d*s: from s(L_i) and s(L_j) = s(L_i)*r
+        c, d = dualdet.scenario._normalizer(scenarios[k])
+        if c == 0.0:
+            return ratio(i, j, k)
+        s = channel_transmittance(scenarios[k].link.alpha, grid[i])
+        return (c + d * s * ratio(i, j, k)) / (c + d * s)
+
+    def factors(i, j, k):
+        if scenarios[k].link.alpha == a.link.alpha:
+            return rho(i, j, 0), rho(i, j, k)
+        return 1.0, ratio(i, j, 0) * ratio(i, j, k)
+
+    def over(x, y, margin, i, j, k):
+        p, q = factors(i, j, k)
+        return x > y * p + margin and x > y * q + margin
 
     def below(i, here, j, there):
         if grid[j] > limit:
             return [False] * len(members)
-        rate_a, proved = there[0], []
-        for k, margin, twin in members:
-            bound = here[k] if here[k] > 0.0 else here[k] * ratio(i, j, k) * ratio(i, j, 0)
-            lower = rate_a > bound + margin
-            if not lower and twin:
-                lower = (rate_a - there[k]) * ratio(i, j, 0) > margin
-            proved.append(lower)
-        return proved
+        return [over(there[0], here[k], margin, i, j, k)
+                or twin and (there[0] - there[k]) * ratio(i, j, 0) > margin for k, margin, twin in members]
 
     def above(i, here, j, there):
         if grid[j] > limit:
             return False
-        rate_a = here[0]
-        return any(there[k] > (rate_a if rate_a > 0.0 else rate_a * ratio(i, j, 0) * ratio(i, j, k)) + margin
-                   for k, margin, _ in members)
+        return any(over(there[k], here[0], margin, i, j, k) for k, margin, _ in members)
 
     return below, above
 
@@ -814,8 +817,9 @@ UNIT_RATES = st.one_of(st.sampled_from((-1.0, -0.5, 0.0, 0.5, 1.0)), st.floats(-
 def test_block_test_is_the_two_pass_form(data):
     # The gallop's single test is all(below(...)) or above(...) of the
     # two-pass form, and below its list, for rates of either sign, members
-    # twin or not, with attenuations of their own, and blocks past
-    # _proof_length (a detector with y0 = 0 has a finite one).
+    # twin or not, sharing the first scenario's attenuation (the normalizer
+    # bound) or with one of their own (each rate's bound alone), and blocks
+    # past _proof_length (a detector with y0 = 0 has a finite one).
     protocol = data.draw(st.sampled_from(sorted(ONE_SIGN_CHANGE)))
     detectors, configs, links = specs(protocol, data.draw(st.booleans()))
     link, config, fast = data.draw(links), data.draw(configs), data.draw(detectors)
@@ -883,17 +887,40 @@ def test_crossover_reads_no_refusal_past_the_crossing(monkeypatch, fig_id):
         crossover_distance(dual, envelope, 250.0)
 
 
+@pytest.mark.parametrize("fig_id, limit, refused", [
+    (1, 125.0, [126.0, 128.0, 132.0, 136.0, 144.0, 160.0, 192.0]), (2, 201.0, [202.0, 204.0, 208.0, 216.0, 224.0]),
+])
+def test_crossover_evaluates_a_refused_point_once(monkeypatch, fig_id, limit, refused):
+    # The crossover keeps a refusal with the grid points it has read: a
+    # later block that ends where an evaluation refused reads the refusal,
+    # proves nothing and evaluates nothing again. With evaluate refusing
+    # past the bracketing cell's end, the block ends past it refuse (a
+    # refusal is no crossing seen, so the blocks grow again after a skip),
+    # each once, for the dual alone, which refuses first; a memo that kept
+    # no refusal would evaluate 128 km six times (preset 1) and 208 km
+    # twice (preset 2). The answer stays the same.
+    preset = figure_preset(fig_id)
+    dual, envelope = preset.scenarios["dual"], [preset.scenarios["fast"], preset.scenarios["slow"]]
+    answer = crossover_distance(dual, envelope, 250.0)
+    monkeypatch.setattr(dualdet.sweep, "evaluate", _refusing_past(limit))
+    events = record_grid_phase(monkeypatch)
+    assert crossover_distance(dual, envelope, 250.0) == answer
+    assert sorted(event[1] for event in events if event[0] == "refused") == refused
+    assert_each_point_read_once(events)
+
+
 @pytest.mark.parametrize("mu, crossover, crossover_calls, maxdist, maxdist_calls", [
-    (1.5, 51.4462890625, 51, 51.9111328125, 19), (3.0, None, 36, None, 2),
+    (1.5, 51.4462890625, 45, 51.9111328125, 19), (3.0, None, 21, None, 2),
 ], ids=["1.5", "3.0"])
 def test_decoy_above_mu_1_skips_and_halves(monkeypatch, mu, crossover, crossover_calls, maxdist, maxdist_calls):
-    # Decoy's monotone rule holds at every mu (decoy_rate_dual), so preset 4
-    # with mu > 1 skips and halves as every scenario does and finds the
+    # Decoy's normalizer rule holds at every mu (decoy_rate_dual), so preset
+    # 4 with mu > 1 skips and halves as every scenario does and finds the
     # scans' answers: at mu 1.5 the scans take 186 and 209 evaluations, and
     # at mu 3.0, where the dual makes no key, 753 and 251. At mu 1.5 the
-    # crossover proves 2, 6, 14 and 30; 62 fails across the crossing, 46 is
-    # proved, 54 fails across it, 50 is proved, 52 fails, 51 is walked and
-    # [51, 52] bisected: 3 x 11 + 2 x 9 = 51.
+    # crossover's 128 and 64 fail across the crossing, 32 and 48 are proved,
+    # 56 and 52 fail across it, 50 is proved, 51 is walked and [51, 52]
+    # bisected: 3 x 9 + 2 x 9 = 45. At mu 3.0 it proves 128, 192, 224, 240,
+    # 248 and 250: 3 x 7 = 21.
     config = DecoyConfig(mu=mu, basis_factor=0.5, f_ec=1.22)
     dual, *envelope = (dataclasses.replace(s, config=config) for s in figure_preset(4).scenarios.values())
     assert math.isfinite(dual._error_scale)
@@ -907,55 +934,69 @@ def test_decoy_above_mu_1_skips_and_halves(monkeypatch, mu, crossover, crossover
     assert len(lengths) == maxdist_calls
 
 
+def gain_steps(dual, steps):
+    """The preset 1 dual and a member that shares its keyed detector and t
+    but not its twin (its bounding detector is the quieter), and an
+    evaluate giving each a step rate, steps(is_dual, length), times the
+    keyed gain rep_rate*(y0 + eta_d*t): rate/gain, the step, does not rise,
+    as the normalizer rule asks. Both share the gain, so where their steps
+    tie their rates are the same float, and a block's proof holds exactly
+    where the dual's step at its end exceeds the member's at its start."""
+    member = dataclasses.replace(dual, slow=dataclasses.replace(dual.slow, e_det=dual.slow.e_det / 2))
+    assert not dualdet.scenario._twins(dual, member)
+
+    def rate(scenario, length):
+        t = channel_transmittance(scenario.link.alpha, length) * scenario.link.g_bob
+        return steps(scenario is dual, length) * scenario.fast.rep_rate * bb84_gain(scenario.fast, t)
+
+    return member, rate
+
+
 def test_crossover_tangency_looks_one_point_ahead(monkeypatch):
-    # Step rates that do not rise: the preset 1 dual's is 2 up to 2.5 km and 1
-    # after, the slow single's (not its twin) 1 up to 3 km and 0.5 after. The
+    # Step rates times the keyed gain (gain_steps): the dual's step is 2 up
+    # to 2.5 km and 1 after, the member's 1 up to 3 km and 0.5 after. The
     # difference touches 0 at the grid point 3 and is positive again at 4:
-    # the cell midpoint is reported. 2 is proved, 6 fails, 4 fails (a short
-    # block) and 3 is walked; the tangency check reads 4 from the walk, so
-    # no point is evaluated twice: 2 x 5 = 10 evaluations.
-    preset = figure_preset(1)
-    dual, slow = preset.scenarios["dual"], preset.scenarios["slow"]
-    assert not dualdet.scenario._twins(dual, slow)
-
-    def steps(scenario, length):
-        if scenario is dual:
-            return 2.0 if length <= 2.5 else 1.0
-        return 1.0 if length <= 3.0 else 0.5
-
-    lengths = count_evaluations(monkeypatch, steps)
+    # the cell midpoint is reported. The first block [0, 8] fails, [0, 4]
+    # fails (a short block), 2 is proved and 3 is walked; the tangency check
+    # reads 4 from the walk, so no point is evaluated twice: 2 x 5 = 10
+    # evaluations.
+    dual = figure_preset(1).scenarios["dual"]
+    member, rate = gain_steps(dual, lambda is_dual, length: (2.0 if length <= 2.5 else 1.0) if is_dual
+                              else 1.0 if length <= 3.0 else 0.5)
+    lengths = count_evaluations(monkeypatch, rate)
     with pytest.warns(UserWarning, match="curves touch near 3.00 km") as record:
-        assert crossover_distance(dual, [slow], 10.0) == 2.5
+        assert crossover_distance(dual, [member], 10.0) == 2.5
     assert len(record) == 1
-    assert lengths == [length for length in (0.0, 2.0, 6.0, 4.0, 3.0) for _ in "ds"]
+    assert lengths == [length for length in (0.0, 8.0, 4.0, 2.0, 3.0) for _ in "dm"]
 
 
 def test_crossover_keeps_a_crossing_seen_before_a_short_block(monkeypatch):
-    # Step rates that do not rise: the preset 1 dual's is 6, 4, 2 and 1 past
-    # 7.5, 17.5 and 24.5 km, the slow single's 4, 2 and 1 past 0.5 and
-    # 16.5 km, so the difference is positive up to 24 km and 0 from 25 km.
-    # 2, 6 and 14 are proved; 30 fails across the crossing, 22 fails, 18
-    # fails (a short block), 16 is proved, and 17 and 18 are walked. No
-    # block reaches past 30 after that either: 20 and 24 are proved, 28 and
-    # 26 fail across the crossing, 25 is walked, and [24, 25] is bisected
-    # from 24.5 on: the tangency check (the difference is 0 at 25) reads 26
-    # from the walk. 2 x 14 grid points + 2 x 9 halvings = 46 evaluations.
-    preset = figure_preset(1)
-    dual, slow = preset.scenarios["dual"], preset.scenarios["slow"]
+    # Step rates times the keyed gain (gain_steps): the dual's step is 5, 4
+    # past 12.5 km and 2 past 21.5 km, the member's 4 and 3 past 12.5 km, so
+    # the difference is positive up to 21 km and negative from 22 km. 32
+    # fails across the crossing, 16 fails, 8 is proved; 24 fails across the
+    # crossing, 16 fails, 12 is proved; 20 and 16 fail, 14 fails (a short
+    # block), and 13 and 14 are walked. No block reaches past 24 after that
+    # either (one that ended at 28 would be proved past the crossing seen):
+    # 16 and 20 are proved, 22 fails across the crossing, 21 is walked, and
+    # [21, 22] is bisected from 21.5 on: 2 x 11 grid points + 2 x 9 halvings
+    # = 40 evaluations.
+    dual = figure_preset(1).scenarios["dual"]
 
-    def steps(scenario, length):
-        if scenario is dual:
-            return 6.0 if length <= 7.5 else 4.0 if length <= 17.5 else 2.0 if length <= 24.5 else 1.0
-        return 4.0 if length <= 0.5 else 2.0 if length <= 16.5 else 1.0
+    def steps(is_dual, length):
+        if is_dual:
+            return 5.0 if length <= 12.5 else 4.0 if length <= 21.5 else 2.0
+        return 4.0 if length <= 12.5 else 3.0
 
-    lengths = count_evaluations(monkeypatch, steps)
-    answer = crossover_distance(dual, [slow], 40.0)
-    assert answer == forward_scan(lambda length: [steps(dual, length), steps(slow, length)], 40.0, 1.0)
-    grid_phase = [0.0, 2.0, 6.0, 14.0, 30.0, 22.0, 18.0, 16.0, 17.0, 20.0, 24.0, 28.0, 26.0, 25.0]
-    assert lengths[:2 * len(grid_phase)] == [length for length in grid_phase for _ in "ds"]
-    assert lengths[2 * len(grid_phase):2 * len(grid_phase) + 2] == [24.5, 24.5]
-    assert all(24.0 < length < 25.0 for length in lengths[2 * len(grid_phase):])
-    assert len(lengths) == 46
+    member, rate = gain_steps(dual, steps)
+    lengths = count_evaluations(monkeypatch, rate)
+    answer = crossover_distance(dual, [member], 40.0)
+    assert answer == forward_scan(lambda length: [rate(dual, length), rate(member, length)], 40.0, 1.0)
+    grid_phase = [0.0, 32.0, 16.0, 8.0, 24.0, 12.0, 20.0, 14.0, 13.0, 22.0, 21.0]
+    assert lengths[:2 * len(grid_phase)] == [length for length in grid_phase for _ in "dm"]
+    assert lengths[2 * len(grid_phase):2 * len(grid_phase) + 2] == [21.5, 21.5]
+    assert all(21.0 < length < 22.0 for length in lengths[2 * len(grid_phase):])
+    assert len(lengths) == 40
 
 
 def test_crossover_answers_before_the_model_domain_ends():

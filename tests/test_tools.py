@@ -1,10 +1,21 @@
 import importlib.util
+import json
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
-src_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(src_lines)
+
+
+def _load(name):
+    """The module tools/<name>.py."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+src_lines = _load("src_lines")
+search_counts = _load("search_counts")
 
 FIXTURE = '''"""Module docstring.
 
@@ -44,3 +55,18 @@ def test_the_package_count_covers_every_line():
     for name, counter in counts.items():
         lines = (ROOT / "src" / "dualdet" / name).read_text(encoding="utf-8").splitlines()
         assert sum(counter.values()) == len(lines), name
+
+
+def test_search_counts_are_the_catalogue_totals():
+    # The counts quoted in CHANGES and the ROADMAP: the 28 benchmark searches,
+    # in the benchmark's order and with its answers, and their evaluations
+    # by phase.
+    golden = json.loads((ROOT / "bench" / "golden" / "searches.json").read_text(encoding="utf-8"))
+    catalogue = search_counts.catalogue()
+    assert [(e["kind"], e["figure"], e["switch_loss_db"]) for e in golden] == catalogue
+    totals = {"crossover": Counter(), "maxdist": Counter()}
+    for entry, (kind, fig_id, switch_loss) in zip(golden, catalogue):
+        counts, answer = search_counts.count(kind, fig_id, switch_loss)
+        assert answer == entry["answer"]
+        totals[kind] += counts
+    assert totals == {"crossover": Counter(grid=375, bisection=198), "maxdist": Counter(grid=115, bisection=108)}
