@@ -6,13 +6,13 @@ points are computed on demand, only as far as it takes to bracket their
 answer, then bisect to 0.01 km: the crossover finds the first crossing of
 a forward walk from 0, testing blocks that halve down from about the whole
 grid and skipping each one where the rates' normalizer rule, for positive
-and for non-positive rates, proves the sign of the difference. Every
-scenario's rate changes sign at most once (the normalizer rule in the
-kernel docstrings: rate/N does not rise with length for a positive N), so
-the maximum distance finds the last positive grid point by halving the
-grid's index range when every rate it reads is clear of its rounding error
-and every grid point past the answer is proved negative, and otherwise
-walks backward from the search limit; both find the same point.
+and for non-positive rates, proves the sign of the difference. The
+maximum distance finds the last positive grid point, the one a walk
+backward from the search limit finds, by splitting the grid's index range
+into blocks taken from the right: it stops at the first block whose end
+is positive, and skips each block that the rate's non-positive side of
+the rule proves negative (a rate that is not positive stays so with
+length, and rate/t does not rise there).
 """
 
 from __future__ import annotations
@@ -149,76 +149,58 @@ def max_secure_distance(
 ) -> float | None:
     """Largest length in [0, l_max_search] with a positive raw rate.
 
-    Finds the last positive point of the coarse grid, evaluating
-    l_max_search first: l_max_search if that is the last point, otherwise
-    the zero crossing in the next cell, to 0.01 km. None if no grid point is
-    positive. Where _halve proves the point, it is found by halving the
-    grid's index range; otherwise the grid is walked backward. Both find the
-    same point, and so bisect the same cell to the same float.
+    Finds the last coarse grid point whose computed rate is positive, the
+    point a walk backward from l_max_search would find, and evaluates no
+    point twice: l_max_search if that is the point, otherwise the zero
+    crossing in the next cell, to 0.01 km. None if no grid point is positive.
+
+    Blocks [i, j] of the grid's index range are taken from the right: the
+    first is [0, last], and each one is split at its middle index, its left
+    half waiting on a stack while the right half is taken; the point 0 waits
+    under them all as a block of its own. The search stops at the first
+    block whose end j has a positive rate: every point past j has been read
+    non-positive or proved negative. A block is skipped where it is proved
+    negative, and split otherwise, down to single cells. The proof needs
+    only the rate's non-positive side of the normalizer rule (the kernel
+    docstrings): a rate that is not positive stays so with length, and
+    rate/t does not rise there. So where the rate x_i at grid[i] is
+    negative, the rate on [grid[i], grid[j]] is at most x_i*r, with
+    r = t(grid[j])/t(grid[i]), and x_i*r < -margin makes every computed
+    rate there negative: the margin, 2**-40 times the scenario's error
+    scale plus 2**-1000, exceeds twice the rate's rounding error and the
+    test's own roundings, r's included (_block_proof). The proof holds up
+    to _proof_length; past it every block is split, so the points there
+    are read from the right, as the backward walk reads them.
     """
     grid = _search_grid(l_max_search, coarse_step)
     last = len(grid) - 1
-    if evaluate(scenario, grid[last]) > 0.0:
-        return l_max_search
-    lo = _halve(scenario, grid)
-    if lo is None:
-        lo = next((i for i in reversed(range(last)) if evaluate(scenario, grid[i]) > 0.0), -1)
-    if lo < 0:
-        return None
-    return bisect_sign_change(
-        lambda length: evaluate(scenario, length), grid[lo], grid[lo + 1], tol=DISTANCE_TOL / 5
-    )
-
-
-def _halve(scenario: Scenario, grid: Sequence[float]) -> int | None:
-    """The last grid point before grid[-1] with a positive rate, or -1 if
-    there is none, found by evaluating 0 and then halving the grid's index
-    range; the rate at grid[-1] is not positive.
-
-    The scenario's rate in real numbers turns from positive to non-positive
-    at most once as the length grows (the normalizer rule in the kernel
-    docstrings), and its error scale is the last column of
-    `scenario._PROTOCOLS`.
-    A computed rate whose size exceeds 2**-40*scale + 2**-1000, more than
-    its rounding error, has the real rate's sign there (_block_proof). The
-    backward walk also reads the points past the answer that the halving
-    skips, where a real rate within its rounding error of 0 may round
-    positive (a GMCS RR rate with eps_det = 0 tends to 0 with t). So each
-    block past the answer is proved negative too: between x_i < -margin at
-    grid[i] and a non-positive rate at grid[j], the rate is at most x_i*r,
-    r = t(grid[j])/t(grid[i]) (rate/t does not rise), and x_i*r < -margin
-    makes every computed rate on the block negative, as in _block_proof. A
-    block that fails is split at its middle point, which must be below
-    -margin. None when that proves nothing: grid[-1] is past _proof_length,
-    or a rate evaluated is within that margin of 0, where a rounding may
-    flip its sign (as where 1 - f_ec*H2(e_k) - H2(e_b) rounds to 0 while the
-    real rate is positive), or positive past the answer.
-    """
-    if grid[-1] > _proof_length(scenario):
-        return None
-    margin = _MARGIN * scenario._error_scale + _LEAST_MARGIN
-    lo, hi, probe = -1, len(grid) - 1, 0  # the rate is positive at grid[lo] (if lo >= 0), not at grid[hi]
-    blocks = []  # (i, x_i, j): the rate is x_i < -margin at grid[i] and not positive at grid[j]
-    while hi - lo > 1:
-        rate = evaluate(scenario, grid[probe])
-        if not abs(rate) > margin:
+    limit, alpha = _proof_length(scenario), scenario.link.alpha
+    clear = -(_MARGIN * scenario._error_scale + _LEAST_MARGIN)  # -margin: below it, clear of rounding
+    # The block in hand is [i, j], with x and y the rates at its ends, None until read. The
+    # blocks to its left wait in starts as (first index, its rate or None), each ending
+    # where the one above it begins.
+    starts, i, x, j, y = [(0, None)], 0, None, last, None
+    while True:
+        if y is None:
+            y = evaluate(scenario, grid[j])
+        if y > 0.0:
+            break
+        end = grid[j]
+        while j - i > 1:  # split until [i, j] is proved negative or one cell
+            if end <= limit:
+                if x is None:
+                    x = evaluate(scenario, grid[i])
+                # x*r < clear needs x < clear, as r <= 1: the first test spares the power.
+                if x < clear and x * channel_transmittance(alpha, end - grid[i]) < clear:
+                    break
+            starts.append((i, x))
+            i, x = (i + j) // 2, None
+        if not starts:
             return None
-        if rate > 0.0:
-            lo = probe
-        else:
-            blocks.append((probe, rate, hi))
-            hi = probe
-        probe = (lo + hi) // 2
-    alpha = scenario.link.alpha
-    while blocks:
-        i, rate, j = blocks.pop()
-        if j - i > 1 and not rate * channel_transmittance(alpha, grid[j] - grid[i]) < -margin:
-            mid = (i + j) // 2
-            mid_rate = evaluate(scenario, grid[mid])
-            if not mid_rate < -margin:
-                return None
-            blocks += [(i, rate, mid), (mid, mid_rate, j)]
-    return lo
+        (i, x), j, y = starts.pop(), i, x
+    if j == last:
+        return l_max_search
+    return bisect_sign_change(lambda length: evaluate(scenario, length), grid[j], grid[j + 1], tol=DISTANCE_TOL / 5)
 
 
 def crossover_distance(
@@ -335,8 +317,9 @@ def _gallop(at, last: int, proves) -> int | None:
     return None
 
 
-#: Multiple of a pair's summed error scales by which a block proof's inequalities must
-#: hold, and the least margin, for the roundings that underflow (_block_proof).
+#: Multiple of the error scales by which a block proof's inequalities must hold, summed
+#: over a pair (_block_proof) or of one scenario (max_secure_distance), and the least
+#: margin, for the roundings that underflow.
 _MARGIN = 2.0 ** -40
 _LEAST_MARGIN = 2.0 ** -1000
 

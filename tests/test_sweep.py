@@ -413,10 +413,11 @@ def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, switch_loss, l
     # (the dual is negative from 0 km): 32 is proved, then the block halves
     # to what the grid's end leaves, 48, 56 and 60: 3 x 5 = 15, the walk
     # 3 x 61 = 183; preset 7 (GMCS RR) the same. Maxdist (every scenario's
-    # rate changes sign once): l_max, 0, then ceil(log2(cells)) halvings of
-    # the grid's index range (8 of 250 cells, 6 of 60) to the last positive
-    # point, + 9 halvings of its 1 km cell; with no positive point, l_max
-    # and 0 only.
+    # rate changes sign once): l_max and 0, then the middle of each block
+    # split from the right, ceil(log2(cells)) of them (8 of 250 cells, 6 of
+    # 60), down to the last positive point, as the block past each negative
+    # middle is proved; + 9 halvings of its 1 km cell. With no positive
+    # point the whole grid is one proved block: l_max and 0 only.
     preset = figure_preset(fig_id)
     dual, envelope = preset.scenarios["dual"], [preset.scenarios["fast"], preset.scenarios["slow"]]
     dual = dataclasses.replace(dual, link=dataclasses.replace(dual.link, switch_loss=switch_loss))
@@ -513,24 +514,27 @@ class Replay:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 # The dual rate is 0.0 at 83 km, where H2 of the slow QBER rounds to 1, and
-# 2.98e-23 at 84 km, both within the error bound of 0: halving alone would
-# bisect the cell [82, 83] and the scan bisects [84, 85].
+# 2.98e-23 at 84 km, both within the error bound of 0, as is every rate
+# past 50 km: no block there is proved negative, so the search reads every
+# point from 84 to 134 km, as the scan does, and bisects the scan's cell
+# [84, 85], not [82, 83].
 @example(data=Replay(
     "bb84_single_photon", False, "dual", LinkSpec(alpha=0.99609375, g_bob=0.125), Bb84Config(0.5, 1.0),
     SpdSpec(1000.0, 1.0, 0.0, 0.0), SpdSpec(1000.0, 1.0, 0.0625, 0.0), 134.0, 1.0,
 ))
 # The RR rate is negative from 4.6 km and tends to 0 with t: past about
-# 140 km it is within its rounding error of 0, and at 153 km it rounds
-# positive, which the scan finds. The halving cannot prove the blocks past
-# its answer there, and scans as well.
+# 105 km it is within the proofs' margin of 0, so no block there is proved
+# negative, and the search reads every point from 105 to 154 km, as the
+# scan does, and each of them once.
 @example(data=Replay(
     "gmcs_rr", False, "single_fast", LinkSpec(alpha=1.0), GmcsSource(v=3.0, beta=0.5),
     HomodyneSpec(1000.0, 1.0, 0.0), HomodyneSpec(1000.0, 1.0, 0.0), 154.0, 1.0,
 ))
 def test_max_distance_search_matches_backward_scan(protocol, data):
-    # Where the rate changes sign once, halving the grid's index range finds
-    # the scan's last positive point, so the answer is the same float; where
-    # a rate it reads is within its error bound of 0, it scans as well.
+    # Where the rate changes sign once, splitting the grid's index range from
+    # the right finds the scan's last positive point, so the answer is the
+    # same float; blocks it cannot prove negative are split down to single
+    # cells, and no length is evaluated twice.
     assume(getattr(data, "protocol", protocol) == protocol)
     detectors, configs, links = specs(protocol, data.draw(st.booleans()))
     mode = data.draw(st.sampled_from(ONE_SIGN_CHANGE[protocol]))
@@ -541,7 +545,32 @@ def test_max_distance_search_matches_backward_scan(protocol, data):
     l_max = data.draw(st.one_of(st.floats(0.5, 30.0), st.floats(0.5, 300.0)))
     step = data.draw(st.floats(0.1, 20.0))
     expected = _hex_or_refusal(backward_scan, lambda length: evaluate(scenario, length), l_max, step)
-    assert _hex_or_refusal(max_secure_distance, scenario, l_max, step) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        lengths = count_evaluations(patch)
+        assert _hex_or_refusal(max_secure_distance, scenario, l_max, step) == expected
+    assert [length for length, n in collections.Counter(lengths).items() if n > 1] == []
+
+
+@pytest.mark.parametrize("scenario, l_max, answer, calls", [
+    (Scenario(protocol="gmcs_rr", mode="single_fast", link=LinkSpec(alpha=1.0), config=GmcsSource(v=3.0, beta=0.5),
+              fast=HomodyneSpec(1000.0, 1.0, 0.0), slow=HomodyneSpec(1000.0, 1.0, 0.0)), 154.0, 4.5771484375, 68),
+    (Scenario(protocol="bb84_single_photon", mode="single_fast", link=LinkSpec(0.2, g_bob=0.5),
+              config=Bb84Config(0.5, 1.22), fast=SpdSpec(1e9, 0.1, 0.0, 0.2), slow=SpdSpec(1e9, 0.1, 0.0, 0.2)),
+     1000.0, None, 536),
+], ids=["gmcs_rr", "bb84_never_positive"])
+def test_maxdist_reads_once_where_no_block_is_proved(monkeypatch, scenario, l_max, answer, calls):
+    # Where the rate is within the proofs' margin of 0, no block is proved
+    # negative, and each point there is read once. The RR example of the
+    # backward scan test: every point from 105 to 154 km, 0 and the middles
+    # 77, 96, 38, 19, 9, 4, 6 and 5 km, and 9 halvings of [4, 5]: 50 + 9 + 9
+    # = 68. BB84 with e_det = 0.2 makes no key at any length, and its rate
+    # is within the margin of 0, 2**-40 of its error scale, from 471 km, so
+    # no block ending past 470 km is proved: every point from 470 to 1,000
+    # km, and 0, 250, 375, 437 and 468 km, which prove the blocks between
+    # them: 531 + 5 = 536.
+    lengths = count_evaluations(monkeypatch)
+    assert max_secure_distance(scenario, l_max) == answer
+    assert len(lengths) == len(set(lengths)) == calls
 
 
 def forward_scan(rates, l_max, coarse_step):
@@ -725,6 +754,9 @@ def _cell_or_refusal(search):
 @settings(max_examples=500, deadline=None)
 @given(gaps=st.lists(GAPS, min_size=2, max_size=120), refuse_from=st.none() | st.integers(0, 120),
        data=st.data())
+# The scan reads the last index after a non-positive difference, as
+# forward_scan does, so a refusal there is raised, not None returned.
+@example(gaps=[0.0, 0.0], refuse_from=1, data=Replay(None))
 def test_gallop_is_the_forward_scan_over_its_reader(gaps, refuse_from, data):
     # _gallop sees the points only through at(i), which refuses every index
     # from refuse_from on, the way evaluate refuses past some length. A
@@ -743,8 +775,13 @@ def test_gallop_is_the_forward_scan_over_its_reader(gaps, refuse_from, data):
         one_sign = all(gap > 0.0 for gap in block) or all(gap < 0.0 for gap in block)
         return one_sign and data.draw(st.booleans())
 
-    def scan():
-        return next((i for i in range(len(gaps) - 1) if at(i)[1] > 0.0 >= at(i + 1)[1]), None)
+    def scan():  # reads every index up to the first crossing, as forward_scan does
+        here = at(0)[1]
+        for i in range(len(gaps) - 1):
+            prev, here = here, at(i + 1)[1]
+            if prev > 0.0 >= here:
+                return i
+        return None
 
     assert _cell_or_refusal(lambda: dualdet.sweep._gallop(at, len(gaps) - 1, proves)) == _cell_or_refusal(scan)
 
@@ -1020,7 +1057,8 @@ def test_rr_dual_keyed_by_the_quieter_detector_is_proved(monkeypatch):
     lengths = count_evaluations(monkeypatch)
     assert (max_secure_distance(dual, 60.0), crossover_distance(dual, [single], 60.0)) == expected
     assert expected[1] is not None
-    # Maxdist: 60, 0, 6 halvings of the index range and 9 of the cell [8, 9].
+    # Maxdist: 60, 0, the middles of 6 blocks split from the right, and 9
+    # halvings of the cell [8, 9].
     # Crossover, 2 rates a point: 0, 2, 6 and 8 proved, 14 and 10 failing,
     # 9 walked, and 9 halvings of [8, 9]; the walk reads 10 points.
     assert len(lengths) == 17 + 2 * (7 + 9)
@@ -1030,9 +1068,10 @@ def test_maxdist_proves_long_blocks_past_the_answer_piece_by_piece(monkeypatch):
     # Past 19 km the preset 6 dual rate tends to -rep_rate*log2(1.01) (the
     # quiet arm's eps_det), so x_i*r over a block of thousands of km is
     # within the margin of 0: such a block is split until each piece is
-    # proved: 7,000 km, 0, 13 halvings of 7,000 cells, 26 middle points and
-    # 9 halvings of the cell, 50 where the backward walk takes 7,006; then
-    # 17 for the same answer within 60 km.
+    # proved. 7,000 km and 0; the middles of 13 blocks split from the right,
+    # 3,500 km down to 19 km, and 26 more that split the long blocks past
+    # them; and 9 halvings of the cell: 50, where the backward scan takes
+    # 7,006. Then 17 for the same answer within 60 km.
     dual = figure_preset(6).scenarios["dual"]
     expected = backward_scan(lambda length: evaluate(dual, length), 7000.0, 1.0)
     lengths = count_evaluations(monkeypatch)
@@ -1049,8 +1088,8 @@ def test_rr_crossover_answers_the_same_far_out():
 
 
 def test_rr_maxdist_halves_from_a_far_l_max(monkeypatch):
-    # The RR proofs hold at every g, so the halving runs from 7,500 km too,
-    # where the backward walk takes 7,492 evaluations.
+    # The RR proofs hold at every g, so blocks are proved negative from
+    # 7,500 km too, where the backward scan takes 7,492 evaluations.
     dual = figure_preset(6).scenarios["dual"]
     lengths = count_evaluations(monkeypatch)
     assert max_secure_distance(dual, 7500.0) == 18.8779296875
