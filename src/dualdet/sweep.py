@@ -30,7 +30,7 @@ from typing import Mapping, TextIO
 from .core import (
     LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change, channel_transmittance, check_number,
 )
-from .scenario import Scenario, _normalizer, _proof_length, _raw_rates, _twins, evaluate
+from .scenario import Scenario, _raw_rates, _twins, evaluate
 
 #: Half-width of the bracket accepted by the distance bisections, km.
 DISTANCE_TOL = 0.01
@@ -173,34 +173,34 @@ def max_secure_distance(
     are read from the right, as the backward walk reads them.
     """
     grid = _search_grid(l_max_search, coarse_step)
-    last = len(grid) - 1
-    limit, alpha = _proof_length(scenario), scenario.link.alpha
+    limit, alpha = scenario._proof_length, scenario.link.alpha
     clear = -(_MARGIN * scenario._error_scale + _LEAST_MARGIN)  # -margin: below it, clear of rounding
     # The block in hand is [i, j], with x and y the rates at its ends, None until read. The
     # blocks to its left wait in starts as (first index, its rate or None), each ending
     # where the one above it begins.
-    starts, i, x, j, y = [(0, None)], 0, None, last, None
+    starts, i, x, j, y = [(0, None)], 0, None, grid.last, None
     while True:
+        end = grid[j]
         if y is None:
-            y = evaluate(scenario, grid[j])
+            y = evaluate(scenario, end)
         if y > 0.0:
             break
-        end = grid[j]
         while j - i > 1:  # split until [i, j] is proved negative or one cell
             if end <= limit:
+                start = grid[i]
                 if x is None:
-                    x = evaluate(scenario, grid[i])
+                    x = evaluate(scenario, start)
                 # x*r < clear needs x < clear, as r <= 1: the first test spares the power.
-                if x < clear and x * channel_transmittance(alpha, end - grid[i]) < clear:
+                if x < clear and x * channel_transmittance(alpha, end - start) < clear:
                     break
             starts.append((i, x))
             i, x = (i + j) // 2, None
         if not starts:
             return None
         (i, x), j, y = starts.pop(), i, x
-    if j == last:
+    if j == grid.last:
         return l_max_search
-    return bisect_sign_change(lambda length: evaluate(scenario, length), grid[j], grid[j + 1], tol=DISTANCE_TOL / 5)
+    return bisect_sign_change(lambda length: evaluate(scenario, length), end, grid[j + 1], tol=DISTANCE_TOL / 5)
 
 
 def crossover_distance(
@@ -214,17 +214,17 @@ def crossover_distance(
 
     Walks the coarse grid forward from 0 and stops at the first crossing,
     reading one point more only when the difference there is exactly 0.
-    None when no such sign change occurs in [0, l_max_search]. A grid
-    point is evaluated once, and a point that raised raises again when read
-    again. _gallop skips the blocks
-    _block_proof proves, and the bisection does not evaluate a member
-    proved below rate_a on its cell, which leaves the difference's sign
-    there: so the answer is that of a walk over every grid point, and only
-    a point that walk reaches may raise.
+    None when no such sign change occurs in [0, l_max_search]. scenario_b
+    may be any iterable of scenarios, and it is read once. A grid point is
+    evaluated once, and a point that raised raises again when read again.
+    _gallop skips the blocks _block_proof proves, and the bisection does not
+    evaluate a member proved below rate_a on its cell, which leaves the
+    difference's sign there: so the answer is that of a walk over every grid
+    point, and only a point that walk reaches may raise.
     """
-    if not scenario_b:
+    scenarios = (scenario_a, *scenario_b)  # read scenario_b once: it may be an iterator
+    if len(scenarios) < 2:
         raise DomainError("scenario_b must contain at least one scenario")
-    scenarios = (scenario_a, *scenario_b)
     grid = _search_grid(l_max_search, coarse_step)
     seen = {}
 
@@ -243,11 +243,11 @@ def crossover_distance(
         return point
 
     below, proves = _block_proof(scenarios, grid)
-    i = _gallop(at, len(grid) - 1, proves)
+    i = _gallop(at, grid.last, proves)
     if i is None:
         return None
     (here, _), (there, end) = at(i), at(i + 1)
-    if end == 0.0 and i + 2 < len(grid) and at(i + 2)[1] > 0.0:
+    if end == 0.0 and i + 2 <= grid.last and at(i + 2)[1] > 0.0:
         # Tangency within the cell: no strict crossing to bisect.
         warnings.warn(
             f"curves touch near {grid[i + 1]:.2f} km without crossing; "
@@ -255,7 +255,7 @@ def crossover_distance(
             stacklevel=2,
         )
         return 0.5 * (grid[i] + grid[i + 1])
-    first, *rest = [s for s, below_a in zip(scenario_b, below(i, here, i + 1, there)) if not below_a]
+    first, *rest = [s for s, below_a in zip(scenarios[1:], below(i, here, i + 1, there)) if not below_a]
 
     def difference(length: float) -> float:
         rate_a = evaluate(scenario_a, length)
@@ -394,28 +394,26 @@ def _block_proof(scenarios, grid: Sequence[float]):
     under 810u times Y's scale, with their product, well inside m.
     """
     a = scenarios[0]
-    limit = min(map(_proof_length, scenarios))
-    alpha = a.link.alpha
-    others = tuple(dict.fromkeys(s.link.alpha for s in scenarios if s.link.alpha != alpha))
-    norms = list(dict.fromkeys(_normalizer(s) for s in scenarios if s.link.alpha == alpha))  # a's first
-    reads_s = any(c and d for c, d in norms)  # a gain normalizer: its rho reads s(L_i)
-
-    def places(m: Scenario) -> tuple[int, int]:  # where member m's p and q sit in ratios' list
-        if m.link.alpha == alpha:
-            return 0, norms.index(_normalizer(m))
-        return len(norms) + others.index(m.link.alpha), len(norms) + len(others)
-
-    members = [(k, _MARGIN * (a._error_scale + m._error_scale) + _LEAST_MARGIN, _twins(a, m), *places(m))
-               for k, m in enumerate(scenarios[1:], 1)]
+    alpha, limit, scale = a.link.alpha, a._proof_length, a._error_scale
+    # A member's p and q index ratios' list from the front for the rho of each distinct
+    # normalizer, a's first, and from the back for the 1 at its end and the r_a*r of each
+    # other attenuation before it, so that no index waits on the count of the other kind.
+    norms, others, members = {a._normalizer: 0}, {}, []
+    for k, m in enumerate(scenarios[1:], 1):
+        limit = min(limit, m._proof_length)
+        p, q = ((0, norms.setdefault(m._normalizer, len(norms))) if m.link.alpha == alpha
+                else (-1, -2 - others.setdefault(m.link.alpha, len(others))))
+        members.append((k, _MARGIN * (scale + m._error_scale) + _LEAST_MARGIN, _twins(a, m), p, q))
+    reads_s = any([c and d for c, d in norms])  # a gain normalizer: its rho reads s(L_i)
 
     def ratios(start: float, end: float) -> tuple[float, list[float]]:
-        # r_a, and [rho of each of norms, r_a*r of each of others, 1]
+        # r_a, and [rho of each of norms, r_a*r of each of others from the last, 1]
         span = end - start
         r_a = channel_transmittance(alpha, span)
         s_i = channel_transmittance(alpha, start) if reads_s else 0.0
         f = [(c + d * s_i * r_a) / (c + d * s_i) if c else r_a for c, d in norms]
         if others:
-            f += [r_a * channel_transmittance(other, span) for other in others] + [1.0]
+            f += [r_a * channel_transmittance(other, span) for other in reversed(others)] + [1.0]
         return r_a, f
 
     def below(i: int, here: list[float], j: int, there: list[float]) -> list[bool]:
@@ -440,7 +438,11 @@ def _block_proof(scenarios, grid: Sequence[float]):
         else:
             return True
         y = here[0]
-        return any(there[k] > y * f[p] + margin and there[k] > y * f[q] + margin for k, margin, _, p, q in members)
+        for k, margin, _, p, q in members:  # or a member proved above it
+            x = there[k]
+            if x > y * f[p] + margin and x > y * f[q] + margin:
+                return True
+        return False
 
     return below, proves
 

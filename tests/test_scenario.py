@@ -15,7 +15,8 @@ from dualdet.decoy import DecoyConfig, decoy_rate_dual
 from dualdet.gmcs import gmcs_rr_rate_dual
 from dualdet.presets import FIGURE_IDS, figure_preset
 from dualdet.scenario import (
-    PROTOCOLS, ConfigError, Scenario, _proof_length, _twins, evaluate, load_scenario, scenario_from_dict,
+    MODES, PROTOCOLS, ConfigError, Scenario, _normalizer, _proof_length, _twins, evaluate, load_scenario,
+    scenario_from_dict,
 )
 from dualdet.sweep import length_grid
 
@@ -582,3 +583,45 @@ def test_proof_length():
     assert _proof_length(dataclasses.replace(scenario, fast=blind)) == -math.inf
     flat = dataclasses.replace(scenario, link=LinkSpec(alpha=0.0))
     assert _proof_length(flat) == math.inf
+
+
+#: Every (protocol, mode) pair a Scenario accepts.
+VALID_MODES = [(protocol, mode) for protocol in PROTOCOLS for mode in MODES
+               if mode != "dual_no_pa" or protocol == "decoy_bb84"]
+
+
+def _drawn_scenario(data):
+    """A Scenario of a drawn valid protocol and mode, GMCS RR duals with equal g_det."""
+    protocol, mode = data.draw(st.sampled_from(VALID_MODES))
+    detectors, configs = PROTOCOL_PARTS[protocol]
+    fast, slow = data.draw(detectors), data.draw(detectors)
+    if protocol == "gmcs_rr":
+        slow = dataclasses.replace(slow, g_det=fast.g_det)
+    return Scenario(protocol, mode, data.draw(LINKS), data.draw(configs), fast, slow)
+
+
+def _kept_constants(scenario):
+    return scenario._proof_length, scenario._normalizer
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kept_proof_constants_are_the_functions(data):
+    # A scenario keeps _proof_length(s) and _normalizer(s) from their first
+    # read. Keeping them changes neither == nor hash, and a replace() copy,
+    # built after the original's were read, computes its own.
+    scenario = _drawn_scenario(data)
+    fresh = dataclasses.replace(scenario)
+    before = hash(scenario)
+    assert _kept_constants(scenario) == (_proof_length(scenario), _normalizer(scenario))
+    assert _kept_constants(scenario) == (_proof_length(scenario), _normalizer(scenario))  # read again, as kept
+    assert hash(scenario) == before == hash(fresh) and scenario == fresh
+    assert _kept_constants(copy.copy(scenario)) == _kept_constants(scenario)
+    other = _drawn_scenario(data)
+    copies = [dataclasses.replace(scenario, link=other.link)]
+    if other.protocol == scenario.protocol:  # other's detectors and config fit scenario's protocol
+        copies.append(dataclasses.replace(scenario, link=other.link, config=other.config, fast=other.fast,
+                                          slow=other.slow))
+    for changed in copies:
+        assert _kept_constants(changed) == (_proof_length(changed), _normalizer(changed))
+

@@ -1118,6 +1118,38 @@ def test_crossover_needs_a_scenario_to_compare_with(fig1):
         crossover_distance(fig1.scenarios["dual"], [], 250.0)
 
 
+@pytest.mark.parametrize("empty", [tuple, iter, lambda members: (s for s in members)],
+                         ids=["tuple", "iterator", "generator"])
+def test_crossover_needs_a_scenario_in_any_iterable(fig1, empty):
+    # An empty iterator is refused as an empty list is, not by a failing max().
+    with pytest.raises(DomainError, match="at least one scenario"):
+        crossover_distance(fig1.scenarios["dual"], empty(()), 250.0)
+
+
+@pytest.mark.parametrize("members", [list, tuple, iter, lambda members: (s for s in members)],
+                         ids=["list", "tuple", "iterator", "generator"])
+def test_crossover_reads_scenario_b_once(fig1, members):
+    # The envelope may be any iterable: it is read once, so an iterator is
+    # not used up before the final cell reads it.
+    envelope = members([fig1.scenarios["fast"], fig1.scenarios["slow"]])
+    assert crossover_distance(fig1.scenarios["dual"], envelope, 250.0) == 124.0849609375
+
+
+def test_searches_compute_proof_constants_once_per_scenario(count_calls, fig1):
+    # Each scenario keeps its _proof_length and _normalizer from the first
+    # search that reads them, so searching again computes neither.
+    lengths = count_calls(dualdet.scenario._proof_length)
+    normalizers = count_calls(dualdet.scenario._normalizer)
+    # replace() copies keep nothing yet, whatever earlier tests read off the preset's scenarios.
+    dual, fast, slow = (dataclasses.replace(fig1.scenarios[role]) for role in ("dual", "fast", "slow"))
+    for _ in range(3):
+        assert crossover_distance(dual, [fast, slow], 250.0) == 124.0849609375
+        assert max_secure_distance(dual, 250.0) == 124.7802734375
+    once = {id(dual): 1, id(fast): 1, id(slow): 1}
+    assert collections.Counter(id(args[0]) for args in lengths) == once
+    assert collections.Counter(id(args[0]) for args in normalizers) == once
+
+
 def test_crossover_requires_a_downward_crossing(fig1):
     # The slow single never beats the dual from above within range.
     assert crossover_distance(fig1.scenarios["slow"], [fig1.scenarios["dual"]], 100.0) is None

@@ -1,7 +1,11 @@
 import importlib.util
 import json
+import shutil
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,6 +20,7 @@ def _load(name):
 
 src_lines = _load("src_lines")
 search_counts = _load("search_counts")
+search_time = _load("search_time")
 
 FIXTURE = '''"""Module docstring.
 
@@ -70,3 +75,36 @@ def test_search_counts_are_the_catalogue_totals():
         assert answer == entry["answer"]
         totals[kind] += counts
     assert totals == {"crossover": Counter(grid=375, bisection=198), "maxdist": Counter(grid=115, bisection=108)}
+
+
+@pytest.fixture
+def parent_unloaded():
+    """Drop the parent package search_time loads, so each test loads its own."""
+    yield
+    for name in [name for name in sys.modules if name.split(".")[0] == search_time.PARENT]:
+        del sys.modules[name]
+
+
+def test_search_time_against_this_tree(capsys, parent_unloaded):
+    # A few rounds with this tree as its own parent: the answers agree, and
+    # it prints a row per catalogue search and the three summed ratios.
+    assert search_time.main([str(ROOT / "src"), "--rounds", "3"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["search", "preset", "switch", "parent", "us", "tree", "us", "ratio"]
+    assert [tuple(row.split()[:3]) for row in rows[:28]] == [
+        (kind, str(fig_id), str(switch_loss)) for kind, fig_id, switch_loss in search_counts.catalogue()]
+    assert [row.split()[0] for row in rows[28:]] == ["crossover", "maxdist", "all"]
+    assert all(float(row.split()[-1]) > 0.0 for row in rows)
+
+
+def test_search_time_refuses_a_parent_with_other_answers(tmp_path, capsys, parent_unloaded):
+    # A parent whose bisection stops at another width answers otherwise, so
+    # nothing is timed.
+    shutil.copytree(ROOT / "src" / "dualdet", tmp_path / "dualdet")
+    sweep = tmp_path / "dualdet" / "sweep.py"
+    source = sweep.read_text(encoding="utf-8")
+    assert "DISTANCE_TOL = 0.01\n" in source
+    sweep.write_text(source.replace("DISTANCE_TOL = 0.01\n", "DISTANCE_TOL = 0.02\n"), encoding="utf-8")
+    assert search_time.main([str(tmp_path), "--rounds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("answers differ:") and "crossover 1 0.0: parent" in out

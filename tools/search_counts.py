@@ -18,6 +18,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -25,8 +26,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dualdet import sweep  # noqa: E402
-from dualdet.core import SpdSpec  # noqa: E402
-from dualdet.presets import figure_preset  # noqa: E402
 
 PHASES = ("grid", "tangency", "bisection")
 SWITCH_LOSS_DB = 3.0
@@ -40,16 +39,24 @@ def catalogue() -> list[tuple[str, int, float]]:
             for fig_id in ids]
 
 
-def search(kind: str, fig_id: int, switch_loss: float) -> float | None:
-    """Run one catalogue search and return its answer."""
-    preset = figure_preset(fig_id)
+def prepare(kind: str, fig_id: int, switch_loss: float, package: str = "dualdet") -> tuple:
+    """(search function, its arguments) of one catalogue search, built from
+    the modules of package, an imported copy of dualdet."""
+    search_module = importlib.import_module(f"{package}.sweep")
+    preset = importlib.import_module(f"{package}.presets").figure_preset(fig_id)
     dual = preset.scenarios["dual"]
     if switch_loss:
         dual = dataclasses.replace(dual, link=dataclasses.replace(dual.link, switch_loss=switch_loss))
-    l_max = 250.0 if isinstance(dual.fast, SpdSpec) else 60.0
+    l_max = 250.0 if isinstance(dual.fast, importlib.import_module(f"{package}.core").SpdSpec) else 60.0
     if kind == "crossover":
-        return sweep.crossover_distance(dual, [preset.scenarios["fast"], preset.scenarios["slow"]], l_max)
-    return sweep.max_secure_distance(dual, l_max)
+        return search_module.crossover_distance, (dual, [preset.scenarios["fast"], preset.scenarios["slow"]], l_max)
+    return search_module.max_secure_distance, (dual, l_max)
+
+
+def search(kind: str, fig_id: int, switch_loss: float) -> float | None:
+    """Run one catalogue search and return its answer."""
+    function, args = prepare(kind, fig_id, switch_loss)
+    return function(*args)
 
 
 def count(kind: str, fig_id: int, switch_loss: float) -> tuple[Counter, float | None]:
