@@ -16,8 +16,7 @@ _EXPORTS = {
     "bb84": ("Bb84Config", "bb84_gain", "bb84_qber", "bb84_rate_dual"),
     "decoy": ("DecoyConfig", "decoy_signal_gain", "decoy_signal_qber", "decoy_single_photon_gain",
               "decoy_single_photon_qber", "decoy_rate_dual", "optimal_mu"),
-    "gmcs": ("MismatchedEfficiencyError", "noise_budget", "mutual_info_ab", "info_ae", "info_be",
-             "gmcs_dr_rate_dual", "gmcs_rr_rate_dual"),
+    "gmcs": ("MismatchedEfficiencyError", "gmcs_dr_rate_dual", "gmcs_rr_rate_dual"),
     "practical": ("choice_probabilities", "multi_pulse_qber", "max_slow_probability", "accumulation_time"),
     "presets": ("FigurePreset", "figure_preset"),
     "scenario": ("Scenario", "evaluate", "load_scenario", "scenario_from_dict"),

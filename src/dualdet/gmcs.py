@@ -3,11 +3,12 @@ reconciliation, against individual attacks.
 
 The model refers all noises to the channel input: transmission loss G shows
 up as vacuum noise (1-G)/G, and detector excess noise is divided by G.
-noise_budget and the information functions spell it so. The kernels compute
-the same rates multiplied through by G (the transmittance form), where every
-term is of order 1, so a rate exists at every transmittance in [0, 1]. The
-dual-detector receiver measures with a quiet detector a small fraction of
-the time and uses that arm's excess noise to bound the eavesdropper.
+Each kernel's docstring states its informations in that input noise chi,
+then computes the same rate multiplied through by G (the transmittance
+form), where every term is of order 1, so a rate exists at every
+transmittance in [0, 1]. The dual-detector receiver measures with a quiet
+detector a small fraction of the time and uses that arm's excess noise to
+bound the eavesdropper.
 """
 
 from __future__ import annotations
@@ -24,85 +25,6 @@ class MismatchedEfficiencyError(DomainError):
     transmittance, so a quiet arm with a different efficiency says nothing
     about the keyed arm.
     """
-
-
-def noise_budget(source: GmcsSource, det: HomodyneSpec, t: float) -> tuple[float, float, float]:
-    """Input-referred noise budget (g, chi_vac, eps) of one detector arm.
-
-    g = t*g_det is the arm's overall transmittance, with t the
-    transmittance from the source to the detector. chi_vac = (1-g)/g is
-    the vacuum noise from transmission loss and eps = eps_pre + eps_det/g
-    the total excess noise; the equivalent input noise is chi = chi_vac + eps.
-    A g so small that chi overflows (subnormal, or eps_det/g past the float
-    range) is outside this spelling's domain, not the kernels'.
-    """
-    g = t * det.g_det
-    if g == 0.0:
-        raise DomainError("overall transmittance is zero")
-    chi_vac = (1.0 - g) / g
-    eps = source.eps_pre + det.eps_det / g
-    if not chi_vac + eps < math.inf:
-        raise DomainError(f"overall transmittance {g!r} is too small: the input noise overflows")
-    return g, chi_vac, eps
-
-
-def _check_v_chi(v: float, chi: float) -> None:
-    if not 1.0 <= v < math.inf:
-        raise DomainError(f"v must be >= 1, got {v}")
-    if not 0.0 <= chi < math.inf:
-        raise DomainError(f"chi must be >= 0, got {chi}")
-
-
-def mutual_info_ab(v: float, chi: float) -> float:
-    """Mutual information (1/2)*log2[(v+chi)/(1+chi)] in bits per pulse.
-
-    Symmetric between the two reconciliation directions, so it serves both
-    the sender-referenced and receiver-referenced key maps.
-    """
-    _check_v_chi(v, chi)
-    return 0.5 * math.log2((v + chi) / (1.0 + chi))
-
-
-def info_ae(v: float, chi: float) -> float:
-    """Eavesdropper information on the sender: (1/2)*log2[(v+1/chi)/(1+1/chi)].
-
-    At chi = 0 the channel is lossless and noiseless and the expression's
-    limit is 0 bits; that edge is returned directly. A subnormal chi, whose
-    1/chi overflows, gives the limit (v - 1)*chi/(2 ln 2): with v <= 1e270
-    (GmcsSource) it is within a relative (v - 1)*chi < 1e-38 of the value.
-    """
-    _check_v_chi(v, chi)
-    if chi == 0.0:
-        return 0.0
-    inv = 1.0 / chi
-    if inv == math.inf:
-        return (v - 1.0) * chi / (2.0 * math.log(2.0))
-    return 0.5 * math.log2((v + inv) / (1.0 + inv))
-
-
-def info_be(v: float, chi: float, g: float) -> float:
-    """Eavesdropper information on the receiver: (1/2)*log2[g^2*(v+chi)*(1/v+chi)].
-
-    The argument is formed as (g*(v+chi))*(g*(1/v+chi)): with chi the input
-    noise of noise_budget, at least about 1/g, each factor is of order 1, so
-    the argument keeps its bits where g*g is subnormal. It is at least g^2,
-    so it reaches 0 only for a small chi at a g whose square underflows,
-    outside this spelling's domain. A g*chi past about 1e154 (a huge excess
-    noise) overflows the argument; the logs of its factors are added
-    instead, which stay finite as v <= 1e270 (GmcsSource).
-    """
-    _check_v_chi(v, chi)
-    if not 0.0 < g <= 1.0:
-        raise DomainError(f"g must be in (0, 1], got {g}")
-    if chi == 0.0:
-        # v*(1/v) rounds off exact 1; at chi = 0 the argument is exactly g^2.
-        return math.log2(g)
-    arg = (g * (v + chi)) * (g * (1.0 / v + chi))
-    if arg <= 0.0:
-        raise DomainError(f"overall transmittance {g!r} is too small: its square underflows")
-    if arg == math.inf:
-        return math.log2(g) + 0.5 * (math.log2(v + chi) + math.log2(1.0 / v + chi))
-    return 0.5 * math.log2(arg)
 
 
 def _arm(source: GmcsSource, det: HomodyneSpec, t: float) -> tuple[float, float]:

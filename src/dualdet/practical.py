@@ -89,7 +89,8 @@ def accumulation_time(
     """Seconds until the slow arm has collected target_counts detections.
 
     overall_eta covers everything between source and click: channel,
-    receiver optics, switch loss, and the slow detector's efficiency.
+    receiver optics, switch loss, and the slow detector's efficiency. A time
+    past the float range raises OverflowError.
     """
     for name, value, rule in (("target_counts", target_counts, ">= 0"), ("p", p, _P_RULE),
                               ("rep_rate", rep_rate, ">= 0"), ("mu", mu, ">= 0"),
@@ -100,4 +101,7 @@ def accumulation_time(
     rate = p * rep_rate * mu * overall_eta
     if rate == 0.0:
         raise ZeroDivisionError("slow-arm count rate is zero; time diverges")
-    return target_counts / rate
+    seconds = target_counts / rate
+    if seconds == math.inf:
+        raise OverflowError(f"accumulation time {target_counts!r}/{rate!r} s overflows the float range")
+    return seconds

@@ -169,6 +169,15 @@ def test_schedule_single_pulse_window_has_no_slow_limit(capsys):
     assert out["p_max"] == "inf"
 
 
+def test_schedule_time_past_the_float_range_is_numeric_error(capsys):
+    # The time would be about 3e312 s: it is refused, not printed as inf.
+    assert main(["schedule", "--p", "1e-10", "--k", "2", "--target-counts", "1e308"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric error: accumulation time 1e+308/")
+    assert "overflows the float range" in captured.err
+
+
 def test_schedule_invalid_probability(capsys):
     assert main(["schedule", "--p", "2.0", "--k", "100"]) == 3
 

@@ -118,6 +118,12 @@ def test_accumulation_time_edges():
         accumulation_time(2.0, 1e6, 1.0, 1e-3, 1e6)
 
 
+def test_accumulation_time_past_the_float_range_is_refused():
+    # 1e308 counts at 1e-4 counts/s would take 1e312 s, which is not a float.
+    with pytest.raises(OverflowError, match=r"^accumulation time 1e\+308/0\.0001 s overflows the float range$"):
+        accumulation_time(1e-10, 1e9, 1.0, 1e-3, 1e308)
+    assert accumulation_time(1e-10, 1e9, 1.0, 1e-3, 1e300) == pytest.approx(1e304, rel=1e-12)
+
 
 ACCUMULATION_ARGS = dict(p=4e-4, rep_rate=1e9, mu=1.0, overall_eta=1e-3, target_counts=1e6)
 

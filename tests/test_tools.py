@@ -62,6 +62,13 @@ def test_the_package_count_covers_every_line():
         assert sum(counter.values()) == len(lines), name
 
 
+def test_the_package_stays_inside_its_line_gate():
+    # ROADMAP item 7: code added to src/dualdet is paid for by code taken out.
+    total = sum(src_lines.count(ROOT / "src" / "dualdet").values(), Counter())
+    assert sum(total.values()) <= 2040
+    assert total["code"] < 1035
+
+
 def test_search_counts_are_the_catalogue_totals():
     # The counts quoted in CHANGES and the ROADMAP: the 28 benchmark searches,
     # in the benchmark's order and with its answers, and their evaluations
