@@ -57,15 +57,50 @@ def mp_half_log2(x):
 @pytest.mark.parametrize("kernel, det, chi, mutual, info", [
     # chi = (1 - 0.8)/0.8 + 0.05 + eps_det/0.8: 0.25 + 0.05 + 0.5375 for FAST, 0.25 + 0.05 + 0.0125 for QUIET.
     (gmcs_dr_rate_dual, FAST, "0.8375", 2.237039197300849, 2.1153901034145837),
+    (gmcs_dr_rate_dual, QUIET, "0.3125", 2.470418963765928, 1.6812850396923541),
     (gmcs_rr_rate_dual, FAST, "0.8375", 2.237039197300849, 2.2472814083333916),
     (gmcs_rr_rate_dual, QUIET, "0.3125", 2.470418963765928, 1.5611292839059991),
-], ids=["dr-fast", "rr-fast", "rr-quiet"])
+], ids=["dr-fast", "dr-quiet", "rr-fast", "rr-quiet"])
 def test_zero_length_values(kernel, det, chi, mutual, info):
     # The single-detector rates at 0 km, rep_rate*(I_AB - I_AE or I_BE) with beta = 1.
     assert kernel(det, det, SOURCE, 1.0) == pytest.approx(det.rep_rate * (mutual - info), rel=1e-12)
     assert mp_half_log2((40 + mpmath.mpf(chi)) / (1 + mpmath.mpf(chi))) == pytest.approx(mutual, rel=1e-12)
     assert [float(x) for x in mp_chi_informations(kernel, det, det, SOURCE, 1.0)] == pytest.approx(
         [mutual, info], rel=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [gmcs_dr_rate_dual, gmcs_rr_rate_dual])
+@pytest.mark.parametrize("length", [0.0, 5.0, 50.0])
+def test_each_information_matches_the_chi_spelling(kernel, length):
+    # The rate is rep_rate*(beta*I_AB - info), so two betas give I_AB and
+    # I_AE (DR) or I_BE (RR) of the kernel apart: each is the 50-digit one.
+    t = t_at(length)
+    full, half = (kernel(FAST, QUIET, GmcsSource(v=40.0, beta=beta, eps_pre=0.05), t) for beta in (1.0, 0.5))
+    mutual = (full - half) / (0.5 * FAST.rep_rate)
+    assert [mutual, mutual - full / FAST.rep_rate] == pytest.approx(
+        [float(x) for x in mp_chi_informations(kernel, FAST, QUIET, SOURCE, t)], rel=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [gmcs_dr_rate_dual, gmcs_rr_rate_dual])
+@pytest.mark.parametrize("v", [math.nextafter(1.0, 2.0), 2.0, 40.0, 49.0, 1e6, 1e270])
+def test_lossless_noiseless_eve_learns_nothing(kernel, v):
+    # At g = 1 with no excess noise chi = 0: I_AE = I_BE = 0, and the rate is
+    # all of I_AB = (1/2)*log2(v).
+    det = HomodyneSpec(rep_rate=1e6, g_det=1.0, eps_det=0.0)
+    source = GmcsSource(v=v, beta=0.9, eps_pre=0.0)
+    assert kernel(det, det, source, 1.0) == pytest.approx(1e6 * 0.9 * 0.5 * math.log2(v), rel=1e-15)
+
+
+@pytest.mark.parametrize("length", [7680.0, 7760.0])
+def test_rr_rate_keeps_its_bits_where_g_squared_is_subnormal(length):
+    # The preset 6 dual's quiet arm: past about 7,300 km g*g is subnormal, and
+    # from about 7,700 km it underflows. The input-referred I_BE multiplies by
+    # g twice; the transmittance form never forms g*g, so the rate is the
+    # 50-digit one.
+    t = t_at(length)
+    assert (t * QUIET.g_det) ** 2 < 2.0 ** -1022
+    assert gmcs_rr_rate_dual(FAST, QUIET, SOURCE, t) == pytest.approx(
+        mp_chi_rate(gmcs_rr_rate_dual, FAST, QUIET, SOURCE, t), rel=1e-13)
 
 
 @pytest.mark.parametrize("kernel, keyed, bounding", [
