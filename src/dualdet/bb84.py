@@ -10,9 +10,7 @@ detector on both arms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import E0, DomainError, SpdSpec, binary_entropy, check_fields, check_number
+from .core import E0, DomainError, Record, SpdSpec, binary_entropy, check_number
 
 BASIS_FACTORS = (0.5, 1.0)
 F_EC_RULE = "in [1, 10]"
@@ -25,8 +23,7 @@ def check_sifting(cfg) -> None:
     check_number("f_ec", cfg.f_ec, F_EC_RULE)
 
 
-@dataclass(frozen=True)
-class Bb84Config:
+class Bb84Config(Record):
     """Protocol constants: sifting factor and error-correction efficiency.
 
     basis_factor is 1/2 for standard basis choice, 1 for the efficient
@@ -40,7 +37,6 @@ class Bb84Config:
     RULES = {}  # check_sifting checks both fields
 
     def __post_init__(self) -> None:
-        check_fields(self)
         check_sifting(self)
 
 

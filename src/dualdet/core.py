@@ -8,7 +8,6 @@ floats in [0, 1], homodyne variances in shot-noise units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class DomainError(ValueError):
@@ -116,26 +115,22 @@ def check_number(name: str, value, rule: str | None = None) -> None:
             raise DomainError(f"{name} must be {rule}, got {value}")
 
 
-_FIELD_BOUNDS: dict[type, tuple] = {}  # spec class -> ((field, low, high), ...), filled on first use
-
-
 def check_fields(spec) -> None:
-    """check_number over a spec dataclass: every field finite, then the class's RULES in order.
+    """check_number over a spec record: every field finite, then the class's RULES in order.
 
-    RULES maps a field to its rule. On first use per class they resolve to (field, low, high)
-    for every field, (-inf, inf) where no rule applies: a float strictly inside proves the
-    field finite too, as NaN fails every comparison. The two-phase check below runs only where
-    a field fails that test (an int, a bool, a bound crossed), so it raises the first message
-    of check_number in that order, or accepts an in-range int. Fields are read by getattr:
-    vars(spec) would make a __dict__ that slows later reads."""
+    RULES maps a field to its rule, which Record resolves to _field_bounds, (field, low, high) for
+    every field, (-inf, inf) where no rule applies: a float strictly inside proves the field finite
+    too, as NaN fails every comparison. The two-phase check below runs only where a field fails that
+    test (an int, a bool, a bound crossed), so it raises check_number's first message in that order,
+    or accepts an in-range int. getattr reads the fields: vars(spec) would make a slower __dict__."""
     cls = spec.__class__
-    for name, low, high in _FIELD_BOUNDS.get(cls) or _resolve_fields(cls):
+    for name, low, high in cls._field_bounds:
         value = getattr(spec, name)
         if value.__class__ is not float or not low < value < high:
             break
     else:
         return
-    for name in cls.__dataclass_fields__:
+    for name in cls._fields:
         value = getattr(spec, name)
         if value.__class__ is not float or value - value:
             check_number(name, value)
@@ -143,14 +138,54 @@ def check_fields(spec) -> None:
         check_number(name, getattr(spec, name), rule)
 
 
-def _resolve_fields(cls: type) -> tuple:
-    bounds = tuple((name, *(_bounds(cls.RULES[name]) if name in cls.RULES else (-math.inf, math.inf)))
-                   for name in cls.__dataclass_fields__)
-    return _FIELD_BOUNDS.setdefault(cls, bounds)
+class Record:
+    """@dataclass(frozen=True) without the dataclasses import a CLI process would pay for: the fields
+    are the subclass's annotations, in order, a class attribute of the same name their default.
+    __init__ stores them by object.__setattr__ (no instance __dict__), then runs check_fields if the
+    class has RULES, then __post_init__. ==, hash and repr go field by field, a write or delete raises
+    AttributeError, and dataclasses.replace and fields read __dataclass_fields__, made on first read."""
+
+    def __init_subclass__(cls) -> None:
+        names = cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        rules = cls.__dict__.get("RULES", {})
+        cls._field_bounds = tuple((n, *(_bounds(rules[n]) if n in rules else (-math.inf, math.inf))) for n in names)
+        source = [f"def __init__(self, {', '.join(f'{n}=cls.{n}' if n in cls.__dict__ else n for n in names)}):"]
+        source += [f" object.__setattr__(self, {name!r}, {name})" for name in names]
+        source += [" check_fields(self)"] * ("RULES" in cls.__dict__)
+        source += [" self.__post_init__()"] * hasattr(cls, "__post_init__")
+        source += ["def _values(self):", f" return ({''.join(f'self.{name}, ' for name in names)})"]
+        exec("\n".join(source), globals(), namespace := {"cls": cls})  # globals(): a patched check_fields runs
+        cls.__init__, cls._values = namespace["__init__"], namespace["_values"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__dataclass_fields__ = _DataclassFields()
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._values()))})"
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {self.__class__.__name__}")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class SpdSpec:
+class _DataclassFields:
+    """A record class's __dataclass_fields__, made on the first read and then kept on the class."""
+
+    def __get__(self, instance, owner: type) -> dict:
+        import dataclasses
+        owner.__dataclass_fields__ = dataclasses.make_dataclass(owner.__name__, [
+            (name, kind, owner.__dict__[name]) if name in owner.__dict__ else (name, kind)
+            for name, kind in owner.__annotations__.items()]).__dataclass_fields__
+        return owner.__dataclass_fields__
+
+
+class SpdSpec(Record):
     """A gated single-photon detector.
 
     rep_rate: maximum gate/pulse rate the detector supports, Hz, at most 1e15:
@@ -171,13 +206,11 @@ class SpdSpec:
     RULES = {"rep_rate": "in (0, 1e15]", "eta_d": "in [0, 1]", "y0": "in [0, 1)", "e_det": "in [0, 0.5]"}
 
     def __post_init__(self) -> None:
-        check_fields(self)
         if self.eta_d == 0.0 and self.y0 == 0.0:
             raise DomainError("eta_d and y0 must not both be 0: the detector would never click")
 
 
-@dataclass(frozen=True)
-class HomodyneSpec:
+class HomodyneSpec(Record):
     """A homodyne detector for continuous-variable QKD.
 
     rep_rate: pulse measurement rate, Hz, at most 1e15.
@@ -194,13 +227,11 @@ class HomodyneSpec:
     RULES = {"rep_rate": "in (0, 1e15]", "g_det": "in (0, 1]", "eps_det": "in [0, 1e30]"}
 
     def __post_init__(self) -> None:
-        check_fields(self)
         if not self.eps_det / self.g_det <= 1e36:
             raise DomainError(f"eps_det/g_det must be at most 1e36, got {self.eps_det / self.g_det}")
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(Record):
     """Fiber link plus the receiver's passive optics.
 
     alpha: fiber attenuation, dB/km.
@@ -218,12 +249,8 @@ class LinkSpec:
 
     RULES = {"alpha": ">= 0 dB/km", "length": ">= 0 km", "g_bob": "in (0, 1]", "switch_loss": ">= 0 dB"}
 
-    def __post_init__(self) -> None:
-        check_fields(self)
 
-
-@dataclass(frozen=True)
-class GmcsSource:
+class GmcsSource(Record):
     """Gaussian-modulated coherent-state source and reconciliation model.
 
     v: total quadrature variance V = V_mod + 1 in shot-noise units, at most
@@ -238,6 +265,3 @@ class GmcsSource:
     eps_pre: float = 0.0
 
     RULES = {"v": "in (1, 1e270]", "beta": "in (0, 1]", "eps_pre": "in [0, 1e30]"}
-
-    def __post_init__(self) -> None:
-        check_fields(self)

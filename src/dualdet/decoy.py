@@ -10,14 +10,12 @@ detector helps: it tightens the single-photon error estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bb84 import F_EC_RULE, _arm, bb84_gain, bb84_qber, check_sifting
-from .core import E0, DomainError, SpdSpec, binary_entropy, check_fields, check_number
+from .core import E0, DomainError, Record, SpdSpec, binary_entropy, check_number
 
 
-@dataclass(frozen=True)
-class DecoyConfig:
+class DecoyConfig(Record):
     """Source intensity and protocol constants.
 
     mu: mean photon number of the signal state, at most 700: exp(-mu) stays
@@ -31,7 +29,6 @@ class DecoyConfig:
     RULES = {"mu": "in (0, 700]"}  # check_sifting checks the others
 
     def __post_init__(self) -> None:
-        check_fields(self)
         check_sifting(self)
 
 

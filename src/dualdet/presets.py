@@ -8,11 +8,8 @@ combinations.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 from .bb84 import Bb84Config
-from .core import ConfigError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec
+from .core import ConfigError, GmcsSource, HomodyneSpec, LinkSpec, Record, SpdSpec
 from .decoy import DecoyConfig
 from .scenario import Scenario
 
@@ -44,8 +41,9 @@ SPD_GRID = (0.0, 250.0, 1.0)
 GMCS_GRID = (0.0, 60.0, 0.25)
 
 
-@dataclass(frozen=True)
-class FigurePreset:
+class FigurePreset(Record):
+    """One reference figure: its dual, fast and slow scenarios and its sweep grid in km."""
+
     fig_id: int
     description: str
     scenarios: dict[str, Scenario]  # keys: dual, fast, slow
@@ -83,7 +81,7 @@ def figure_preset(fig_id: int) -> FigurePreset:
     if fig_id not in _FIGURES:
         raise ConfigError(f"unknown figure id {fig_id}; expected 1..9")
     protocol, fast, slow, config, link, grid, switch_loss, description = _FIGURES[fig_id]
-    dual_link = dataclasses.replace(link, switch_loss=switch_loss)
+    dual_link = LinkSpec(link.alpha, link.length, link.g_bob, switch_loss)
     scenarios = {
         "dual": Scenario(protocol=protocol, mode="dual", link=dual_link, config=config, fast=fast, slow=slow),
         "fast": Scenario(protocol=protocol, mode="single_fast", link=link, config=config, fast=fast, slow=slow),

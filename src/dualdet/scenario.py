@@ -9,16 +9,13 @@ the transmittance either detector sees; single-detector modes have no switch.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Union
 
 from . import bb84, decoy, gmcs
 from .core import (
-    ConfigError, DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec,
+    ConfigError, DomainError, GmcsSource, HomodyneSpec, LinkSpec, Record, SpdSpec,
     channel_transmittance, db_to_transmittance,
 )
 
@@ -66,14 +63,12 @@ ProtocolConfig = Union[bb84.Bb84Config, decoy.DecoyConfig, GmcsSource]
 
 
 class _Kept:
-    """An attribute computed on its first read, by the module function of
-    the same name called on the instance, and then kept on the instance, as
-    functools.cached_property does. The value is stored with
-    object.__setattr__, which a frozen dataclass allows and which keeps
-    CPython's inline attribute store: cached_property writes through
-    instance.__dict__, and once that dict exists every attribute read of the
-    instance is slower (evaluate's read of _plan went from about 15 to 45 ns,
-    CPython 3.11.7 on a 2-vCPU x86 VM)."""
+    """An attribute computed on its first read, by the module function of the
+    same name called on the instance, and kept on the instance with
+    object.__setattr__, which a frozen Record allows. functools.cached_property
+    writes through instance.__dict__, and once that dict exists every attribute
+    read of the instance is slower (evaluate's read of _plan went from about 15
+    to 45 ns, CPython 3.11.7 on a 2-vCPU x86 VM)."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -86,8 +81,9 @@ class _Kept:
         return value
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
+    """One receiver: protocol, mode (the detectors it reads are in _ARMS), link, config, detectors."""
+
     protocol: str
     mode: str
     link: LinkSpec
@@ -255,11 +251,10 @@ _DETECTOR_KINDS = {"spd": SpdSpec, "homodyne": HomodyneSpec}
 
 def _schema(cls: type) -> tuple[frozenset, frozenset, tuple[str, ...], tuple]:
     """(required keys, allowed keys, keys in field order, their defaults) of a
-    spec dataclass; a key is optional exactly when its field has a default."""
-    fields = dataclasses.fields(cls)
-    keys = tuple(_JSON_NAMES.get(f.name, f.name) for f in fields)
-    required = frozenset(key for key, f in zip(keys, fields) if f.default is dataclasses.MISSING)
-    return required, frozenset(keys), keys, tuple(f.default for f in fields)
+    spec record; a key is optional exactly when its field has a default."""
+    keys = tuple(_JSON_NAMES.get(name, name) for name in cls._fields)
+    required = frozenset(key for key, name in zip(keys, cls._fields) if name not in vars(cls))
+    return required, frozenset(keys), keys, tuple(vars(cls).get(name) for name in cls._fields)
 
 
 #: Resolved once here: scenario_from_dict runs per scan point and must not re-read the fields.
@@ -326,11 +321,12 @@ def scenario_from_dict(data: Any) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario from a JSON file."""
+    import json  # here, so that a command that reads no file does not load it
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, bytes that are not UTF-8, or nested too deep
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return scenario_from_dict(data)

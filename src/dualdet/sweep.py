@@ -22,13 +22,13 @@ import math
 import operator
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping, TextIO
 
 from .core import (
-    LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, bisect_sign_change, channel_transmittance, check_number,
+    LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, Record, bisect_sign_change, channel_transmittance,
+    check_number,
 )
 from .scenario import Scenario, _raw_rates, _twins, evaluate
 
@@ -48,8 +48,7 @@ class GridError(ConfigError, DomainError):
     CLI exits 2 as for any configuration error."""
 
 
-@dataclass(frozen=True)
-class RateCurve:
+class RateCurve(Record):
     """Raw key rates in bits/s on a finite, strictly increasing length grid in km."""
 
     lengths: tuple[float, ...]

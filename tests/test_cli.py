@@ -301,8 +301,9 @@ def test_sweep_to_a_fifo(dual_config, tmp_path):
     assert fifo.exists()
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"mode": ' + b"1" * 5000 + b"}"],
-                         ids=["not-utf8", "int-past-the-digit-limit"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"mode": ' + b"1" * 5000 + b"}",
+                                     b'{"detectors": ' + b"[" * 3000 + b"]" * 3000 + b"}"],
+                         ids=["not-utf8", "int-past-the-digit-limit", "nested-past-the-recursion-limit"])
 def test_undecodable_scenario_file_is_a_config_error(tmp_path, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)

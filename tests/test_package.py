@@ -2,6 +2,7 @@
 modules each CLI command loads."""
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -70,11 +71,18 @@ def test_init_spells_each_name_once():
         assert len(re.findall(rf"\b{name}\b", source)) == 1, name
 
 
+#: Standard modules a command loads only if it runs them: json to read a scenario file, and
+#: dataclasses and inspect never (their imports cost each command about 10 ms under -S).
+WATCHED = ("json", "dataclasses", "inspect")
+
+
 def _loaded_after(code):
-    """dualdet submodules and json loaded after running code in a fresh interpreter."""
+    """dualdet submodules and WATCHED modules loaded after running code in a fresh interpreter,
+    started with -S so that no site hook (a .pth file) loads any of them first."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('dualdet.') or m == 'json'))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    loaded = f"m for m in sys.modules if m.startswith('dualdet.') or m in {WATCHED}"
+    probe = f"{code}\nimport sys\nprint(' '.join({loaded}))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.splitlines()[-1].split())  # the last line, after any CLI output
 
@@ -83,13 +91,32 @@ def test_import_loads_no_submodule():
     assert _loaded_after("import dualdet") == set()
 
 
+SCENARIO_MODULES = {"core", "bb84", "decoy", "gmcs", "scenario"}
+BB84_DUAL = {
+    "protocol": "bb84_single_photon", "mode": "dual", "link": {"alpha_db_per_km": 0.21, "g_bob": 0.16},
+    "detectors": [{"spd": {"rep_rate_hz": 1e9, "eta_d": 0.059, "y0": 1.3e-5, "e_det": 0.018}},
+                  {"spd": {"rep_rate_hz": 2.5e6, "eta_d": 0.5, "y0": 3e-7, "e_det": 0.018}}],
+    "config": {"basis_factor": 0.5, "f_ec": 1.22},
+}
+
+
 @pytest.mark.parametrize("argv, loaded", [
+    (["rate", "--config", "{dual}", "--length", "50"], {*SCENARIO_MODULES, "json"}),
+    (["maxdist", "--config", "{dual}"], {*SCENARIO_MODULES, "sweep", "json"}),
+    (["crossover", "--config-a", "{dual}", "--config-b", "{slow}"], {*SCENARIO_MODULES, "sweep", "json"}),
+    (["figure", "--id", "6", "--out", "{out}"], {*SCENARIO_MODULES, "presets", "sweep"}),
     (["mu-opt", "--edet", "0.018", "--f", "1.22"], {"core", "bb84", "decoy"}),
     (["schedule", "--p", "4e-4", "--k", "100"], {"core", "practical"}),
-], ids=["mu-opt", "schedule"])
-def test_cli_command_loads_only_its_modules(argv, loaded):
+], ids=["rate", "maxdist", "crossover", "figure", "mu-opt", "schedule"])
+def test_cli_command_loads_only_its_modules(argv, loaded, tmp_path):
+    files = {"out": str(tmp_path / "out.csv")}
+    for mode, name in (("dual", "dual"), ("single_slow", "slow")):
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps({**BB84_DUAL, "mode": mode}), encoding="utf-8")
+    argv = [arg.format(**files) for arg in argv]
     modules = _loaded_after(f"from dualdet import cli\nassert cli.main({argv!r}) == 0")
-    assert modules == {"dualdet.cli", *(f"dualdet.{m}" for m in loaded)}
+    assert not modules & {"dataclasses", "inspect"}
+    assert modules == {"dualdet.cli", *(m if m in WATCHED else f"dualdet.{m}" for m in loaded)}
 
 
 def test_readme_quick_tour_runs():
