@@ -8,6 +8,7 @@ floats in [0, 1], homodyne variances in shot-noise units.
 from __future__ import annotations
 
 import math
+import operator
 
 
 class DomainError(ValueError):
@@ -87,6 +88,7 @@ def bisect_sign_change(f, lo: float, hi: float, tol: float) -> float:
 
 
 _BOUNDS: dict[str, tuple[float, float]] = {}  # rule -> _bounds(rule), filled on first use
+_setattr = object.__setattr__  # Record's __init__ stores by it: one global read, and no parameter to show
 
 
 def _bounds(rule: str) -> tuple[float, float]:
@@ -118,18 +120,11 @@ def check_number(name: str, value, rule: str | None = None) -> None:
 def check_fields(spec) -> None:
     """check_number over a spec record: every field finite, then the class's RULES in order.
 
-    RULES maps a field to its rule, which Record resolves to _field_bounds, (field, low, high) for
-    every field, (-inf, inf) where no rule applies: a float strictly inside proves the field finite
-    too, as NaN fails every comparison. The two-phase check below runs only where a field fails that
-    test (an int, a bool, a bound crossed), so it raises check_number's first message in that order,
-    or accepts an in-range int. getattr reads the fields: vars(spec) would make a slower __dict__."""
+    Record's __init__ calls it only where a field fails its inline test (a float strictly inside
+    the field's rule), so it is the one place that raises check_number's first message in that
+    order, or accepts an in-range int. getattr reads the fields: vars(spec) would make a slower
+    __dict__."""
     cls = spec.__class__
-    for name, low, high in cls._field_bounds:
-        value = getattr(spec, name)
-        if value.__class__ is not float or not low < value < high:
-            break
-    else:
-        return
     for name in cls._fields:
         value = getattr(spec, name)
         if value.__class__ is not float or value - value:
@@ -141,32 +136,35 @@ def check_fields(spec) -> None:
 class Record:
     """@dataclass(frozen=True) without the dataclasses import a CLI process would pay for: the fields
     are the subclass's annotations, in order, a class attribute of the same name their default.
-    __init__ stores them by object.__setattr__ (no instance __dict__), then runs check_fields if the
-    class has RULES, then __post_init__. ==, hash and repr go field by field, a write or delete raises
-    AttributeError, and dataclasses.replace and fields read __dataclass_fields__, made on first read."""
+    __init__ stores them by object.__setattr__ (no instance __dict__); with RULES it tests each for
+    a float strictly inside its rule, any finite float without one (NaN fails every comparison),
+    and runs check_fields only if one fails; then __post_init__. ==, hash and repr go field by field
+    (_values, an attrgetter, does not bind), a write or delete raises AttributeError, and
+    dataclasses.replace and fields read __dataclass_fields__, made on first read."""
 
     def __init_subclass__(cls) -> None:
         names = cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
-        rules = cls.__dict__.get("RULES", {})
-        cls._field_bounds = tuple((n, *(_bounds(rules[n]) if n in rules else (-math.inf, math.inf))) for n in names)
         source = [f"def __init__(self, {', '.join(f'{n}=cls.{n}' if n in cls.__dict__ else n for n in names)}):"]
-        source += [f" object.__setattr__(self, {name!r}, {name})" for name in names]
-        source += [" check_fields(self)"] * ("RULES" in cls.__dict__)
+        source += [f" _setattr(self, {name!r}, {name})" for name in names]
+        if "RULES" in cls.__dict__:  # each field's open interval as float literals, an infinite end as math.inf
+            ends = [_bounds(cls.RULES[n]) if n in cls.RULES else (-math.inf, math.inf) for n in names]
+            low, high = ([repr(end).replace("inf", "math.inf") for end in side] for side in zip(*ends))
+            tests = " and ".join(map("{0}.__class__ is float and {1} < {0} < {2}".format, names, low, high))
+            source += [f" if not ({tests}):", "  check_fields(self)"]
         source += [" self.__post_init__()"] * hasattr(cls, "__post_init__")
-        source += ["def _values(self):", f" return ({''.join(f'self.{name}, ' for name in names)})"]
         exec("\n".join(source), globals(), namespace := {"cls": cls})  # globals(): a patched check_fields runs
-        cls.__init__, cls._values = namespace["__init__"], namespace["_values"]
+        cls.__init__, cls._values = namespace["__init__"], operator.attrgetter(*names)
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__dataclass_fields__ = _DataclassFields()
 
     def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+        return self._values(self) == self._values(other) if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._values()))})"
+        return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._values(self)))})"
 
     def __setattr__(self, name: str, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {self.__class__.__name__}")

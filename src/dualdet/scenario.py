@@ -10,8 +10,8 @@ the transmittance either detector sees; single-detector modes have no switch.
 from __future__ import annotations
 
 import math
-from pathlib import Path
-from typing import Any, Union
+import operator
+import os
 
 from . import bb84, decoy, gmcs
 from .core import (
@@ -58,8 +58,8 @@ MODES = tuple(_ARMS)
 #: mode -> the CSV curve role its rate fills: "dual" behind the switch, otherwise the keyed arm.
 MODE_TO_ROLE = {mode: "dual" if switched else keyed for mode, (keyed, _, switched) in _ARMS.items()}
 
-Detector = Union[SpdSpec, HomodyneSpec]
-ProtocolConfig = Union[bb84.Bb84Config, decoy.DecoyConfig, GmcsSource]
+Detector = SpdSpec | HomodyneSpec
+ProtocolConfig = bb84.Bb84Config | decoy.DecoyConfig | GmcsSource
 
 
 class _Kept:
@@ -96,7 +96,7 @@ class Scenario(Record):
         # Resolve once what evaluate needs besides the length: the receiver
         # optics g_bob and the switch are one factor on the fiber transmittance.
         keyed, bounding, switched = _ARMS[self.mode]
-        _, _, keyed_arm, bounding_arm, combine, read, _, error_scale, _ = _PROTOCOLS[self.protocol]
+        _, _, keyed_arm, bounding_arm, combine, read, _, _, _ = _PROTOCOLS[self.protocol]
         factor = self.link.g_bob
         if switched:
             factor *= db_to_transmittance(self.link.switch_loss)
@@ -109,19 +109,19 @@ class Scenario(Record):
         plan = (keyed_arm, bounding_arm, combine, keyed_det, bounding_det, self.config, read(self.config),
                 self.link.alpha, factor, shared)
         object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_error_scale", error_scale(self.config, keyed_det, bounding_det))
 
-    # The searches' proof constants _proof_length(self) and _normalizer(self), computed on
-    # first read and then kept: scan builds a Scenario per point and never searches, so
-    # __post_init__ does not pay for them.
-    _proof_length, _normalizer = _Kept(), _Kept()
+    # The searches' constants _error_scale(self), _proof_length(self) and _normalizer(self),
+    # computed on first read and then kept: scan builds a Scenario per point and never
+    # searches, so __post_init__ does not pay for them.
+    _error_scale, _proof_length, _normalizer = _Kept(), _Kept(), _Kept()
 
 
 def validate_scenario(s: Scenario) -> None:
-    if s.protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {s.protocol!r}; expected one of {PROTOCOLS}")
-    if s.mode not in MODES:
-        raise ConfigError(f"unknown mode {s.mode!r}; expected one of {MODES}")
+    if s.protocol not in PROTOCOLS or s.mode not in MODES:
+        name, known = ("protocol", PROTOCOLS) if s.protocol not in PROTOCOLS else ("mode", MODES)
+        value = getattr(s, name)  # not a string: named by its type, as an array nested 1,000 deep has a long repr
+        shown = repr(value) if isinstance(value, str) else f"of type {type(value).__name__}"
+        raise ConfigError(f"unknown {name} {shown}; expected one of {known}")
     if s.mode == "dual_no_pa" and s.protocol != "decoy_bb84":
         raise ConfigError("mode 'dual_no_pa' only applies to protocol 'decoy_bb84'")
     if not isinstance(s.link, LinkSpec):
@@ -171,6 +171,12 @@ def _twins(dual: Scenario, member: Scenario) -> bool:
         and _no_arm not in (bounding_arm, plan[1])
         and _PROTOCOLS[dual.protocol][6](bounding, plan[4])
     )
+
+
+def _error_scale(s: Scenario) -> float:
+    """The protocol's error scale (the eighth column of _PROTOCOLS) of s's keyed and bounding detectors."""
+    _, _, _, keyed, bounding, config, _, _, _, _ = s._plan
+    return _PROTOCOLS[s.protocol][7](config, keyed, bounding)
 
 
 #: The least gain y0 + t*eta_d of a photon-counting arm at which the proofs' error bounds hold.
@@ -249,12 +255,12 @@ _JSON_NAMES = {"rep_rate": "rep_rate_hz", "alpha": "alpha_db_per_km", "length": 
 _DETECTOR_KINDS = {"spd": SpdSpec, "homodyne": HomodyneSpec}
 
 
-def _schema(cls: type) -> tuple[frozenset, frozenset, tuple[str, ...], tuple]:
-    """(required keys, allowed keys, keys in field order, their defaults) of a
-    spec record; a key is optional exactly when its field has a default."""
+def _schema(cls: type) -> tuple[frozenset, frozenset, dict, operator.itemgetter]:
+    """(required keys, allowed keys, each optional key's default, an itemgetter of the keys in field
+    order) of a spec record; a key is optional exactly when its field has a default."""
     keys = tuple(_JSON_NAMES.get(name, name) for name in cls._fields)
-    required = frozenset(key for key, name in zip(keys, cls._fields) if name not in vars(cls))
-    return required, frozenset(keys), keys, tuple(vars(cls).get(name) for name in cls._fields)
+    optional = {key: vars(cls)[name] for key, name in zip(keys, cls._fields) if name in vars(cls)}
+    return frozenset(keys) - optional.keys(), frozenset(keys), optional, operator.itemgetter(*keys)
 
 
 #: Resolved once here: scenario_from_dict runs per scan point and must not re-read the fields.
@@ -264,62 +270,59 @@ _SCHEMAS = {
 _SCENARIO_KEYS = frozenset({"protocol", "mode", "link", "detectors", "config"})
 
 
-def _check_keys(obj: dict, required: frozenset, allowed: frozenset, where: str) -> None:
-    """Refuse a non-object, then unknown keys, then missing ones. A plain dict
-    with the right keys passes on two set comparisons."""
-    if obj.__class__ is dict and obj.keys() >= required and obj.keys() <= allowed:
-        return
+def _check_keys(obj, required: frozenset, allowed: frozenset, where: str) -> None:
+    """Refuse a non-object, then unknown keys, then missing ones."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
+    if unknown := set(obj) - allowed:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
+    if missing := required - set(obj):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _spec(cls: type, obj: Any, where: str):
-    """Build a spec of type cls from its JSON object, positionally in field
-    order; an absent optional key takes its field's default."""
-    required, allowed, keys, defaults = _SCHEMAS[cls]
-    _check_keys(obj, required, allowed, where)
-    return cls(*map(obj.get, keys, defaults))
+def _spec(cls: type, obj, where: str | int):
+    """Build a spec of type cls from its JSON object, positionally in field order; an absent optional
+    key takes its field's default. Only what is not a plain dict with the right keys goes through
+    _check_keys, which names it where, or detectors[where] for a detector's index."""
+    required, allowed, optional, values = _SCHEMAS[cls]
+    if obj.__class__ is not dict or (full := {**optional, **obj}).keys() != allowed:
+        _check_keys(obj, required, allowed, where if where.__class__ is str else f"detectors[{where}]")
+        full = {**optional, **obj}  # a dict subclass with the right keys, read as a dict
+    return cls(*values(full))
 
 
-def _parse_detector(entry: Any, index: int) -> Detector:
-    where = f"detectors[{index}]"
-    if not isinstance(entry, dict) or len(entry) != 1:
-        raise ConfigError(f"{where} must be an object with exactly one detector kind")
-    kind, fields = next(iter(entry.items()))
-    if kind not in _DETECTOR_KINDS:
-        raise ConfigError(f"{where}: unknown detector kind {kind!r}; expected 'spd' or 'homodyne'")
-    return _spec(_DETECTOR_KINDS[kind], fields, where)
+def _parse_detector(entry, index: int) -> Detector:
+    if isinstance(entry, dict) and len(entry) == 1:
+        [(kind, fields)] = entry.items()
+        if kind in _DETECTOR_KINDS:
+            return _spec(_DETECTOR_KINDS[kind], fields, index)
+        raise ConfigError(f"detectors[{index}]: unknown detector kind {kind!r}; expected 'spd' or 'homodyne'")
+    raise ConfigError(f"detectors[{index}] must be an object with exactly one detector kind")
 
 
-def scenario_from_dict(data: Any) -> Scenario:
+def scenario_from_dict(data) -> Scenario:
     """Build and validate a Scenario from decoded JSON."""
-    _check_keys(data, _SCENARIO_KEYS, _SCENARIO_KEYS, "scenario")
+    if data.__class__ is not dict or data.keys() != _SCENARIO_KEYS:
+        _check_keys(data, _SCENARIO_KEYS, _SCENARIO_KEYS, "scenario")
     protocol, mode, detectors = data["protocol"], data["mode"], data["detectors"]
     try:
         link = _spec(LinkSpec, data["link"], "link")
         if not isinstance(detectors, list) or not 1 <= len(detectors) <= 2:
             raise ConfigError("detectors must be an array of 1 or 2 entries (fast first)")
-        parsed = [_parse_detector(d, i) for i, d in enumerate(detectors)]
+        fast = _parse_detector(detectors[0], 0)
+        slow = _parse_detector(detectors[1], 1) if len(detectors) == 2 else None
         # An unknown protocol gets no config; the Scenario constructor reports it.
         config = _spec(_PROTOCOLS[protocol][0], data["config"], "config") if protocol in _PROTOCOLS else None
-        if len(parsed) == 2:
-            arms = dict(zip(("fast", "slow"), parsed))
-        else:  # a lone detector is the one the mode keys with; fast for an unknown mode
-            arms = {_ARMS[mode][0] if mode in MODES else "fast": parsed[0]}
-        return Scenario(protocol=protocol, mode=mode, link=link, config=config, **arms)
+        if slow is None and mode in MODES and _ARMS[mode][0] == "slow":  # a lone detector is the mode's keyed one
+            fast, slow = None, fast
+        return Scenario(protocol, mode, link, config, fast, slow)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed scenario: {exc}") from exc
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | os.PathLike) -> Scenario:
     """Load a scenario from a JSON file."""
     import json  # here, so that a command that reads no file does not load it
     try:

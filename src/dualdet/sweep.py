@@ -20,11 +20,10 @@ from __future__ import annotations
 import io
 import math
 import operator
+import os
 import warnings
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from itertools import repeat
-from pathlib import Path
-from typing import Mapping, TextIO
 
 from .core import (
     LENGTH_FORMAT, RATE_FORMAT, ConfigError, DomainError, Record, bisect_sign_change, channel_transmittance,
@@ -451,7 +450,7 @@ def _block_proof(scenarios, grid: Sequence[float]):
 # notation with 6 significant digits, absent columns left empty.
 
 
-def write_curves_csv(curves: Mapping[str, RateCurve], out: TextIO) -> None:
+def write_curves_csv(curves: Mapping[str, RateCurve], out: io.TextIOBase) -> None:
     """Write clamped-rate curves keyed by role ('dual', 'fast', 'slow')."""
     unknown = set(curves) - set(CURVE_ROLES)
     if unknown:
@@ -469,7 +468,7 @@ def write_curves_csv(curves: Mapping[str, RateCurve], out: TextIO) -> None:
     out.write("\n".join([",".join(CSV_HEADER), *map(",".join, zip(*columns))]) + "\n")
 
 
-def save_curves_csv(curves: Mapping[str, RateCurve], path: str | Path) -> None:
+def save_curves_csv(curves: Mapping[str, RateCurve], path: str | os.PathLike) -> None:
     """Write curves to path as CSV; curves that write_curves_csv refuses leave path as it was."""
     buf = io.StringIO()
     write_curves_csv(curves, buf)

@@ -310,6 +310,30 @@ def test_undecodable_scenario_file_is_a_config_error(tmp_path, content):
     _assert_config_error(_run_cli("rate", "--config", str(bad), "--length", "10"), f"invalid JSON in {bad}")
 
 
+MODES = "('single_fast', 'single_slow', 'dual', 'dual_no_pa')"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("mode", "[" * 984 + "]" * 984, f"unknown mode of type list; expected one of {MODES}"),
+    ("protocol", "null", "unknown protocol of type NoneType; expected one of "
+                         "('bb84_single_photon', 'decoy_bb84', 'gmcs_dr', 'gmcs_rr')"),
+], ids=["mode-nested-984-deep", "protocol-null"])
+def test_non_string_mode_or_protocol_is_named_by_its_type(tmp_path, key, value, message):
+    # A mode nested 984 deep still parses; its repr used to make a message of 2,075 characters.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**BB84_DUAL, key: "VALUE"}).replace('"VALUE"', value))
+    done = _run_cli("rate", "--config", str(bad), "--length", "10")
+    _assert_config_error(done, message)
+    assert len(done.stderr) < 200
+
+
+def test_string_mode_is_quoted(tmp_path, capsys):
+    bad = write_variant(tmp_path, "triple.json", mode="triple")
+    assert main(["rate", "--config", bad, "--length", "10"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: unknown mode 'triple'; expected one of {MODES}\n")
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -245,3 +245,30 @@ def test_check_fields_matches_reference(cls, data):
         drawn = data.draw(st.one_of(st.just(value), field_values(rules.get(name))), label=name)
         object.__setattr__(spec, name, drawn)
     assert outcome(check_fields, spec) == outcome(ref_check_fields, spec, **rules)
+
+
+def ref_construct(cls, **fields):
+    """cls(**fields) as it was: the fields stored, ref_check_fields, then __post_init__."""
+    spec = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(spec, name, value)
+    ref_check_fields(spec, **REF_RULES[cls])
+    if hasattr(cls, "__post_init__"):
+        spec.__post_init__()
+    return spec
+
+
+@pytest.mark.parametrize("cls", list(REF_RULES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_construction_matches_reference(cls, data):
+    # Record's __init__ tests the fields inline and calls check_fields only where one fails: the same
+    # refusal, message and all, or both accept and hold the very values given.
+    valid, rules = CLASSES[cls][0], REF_RULES[cls]
+    fields = {name: data.draw(st.one_of(st.just(value), field_values(rules.get(name))), label=name)
+              for name, value in valid.items()}
+    expected = outcome(ref_construct, cls, **fields)
+    assert outcome(cls, **fields) == expected
+    if expected is None:
+        built = cls(**fields)
+        assert all(getattr(built, name) is value for name, value in fields.items())

@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import importlib.util
+import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +14,7 @@ from dualdet.bb84 import Bb84Config, bb84_rate_dual
 from dualdet.core import (
     DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance, db_to_transmittance,
 )
-from dualdet.decoy import DecoyConfig, decoy_rate_dual
+from dualdet.decoy import DecoyConfig, decoy_rate_dual, optimal_mu
 from dualdet.gmcs import gmcs_rr_rate_dual
 from dualdet.presets import FIGURE_IDS, figure_preset
 from dualdet.scenario import (
@@ -19,6 +22,8 @@ from dualdet.scenario import (
     scenario_from_dict,
 )
 from dualdet.sweep import length_grid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BB84_DUAL = {
     "protocol": "bb84_single_photon",
@@ -513,6 +518,24 @@ REFUSALS = {
     "subclass_unknown_key": (lambda d: d.update(link=Subclass(d["link"], colour=1.0)),
                              "unknown keys in link: ['colour']"),
     "subclass_missing_key": (lambda d: d.update(config=Subclass(f_ec=1.22)), "missing keys in config: ['basis_factor']"),
+    "null_detector_field": (_set(("detectors", 1, "spd"), "e_det", None),
+                            "malformed scenario: must be real number, not NoneType"),
+    "null_config_field": (_set(("config",), "f_ec", None), "malformed scenario: must be real number, not NoneType"),
+    "detector_list": (lambda d: d["detectors"].__setitem__(0, [d["detectors"][0]]),
+                      "detectors[0] must be an object with exactly one detector kind"),
+    "detector_empty": (_set(("detectors",), 0, {}), "detectors[0] must be an object with exactly one detector kind"),
+    "two_kinds": (_set(("detectors", 1), "homodyne", {"rep_rate_hz": 1e6, "g_det": 0.8, "eps_det": 0.01}),
+                  "detectors[1] must be an object with exactly one detector kind"),
+    "fields_list": (_set(("detectors", 1), "spd", [2.5e6, 0.5, 3e-7, 0.018]), "detectors[1] must be a JSON object"),
+    "fields_null": (_set(("detectors", 1), "spd", None), "detectors[1] must be a JSON object"),
+    "link_null": (_set((), "link", None), "link must be a JSON object"),
+    "other_protocols_kind": (_set(("detectors",), 0, GMCS_RR_DUAL["detectors"][0]),
+                             "fast detector kind HomodyneSpec does not match protocol 'bb84_single_photon' "
+                             "(expected SpdSpec)"),
+    "protocol_array": (_set((), "protocol", ["bb84_single_photon"]), "malformed scenario: unhashable type: 'list'"),
+    # Named by its type, not its repr: an array nested 1,000 deep has a repr of 2,000 characters.
+    "mode_array": (_set((), "mode", ["dual"]), f"unknown mode of type list; expected one of {MODES}"),
+    "mode_null": (_set((), "mode", None), f"unknown mode of type NoneType; expected one of {MODES}"),
 }
 
 
@@ -524,6 +547,35 @@ def test_scenario_from_dict_refusal_messages(kind):
     with pytest.raises(ConfigError) as info:
         scenario_from_dict(data)
     assert str(info.value) == message
+
+
+#: The scan workload's malformed ops 9, 19, ..., 69 at seed 0, one of each kind, with their exact messages.
+SCAN_REFUSALS = [
+    ("rr_unequal_g_det", "reverse reconciliation with dual detectors requires equal detection efficiencies, "
+                         "got 0.8 and 0.6"),
+    ("infinity", "rep_rate must be a finite number, got inf"),
+    ("nan", "alpha must be a finite number, got nan"),
+    ("out_of_range", "g_bob must be in (0, 1], got 1.5"),
+    ("unknown_key", "unknown keys in link: ['colour']"),
+    ("bool", "g_bob must be a finite number, got True"),
+    ("missing_key", "missing keys in detectors[0]: ['rep_rate_hz']"),
+]
+
+
+def test_scan_workload_refusal_messages():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    malformed = [inp for inp in itertools.islice(workloads.scan_inputs(0), 70) if inp.invalid]
+    got = []
+    for inp in malformed:
+        data = json.loads(inp.text)
+        if inp.mu_args is not None:
+            data["config"]["mu"] = optimal_mu(*inp.mu_args)
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(data)
+        got.append((inp.invalid, str(info.value)))
+    assert got == SCAN_REFUSALS
 
 
 def test_dict_subclasses_are_read_like_dicts():

@@ -21,6 +21,7 @@ def _load(name):
 src_lines = _load("src_lines")
 search_counts = _load("search_counts")
 search_time = _load("search_time")
+scan_time = _load("scan_time")
 
 FIXTURE = '''"""Module docstring.
 
@@ -115,3 +116,28 @@ def test_search_time_refuses_a_parent_with_other_answers(tmp_path, capsys, paren
     assert search_time.main([str(tmp_path), "--rounds", "1"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("answers differ:") and "crossover 1 0.0: parent" in out
+
+
+def test_scan_time_against_this_tree(capsys, parent_unloaded):
+    # A few rounds with this tree as its own parent: the results agree, and it
+    # prints a row per op kind, the four protocols and the seven malformed kinds, then all ops.
+    assert scan_time.main([str(ROOT / "src"), "--rounds", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["op", "kind", "ops", "parent", "us", "tree", "us", "ratio"]
+    kinds = {row.split()[0]: int(row.split()[1]) for row in rows}
+    assert kinds == {"bb84_single_photon": 56, "decoy_bb84": 65, "gmcs_dr": 62, "gmcs_rr": 69, "unknown_key": 4,
+                     "missing_key": 4, "out_of_range": 4, "rr_unequal_g_det": 4, "bool": 4, "nan": 4,
+                     "infinity": 4, "all": scan_time.BLOCK}
+    assert all(float(row.split()[-1]) > 0.0 for row in rows)
+
+
+def test_scan_time_refuses_a_parent_with_other_results(tmp_path, capsys, parent_unloaded):
+    # A parent that words a refusal otherwise gives another result, so nothing is timed.
+    shutil.copytree(ROOT / "src" / "dualdet", tmp_path / "dualdet")
+    scenario = tmp_path / "dualdet" / "scenario.py"
+    source = scenario.read_text(encoding="utf-8")
+    assert source.count('f"unknown keys in {where}') == 1
+    scenario.write_text(source.replace('f"unknown keys in {where}', 'f"unknown key in {where}'), encoding="utf-8")
+    assert scan_time.main([str(tmp_path), "--rounds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("results differ:") and "parent ('ConfigError', \"unknown key in link: ['colour']\")" in out
