@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": ("E0", "DomainError", "ConfigError", "SpdSpec", "HomodyneSpec", "LinkSpec", "GmcsSource",
              "binary_entropy", "channel_transmittance", "db_to_transmittance"),
-    "bb84": ("Bb84Config", "bb84_gain", "bb84_qber", "bb84_rate_dual"),
-    "decoy": ("DecoyConfig", "decoy_signal_gain", "decoy_signal_qber", "decoy_single_photon_gain",
-              "decoy_single_photon_qber", "decoy_rate_dual", "optimal_mu"),
+    "bb84": ("Bb84Config", "bb84_rate_dual"),
+    "decoy": ("DecoyConfig", "decoy_single_photon_qber", "decoy_rate_dual", "optimal_mu"),
     "gmcs": ("MismatchedEfficiencyError", "gmcs_dr_rate_dual", "gmcs_rr_rate_dual"),
     "practical": ("choice_probabilities", "multi_pulse_qber", "max_slow_probability", "accumulation_time"),
     "presets": ("FigurePreset", "figure_preset"),

@@ -40,22 +40,12 @@ class Bb84Config(Record):
         check_sifting(self)
 
 
-def bb84_gain(spd: SpdSpec, t: float) -> float:
-    """Detection probability per emitted pulse: Q = y0 + t*eta_d, with t the
-    transmittance from the source to the detector."""
-    return spd.y0 + t * spd.eta_d
-
-
-def bb84_qber(spd: SpdSpec, t: float) -> float:
-    """Error rate of detected bits; dark counts contribute at rate E0."""
-    return _arm(None, spd, t)[1]
-
-
 def _arm(_, spd: SpdSpec, t: float) -> tuple[float, float, float]:
-    """(gain, QBER, H2(QBER)) of one detector arm, the gain computed once; a
-    BB84 arm reads nothing from its config, so the first argument is unused.
-    The terms of a BB84 arm and of decoy's bounding arm. The gain is
-    bb84_gain's, kept apart: at zero gain bb84_gain returns 0.0, where this raises."""
+    """(gain, QBER, H2(QBER)) of one detector arm, with t the transmittance
+    from the source to the detector: the gain Q = y0 + t*eta_d is the
+    detection probability per pulse, and dark counts err at rate E0. A BB84
+    arm reads nothing from its config, so the first argument is unused. The
+    terms of a BB84 arm and of decoy's bounding arm."""
     eta = t * spd.eta_d
     gain = spd.y0 + eta
     if gain == 0.0:

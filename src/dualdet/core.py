@@ -135,12 +135,12 @@ def check_fields(spec) -> None:
 
 class Record:
     """@dataclass(frozen=True) without the dataclasses import a CLI process would pay for: the fields
-    are the subclass's annotations, in order, a class attribute of the same name their default.
-    __init__ stores them by object.__setattr__ (no instance __dict__); with RULES it tests each for
-    a float strictly inside its rule, any finite float without one (NaN fails every comparison),
-    and runs check_fields only if one fails; then __post_init__. ==, hash and repr go field by field
-    (_values, an attrgetter, does not bind), a write or delete raises AttributeError, and
-    dataclasses.replace and fields read __dataclass_fields__, made on first read."""
+    are the subclass's annotations, in order, a class attribute of the same name their default. __init__
+    stores them by object.__setattr__ (CPython 3.11 builds an instance __dict__ only once one is read);
+    with RULES it tests each for a float strictly inside its rule, any finite float without one (NaN
+    fails every comparison), and runs check_fields only if one fails; then __post_init__. ==, hash and
+    repr go field by field (_values, an attrgetter, does not bind), a write or delete raises
+    AttributeError, and dataclasses.replace and fields read __dataclass_fields__, made on first read."""
 
     def __init_subclass__(cls) -> None:
         names = cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))

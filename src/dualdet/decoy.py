@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .bb84 import F_EC_RULE, _arm, bb84_gain, bb84_qber, check_sifting
+from .bb84 import F_EC_RULE, _arm, check_sifting
 from .core import E0, DomainError, Record, SpdSpec, binary_entropy, check_number
 
 
@@ -32,31 +32,10 @@ class DecoyConfig(Record):
         check_sifting(self)
 
 
-# In the four helpers below, t is the transmittance from the source to the
-# detector; eta = t*eta_d.
-
-
-def decoy_signal_gain(mu: float, spd: SpdSpec, t: float) -> float:
-    """Gain of the signal state: Q_mu = y0 + 1 - exp(-eta*mu)."""
-    eta = t * spd.eta_d
-    return spd.y0 + 1.0 - math.exp(-eta * mu)
-
-
-def decoy_signal_qber(mu: float, spd: SpdSpec, t: float) -> float:
-    """Overall QBER of the signal state."""
-    return _signal(mu, spd, t)[1]
-
-
-def decoy_single_photon_gain(mu: float, spd: SpdSpec, t: float) -> float:
-    """Gain of the single-photon pulses: Q_1 = Y_1 * mu * exp(-mu), where the
-    yield Y_1 = y0 + eta is the ideal single-photon source's BB84 gain."""
-    return bb84_gain(spd, t) * mu * math.exp(-mu)
-
-
 def decoy_single_photon_qber(mu: float, spd: SpdSpec, t: float) -> float:
     """QBER of the single-photon pulses: the ideal single-photon source's
     BB84 QBER, so independent of mu."""
-    return bb84_qber(spd, t)
+    return _arm(None, spd, t)[1]
 
 
 def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, t: float) -> float:
@@ -104,9 +83,10 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
 
 
 def _signal(mu: float, spd: SpdSpec, t: float) -> tuple[float, float, float, float]:
-    """(Q_mu, E_mu, H2(E_mu), Q_1) of the keyed arm, Q_mu and E_mu from one
-    exp(-eta*mu). Q_mu and Q_1 are decoy_signal_gain's and
-    decoy_single_photon_gain's, kept apart: at zero gain they return a value, where this raises."""
+    """(Q_mu, E_mu, H2(E_mu), Q_1) of the keyed arm, with eta = t*eta_d: the
+    signal gain Q_mu = y0 + 1 - exp(-eta*mu) and its QBER E_mu from one
+    exp(-eta*mu), and the single-photon gain Q_1 = Y_1*mu*exp(-mu), where
+    the yield Y_1 = y0 + eta is the ideal single-photon source's BB84 gain."""
     eta = t * spd.eta_d
     vacuum = math.exp(-eta * mu)
     q_mu = spd.y0 + 1.0 - vacuum

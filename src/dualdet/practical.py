@@ -88,13 +88,13 @@ def accumulation_time(
 ) -> float:
     """Seconds until the slow arm has collected target_counts detections.
 
-    overall_eta covers everything between source and click: channel,
-    receiver optics, switch loss, and the slow detector's efficiency. A time
-    past the float range raises OverflowError.
+    overall_eta, in [0, 1], covers everything between source and click:
+    channel, receiver optics, switch loss, and the slow detector's
+    efficiency. A time past the float range raises OverflowError.
     """
     for name, value, rule in (("target_counts", target_counts, ">= 0"), ("p", p, _P_RULE),
                               ("rep_rate", rep_rate, ">= 0"), ("mu", mu, ">= 0"),
-                              ("overall_eta", overall_eta, ">= 0")):
+                              ("overall_eta", overall_eta, "in [0, 1]")):
         check_number(name, value, rule)
     if target_counts == 0.0:
         return 0.0

@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from itertools import repeat
 
 from .core import (
@@ -102,34 +102,13 @@ def sweep(scenario: Scenario, l_min: float, l_max: float, step: float) -> RateCu
     return RateCurve(lengths, _raw_rates((scenario,), lengths)[0])
 
 
-class _SearchGrid(Sequence):
-    """The coarse grid from 0 that the searches walk, its points computed on
-    demand: point i is i*step, as in length_grid(0, l_max, step), and the
-    last point is l_max."""
-
-    __slots__ = ("step", "last", "l_max")
-
-    def __init__(self, step: float, last: int, l_max: float) -> None:
-        self.step, self.last, self.l_max = step, last, l_max
-
-    def __len__(self) -> int:
-        return self.last + 1
-
-    def __getitem__(self, i: int) -> float:
-        if i < 0:
-            i += self.last + 1
-        if 0 <= i < self.last:
-            return i * self.step
-        if i == self.last:
-            return self.l_max
-        raise IndexError("search grid index out of range")
-
-
-def _search_grid(l_max_search: float, coarse_step: float) -> _SearchGrid:
-    """The coarse grid from 0 that the searches walk, ending at l_max_search:
-    the limit closes the grid when it is not a whole number of steps, and
-    replaces a last grid point within length_grid's rounding of it. The
-    grid has at least the two points 0 and l_max_search.
+def _search_grid(l_max_search: float, coarse_step: float) -> tuple[int, Callable[[int], float]]:
+    """(last, point) of the coarse grid from 0 that the searches walk, its
+    points computed on demand: point(i) is i*coarse_step, as in
+    length_grid(0, l_max_search, coarse_step), for i < last, and
+    l_max_search at last. The limit closes the grid when it is not a whole
+    number of steps, and replaces a last grid point within length_grid's
+    rounding of it. The grid has at least the two points 0 and l_max_search.
 
     Its points are length_grid(0, l_max_search, coarse_step)'s, and they are
     strictly increasing without being checked one by one: with s the step
@@ -138,8 +117,8 @@ def _search_grid(l_max_search: float, coarse_step: float) -> _SearchGrid:
     product is exact; so the rounded products differ, as rounding keeps order.
     """
     n = _grid_steps(0.0, l_max_search, coarse_step)
-    closed = n == 0 or l_max_search - n * coarse_step > 1e-9 * coarse_step
-    return _SearchGrid(coarse_step, n + 1 if closed else n, l_max_search)
+    last = n + 1 if n == 0 or l_max_search - n * coarse_step > 1e-9 * coarse_step else n
+    return last, lambda i: i * coarse_step if i < last else l_max_search
 
 
 def max_secure_distance(
@@ -161,31 +140,31 @@ def max_secure_distance(
     negative, and split otherwise, down to single cells. The proof needs
     only the rate's non-positive side of the normalizer rule (the kernel
     docstrings): a rate that is not positive stays so with length, and
-    rate/t does not rise there. So where the rate x_i at grid[i] is
-    negative, the rate on [grid[i], grid[j]] is at most x_i*r, with
-    r = t(grid[j])/t(grid[i]), and x_i*r < -margin makes every computed
+    rate/t does not rise there. So where the rate x_i at point(i) is
+    negative, the rate on [point(i), point(j)] is at most x_i*r, with
+    r = t(point(j))/t(point(i)), and x_i*r < -margin makes every computed
     rate there negative: the margin, 2**-40 times the scenario's error
     scale plus 2**-1000, exceeds twice the rate's rounding error and the
     test's own roundings, r's included (_block_proof). The proof holds up
     to _proof_length; past it every block is split, so the points there
     are read from the right, as the backward walk reads them.
     """
-    grid = _search_grid(l_max_search, coarse_step)
+    last, point = _search_grid(l_max_search, coarse_step)
     limit, alpha = scenario._proof_length, scenario.link.alpha
     clear = -(_MARGIN * scenario._error_scale + _LEAST_MARGIN)  # -margin: below it, clear of rounding
     # The block in hand is [i, j], with x and y the rates at its ends, None until read. The
     # blocks to its left wait in starts as (first index, its rate or None), each ending
     # where the one above it begins.
-    starts, i, x, j, y = [(0, None)], 0, None, grid.last, None
+    starts, i, x, j, y = [(0, None)], 0, None, last, None
     while True:
-        end = grid[j]
+        end = point(j)
         if y is None:
             y = evaluate(scenario, end)
         if y > 0.0:
             break
         while j - i > 1:  # split until [i, j] is proved negative or one cell
             if end <= limit:
-                start = grid[i]
+                start = point(i)
                 if x is None:
                     x = evaluate(scenario, start)
                 # x*r < clear needs x < clear, as r <= 1: the first test spares the power.
@@ -196,9 +175,9 @@ def max_secure_distance(
         if not starts:
             return None
         (i, x), j, y = starts.pop(), i, x
-    if j == grid.last:
+    if j == last:
         return l_max_search
-    return bisect_sign_change(lambda length: evaluate(scenario, length), end, grid[j + 1], tol=DISTANCE_TOL / 5)
+    return bisect_sign_change(lambda length: evaluate(scenario, length), end, point(j + 1), tol=DISTANCE_TOL / 5)
 
 
 def crossover_distance(
@@ -223,36 +202,36 @@ def crossover_distance(
     scenarios = (scenario_a, *scenario_b)  # read scenario_b once: it may be an iterator
     if len(scenarios) < 2:
         raise DomainError("scenario_b must contain at least one scenario")
-    grid = _search_grid(l_max_search, coarse_step)
+    last, point = _search_grid(l_max_search, coarse_step)
     seen = {}
 
-    def at(i: int) -> tuple[list[float], float]:  # the rates at grid[i] and their difference
-        point = seen.get(i)
-        if point is None:
-            length = grid[i]
+    def at(i: int) -> tuple[list[float], float]:  # the rates at point(i) and their difference
+        entry = seen.get(i)
+        if entry is None:
+            length = point(i)
             try:
                 rates = [evaluate(s, length) for s in scenarios]
             except (ArithmeticError, ValueError) as exc:  # DomainError is a ValueError
                 seen[i] = exc  # a later probe reads the refusal, not the point again
                 raise
-            point = seen[i] = rates, rates[0] - max(rates[1:])  # max() picks as the bisection does
-        elif isinstance(point, Exception):
-            raise point
-        return point
+            entry = seen[i] = rates, rates[0] - max(rates[1:])  # max() picks as the bisection does
+        elif isinstance(entry, Exception):
+            raise entry
+        return entry
 
-    below, proves = _block_proof(scenarios, grid)
-    i = _gallop(at, grid.last, proves)
+    below, proves = _block_proof(scenarios, point)
+    i = _gallop(at, last, proves)
     if i is None:
         return None
     (here, _), (there, end) = at(i), at(i + 1)
-    if end == 0.0 and i + 2 <= grid.last and at(i + 2)[1] > 0.0:
+    if end == 0.0 and i + 2 <= last and at(i + 2)[1] > 0.0:
         # Tangency within the cell: no strict crossing to bisect.
         warnings.warn(
-            f"curves touch near {grid[i + 1]:.2f} km without crossing; "
+            f"curves touch near {point(i + 1):.2f} km without crossing; "
             "reporting the bracketing cell midpoint",
             stacklevel=2,
         )
-        return 0.5 * (grid[i] + grid[i + 1])
+        return 0.5 * (point(i) + point(i + 1))
     first, *rest = [s for s, below_a in zip(scenarios[1:], below(i, here, i + 1, there)) if not below_a]
 
     def difference(length: float) -> float:
@@ -264,7 +243,7 @@ def crossover_distance(
                 best = rate
         return rate_a - best
 
-    return bisect_sign_change(difference, grid[i], grid[i + 1], tol=DISTANCE_TOL / 5)
+    return bisect_sign_change(difference, point(i), point(i + 1), tol=DISTANCE_TOL / 5)
 
 
 def _gallop(at, last: int, proves) -> int | None:
@@ -322,8 +301,8 @@ _MARGIN = 2.0 ** -40
 _LEAST_MARGIN = 2.0 ** -1000
 
 
-def _block_proof(scenarios, grid: Sequence[float]):
-    """Tests from the rates at both ends (here, there) of [grid[i], grid[j]]:
+def _block_proof(scenarios, point: Callable[[int], float]):
+    """Tests from the rates at both ends (here, there) of [point(i), point(j)]:
     below(i, here, j, there) gives for each member whether its rate is
     proved below the first one at every length there, and the gallop's one
     test proves(i, here, j, there) is all(below(...)) or a member proved
@@ -415,18 +394,18 @@ def _block_proof(scenarios, grid: Sequence[float]):
         return r_a, f
 
     def below(i: int, here: list[float], j: int, there: list[float]) -> list[bool]:
-        if grid[j] > limit:
+        if point(j) > limit:
             return [False] * len(members)
-        r_a, f = ratios(grid[i], grid[j])
+        r_a, f = ratios(point(i), point(j))
         rate_a = there[0]
         return [rate_a > here[k] * f[p] + margin and rate_a > here[k] * f[q] + margin
                 or twin and (rate_a - there[k]) * r_a > margin for k, margin, twin, p, q in members]
 
     def proves(i: int, here: list[float], j: int, there: list[float]) -> bool:
-        end = grid[j]
+        end = point(j)
         if end > limit:
             return False
-        r_a, f = ratios(grid[i], end)
+        r_a, f = ratios(point(i), end)
         rate_a = there[0]
         for k, margin, twin, p, q in members:  # below's test, to the first member it fails
             y = here[k]

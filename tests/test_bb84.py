@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from dualdet.bb84 import Bb84Config, bb84_gain, bb84_qber, bb84_rate_dual
+from dualdet.bb84 import Bb84Config, _arm, bb84_rate_dual
 from dualdet.core import DomainError, SpdSpec, binary_entropy, channel_transmittance, db_to_transmittance
 
 # GHz up-conversion SPD and TES combination.
@@ -24,31 +24,31 @@ def single(spd, t, cfg=CFG):
 
 
 def test_gain_examples():
-    assert bb84_gain(SLOW, t_at(0.0)) == pytest.approx(0.0800003, rel=1e-12)
-    assert bb84_gain(FAST, t_at(100.0)) == pytest.approx(8.798458535797217e-05, rel=1e-12)
+    assert _arm(None, SLOW, t_at(0.0))[0] == pytest.approx(0.0800003, rel=1e-12)
+    assert _arm(None, FAST, t_at(100.0))[0] == pytest.approx(8.798458535797217e-05, rel=1e-12)
 
 
 def test_gain_dark_count_floor():
     # With the channel closed off only dark counts remain.
     far = t_at(1000.0, alpha=10.0)
-    assert bb84_gain(FAST, far) == pytest.approx(FAST.y0, rel=1e-6)
+    assert _arm(None, FAST, far)[0] == pytest.approx(FAST.y0, rel=1e-6)
 
 
 def test_qber_examples():
-    assert bb84_qber(FAST, t_at(100.0)) == pytest.approx(0.08921702028265847, rel=1e-12)
+    assert _arm(None, FAST, t_at(100.0))[1] == pytest.approx(0.08921702028265847, rel=1e-12)
     # No dark counts: the error rate is the misalignment error exactly.
     clean = SpdSpec(rep_rate=1e9, eta_d=0.059, y0=0.0, e_det=0.018)
-    assert bb84_qber(clean, t_at(37.0)) == pytest.approx(0.018, rel=1e-12)
+    assert _arm(None, clean, t_at(37.0))[1] == pytest.approx(0.018, rel=1e-12)
     # Dark counts dominate at extreme loss.
     far = t_at(2000.0, alpha=10.0)
-    assert bb84_qber(FAST, far) == pytest.approx(0.5, abs=1e-6)
+    assert _arm(None, FAST, far)[1] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_qber_zero_gain():
     # A clean detector with no light reaching it never clicks.
     clean = SpdSpec(rep_rate=1e9, eta_d=0.059, y0=0.0, e_det=0.018)
     with pytest.raises(ZeroDivisionError, match="^gain is zero; QBER undefined$"):
-        bb84_qber(clean, 0.0)
+        _arm(None, clean, 0.0)
 
 
 def test_rate_single_examples():
@@ -60,7 +60,7 @@ def test_rate_single_examples():
 def test_rate_single_error_free_limit():
     clean = SpdSpec(rep_rate=1e9, eta_d=0.2, y0=0.0, e_det=0.0)
     t = t_at(25.0)
-    expected = 0.5 * clean.rep_rate * bb84_gain(clean, t)
+    expected = 0.5 * clean.rep_rate * _arm(None, clean, t)[0]
     assert single(clean, t) == pytest.approx(expected, rel=1e-12)
 
 
@@ -90,8 +90,8 @@ def test_dual_degenerates_to_single():
     for length in (0.0, 60.0, 140.0):
         t = t_at(length)
         dual = bb84_rate_dual(FAST, FAST, CFG, t)
-        err = bb84_qber(FAST, t)
-        expected = 0.5 * FAST.rep_rate * bb84_gain(FAST, t) * (1.0 - 2.22 * binary_entropy(err))
+        gain, err, _ = _arm(None, FAST, t)
+        expected = 0.5 * FAST.rep_rate * gain * (1.0 - 2.22 * binary_entropy(err))
         assert dual == pytest.approx(expected, rel=1e-12)
 
 
@@ -104,7 +104,7 @@ def test_switch_loss_reduces_dual_rate():
 def test_qber_nondecreasing_with_length():
     grid = [0.0, 25.0, 50.0, 100.0, 150.0, 200.0, 250.0]
     for spd in (FAST, SLOW, FAST_HIGH_EDET):
-        qbers = [bb84_qber(spd, t_at(length)) for length in grid]
+        qbers = [_arm(None, spd, t_at(length))[1] for length in grid]
         assert all(b >= a - 1e-15 for a, b in zip(qbers, qbers[1:]))
 
 
@@ -113,7 +113,7 @@ def test_quiet_bound_never_hurts():
     # all-fast rate at the fast detector's repetition rate.
     for length in (0.0, 40.0, 80.0, 120.0, 160.0):
         t = t_at(length)
-        if bb84_qber(SLOW, t) <= bb84_qber(FAST, t) <= 0.5:
+        if _arm(None, SLOW, t)[1] <= _arm(None, FAST, t)[1] <= 0.5:
             assert bb84_rate_dual(FAST, SLOW, CFG, t) >= single(FAST, t)
 
 

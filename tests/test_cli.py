@@ -182,6 +182,14 @@ def test_schedule_invalid_probability(capsys):
     assert main(["schedule", "--p", "2.0", "--k", "100"]) == 3
 
 
+def test_schedule_refuses_an_efficiency_above_one(capsys):
+    # overall_eta is a source-to-click efficiency, so it lies in [0, 1].
+    assert main(["schedule", "--p", "1e-3", "--k", "3", "--overall-eta", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overall_eta must be in [0, 1], got 2.0" in captured.err
+
+
 @pytest.mark.parametrize("flags", [
     ["--p", "0", "--k", "5"],
     ["--p", "1e-3", "--k", "5", "--qber-budget", "0.3"],

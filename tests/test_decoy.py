@@ -10,12 +10,10 @@ from dualdet.core import DomainError, SpdSpec, binary_entropy, channel_transmitt
 from dualdet.decoy import (
     DecoyConfig,
     decoy_rate_dual,
-    decoy_signal_gain,
-    decoy_signal_qber,
-    decoy_single_photon_gain,
     decoy_single_photon_qber,
     optimal_mu,
     _mu_root,
+    _signal,
 )
 
 FAST = SpdSpec(rep_rate=1e9, eta_d=0.059, y0=1.3e-5, e_det=0.018)
@@ -35,9 +33,7 @@ def single(spd, t):
 
 def single_by_terms(spd, t):
     """Single-detector rate assembled from the gain and QBER terms."""
-    q_mu = decoy_signal_gain(0.73, spd, t)
-    e_mu = decoy_signal_qber(0.73, spd, t)
-    q_1 = decoy_single_photon_gain(0.73, spd, t)
+    q_mu, e_mu, _, q_1 = _signal(0.73, spd, t)
     e_1 = decoy_single_photon_qber(0.73, spd, t)
     return 0.5 * spd.rep_rate * (
         q_1 - 1.22 * q_mu * binary_entropy(e_mu) - q_1 * binary_entropy(e_1)
@@ -48,41 +44,41 @@ def test_signal_gain_at_50km():
     # eta = 10^-1.05 * 0.16 * 0.059; Q_mu = y0 + 1 - exp(-eta*mu)
     eta = 10 ** -1.05 * 0.16 * 0.059
     expected = 1.3e-5 + 1.0 - math.exp(-eta * 0.73)
-    got = decoy_signal_gain(0.73, FAST, t_at(50.0))
+    got = _signal(0.73, FAST, t_at(50.0))[0]
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(6.269902772660929e-4, rel=1e-12)
 
 
 def test_signal_gain_limits():
     # Vanishing intensity leaves only dark counts.
-    assert decoy_signal_gain(1e-15, FAST, t_at(0.0)) == pytest.approx(FAST.y0, abs=1e-12)
+    assert _signal(1e-15, FAST, t_at(0.0))[0] == pytest.approx(FAST.y0, abs=1e-12)
     # Bright source saturates at y0 + 1.
     bright = SpdSpec(rep_rate=1e9, eta_d=1.0, y0=1e-5, e_det=0.01)
     saturating = 1.0
-    assert decoy_signal_gain(1e3, bright, saturating) == pytest.approx(1.0 + 1e-5, rel=1e-12)
+    assert _signal(1e3, bright, saturating)[0] == pytest.approx(1.0 + 1e-5, rel=1e-12)
 
 
 def test_signal_qber_at_50km():
-    assert decoy_signal_qber(0.73, FAST, t_at(50.0)) == pytest.approx(
+    assert _signal(0.73, FAST, t_at(50.0))[1] == pytest.approx(
         2.799377538567475e-2, rel=1e-12
     )
 
 
 def test_signal_qber_limits():
     clean = SpdSpec(rep_rate=1e9, eta_d=0.059, y0=0.0, e_det=0.018)
-    assert decoy_signal_qber(0.73, clean, t_at(20.0)) == pytest.approx(0.018, rel=1e-12)
+    assert _signal(0.73, clean, t_at(20.0))[1] == pytest.approx(0.018, rel=1e-12)
     far = t_at(2000.0, alpha=10.0)
-    assert decoy_signal_qber(0.73, FAST, far) == pytest.approx(0.5, abs=1e-6)
+    assert _signal(0.73, FAST, far)[1] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_single_photon_gain():
-    assert decoy_single_photon_gain(0.73, FAST, t_at(50.0)) == pytest.approx(
+    assert _signal(0.73, FAST, t_at(50.0))[3] == pytest.approx(
         3.0055162396113995e-4, rel=1e-12
     )
     # Poisson weight of exactly one photon at mu = 1 through a perfect system.
     perfect = SpdSpec(rep_rate=1e9, eta_d=1.0, y0=0.0, e_det=0.0)
     ideal = 1.0
-    assert decoy_single_photon_gain(1.0, perfect, ideal) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert _signal(1.0, perfect, ideal)[3] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_single_photon_qber():
@@ -121,8 +117,7 @@ def test_single_photon_gain_below_signal_gain():
     for length in range(0, 251, 10):
         t = t_at(float(length))
         for spd in (FAST, SLOW):
-            q_1 = decoy_single_photon_gain(0.73, spd, t)
-            q_mu = decoy_signal_gain(0.73, spd, t)
+            q_mu, _, _, q_1 = _signal(0.73, spd, t)
             assert q_1 <= q_mu + 1e-18
 
 
@@ -144,7 +139,7 @@ def test_rate_dual_degenerates_to_single():
 def test_rate_dual_uses_slow_error_bound():
     t = t_at(60.0)
     dual = decoy_rate_dual(FAST, SLOW, CFG, t)
-    q_1 = decoy_single_photon_gain(0.73, FAST, t)
+    q_1 = _signal(0.73, FAST, t)[3]
     expected_gain = 0.5 * 1e9 * q_1 * (
         binary_entropy(decoy_single_photon_qber(0.73, FAST, t))
         - binary_entropy(decoy_single_photon_qber(0.73, SLOW, t))

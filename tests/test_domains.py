@@ -100,7 +100,9 @@ ARGUMENTS = [
     (max_slow_probability, dict(k=5, qber_budget=0.01), "qber_budget", "in (0, 0.25)",
      [open_low(0.0), open_high(0.25)]),
     (accumulation_time, ACCUMULATION, "p", "in [0, 1]", [closed_low(0.0), closed_high(1.0)]),
-    *((accumulation_time, ACCUMULATION, name, ">= 0", [closed_low(0.0)]) for name in ACCUMULATION if name != "p"),
+    (accumulation_time, ACCUMULATION, "overall_eta", "in [0, 1]", [closed_low(0.0), closed_high(1.0)]),
+    *((accumulation_time, ACCUMULATION, name, ">= 0", [closed_low(0.0)])
+      for name in ACCUMULATION if name not in ("p", "overall_eta")),
     *((kernel, {**kwargs, "t": 0.5}, "t", "in [0, 1]", [closed_low(0.0), closed_high(1.0)])
       for kernel, kwargs in KERNELS),
 ]

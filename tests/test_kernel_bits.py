@@ -3,9 +3,10 @@ as the whole-formula kernels they replaced.
 
 The reference functions below compute every gain and QBER through its own
 helper, as the BB84 and decoy kernels once did, and each GMCS rate in the
-transmittance form in one function. Each kernel and public helper must return
-the same float (compared by float.hex()), or raise the same exception type
-with the same message, for numbers drawn from each field's whole domain.
+transmittance form in one function. Each kernel, each gain and QBER slot of
+the BB84 and decoy arms, and decoy_single_photon_qber must return the same
+float (compared by float.hex()), or raise the same exception type with the
+same message, for numbers drawn from each field's whole domain.
 """
 
 import math
@@ -14,13 +15,10 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualdet import bb84, gmcs
-from dualdet.bb84 import Bb84Config, bb84_gain, bb84_qber, bb84_rate_dual
+from dualdet import bb84, decoy, gmcs
+from dualdet.bb84 import Bb84Config, bb84_rate_dual
 from dualdet.core import E0, DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, binary_entropy
-from dualdet.decoy import (
-    DecoyConfig, decoy_rate_dual, decoy_signal_gain, decoy_signal_qber, decoy_single_photon_gain,
-    decoy_single_photon_qber,
-)
+from dualdet.decoy import DecoyConfig, decoy_rate_dual, decoy_single_photon_qber
 from dualdet.gmcs import MismatchedEfficiencyError, gmcs_dr_rate_dual, gmcs_rr_rate_dual
 from dualdet.scenario import _PROTOCOLS, Scenario, evaluate
 
@@ -117,27 +115,36 @@ spds = st.floats(0.0, 1.0).flatmap(lambda eta_d: st.builds(
 ))
 #: Transmittances in [0, 1], with the ends and subnormals drawn on purpose.
 transmittances = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 5e-324, 1e-310, 2.0 ** -1060)))
-#: The helpers take mu from the whole float range; a DecoyConfig's mu is in (0, 700].
+#: The arms take mu from the whole float range; a DecoyConfig's mu is in (0, 700].
 mus = positive()
 config_mus = st.floats(0.0, 700.0, exclude_min=True)
 f_ecs = st.floats(1.0, 10.0)
 basis_factors = st.sampled_from((0.5, 1.0))
 
-HELPERS = [
-    (lambda mu, spd, t: bb84_gain(spd, t), lambda mu, spd, t: ref_bb84_gain(spd, t)),
-    (lambda mu, spd, t: bb84_qber(spd, t), lambda mu, spd, t: ref_bb84_qber(spd, t)),
-    (decoy_signal_gain, ref_decoy_signal_gain),
-    (decoy_signal_qber, ref_decoy_signal_qber),
-    (decoy_single_photon_gain, ref_decoy_single_photon_gain),
-    (decoy_single_photon_qber, ref_decoy_single_photon_qber),
+#: Each arm, as a function of (mu, spd, t), with {slot: its reference}: slot 0 is the
+#: gain and slot 1 the QBER, whose reference refuses where the arm does.
+ARM_SLOTS = [
+    (lambda mu, spd, t: bb84._arm(None, spd, t),
+     {0: lambda mu, spd, t: ref_bb84_gain(spd, t), 1: lambda mu, spd, t: ref_bb84_qber(spd, t)}),
+    (decoy._signal, {0: ref_decoy_signal_gain, 1: ref_decoy_signal_qber, 3: ref_decoy_single_photon_gain}),
 ]
 
 
 @settings(max_examples=400, deadline=None)
 @given(mu=mus, spd=spds, t=transmittances)
-def test_helpers_match_reference(mu, spd, t):
-    for helper, reference in HELPERS:
-        assert outcome(helper, mu, spd, t) == outcome(reference, mu, spd, t), helper
+def test_arm_slots_match_reference(mu, spd, t):
+    # An arm raises at zero gain, where the gain references return 0.0 and
+    # the QBER reference raises the same error.
+    for arm, references in ARM_SLOTS:
+        try:
+            terms = arm(mu, spd, t)
+        except ZeroDivisionError as exc:
+            assert outcome(references[1], mu, spd, t) == (ZeroDivisionError, str(exc)), arm
+            assert outcome(references[0], mu, spd, t) == (0.0).hex(), arm
+            continue
+        for slot, reference in references.items():
+            assert terms[slot].hex() == outcome(reference, mu, spd, t), (arm, slot)
+    assert outcome(decoy_single_photon_qber, mu, spd, t) == outcome(ref_decoy_single_photon_qber, mu, spd, t)
 
 
 @settings(max_examples=400, deadline=None)
@@ -165,7 +172,8 @@ def test_zero_gain_messages_are_kept():
         ZeroDivisionError, "gain is zero; QBER undefined")
     assert outcome(decoy_rate_dual, clean, None, cfg, 0.0) == (
         ZeroDivisionError, "signal gain is zero; QBER undefined")
-    assert outcome(decoy_signal_qber, 0.5, clean, 0.0) == (ZeroDivisionError, "signal gain is zero; QBER undefined")
+    with pytest.raises(ZeroDivisionError, match="^signal gain is zero; QBER undefined$"):
+        decoy._signal(0.5, clean, 0.0)
 
 
 #: Excess noises from their whole domain.

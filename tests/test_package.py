@@ -19,9 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PUBLIC = {
     "core": ["E0", "DomainError", "ConfigError", "SpdSpec", "HomodyneSpec", "LinkSpec", "GmcsSource",
              "binary_entropy", "channel_transmittance", "db_to_transmittance"],
-    "bb84": ["Bb84Config", "bb84_gain", "bb84_qber", "bb84_rate_dual"],
-    "decoy": ["DecoyConfig", "decoy_signal_gain", "decoy_signal_qber", "decoy_single_photon_gain",
-              "decoy_single_photon_qber", "decoy_rate_dual", "optimal_mu"],
+    "bb84": ["Bb84Config", "bb84_rate_dual"],
+    "decoy": ["DecoyConfig", "decoy_single_photon_qber", "decoy_rate_dual", "optimal_mu"],
     "gmcs": ["MismatchedEfficiencyError", "gmcs_dr_rate_dual", "gmcs_rr_rate_dual"],
     "practical": ["choice_probabilities", "multi_pulse_qber", "max_slow_probability", "accumulation_time"],
     "presets": ["FigurePreset", "figure_preset"],
@@ -33,8 +32,8 @@ PUBLIC = {
 
 def test_root_exports_the_public_names():
     names = [n for module_names in PUBLIC.values() for n in module_names]
-    assert len(names) == 40
-    assert len(dualdet.__all__) == len(set(dualdet.__all__)) == 40
+    assert len(names) == 35
+    assert len(dualdet.__all__) == len(set(dualdet.__all__)) == 35
     assert set(dualdet.__all__) == set(names)
 
 
@@ -61,6 +60,10 @@ def test_star_import_and_unknown_name():
         dualdet.read_curves_csv
     # Removed: the GMCS kernels are the only spelling of the informations.
     for name in ("noise_budget", "mutual_info_ab", "info_ae", "info_be"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(dualdet, name)
+    # Removed: each gain and QBER is a slot of bb84._arm or decoy._signal.
+    for name in ("bb84_gain", "bb84_qber", "decoy_signal_gain", "decoy_signal_qber", "decoy_single_photon_gain"):
         with pytest.raises(AttributeError, match=name):
             getattr(dualdet, name)
 

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import dualdet.scenario
 import dualdet.sweep
-from dualdet.bb84 import Bb84Config, bb84_gain
+from dualdet.bb84 import Bb84Config, _arm as bb84_arm
 from dualdet.core import (
     LENGTH_FORMAT, RATE_FORMAT, DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, binary_entropy,
     bisect_sign_change, channel_transmittance,
@@ -94,6 +94,12 @@ def _grid_or_error(build, l_max, step):
         return str(exc)
 
 
+def search_grid_list(l_max, step):
+    """The search grid's points, [point(i) for i in range(last + 1)]."""
+    last, point = _search_grid(l_max, step)
+    return [point(i) for i in range(last + 1)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(l_max=st.one_of(st.floats(0.0, 300.0), st.floats(allow_nan=True), st.sampled_from((0.0, 5e-324, 1e300))),
        cells=st.one_of(st.floats(0.0, 2000.0, exclude_min=True), st.integers(1, 2000).map(float)),
@@ -103,7 +109,7 @@ def test_search_grid_is_the_checked_length_grid(l_max, cells, step):
     # the same points as the list from length_grid, or its GridError message.
     if step is None:
         step = l_max / cells
-    assert _grid_or_error(_search_grid, l_max, step) == _grid_or_error(reference_search_grid, l_max, step)
+    assert _grid_or_error(search_grid_list, l_max, step) == _grid_or_error(reference_search_grid, l_max, step)
 
 
 @pytest.mark.parametrize("l_max, step", [
@@ -116,12 +122,9 @@ def test_search_grid_at_the_finest_steps_is_the_checked_list(l_max, step):
     # Every step that length_grid accepts from 0, up to its 1,000,000 steps,
     # keeps the points strictly increasing, so the search grid checks none
     # of them one by one.
-    grid = _search_grid(l_max, step)
-    assert list(grid) == reference_search_grid(l_max, step)
+    grid = search_grid_list(l_max, step)
+    assert grid == reference_search_grid(l_max, step)
     assert len(grid) in (1_000_001, 1_000_002)
-    assert grid[-1] == grid[len(grid) - 1] == l_max and grid[-len(grid)] == 0.0
-    with pytest.raises(IndexError):
-        grid[len(grid)]
     with pytest.raises(GridError, match=r"^step 0\.00024 gives more than 1000000 grid points$"):
         _search_grid(250.0, 0.00024)
 
@@ -432,13 +435,13 @@ def test_searches_scan_only_up_to_the_answer(monkeypatch, fig_id, switch_loss, l
 def backward_scan(rate, l_max, coarse_step):
     """Reference maximum distance: walk the search grid backward from l_max
     to the last positive point and bisect the cell after it."""
-    grid = _search_grid(l_max, coarse_step)
-    last = next((i for i in reversed(range(len(grid))) if rate(grid[i]) > 0.0), None)
-    if last is None:
+    last, point = _search_grid(l_max, coarse_step)
+    found = next((i for i in reversed(range(last + 1)) if rate(point(i)) > 0.0), None)
+    if found is None:
         return None
-    if last == len(grid) - 1:
+    if found == last:
         return l_max
-    return bisect_sign_change(rate, grid[last], grid[last + 1], tol=DISTANCE_TOL / 5)
+    return bisect_sign_change(rate, point(found), point(found + 1), tol=DISTANCE_TOL / 5)
 
 
 def _hex_or_refusal(search, *args):
@@ -582,14 +585,14 @@ def forward_scan(rates, l_max, coarse_step):
         first, *others = rates(length)
         return first - max(others)
 
-    grid = _search_grid(l_max, coarse_step)
-    here = diff(grid[0])
-    for i in range(len(grid) - 1):
-        prev, here = here, diff(grid[i + 1])
+    last, point = _search_grid(l_max, coarse_step)
+    here = diff(point(0))
+    for i in range(last):
+        prev, here = here, diff(point(i + 1))
         if prev > 0.0 and here <= 0.0:
-            if here == 0.0 and i + 2 < len(grid) and diff(grid[i + 2]) > 0.0:
-                return 0.5 * (grid[i] + grid[i + 1])
-            return bisect_sign_change(diff, grid[i], grid[i + 1], tol=DISTANCE_TOL / 5)
+            if here == 0.0 and i + 2 <= last and diff(point(i + 2)) > 0.0:
+                return 0.5 * (point(i) + point(i + 1))
+            return bisect_sign_change(diff, point(i), point(i + 1), tol=DISTANCE_TOL / 5)
     return None
 
 
@@ -614,7 +617,7 @@ def _gap(rates):
 def record_grid_phase(patch) -> list:
     """Record the crossover through patch, in order: ("evaluate", length,
     scenario) for each evaluation, followed by ("refused", length) if it
-    raises, ("block", grid[i], gap at i, grid[j], gap at j) for each block
+    raises, ("block", point(i), gap at i, point(j), gap at j) for each block
     its gallop tests, and ("end",) when the gallop returns."""
     events = []
     sweep_module = dualdet.sweep
@@ -629,11 +632,11 @@ def record_grid_phase(patch) -> list:
             events.append(("refused", length))
             raise
 
-    def block_proof(scenarios, grid):
-        below, proves = real_block_proof(scenarios, grid)
+    def block_proof(scenarios, point):
+        below, proves = real_block_proof(scenarios, point)
 
         def recorded(i, here, j, there):
-            events.append(("block", grid[i], _gap(here), grid[j], _gap(there)))
+            events.append(("block", point(i), _gap(here), point(j), _gap(there)))
             return proves(i, here, j, there)
 
         return below, recorded
@@ -786,7 +789,7 @@ def test_gallop_is_the_forward_scan_over_its_reader(gaps, refuse_from, data):
     assert _cell_or_refusal(lambda: dualdet.sweep._gallop(at, len(gaps) - 1, proves)) == _cell_or_refusal(scan)
 
 
-def two_pass_block_proof(scenarios, grid):
+def two_pass_block_proof(scenarios, point):
     """Reference: _block_proof's below and above as the crossover's gallop
     used them before its single block test, all(below(...)) or above(...),
     each pair's bound written out. X is proved above Y when x > y*p + margin
@@ -800,13 +803,13 @@ def two_pass_block_proof(scenarios, grid):
                for k, m in enumerate(scenarios[1:], 1)]
 
     def ratio(i, j, k):
-        return channel_transmittance(scenarios[k].link.alpha, grid[j] - grid[i])
+        return channel_transmittance(scenarios[k].link.alpha, point(j) - point(i))
 
     def rho(i, j, k):  # N(L_j)/N(L_i), N = c + d*s: from s(L_i) and s(L_j) = s(L_i)*r
         c, d = dualdet.scenario._normalizer(scenarios[k])
         if c == 0.0:
             return ratio(i, j, k)
-        s = channel_transmittance(scenarios[k].link.alpha, grid[i])
+        s = channel_transmittance(scenarios[k].link.alpha, point(i))
         return (c + d * s * ratio(i, j, k)) / (c + d * s)
 
     def factors(i, j, k):
@@ -819,13 +822,13 @@ def two_pass_block_proof(scenarios, grid):
         return x > y * p + margin and x > y * q + margin
 
     def below(i, here, j, there):
-        if grid[j] > limit:
+        if point(j) > limit:
             return [False] * len(members)
         return [over(there[0], here[k], margin, i, j, k)
                 or twin and (there[0] - there[k]) * ratio(i, j, 0) > margin for k, margin, twin in members]
 
     def above(i, here, j, there):
-        if grid[j] > limit:
+        if point(j) > limit:
             return False
         return any(over(there[k], here[0], margin, i, j, k) for k, margin, _ in members)
 
@@ -869,14 +872,14 @@ def test_block_test_is_the_two_pass_form(data):
     scenarios = [Scenario(protocol, "dual", link, config, fast, slow),
                  *(Scenario(protocol, mode, dataclasses.replace(link, alpha=alpha), config, fast, slow)
                    for mode, alpha in roles)]
-    grid = _search_grid(data.draw(st.floats(1.0, 1e5)), data.draw(st.floats(0.2, 1e3)))
-    i = data.draw(st.integers(0, len(grid) - 2))
-    j = data.draw(st.integers(i + 1, len(grid) - 1))
+    last, point = _search_grid(data.draw(st.floats(1.0, 1e5)), data.draw(st.floats(0.2, 1e3)))
+    i = data.draw(st.integers(0, last - 1))
+    j = data.draw(st.integers(i + 1, last))
     rates = st.lists(UNIT_RATES.map(lambda unit: unit * scenarios[0]._error_scale),
                      min_size=len(scenarios), max_size=len(scenarios))
     here, there = data.draw(rates), data.draw(rates)
-    below, proves = dualdet.sweep._block_proof(scenarios, grid)
-    ref_below, ref_above = two_pass_block_proof(scenarios, grid)
+    below, proves = dualdet.sweep._block_proof(scenarios, point)
+    ref_below, ref_above = two_pass_block_proof(scenarios, point)
     assert proves(i, here, j, there) == (all(ref_below(i, here, j, there)) or ref_above(i, here, j, there))
     assert below(i, here, j, there) == ref_below(i, here, j, there)
 
@@ -984,7 +987,7 @@ def gain_steps(dual, steps):
 
     def rate(scenario, length):
         t = channel_transmittance(scenario.link.alpha, length) * scenario.link.g_bob
-        return steps(scenario is dual, length) * scenario.fast.rep_rate * bb84_gain(scenario.fast, t)
+        return steps(scenario is dual, length) * scenario.fast.rep_rate * bb84_arm(None, scenario.fast, t)[0]
 
     return member, rate
 
