@@ -54,10 +54,17 @@ def _arm(_, spd: SpdSpec, t: float) -> tuple[float, float, float]:
     return gain, e, binary_entropy(e)
 
 
-def _combine(cfg: Bb84Config, keyed: SpdSpec, keyed_terms, bounding_terms) -> float:
-    """The rate from the keyed arm's gain and H2 and the bounding arm's H2."""
+def _constants(cfg, keyed: SpdSpec) -> tuple[float, float]:
+    """(basis_factor*rep_rate, f_ec): what a BB84 or decoy combine reads from the
+    config and the keyed detector, a left-operand prefix of its formula."""
+    return cfg.basis_factor * keyed.rep_rate, cfg.f_ec
+
+
+def _combine(constants, keyed_terms, bounding_terms) -> float:
+    """The rate from the scenario's _constants, the keyed arm's gain and H2 and the bounding arm's H2."""
+    sifted_rate, f_ec = constants
     gain, _, h_keyed = keyed_terms
-    return cfg.basis_factor * keyed.rep_rate * gain * (1.0 - cfg.f_ec * h_keyed - bounding_terms[2])
+    return sifted_rate * gain * (1.0 - f_ec * h_keyed - bounding_terms[2])
 
 
 def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float) -> float:
@@ -99,7 +106,7 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     """
     check_number("t", t, "in [0, 1]")
     terms = _arm(None, keyed, t)
-    return _combine(cfg, keyed, terms, terms if bounding is keyed else _arm(None, bounding, t))
+    return _combine(_constants(cfg, keyed), terms, terms if bounding is keyed else _arm(None, bounding, t))
 
 
 def _noisier(dual: SpdSpec, member: SpdSpec) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .bb84 import F_EC_RULE, _arm, check_sifting
+from .bb84 import F_EC_RULE, _arm, _constants, check_sifting
 from .core import E0, DomainError, Record, SpdSpec, binary_entropy, check_number
 
 
@@ -79,7 +79,7 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
     """
     check_number("t", t, "in [0, 1]")
     terms = _signal(cfg.mu, keyed, t)
-    return _combine(cfg, keyed, terms, None if bounding is None else _arm(None, bounding, t))
+    return _combine(_constants(cfg, keyed), terms, None if bounding is None else _arm(None, bounding, t))
 
 
 def _signal(mu: float, spd: SpdSpec, t: float) -> tuple[float, float, float, float]:
@@ -96,13 +96,14 @@ def _signal(mu: float, spd: SpdSpec, t: float) -> tuple[float, float, float, flo
     return q_mu, e_mu, binary_entropy(e_mu), (spd.y0 + eta) * mu * math.exp(-mu)
 
 
-def _combine(cfg: DecoyConfig, keyed: SpdSpec, keyed_terms, bounding_terms) -> float:
-    """The rate from the keyed arm's terms and, unless None, the bounding arm's H2(e_1)."""
+def _combine(constants, keyed_terms, bounding_terms) -> float:
+    """The rate from bb84._constants, the keyed arm's terms and, unless None, the bounding arm's H2(e_1)."""
+    sifted_rate, f_ec = constants
     q_mu, _, h_mu, q_1 = keyed_terms
-    per_pulse = q_1 - cfg.f_ec * q_mu * h_mu
+    per_pulse = q_1 - f_ec * q_mu * h_mu
     if bounding_terms is not None:
         per_pulse -= q_1 * bounding_terms[2]
-    return cfg.basis_factor * keyed.rep_rate * per_pulse
+    return sifted_rate * per_pulse
 
 
 #: Largest residual optimal_mu accepts from its closed form.

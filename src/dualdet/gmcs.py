@@ -76,7 +76,7 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     """
     check_number("t", t, "in [0, 1]")
     terms = _arm(source, keyed, t)
-    return _dr_combine(source, keyed, terms, terms if bounding is keyed else _arm(source, bounding, t))
+    return _dr_combine(_constants(source, keyed), terms, terms if bounding is keyed else _arm(source, bounding, t))
 
 
 def _dr_error_scale(source: GmcsSource, keyed: HomodyneSpec) -> float:
@@ -101,13 +101,21 @@ def _dr_error_scale(source: GmcsSource, keyed: HomodyneSpec) -> float:
     return keyed.rep_rate * (1.0 + source.v + math.log2(source.v))
 
 
-def _dr_combine(source: GmcsSource, keyed: HomodyneSpec, keyed_terms, bounding_terms) -> float:
-    """The DR rate from the keyed arm's g and the bounding arm's n (gmcs_dr_rate_dual)."""
+def _constants(source: GmcsSource, keyed: HomodyneSpec) -> tuple[float, ...]:
+    """(rep_rate, beta, a = 1 + eps_det, p = v - 1 + e, e = eps_pre, g_det, v, 1/v + e), with the keyed
+    detector's fields: what a DR or RR combine reads from the source and the keyed detector, each a
+    parenthesised subexpression of its formula, so no rounding moves."""
+    e, v = source.eps_pre, source.v
+    return keyed.rep_rate, source.beta, 1.0 + keyed.eps_det, v - 1.0 + e, e, keyed.g_det, v, 1.0 / v + e
+
+
+def _dr_combine(constants, keyed_terms, bounding_terms) -> float:
+    """The DR rate from the scenario's _constants, the keyed arm's g and the bounding arm's n (gmcs_dr_rate_dual)."""
+    rep_rate, beta, a, p, e, g_det, v, _ = constants
     g = keyed_terms[0]
-    v, e = source.v, source.eps_pre
-    a, n, eg = 1.0 + keyed.eps_det, bounding_terms[1] * keyed.g_det, e * g
-    return keyed.rep_rate * (source.beta * (0.5 * math.log2((a + (v - 1.0 + e) * g) / (a + eg)))
-                             - 0.5 * math.log2((v * ((1.0 - g) + n + eg) + g) / (1.0 + n + eg)))
+    n, eg = bounding_terms[1] * g_det, e * g
+    return rep_rate * (beta * (0.5 * math.log2((a + p * g) / (a + eg)))
+                       - 0.5 * math.log2((v * ((1.0 - g) + n + eg) + g) / (1.0 + n + eg)))
 
 
 def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsSource, t: float) -> float:
@@ -152,7 +160,7 @@ def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
             f"detector efficiencies differ: {keyed.g_det} vs {bounding.g_det}"
         )
     terms = _arm(source, keyed, t)
-    return _rr_combine(source, keyed, terms, terms if bounding is keyed else _arm(source, bounding, t))
+    return _rr_combine(_constants(source, keyed), terms, terms if bounding is keyed else _arm(source, bounding, t))
 
 
 def _rr_error_scale(source: GmcsSource, keyed: HomodyneSpec, bounding: HomodyneSpec) -> float:
@@ -182,10 +190,10 @@ def _rr_error_scale(source: GmcsSource, keyed: HomodyneSpec, bounding: HomodyneS
                              + math.log2(1.0 + source.eps_pre))
 
 
-def _rr_combine(source: GmcsSource, keyed: HomodyneSpec, keyed_terms, bounding_terms) -> float:
-    """The RR rate from the shared g and the bounding arm's n (gmcs_rr_rate_dual)."""
+def _rr_combine(constants, keyed_terms, bounding_terms) -> float:
+    """The RR rate from the scenario's _constants, the shared g and the bounding arm's n (gmcs_rr_rate_dual)."""
+    rep_rate, beta, a, p, e, g_det, _, s = constants
     g = keyed_terms[0]
-    v, e = source.v, source.eps_pre
-    a, eps_b, pg = 1.0 + keyed.eps_det, bounding_terms[1] * keyed.g_det, (v - 1.0 + e) * g
-    info = 0.5 * (math.log2(1.0 + eps_b + pg) + math.log2((1.0 - g) + eps_b + (1.0 / v + e) * g))
-    return keyed.rep_rate * (source.beta * (0.5 * math.log2((a + pg) / (a + e * g))) - info)
+    eps_b, pg = bounding_terms[1] * g_det, p * g
+    info = 0.5 * (math.log2(1.0 + eps_b + pg) + math.log2((1.0 - g) + eps_b + s * g))
+    return rep_rate * (beta * (0.5 * math.log2((a + pg) / (a + e * g))) - info)

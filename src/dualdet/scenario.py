@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from itertools import repeat
 
 from . import bb84, decoy, gmcs
 from .core import (
@@ -20,29 +21,30 @@ from .core import (
 )
 
 #: protocol -> (config type, detector type, keyed arm(read, detector, t), bounding
-#: arm(read, detector, t), combine(config, keyed detector, keyed terms, bounding
-#: terms or None), read(config): what the arms read from it (nothing for BB84, mu
-#: for decoy, the source for GMCS), twin order(dual's bounding detector, member's
-#: bounding detector): whether _twins may pair them, error scale(config, keyed
-#: detector, bounding detector or None): a scale whose 2**-41 multiple bounds
-#: |fl(rate) - rate|, normalizer(keyed detector): (c, d) of N(t) = c + d*t > 0, such
-#: that rate/N does not rise with the length, in either sign: the keyed gain for BB84,
-#: t for decoy and GMCS RR, 1 for GMCS DR, whose rate falls; so in every mode the rate is
-#: positive on a prefix of lengths and does not rise there; each bound and proof is in
-#: the public kernel's docstring). An arm returns one detector's terms; each public
-#: kernel (bb84_rate_dual, ...) is the row's three functions composed.
+#: arm(read, detector, t), combine(constants, keyed terms, bounding terms or None),
+#: read(config): what the arms read from it (nothing for BB84, mu for decoy, the source
+#: for GMCS), twin order(dual's bounding detector, member's bounding detector): whether
+#: _twins may pair them, error scale(config, keyed detector, bounding detector or None):
+#: a scale whose 2**-41 multiple bounds |fl(rate) - rate|, normalizer(keyed detector):
+#: (c, d) of N(t) = c + d*t > 0, such that rate/N does not rise with the length, in
+#: either sign: the keyed gain for BB84, t for decoy and GMCS RR, 1 for GMCS DR, whose
+#: rate falls; so in every mode the rate is positive on a prefix of lengths and does not
+#: rise there; each bound and proof is in the public kernel's docstring, and
+#: constants(config, keyed detector): the tuple the combine reads, fixed per scenario and
+#: shared by twins). An arm returns one detector's terms; each public kernel
+#: (bb84_rate_dual, ...) is the row's arms and combine composed, its constants built per call.
 _PROTOCOLS = {
     "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84._arm, bb84._arm, bb84._combine, lambda cfg: None,
                            bb84._noisier, lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed),
-                           lambda keyed: (keyed.y0, keyed.eta_d)),
+                           lambda keyed: (keyed.y0, keyed.eta_d), bb84._constants),
     "decoy_bb84": (decoy.DecoyConfig, SpdSpec, decoy._signal, bb84._arm, decoy._combine, lambda cfg: cfg.mu,
                    bb84._noisier, lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed),
-                   lambda keyed: (0.0, 1.0)),
+                   lambda keyed: (0.0, 1.0), bb84._constants),
     "gmcs_dr": (GmcsSource, HomodyneSpec, gmcs._arm, gmcs._arm, gmcs._dr_combine, lambda cfg: cfg,
                 lambda dual, member: True, lambda cfg, keyed, bounding: gmcs._dr_error_scale(cfg, keyed),
-                lambda keyed: (1.0, 0.0)),
+                lambda keyed: (1.0, 0.0), gmcs._constants),
     "gmcs_rr": (GmcsSource, HomodyneSpec, gmcs._arm, gmcs._arm, gmcs._rr_combine, lambda cfg: cfg,
-                lambda dual, member: False, gmcs._rr_error_scale, lambda keyed: (0.0, 1.0)),
+                lambda dual, member: False, gmcs._rr_error_scale, lambda keyed: (0.0, 1.0), gmcs._constants),
 }
 #: mode -> (keyed arm, bounding arm, behind the switch). A single detector
 #: is the dual receiver with that detector on both arms at the same t; no
@@ -96,7 +98,7 @@ class Scenario(Record):
         # Resolve once what evaluate needs besides the length: the receiver
         # optics g_bob and the switch are one factor on the fiber transmittance.
         keyed, bounding, switched = _ARMS[self.mode]
-        _, _, keyed_arm, bounding_arm, combine, read, _, _, _ = _PROTOCOLS[self.protocol]
+        _, _, keyed_arm, bounding_arm, combine, read, _, _, _, constants = _PROTOCOLS[self.protocol]
         factor = self.link.g_bob
         if switched:
             factor *= db_to_transmittance(self.link.switch_loss)
@@ -107,7 +109,7 @@ class Scenario(Record):
         # One detector with one arm function (the BB84 and GMCS single modes): evaluate computes it once.
         shared = bounding_det is keyed_det and bounding_arm is keyed_arm
         plan = (keyed_arm, bounding_arm, combine, keyed_det, bounding_det, self.config, read(self.config),
-                self.link.alpha, factor, shared)
+                self.link.alpha, factor, shared, constants(self.config, keyed_det))
         object.__setattr__(self, "_plan", plan)
 
     # The searches' constants _error_scale(self), _proof_length(self) and _normalizer(self),
@@ -153,10 +155,10 @@ def validate_scenario(s: Scenario) -> None:
 
 def evaluate(scenario: Scenario, length_km: float) -> float:
     """Raw (unclamped) key rate in bits/s at the given fiber length."""
-    keyed_arm, bounding_arm, combine, keyed, bounding, config, read, alpha, factor, shared = scenario._plan
+    keyed_arm, bounding_arm, combine, keyed, bounding, _, read, alpha, factor, shared, constants = scenario._plan
     t = channel_transmittance(alpha, length_km) * factor
     terms = keyed_arm(read, keyed, t)
-    return combine(config, keyed, terms, terms if shared else bounding_arm(read, bounding, t))
+    return combine(constants, terms, terms if shared else bounding_arm(read, bounding, t))
 
 
 def _twins(dual: Scenario, member: Scenario) -> bool:
@@ -164,7 +166,7 @@ def _twins(dual: Scenario, member: Scenario) -> bool:
     bounding arm, and the twin order holds: then t*(rate_dual - rate_member)
     does not rise with the length while it is positive (the twin proofs in
     bb84_rate_dual and gmcs_dr_rate_dual)."""
-    keyed_arm, bounding_arm, combine, keyed, bounding, config, read, alpha, factor, _ = dual._plan
+    keyed_arm, bounding_arm, combine, keyed, bounding, config, read, alpha, factor, _, _ = dual._plan
     plan = member._plan
     return (
         (keyed_arm, combine, keyed, config, read, alpha, factor) == (plan[0], plan[2], plan[3], *plan[5:9])
@@ -175,7 +177,7 @@ def _twins(dual: Scenario, member: Scenario) -> bool:
 
 def _error_scale(s: Scenario) -> float:
     """The protocol's error scale (the eighth column of _PROTOCOLS) of s's keyed and bounding detectors."""
-    _, _, _, keyed, bounding, config, _, _, _, _ = s._plan
+    _, _, _, keyed, bounding, config, _, _, _, _, _ = s._plan
     return _PROTOCOLS[s.protocol][7](config, keyed, bounding)
 
 
@@ -188,7 +190,7 @@ def _proof_length(s: Scenario) -> float:
     of at least _LEAST_GAIN: below it the QBER is a ratio of underflowed
     numbers, which the error bounds do not cover. Infinite for GMCS: its
     bounds hold at every t in [0, 1]."""
-    _, _, _, keyed, bounding, _, _, alpha, factor, _ = s._plan
+    _, _, _, keyed, bounding, _, _, alpha, factor, _, _ = s._plan
     limit = math.inf
     for det in (keyed, bounding):
         if isinstance(det, SpdSpec) and det.y0 < _LEAST_GAIN:
@@ -199,10 +201,10 @@ def _proof_length(s: Scenario) -> float:
 
 
 def _normalizer(s: Scenario) -> tuple[float, float]:
-    """(c, d) of s's normalizer (the last column of _PROTOCOLS) as a function
+    """(c, d) of s's normalizer (the ninth column of _PROTOCOLS) as a function
     of the fiber transmittance 10**(-alpha*L/10): N = c + d*10**(-alpha*L/10),
     with the receiver's factor (g_bob and the switch) folded into d."""
-    _, _, _, keyed, _, _, _, _, factor, _ = s._plan
+    _, _, _, keyed, _, _, _, _, factor, _, _ = s._plan
     c, d = _PROTOCOLS[s.protocol][8](keyed)
     return c, d * factor
 
@@ -216,9 +218,10 @@ def _raw_rates(scenarios, lengths: tuple[float, ...]) -> list[tuple[float, ...]]
     """evaluate's raw rates of each scenario at each length.
 
     Each column is computed once per call: the fiber transmittance for each
-    distinct attenuation, t for each (attenuation, factor), and the terms of
-    each arm for each (arm function, detector, what it reads from the config,
-    attenuation, factor).
+    distinct attenuation, t for each (attenuation, factor), the fiber column
+    itself where the factor is 1, and the terms of each arm for each (arm
+    function, detector, what it reads from the config, attenuation, factor);
+    each combine reads the scenario's constants from its plan.
     A single-detector mode reads one column for both arms, and in a preset
     without a switch the dual curve takes its keyed terms from the fast
     curve and its bounding terms from the slow one. If anything raises, the
@@ -229,18 +232,18 @@ def _raw_rates(scenarios, lengths: tuple[float, ...]) -> list[tuple[float, ...]]
     rates = []
     try:
         for scenario in scenarios:
-            keyed_arm, bounding_arm, combine, keyed, bounding, config, read, alpha, factor, _ = scenario._plan
+            keyed_arm, bounding_arm, combine, keyed, bounding, _, read, alpha, factor, _, constants = scenario._plan
             if alpha not in columns:
                 columns[alpha] = [channel_transmittance(alpha, length) for length in lengths]
-            if (alpha, factor) not in columns:
-                columns[alpha, factor] = [u * factor for u in columns[alpha]]
+            if (alpha, factor) not in columns:  # u*1.0 is u, bit for bit
+                columns[alpha, factor] = columns[alpha] if factor == 1.0 else [u * factor for u in columns[alpha]]
             arms = []
             for arm, det in ((keyed_arm, keyed), (bounding_arm, bounding)):
                 key = (arm, id(det), id(read), alpha, factor)
                 if key not in columns:
                     columns[key] = [arm(read, det, t) for t in columns[alpha, factor]]
                 arms.append(columns[key])
-            rates.append(tuple([combine(config, keyed, k, b) for k, b in zip(*arms)]))
+            rates.append(tuple(map(combine, repeat(constants), *arms)))
     except (ArithmeticError, ValueError):  # DomainError is a ValueError
         return [tuple([evaluate(scenario, length) for length in lengths]) for scenario in scenarios]
     return rates

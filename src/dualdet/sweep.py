@@ -88,10 +88,11 @@ def _grid_steps(l_min: float, l_max: float, step: float) -> int:
 
 
 def length_grid(l_min: float, l_max: float, step: float) -> list[float]:
-    """Inclusive grid l_min, l_min+step, ... up to l_max."""
+    """Inclusive grid l_min, l_min+step, ... up to l_max. A grid from l_min > 0 is
+    checked pair by pair; one from 0 strictly increases, as _search_grid's docstring proves."""
     n = _grid_steps(l_min, l_max, step)
     grid = [l_min + i * step for i in range(n + 1)]
-    if not all(map(operator.lt, grid, grid[1:])):
+    if l_min and not all(map(operator.lt, grid, grid[1:])):
         raise GridError(f"step {step} is too small to separate grid points in [{l_min}, {l_max}]")
     return grid
 
@@ -111,10 +112,11 @@ def _search_grid(l_max_search: float, coarse_step: float) -> tuple[int, Callable
     rounding of it. The grid has at least the two points 0 and l_max_search.
 
     Its points are length_grid(0, l_max_search, coarse_step)'s, and they are
-    strictly increasing without being checked one by one: with s the step
-    and 0 <= i < j <= n <= MAX_GRID_POINTS < 2**52, j*s - i*s >= s exceeds
-    ulp(j*s) <= 2**-52*j*s where j*s is a normal float, and a subnormal
-    product is exact; so the rounded products differ, as rounding keeps order.
+    strictly increasing without being checked one by one, here or in
+    length_grid: with s the step and 0 <= i < j <= n <= MAX_GRID_POINTS < 2**52,
+    j*s - i*s >= s exceeds ulp(j*s) <= 2**-52*j*s where j*s is a normal float,
+    and a subnormal product is exact; so the rounded products differ, as
+    rounding keeps order.
     """
     n = _grid_steps(0.0, l_max_search, coarse_step)
     last = n + 1 if n == 0 or l_max_search - n * coarse_step > 1e-9 * coarse_step else n
@@ -309,7 +311,7 @@ def _block_proof(scenarios, point: Callable[[int], float]):
     above it, stopping at the first member not proved below, with the
     ratios below computed once per tested block and distinct normalizer.
 
-    The normalizer rule (the last column of scenario._PROTOCOLS; each proof
+    The normalizer rule (the ninth column of scenario._PROTOCOLS; each proof
     is in its kernel's docstring): scenario Z's rate divided by
     N_Z = c + d*s > 0 does not rise with length in either sign, where
     s = 10**(-alpha*L/10) is its fiber transmittance, c, d >= 0, and d
@@ -437,12 +439,12 @@ def write_curves_csv(curves: Mapping[str, RateCurve], out: io.TextIOBase) -> Non
     if not curves:
         raise DomainError("no curves to write")
     lengths = next(iter(curves.values())).lengths
-    if any(c.lengths != lengths for c in curves.values()):
+    if any(c.lengths is not lengths and c.lengths != lengths for c in curves.values()):
         raise DomainError("all curves must share one length grid")
 
-    # RateCurve.rates clamps every non-positive rate to 0.0, so a false cell is a clamped zero.
-    columns = [[LENGTH_FORMAT % length for length in lengths]]
-    columns += [[RATE_FORMAT % r if r else _ZERO_RATE for r in curves[role].rates] if role in curves
+    # One % for the length column; a rate cell is RateCurve.rates' clamp of the raw rate, NaN and -0.0 to 0.
+    columns = [("\n".join([LENGTH_FORMAT] * len(lengths)) % tuple(lengths)).split("\n")]
+    columns += [[RATE_FORMAT % r if r > 0.0 else _ZERO_RATE for r in curves[role].raw] if role in curves
                 else repeat("") for role in CURVE_ROLES]
     out.write("\n".join([",".join(CSV_HEADER), *map(",".join, zip(*columns))]) + "\n")
 

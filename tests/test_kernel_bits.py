@@ -462,7 +462,7 @@ def test_rr_rate_keeps_the_monotone_rule_in_both_signs(keyed, other, same, t, r,
 
 
 def _normalized(protocol, keyed, rate, t):
-    """rate/N(t), N the protocol's normalizer (the last column of scenario._PROTOCOLS)."""
+    """rate/N(t), N the protocol's normalizer (the ninth column of scenario._PROTOCOLS)."""
     c, d = _PROTOCOLS[protocol][8](keyed)
     return rate / (c + d * t)
 

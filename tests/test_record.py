@@ -139,7 +139,12 @@ def test_construction_runs_the_checks():
 def test_scenario_keeps_its_plan_and_proof_constants(count_calls):
     calls = {name: count_calls(getattr(scenario_module, name)) for name in ("_proof_length", "_normalizer")}
     dual = dataclasses.replace(RECORDS[Scenario][1])  # built after the counters are in place
-    assert len(dual._plan) == 10 and dual._error_scale > 0.0
+    assert len(dual._plan) == 11 and dual._error_scale > 0.0
+    # The plan ends with the combine's constants, of the config and the keyed detector only, so twins share them.
+    assert dual._plan[-1] == scenario_module._PROTOCOLS[dual.protocol][9](dual.config, dual.fast)
+    unswitched = dataclasses.replace(dual, link=dataclasses.replace(dual.link, switch_loss=0.0))
+    twin = dataclasses.replace(unswitched, mode="single_fast")
+    assert scenario_module._twins(unswitched, twin) and twin._plan[-1] == unswitched._plan[-1] == dual._plan[-1]
     first = dual._proof_length, dual._normalizer
     assert (dual._proof_length, dual._normalizer) == first
     assert {name: len(made) for name, made in calls.items()} == {"_proof_length": 1, "_normalizer": 1}

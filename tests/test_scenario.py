@@ -15,7 +15,7 @@ from dualdet.core import (
     DomainError, GmcsSource, HomodyneSpec, LinkSpec, SpdSpec, channel_transmittance, db_to_transmittance,
 )
 from dualdet.decoy import DecoyConfig, decoy_rate_dual, optimal_mu
-from dualdet.gmcs import gmcs_rr_rate_dual
+from dualdet.gmcs import gmcs_dr_rate_dual, gmcs_rr_rate_dual
 from dualdet.presets import FIGURE_IDS, figure_preset
 from dualdet.scenario import (
     MODES, PROTOCOLS, ConfigError, Scenario, _normalizer, _proof_length, _twins, evaluate, load_scenario,
@@ -650,6 +650,41 @@ def _drawn_scenario(data):
     if protocol == "gmcs_rr":
         slow = dataclasses.replace(slow, g_det=fast.g_det)
     return Scenario(protocol, mode, data.draw(LINKS), data.draw(configs), fast, slow)
+
+
+#: protocol -> its public kernel, which builds the combine's constants on every call.
+KERNELS = {"bb84_single_photon": bb84_rate_dual, "decoy_bb84": decoy_rate_dual,
+           "gmcs_dr": gmcs_dr_rate_dual, "gmcs_rr": gmcs_rr_rate_dual}
+
+
+def _bits_or_refusal(function, *args):
+    """function(*args) as float.hex, or the exception it raises as (type, message)."""
+    try:
+        return function(*args).hex()
+    except (ArithmeticError, ValueError) as exc:  # DomainError is a ValueError
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("protocol, mode", VALID_MODES)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_plan_constants_are_the_kernels(protocol, mode, data):
+    # evaluate combines with the constants the scenario's plan built once; the
+    # public kernel builds them per call. Both give the same bits, or the same
+    # refusal, at the t the receiver layout gives: g_bob, and behind the switch
+    # its loss, on the fiber transmittance. Lengths reach t = 0, where a gain may be 0.
+    detectors, configs = PROTOCOL_PARTS[protocol]
+    fast, slow, config, link = data.draw(detectors), data.draw(detectors), data.draw(configs), data.draw(LINKS)
+    if protocol == "gmcs_rr":
+        slow = dataclasses.replace(slow, g_det=fast.g_det)
+    length = data.draw(st.floats(0.0, 5000.0))
+    scenario = Scenario(protocol, mode, link, config, fast, slow)
+    keyed = slow if mode == "single_slow" else fast
+    bounding = {"single_fast": fast, "single_slow": slow, "dual": slow, "dual_no_pa": None}[mode]
+    factor = link.g_bob * db_to_transmittance(link.switch_loss) if mode.startswith("dual") else link.g_bob
+    t = channel_transmittance(link.alpha, length) * factor
+    assert _bits_or_refusal(evaluate, scenario, length) == _bits_or_refusal(KERNELS[protocol], keyed, bounding,
+                                                                             config, t)
 
 
 def _kept_constants(scenario):

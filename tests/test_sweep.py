@@ -1207,6 +1207,49 @@ def test_csv_every_role_subset_matches_row_by_row_reference(fig_id):
             assert buf.getvalue() == "".join(expected), roles
 
 
+#: Raw rates a cell must clamp as RateCurve.rates does: negative, both zeros, the least
+#: subnormal, NaN, both infinities, the largest order of magnitude, and ordinary rates.
+CELL_RAWS = st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 5e-324, math.nan, math.inf, -math.inf, 1e308)),
+                      st.floats(-1e9, 1e9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_csv_cells_from_raw_rates_match_row_by_row_reference(data):
+    # Each cell is formatted from the raw rate, and reads what .rates gives it;
+    # the shared grid may be a tuple or a list.
+    lengths = data.draw(st.lists(st.floats(0.0, 1e6), max_size=8, unique=True).map(sorted))
+    grid = lengths if data.draw(st.booleans()) else tuple(lengths)
+    roles = data.draw(st.lists(st.sampled_from(CURVE_ROLES), min_size=1, max_size=3, unique=True))
+    raws = st.lists(CELL_RAWS, min_size=len(lengths), max_size=len(lengths)).map(tuple)
+    curves = {role: RateCurve(grid, data.draw(raws)) for role in roles}
+    expected = [",".join(CSV_HEADER) + "\n"]
+    for i, length in enumerate(lengths):
+        cells = [RATE_FORMAT % curves[r].rates[i] if r in curves else "" for r in CURVE_ROLES]
+        expected.append(",".join([LENGTH_FORMAT % length, *cells]) + "\n")
+    buf = io.StringIO()
+    write_curves_csv(curves, buf)
+    assert buf.getvalue() == "".join(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step=st.one_of(st.floats(5e-324, 2.2e-308), st.floats(1e-300, 1e3)), points=st.floats(0.5, 1e4))
+@example(step=5e-324, points=1e4)
+def test_length_grid_from_zero_is_proved_increasing(step, points):
+    # length_grid does not check a grid from 0: _search_grid's docstring proves
+    # that i*step strictly increases, subnormal steps included.
+    l_max = step * points
+    assume(l_max > 0.0)
+    grid = length_grid(0.0, l_max, step)
+    assert grid[0] == 0.0 and all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def test_length_grid_from_a_positive_start_is_checked():
+    # 1e17 + i is the same float for neighbouring i: the grid collapses and is refused.
+    with pytest.raises(GridError, match="^step 1.0 is too small to separate grid points"):
+        length_grid(1e17, 1.00000000000001e17, 1.0)
+
+
 def test_csv_clamped_cells_print_zero():
     buf = io.StringIO()
     write_curves_csv({"dual": _edge_curves()["dual"]}, buf)

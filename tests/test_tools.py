@@ -22,6 +22,7 @@ src_lines = _load("src_lines")
 search_counts = _load("search_counts")
 search_time = _load("search_time")
 scan_time = _load("scan_time")
+figure_time = _load("figure_time")
 
 FIXTURE = '''"""Module docstring.
 
@@ -141,3 +142,25 @@ def test_scan_time_refuses_a_parent_with_other_results(tmp_path, capsys, parent_
     assert scan_time.main([str(tmp_path), "--rounds", "1"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("results differ:") and "parent ('ConfigError', \"unknown key in link: ['colour']\")" in out
+
+
+def test_figure_time_against_this_tree(capsys, parent_unloaded):
+    # A few rounds with this tree as its own parent: the CSV texts agree, and it
+    # prints a row per figure preset, then the summed row.
+    assert figure_time.main([str(ROOT / "src"), "--rounds", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["figure", "parent", "us", "tree", "us", "ratio"]
+    assert [row.split()[0] for row in rows] == [*map(str, range(1, 10)), "all"]
+    assert all(float(row.split()[-1]) > 0.0 for row in rows)
+
+
+def test_figure_time_refuses_a_parent_with_other_csv(tmp_path, capsys, parent_unloaded):
+    # A parent that prints rates to another precision writes other CSV text, so nothing is timed.
+    shutil.copytree(ROOT / "src" / "dualdet", tmp_path / "dualdet")
+    core = tmp_path / "dualdet" / "core.py"
+    source = core.read_text(encoding="utf-8")
+    assert source.count('RATE_FORMAT = "%.5e"\n') == 1
+    core.write_text(source.replace('RATE_FORMAT = "%.5e"\n', 'RATE_FORMAT = "%.6e"\n'), encoding="utf-8")
+    assert figure_time.main([str(tmp_path), "--rounds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("CSV text differs:") and "figure 1 line 2: parent '0.00," in out
