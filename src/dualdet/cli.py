@@ -1,5 +1,9 @@
 """Command-line interface.
 
+COMMANDS is the one table of commands, flags and help. main reads a well-formed
+argv from it without importing argparse (_read_argv); any other argv, help
+included, goes to the argparse parser that build_parser makes from the table.
+
 Exit codes: 0 on success, 2 for configuration problems (bad scenario file,
 bad flags, unwritable output), 3 for numeric/domain errors raised during
 evaluation. Each command imports the modules it runs, and only those.
@@ -7,7 +11,6 @@ evaluation. Each command imports the modules it runs, and only those.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -20,12 +23,14 @@ DEFAULT_OVERALL_ETA = db_to_transmittance(21.0) * 0.16 * db_to_transmittance(3.0
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for float flags: refuses nan and inf (exit 2)."""
+    """Type of the float flags: refuses nan and inf (exit 2), importing argparse only to refuse."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
@@ -34,13 +39,12 @@ def _fmt_distance(value: float | None) -> str:
     return "none" if value is None else LENGTH_FORMAT % value
 
 
-def _cmd_rate(args: argparse.Namespace) -> int:
+def _cmd_rate(config: str, length: float) -> int:
     from .scenario import evaluate, load_scenario
 
-    if args.length < 0.0:
-        raise ConfigError(f"--length must be >= 0 km, got {args.length}")
-    scenario = load_scenario(args.config)
-    print(RATE_FORMAT % evaluate(scenario, args.length))
+    if length < 0.0:
+        raise ConfigError(f"--length must be >= 0 km, got {length}")
+    print(RATE_FORMAT % evaluate(load_scenario(config), length))
     return 0
 
 
@@ -64,131 +68,149 @@ def _save_csv(path: str, make_curves) -> None:
         raise
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(config: str, lmin: float, lmax: float, step: float, out: str) -> int:
     from .scenario import MODE_TO_ROLE, load_scenario
     from .sweep import sweep
 
-    scenario = load_scenario(args.config)
-    role = MODE_TO_ROLE[scenario.mode]
-    _save_csv(args.out, lambda: {role: sweep(scenario, args.lmin, args.lmax, args.step)})
+    scenario = load_scenario(config)
+    _save_csv(out, lambda: {MODE_TO_ROLE[scenario.mode]: sweep(scenario, lmin, lmax, step)})
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _cmd_figure(id: int, out: str) -> int:  # noqa: A002 - the flag is --id
     from .presets import figure_preset
     from .sweep import sweep_preset
 
-    preset = figure_preset(args.id)
-    _save_csv(args.out, lambda: sweep_preset(preset))
+    preset = figure_preset(id)
+    _save_csv(out, lambda: sweep_preset(preset))
     return 0
 
 
-def _cmd_maxdist(args: argparse.Namespace) -> int:
+def _cmd_maxdist(config: str, lmax: float) -> int:
     from .scenario import load_scenario
     from .sweep import max_secure_distance
 
-    scenario = load_scenario(args.config)
-    print(_fmt_distance(max_secure_distance(scenario, args.lmax)))
+    print(_fmt_distance(max_secure_distance(load_scenario(config), lmax)))
     return 0
 
 
-def _cmd_crossover(args: argparse.Namespace) -> int:
+def _cmd_crossover(config_a: str, config_b: list[str], lmax: float) -> int:
     from .scenario import load_scenario
     from .sweep import crossover_distance
 
-    scenario_a = load_scenario(args.config_a)
-    others = [load_scenario(path) for path in args.config_b]
-    print(_fmt_distance(crossover_distance(scenario_a, others, args.lmax)))
+    others = [load_scenario(path) for path in config_b]
+    print(_fmt_distance(crossover_distance(load_scenario(config_a), others, lmax)))
     return 0
 
 
-def _cmd_mu_opt(args: argparse.Namespace) -> int:
+def _cmd_mu_opt(edet: float, f: float) -> int:
     from .decoy import optimal_mu
 
-    print(f"{optimal_mu(args.edet, args.f):.6f}")
+    print(f"{optimal_mu(edet, f):.6f}")
     return 0
 
 
-def _cmd_schedule(args: argparse.Namespace) -> int:
+def _cmd_schedule(p: float, k: int, qber_budget: float, rep_rate: float, mu: float, overall_eta: float,
+                  target_counts: float) -> int:
     from .practical import accumulation_time, choice_probabilities, max_slow_probability, multi_pulse_qber
 
     # Compute every value before printing any: a failing input prints nothing.
-    p0, p1, pm = choice_probabilities(args.p, args.k)
-    qber = multi_pulse_qber(args.p, args.k)
-    p_max = max_slow_probability(args.k, args.qber_budget)
-    seconds = accumulation_time(args.p, args.rep_rate, args.mu, args.overall_eta, args.target_counts)
+    p0, p1, pm = choice_probabilities(p, k)
+    qber = multi_pulse_qber(p, k)
+    p_max = max_slow_probability(k, qber_budget)
+    seconds = accumulation_time(p, rep_rate, mu, overall_eta, target_counts)
     for label, value in (("p0", p0), ("p1", p1), ("pm", pm), ("multi_pulse_qber", qber), ("p_max", p_max),
                          ("accumulation_s", seconds), ("accumulation_hours", seconds / 3600.0)):
         print(f"{label} {RATE_FORMAT % value}")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dualdet",
-        description="Secret key rates for QKD receivers pairing a fast noisy "
-        "detector with a slow quiet one.",
-    )
+#: Defaults that mark a flag required, or required and repeatable, its values appended to a list.
+REQUIRED, APPEND = object(), object()
+
+#: Each command's handler, help and flags: (name, type, default, help). A handler takes
+#: one keyword argument per flag, named as argparse names the flag's value.
+COMMANDS = {
+    "rate": (_cmd_rate, "raw key rate of a scenario at one length", (
+        ("--config", str, REQUIRED, "scenario JSON file"),
+        ("--length", _finite_float, REQUIRED, "fiber length, km"))),
+    "sweep": (_cmd_sweep, "sweep a scenario over a length grid to CSV", (
+        ("--config", str, REQUIRED, "scenario JSON file"),
+        ("--lmin", _finite_float, 0.0, None),
+        ("--lmax", _finite_float, 250.0, None),
+        ("--step", _finite_float, 1.0, None),
+        ("--out", str, REQUIRED, "output CSV path"))),
+    "figure": (_cmd_figure, "emit a built-in preset's curves to CSV", (
+        ("--id", int, REQUIRED, "preset id, 1..9"),
+        ("--out", str, REQUIRED, "output CSV path"))),
+    "maxdist": (_cmd_maxdist, "largest length with a positive rate", (
+        ("--config", str, REQUIRED, None),
+        ("--lmax", _finite_float, 250.0, "search limit, km"))),
+    "crossover": (_cmd_crossover, "where scenario A stops beating scenario B", (
+        ("--config-a", str, REQUIRED, None),
+        ("--config-b", str, APPEND, "may be given twice to compare against the best of two scenarios"),
+        ("--lmax", _finite_float, 250.0, None))),
+    "mu-opt": (_cmd_mu_opt, "self-consistent signal intensity for decoy BB84", (
+        ("--edet", _finite_float, REQUIRED, "misalignment error"),
+        ("--f", _finite_float, REQUIRED, "error-correction efficiency"))),
+    "schedule": (_cmd_schedule, "slow-detector routing probabilities and limits", (
+        ("--p", _finite_float, REQUIRED, "slow-arm routing probability"),
+        ("--k", int, REQUIRED, "pulses per response window"),
+        ("--qber-budget", _finite_float, 0.01, None),
+        ("--rep-rate", _finite_float, 1e9, "pulse rate, Hz"),
+        ("--mu", _finite_float, 1.0, "mean photons per pulse"),
+        ("--overall-eta", _finite_float, DEFAULT_OVERALL_ETA, "source-to-click efficiency of the slow arm "
+         "(default: 21 dB channel, 0.16 optics, 3 dB switch, 0.5 detector)"),
+        ("--target-counts", _finite_float, 1e6, None))),
+}
+
+
+def build_parser():
+    """The argparse parser of COMMANDS: it gives the help text and refuses bad argvs."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="dualdet", description="Secret key rates for QKD receivers pairing a fast "
+                                     "noisy detector with a slow quiet one.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rate", help="raw key rate of a scenario at one length")
-    p.add_argument("--config", required=True, help="scenario JSON file")
-    p.add_argument("--length", required=True, type=_finite_float, help="fiber length, km")
-    p.set_defaults(func=_cmd_rate)
-
-    p = sub.add_parser("sweep", help="sweep a scenario over a length grid to CSV")
-    p.add_argument("--config", required=True, help="scenario JSON file")
-    p.add_argument("--lmin", type=_finite_float, default=0.0)
-    p.add_argument("--lmax", type=_finite_float, default=250.0)
-    p.add_argument("--step", type=_finite_float, default=1.0)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("figure", help="emit a built-in preset's curves to CSV")
-    p.add_argument("--id", required=True, type=int, help="preset id, 1..9")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_figure)
-
-    p = sub.add_parser("maxdist", help="largest length with a positive rate")
-    p.add_argument("--config", required=True)
-    p.add_argument("--lmax", type=_finite_float, default=250.0, help="search limit, km")
-    p.set_defaults(func=_cmd_maxdist)
-
-    p = sub.add_parser("crossover", help="where scenario A stops beating scenario B")
-    p.add_argument("--config-a", required=True)
-    p.add_argument(
-        "--config-b", required=True, action="append",
-        help="may be given twice to compare against the best of two scenarios",
-    )
-    p.add_argument("--lmax", type=_finite_float, default=250.0)
-    p.set_defaults(func=_cmd_crossover)
-
-    p = sub.add_parser("mu-opt", help="self-consistent signal intensity for decoy BB84")
-    p.add_argument("--edet", required=True, type=_finite_float, help="misalignment error")
-    p.add_argument("--f", required=True, type=_finite_float, help="error-correction efficiency")
-    p.set_defaults(func=_cmd_mu_opt)
-
-    p = sub.add_parser("schedule", help="slow-detector routing probabilities and limits")
-    p.add_argument("--p", required=True, type=_finite_float, help="slow-arm routing probability")
-    p.add_argument("--k", required=True, type=int, help="pulses per response window")
-    p.add_argument("--qber-budget", type=_finite_float, default=0.01)
-    p.add_argument("--rep-rate", type=_finite_float, default=1e9, help="pulse rate, Hz")
-    p.add_argument("--mu", type=_finite_float, default=1.0, help="mean photons per pulse")
-    p.add_argument(
-        "--overall-eta", type=_finite_float, default=DEFAULT_OVERALL_ETA,
-        help="source-to-click efficiency of the slow arm "
-        "(default: 21 dB channel, 0.16 optics, 3 dB switch, 0.5 detector)",
-    )
-    p.add_argument("--target-counts", type=_finite_float, default=1e6)
-    p.set_defaults(func=_cmd_schedule)
-
+    for command, (_, about, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for name, kind, default, text in flags:
+            required = default in (REQUIRED, APPEND)
+            p.add_argument(name, type=kind, required=required, default=None if required else default, help=text,
+                           action="append" if default is APPEND else "store")
     return parser
 
 
+def _read_argv(argv: list[str]) -> dict | None:
+    """vars(build_parser().parse_args(argv)) for a well-formed argv: the command, then exact
+    `--flag value` pairs, each value led by no dash and accepted by the flag's type, and every
+    required flag given. None for any other argv, which argparse then reads or refuses."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = {flag[0]: flag for flag in COMMANDS[argv[0]][2]}
+    given = {}
+    for name, text in zip(argv[1::2], argv[2::2]):
+        if name not in flags or text[:1] == "-":
+            return None
+        try:
+            value = flags[name][1](text)
+        except Exception:  # argparse then refuses the value, or raises the same error
+            return None
+        # The last of a repeated flag wins, and an APPEND flag collects its values.
+        given[name] = [*given.get(name, ()), value] if flags[name][2] is APPEND else value
+    values = {"command": argv[0]}
+    for name, _, default, _ in flags.values():
+        if name not in given and default in (REQUIRED, APPEND):
+            return None
+        values[name[2:].replace("-", "_")] = given.get(name, default)
+    return values
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    values = _read_argv(sys.argv[1:] if argv is None else argv) or vars(build_parser().parse_args(argv))
+    handler = COMMANDS[values.pop("command")][0]
     try:
-        return args.func(args)
+        return handler(**values)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

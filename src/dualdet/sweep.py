@@ -439,7 +439,7 @@ def write_curves_csv(curves: Mapping[str, RateCurve], out: io.TextIOBase) -> Non
     if not curves:
         raise DomainError("no curves to write")
     lengths = next(iter(curves.values())).lengths
-    if any(c.lengths is not lengths and c.lengths != lengths for c in curves.values()):
+    if any(c.lengths is not lengths and tuple(c.lengths) != tuple(lengths) for c in curves.values()):
         raise DomainError("all curves must share one length grid")
 
     # One % for the length column; a rate cell is RateCurve.rates' clamp of the raw rate, NaN and -0.0 to 0.

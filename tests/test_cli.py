@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -6,8 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dualdet
+from dualdet import cli
 from dualdet.cli import main
 
 BB84_DUAL = {
@@ -457,3 +461,94 @@ def test_non_finite_scenario_exit_code(tmp_path, capsys):
     assert main(["rate", "--config", bad, "--length", "10"]) == 2
     assert "configuration error" in capsys.readouterr().err
 
+
+#: Values each flag type accepts, none led by a dash.
+GOOD_VALUES = {str: ("a.json", "rate", "", "x y"), int: ("1", "6", "100", " 4", "1_0"),
+               cli._finite_float: ("0", "2.5", "1e-3", "7", " 3", "1_0")}
+#: Values led by a dash, which argparse may still accept, and values some type refuses.
+ODD_VALUES = ("-1", "-1e3", "-inf", "-0", "-", "--", "-h", "nan", "inf", "1e400", "1.5", "x", "--lmax")
+ALL_FLAGS = sorted({flag[0] for _, _, flags in cli.COMMANDS.values() for flag in flags})
+
+
+@st.composite
+def argvs(draw):
+    """An argv drawn from the command table: every required flag and some optional ones with
+    values their types accept, then at most three edits that may make argparse read it another
+    way or refuse it. Also whether it was left well formed."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    flags = cli.COMMANDS[command][2]
+    pairs = [[name, draw(st.sampled_from(GOOD_VALUES[kind]))] for name, kind, default, _ in flags
+             if default in (cli.REQUIRED, cli.APPEND) or draw(st.booleans())]
+    pairs = draw(st.permutations(pairs))
+    types = {name: kind for name, kind, _, _ in flags}
+    edits = draw(st.lists(st.sampled_from(("repeat", "drop", "abbreviate", "equals", "odd value", "help",
+                                           "other flag", "stray token", "command")), max_size=3))
+    done = []
+    for edit in edits:
+        pair = draw(st.sampled_from([pair for pair in pairs if len(pair) == 2 and pair[0] in types] or [None]))
+        if pair is None and edit in ("repeat", "drop", "abbreviate", "equals", "odd value"):
+            continue
+        done.append(edit)
+        index = pairs.index(pair) if pair else 0
+        if edit == "repeat":  # still well formed: the last value wins, or --config-b appends
+            value = draw(st.sampled_from(GOOD_VALUES[types[pair[0]]]))
+            pairs.insert(draw(st.integers(0, len(pairs))), [pair[0], value])
+        elif edit == "drop":
+            del pairs[index]
+        elif edit == "abbreviate":
+            pairs[index] = [pair[0][:draw(st.integers(2, len(pair[0]) - 1))], pair[1]]
+        elif edit == "equals":
+            pairs[index] = [f"{pair[0]}={pair[1]}"]
+        elif edit == "odd value":
+            pairs[index] = [pair[0], draw(st.sampled_from(ODD_VALUES))]
+        elif edit == "help":
+            pairs.insert(index, [draw(st.sampled_from(("-h", "--help", "--he")))])
+        elif edit == "other flag":
+            pairs.insert(index, [draw(st.sampled_from(ALL_FLAGS)), "1"])
+        elif edit == "stray token":
+            pairs.insert(index, [draw(st.sampled_from(("1", "rate", "--", "--lmax")))])
+        else:
+            command = draw(st.sampled_from(("", "bogus", "rat", "-h", "--rate")))
+    well_formed = set(done) <= {"repeat"}
+    return [command, *(token for pair in pairs for token in pair)], well_formed
+
+
+@settings(max_examples=600, deadline=None)
+@given(drawn=argvs())
+def test_fast_argv_reader_gives_argparse_values_or_defers(drawn):
+    argv, well_formed = drawn
+    fast = cli._read_argv(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        assert fast is None
+        return
+    if well_formed:
+        assert fast is not None
+    if fast is not None:
+        # repr tells apart what == does not: 1 and 1.0, 0.0 and -0.0.
+        assert {k: repr(v) for k, v in fast.items()} == {k: repr(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("argv", [["rate", "--config", "a", "--length", "-1"], ["rate", "--config=a", "--length", "1"],
+                                  ["rate", "--conf", "a", "--length", "1"], ["figure", "--id", "1.5", "--out", "o"],
+                                  ["schedule", "--p", "nan", "--k", "2"], ["mu-opt", "--edet", "1"], ["bogus"], [],
+                                  ["rate", "--config", "a", "--length"], ["sweep", "-h"]])
+def test_fast_argv_reader_defers_to_argparse(argv):
+    assert cli._read_argv(argv) is None
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_help_comes_from_argparse(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: dualdet {command} ")
+
+
+def test_no_command_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: dualdet ")

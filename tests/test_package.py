@@ -76,8 +76,9 @@ def test_init_spells_each_name_once():
 
 #: Standard modules a command loads only if it runs them: json to read a scenario file, and
 #: dataclasses and inspect never (their imports cost each command about 10 ms under -S), nor
-#: typing and pathlib (about 3.5 ms each).
-WATCHED = ("json", "dataclasses", "inspect", "typing", "pathlib")
+#: typing and pathlib (about 3.5 ms each), nor argparse and the gettext and locale it loads
+#: (about 4 ms together), which only help text and refused flags need.
+WATCHED = ("json", "dataclasses", "inspect", "typing", "pathlib", "argparse", "gettext", "locale")
 
 
 def _loaded_after(code):
@@ -96,7 +97,8 @@ def test_import_loads_no_submodule():
 
 
 def test_modules_load_no_typing_or_pathlib():
-    # Their names would appear only in annotations, which stay strings (PEP 563).
+    # Their names would appear only in annotations, which stay strings (PEP 563); cli imports
+    # argparse only to print help or refuse an argv.
     assert _loaded_after("import dualdet.cli, dualdet.scenario, dualdet.sweep, dualdet.presets") == {
         f"dualdet.{m}" for m in ("cli", "core", "bb84", "decoy", "gmcs", "scenario", "sweep", "presets")}
 
@@ -125,7 +127,7 @@ def test_cli_command_loads_only_its_modules(argv, loaded, tmp_path):
         Path(files[name]).write_text(json.dumps({**BB84_DUAL, "mode": mode}), encoding="utf-8")
     argv = [arg.format(**files) for arg in argv]
     modules = _loaded_after(f"from dualdet import cli\nassert cli.main({argv!r}) == 0")
-    assert not modules & {"dataclasses", "inspect"}
+    assert not modules & {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     assert modules == {"dualdet.cli", *(m if m in WATCHED else f"dualdet.{m}" for m in loaded)}
 
 

@@ -1259,6 +1259,15 @@ def test_csv_clamped_cells_print_zero():
     ]
 
 
+def test_csv_grids_held_as_a_list_and_a_tuple_are_one_grid():
+    # Two curves on the same grid, one held as a list and one as a tuple, used to be refused.
+    buf = io.StringIO()
+    write_curves_csv({"dual": RateCurve([0.0, 1.0], (1.0, 2.0)), "fast": RateCurve((0.0, 1.0), (1.0, 2.0))}, buf)
+    assert buf.getvalue().splitlines()[1:] == ["0.00,1.00000e+00,1.00000e+00,", "1.00,2.00000e+00,2.00000e+00,"]
+    with pytest.raises(DomainError, match="^all curves must share one length grid$"):
+        write_curves_csv({"dual": RateCurve([0.0, 1.0], (1.0, 2.0)), "fast": RateCurve((0.0, 2.0), (1.0, 2.0))}, buf)
+
+
 def test_csv_format_details(tmp_path, fig1):
     path = tmp_path / "one.csv"
     save_curves_csv({"slow": sweep(fig1.scenarios["slow"], 0.0, 2.0, 1.0)}, path)

@@ -23,6 +23,7 @@ search_counts = _load("search_counts")
 search_time = _load("search_time")
 scan_time = _load("scan_time")
 figure_time = _load("figure_time")
+cli_time = _load("cli_time")
 
 FIXTURE = '''"""Module docstring.
 
@@ -164,3 +165,28 @@ def test_figure_time_refuses_a_parent_with_other_csv(tmp_path, capsys, parent_un
     assert figure_time.main([str(tmp_path), "--rounds", "1"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("CSV text differs:") and "figure 1 line 2: parent '0.00," in out
+
+
+def test_cli_time_against_this_tree(capsys):
+    # One round with this tree as its own parent: every output agrees, and it
+    # prints a row per command of the mix, then the mean row.
+    assert cli_time.main([str(ROOT / "src"), "--rounds", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["command", "runs", "parent", "ms", "tree", "ms", "ratio"]
+    assert [row.split()[:2] for row in rows] == [
+        ["rate", "5"], ["maxdist", "2"], ["crossover", "2"], ["figure", "2"], ["mu-opt", "2"], ["schedule", "2"],
+        ["all", "15"]]
+    assert all(float(row.split()[-1]) > 0.0 for row in rows)
+
+
+def test_cli_time_refuses_a_parent_with_other_output(tmp_path, capsys):
+    # A parent that words one flag's help otherwise prints other help text, so nothing is timed.
+    shutil.copytree(ROOT / "src" / "dualdet", tmp_path / "dualdet")
+    cli = tmp_path / "dualdet" / "cli.py"
+    source = cli.read_text(encoding="utf-8")
+    assert source.count('"pulses per response window"') == 1
+    cli.write_text(source.replace('"pulses per response window"', '"pulses per window"'), encoding="utf-8")
+    assert cli_time.main([str(tmp_path), "--rounds", "1"]) == 1
+    first, *differ = capsys.readouterr().out.splitlines()
+    assert first == "outputs differ:"
+    assert len(differ) == 1 and differ[0].startswith("  schedule --help: stdout: parent b'usage: dualdet schedule")
