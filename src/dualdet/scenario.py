@@ -20,19 +20,17 @@ from .core import (
     channel_transmittance, db_to_transmittance,
 )
 
-#: protocol -> (config type, detector type, keyed arm(read, detector, t), bounding
-#: arm(read, detector, t), combine(constants, keyed terms, bounding terms or None),
-#: read(config): what the arms read from it (nothing for BB84, mu for decoy, the source
-#: for GMCS), twin order(dual's bounding detector, member's bounding detector): whether
-#: _twins may pair them, error scale(config, keyed detector, bounding detector or None):
-#: a scale whose 2**-41 multiple bounds |fl(rate) - rate|, normalizer(keyed detector):
-#: (c, d) of N(t) = c + d*t > 0, such that rate/N does not rise with the length, in
-#: either sign: the keyed gain for BB84, t for decoy and GMCS RR, 1 for GMCS DR, whose
-#: rate falls; so in every mode the rate is positive on a prefix of lengths and does not
-#: rise there; each bound and proof is in the public kernel's docstring, and
-#: constants(config, keyed detector): the tuple the combine reads, fixed per scenario and
-#: shared by twins). An arm returns one detector's terms; each public kernel
-#: (bb84_rate_dual, ...) is the row's arms and combine composed, its constants built per call.
+#: protocol -> (config type, detector type, keyed arm(read, detector, t), bounding arm(read, detector, t),
+#: combine(constants, keyed terms, bounding terms or None), read(config): what the arms read from it (nothing
+#: for BB84, mu for decoy, the source for GMCS), twin order(dual's bounding detector, member's bounding
+#: detector): whether _twins may pair them, error scale(config, keyed detector, bounding detector or None): a
+#: scale whose 2**-41 multiple bounds |fl(rate) - rate|, normalizer(keyed detector): (c, d) of N(t) = c + d*t
+#: > 0, such that rate/N does not rise with the length, in either sign: the keyed gain for BB84, t for decoy
+#: and GMCS RR, 1 for GMCS DR, whose rate falls; so in every mode the rate is positive on a prefix of lengths
+#: and does not rise there; each bound and proof is in the public kernel's docstring, and constants(config,
+#: keyed detector): the tuple the combine reads, fixed per scenario and shared by twins). An arm returns one
+#: detector's terms; each public kernel (bb84_rate_dual, ...) is the row's arms and combine composed, its
+#: constants built per call.
 _PROTOCOLS = {
     "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84._arm, bb84._arm, bb84._combine, lambda cfg: None,
                            bb84._noisier, lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed),
@@ -94,18 +92,14 @@ class Scenario(Record):
     slow: Detector | None = None
 
     def __post_init__(self) -> None:
-        validate_scenario(self)
         # Resolve once what evaluate needs besides the length: the receiver
         # optics g_bob and the switch are one factor on the fiber transmittance.
-        keyed, bounding, switched = _ARMS[self.mode]
-        _, _, keyed_arm, bounding_arm, combine, read, _, _, _, constants = _PROTOCOLS[self.protocol]
+        _, _, keyed, bounding, switched, keyed_arm, bounding_arm, combine, read, constants, _ = validate_scenario(self)
         factor = self.link.g_bob
         if switched:
             factor *= db_to_transmittance(self.link.switch_loss)
         keyed_det = getattr(self, keyed)
         bounding_det = None if bounding is None else getattr(self, bounding)
-        if bounding_det is None:
-            bounding_arm = _no_arm
         # One detector with one arm function (the BB84 and GMCS single modes): evaluate computes it once.
         shared = bounding_det is keyed_det and bounding_arm is keyed_arm
         plan = (keyed_arm, bounding_arm, combine, keyed_det, bounding_det, self.config, read(self.config),
@@ -118,39 +112,37 @@ class Scenario(Record):
     _error_scale, _proof_length, _normalizer = _Kept(), _Kept(), _Kept()
 
 
-def validate_scenario(s: Scenario) -> None:
-    if s.protocol not in PROTOCOLS or s.mode not in MODES:
+def validate_scenario(s: Scenario) -> tuple:
+    """Refuse s with a ConfigError, or return its (protocol, mode) row of _ROWS."""
+    try:
+        row = _ROWS[s.protocol, s.mode]
+    except (KeyError, TypeError):  # TypeError: an unhashable protocol or mode
+        if s.protocol in PROTOCOLS and s.mode in MODES:
+            raise ConfigError("mode 'dual_no_pa' only applies to protocol 'decoy_bb84'") from None
         name, known = ("protocol", PROTOCOLS) if s.protocol not in PROTOCOLS else ("mode", MODES)
         value = getattr(s, name)  # not a string: named by its type, as an array nested 1,000 deep has a long repr
         shown = repr(value) if isinstance(value, str) else f"of type {type(value).__name__}"
-        raise ConfigError(f"unknown {name} {shown}; expected one of {known}")
-    if s.mode == "dual_no_pa" and s.protocol != "decoy_bb84":
-        raise ConfigError("mode 'dual_no_pa' only applies to protocol 'decoy_bb84'")
+        raise ConfigError(f"unknown {name} {shown}; expected one of {known}") from None
     if not isinstance(s.link, LinkSpec):
         raise ConfigError(f"link kind {type(s.link).__name__} is not LinkSpec")
-
-    config_cls, detector_cls = _PROTOCOLS[s.protocol][:2]
-    for label, det in (("fast", s.fast), ("slow", s.slow)):
-        if det is not None and not isinstance(det, detector_cls):
-            raise ConfigError(
-                f"{label} detector kind {type(det).__name__} does not match "
-                f"protocol {s.protocol!r} (expected {detector_cls.__name__})"
-            )
-
+    config_cls, detector_cls, keyed, bounding, _, _, _, _, _, _, equal_g_det = row
+    if s.fast is not None and not isinstance(s.fast, detector_cls):
+        raise _kind_error("fast detector", s.fast, s.protocol, detector_cls)
+    if s.slow is not None and not isinstance(s.slow, detector_cls):
+        raise _kind_error("slow detector", s.slow, s.protocol, detector_cls)
     if not isinstance(s.config, config_cls):
-        raise ConfigError(
-            f"config kind {type(s.config).__name__} does not match protocol "
-            f"{s.protocol!r} (expected {config_cls.__name__})"
-        )
+        raise _kind_error("config", s.config, s.protocol, config_cls)
+    if getattr(s, keyed) is None or bounding is not None and getattr(s, bounding) is None:
+        raise ConfigError(f"mode {s.mode!r} needs a {keyed if getattr(s, keyed) is None else bounding} detector")
+    if equal_g_det and s.fast.g_det != s.slow.g_det:
+        raise ConfigError("reverse reconciliation with dual detectors requires equal detection efficiencies, "
+                          f"got {s.fast.g_det} and {s.slow.g_det}")
+    return row
 
-    for arm in _ARMS[s.mode][:2]:
-        if arm is not None and getattr(s, arm) is None:
-            raise ConfigError(f"mode {s.mode!r} needs a {arm} detector")
-    if s.protocol == "gmcs_rr" and s.mode == "dual" and s.fast.g_det != s.slow.g_det:
-        raise ConfigError(
-            "reverse reconciliation with dual detectors requires equal "
-            f"detection efficiencies, got {s.fast.g_det} and {s.slow.g_det}"
-        )
+
+def _kind_error(what: str, value, protocol: str, expected: type) -> ConfigError:
+    return ConfigError(f"{what} kind {type(value).__name__} does not match protocol {protocol!r} "
+                       f"(expected {expected.__name__})")
 
 
 def evaluate(scenario: Scenario, length_km: float) -> float:
@@ -212,6 +204,20 @@ def _normalizer(s: Scenario) -> tuple[float, float]:
 def _no_arm(read, detector, t) -> None:
     """The bounding arm of a mode without one: no terms, no privacy-amplification cost."""
     return None
+
+
+#: (protocol, mode) -> (config type, detector type, keyed and bounding detector names, behind the switch, keyed
+#: arm, bounding arm (_no_arm where the mode has none), combine, read, constants, whether the RR dual's detectors
+#: need equal g_det): for each pair a Scenario accepts, its row of _PROTOCOLS and _ARMS, resolved once.
+_ROWS = {
+    (protocol, mode): (config_cls, detector_cls, keyed, bounding, switched, keyed_arm,
+                       _no_arm if bounding is None else bounding_arm, combine, read, constants,
+                       protocol == "gmcs_rr" and mode == "dual")
+    for protocol, (config_cls, detector_cls, keyed_arm, bounding_arm, combine, read, *_, constants)
+    in _PROTOCOLS.items()
+    for mode, (keyed, bounding, switched) in _ARMS.items()
+    if bounding is not None or protocol == "decoy_bb84"  # dual_no_pa only on decoy
+}
 
 
 def _raw_rates(scenarios, lengths: tuple[float, ...]) -> list[tuple[float, ...]]:
@@ -288,7 +294,8 @@ def _spec(cls: type, obj, where: str | int):
     key takes its field's default. Only what is not a plain dict with the right keys goes through
     _check_keys, which names it where, or detectors[where] for a detector's index."""
     required, allowed, optional, values = _SCHEMAS[cls]
-    if obj.__class__ is not dict or (full := {**optional, **obj}).keys() != allowed:
+    full = obj  # a plain dict with every key is read as it is
+    if obj.__class__ is not dict or obj.keys() != allowed and (full := {**optional, **obj}).keys() != allowed:
         _check_keys(obj, required, allowed, where if where.__class__ is str else f"detectors[{where}]")
         full = {**optional, **obj}  # a dict subclass with the right keys, read as a dict
     return cls(*values(full))

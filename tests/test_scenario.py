@@ -4,7 +4,9 @@ import importlib.util
 import itertools
 import json
 import math
+import operator
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,8 +20,8 @@ from dualdet.decoy import DecoyConfig, decoy_rate_dual, optimal_mu
 from dualdet.gmcs import gmcs_dr_rate_dual, gmcs_rr_rate_dual
 from dualdet.presets import FIGURE_IDS, figure_preset
 from dualdet.scenario import (
-    MODES, PROTOCOLS, ConfigError, Scenario, _normalizer, _proof_length, _twins, evaluate, load_scenario,
-    scenario_from_dict,
+    _ARMS, _PROTOCOLS, MODES, PROTOCOLS, ConfigError, Scenario, _no_arm, _normalizer, _proof_length, _twins,
+    evaluate, load_scenario, scenario_from_dict,
 )
 from dualdet.sweep import length_grid
 
@@ -712,3 +714,92 @@ def test_kept_proof_constants_are_the_functions(data):
     for changed in copies:
         assert _kept_constants(changed) == (_proof_length(changed), _normalizer(changed))
 
+
+def _reference_plan(s):
+    """A reference copy of validate_scenario and of the _plan Scenario.__post_init__ builds, as written
+    before the (protocol, mode) rows of scenario._ROWS: both slice the protocol's _PROTOCOLS row and the
+    mode's _ARMS row on every call. s is any object with a Scenario's fields."""
+    if s.protocol not in PROTOCOLS or s.mode not in MODES:
+        name, known = ("protocol", PROTOCOLS) if s.protocol not in PROTOCOLS else ("mode", MODES)
+        value = getattr(s, name)
+        shown = repr(value) if isinstance(value, str) else f"of type {type(value).__name__}"
+        raise ConfigError(f"unknown {name} {shown}; expected one of {known}")
+    if s.mode == "dual_no_pa" and s.protocol != "decoy_bb84":
+        raise ConfigError("mode 'dual_no_pa' only applies to protocol 'decoy_bb84'")
+    if not isinstance(s.link, LinkSpec):
+        raise ConfigError(f"link kind {type(s.link).__name__} is not LinkSpec")
+    config_cls, detector_cls = _PROTOCOLS[s.protocol][:2]
+    for label, det in (("fast", s.fast), ("slow", s.slow)):
+        if det is not None and not isinstance(det, detector_cls):
+            raise ConfigError(
+                f"{label} detector kind {type(det).__name__} does not match "
+                f"protocol {s.protocol!r} (expected {detector_cls.__name__})"
+            )
+    if not isinstance(s.config, config_cls):
+        raise ConfigError(
+            f"config kind {type(s.config).__name__} does not match protocol "
+            f"{s.protocol!r} (expected {config_cls.__name__})"
+        )
+    for arm in _ARMS[s.mode][:2]:
+        if arm is not None and getattr(s, arm) is None:
+            raise ConfigError(f"mode {s.mode!r} needs a {arm} detector")
+    if s.protocol == "gmcs_rr" and s.mode == "dual" and s.fast.g_det != s.slow.g_det:
+        raise ConfigError(
+            "reverse reconciliation with dual detectors requires equal "
+            f"detection efficiencies, got {s.fast.g_det} and {s.slow.g_det}"
+        )
+    keyed, bounding, switched = _ARMS[s.mode]
+    _, _, keyed_arm, bounding_arm, combine, read, _, _, _, constants = _PROTOCOLS[s.protocol]
+    factor = s.link.g_bob
+    if switched:
+        factor *= db_to_transmittance(s.link.switch_loss)
+    keyed_det = getattr(s, keyed)
+    bounding_det = None if bounding is None else getattr(s, bounding)
+    if bounding_det is None:
+        bounding_arm = _no_arm
+    shared = bounding_det is keyed_det and bounding_arm is keyed_arm
+    return (keyed_arm, bounding_arm, combine, keyed_det, bounding_det, s.config, read(s.config),
+            s.link.alpha, factor, shared, constants(s.config, keyed_det))
+
+
+def _subclass(cls):
+    """A subclass of the record cls with cls's fields, which a Record subclass declares again."""
+    return type(f"Sub{cls.__name__}", (cls,), {"__annotations__": dict(cls.__annotations__)})
+
+
+#: Every part of a Scenario that validate_scenario reads: each of PROTOCOLS and MODES and values that are
+#: neither (unknown, not a string, unhashable), and each link, detector and config as its own type, a
+#: subclass of it, or another type. Two homodynes share g_det 0.8 and one has 0.6, so a GMCS RR dual gets
+#: equal and unequal g_det; a detector drawn for both arms is one object, which a plan shares.
+PROTOCOL_VALUES = [*PROTOCOLS, "e91", 1, None, ["bb84_single_photon"], {"gmcs_rr": 1}]
+MODE_VALUES = [*MODES, "triple", 2.0, None, ["dual"]]
+LINK_VALUES = [LinkSpec(0.2, 0.0, 0.5, 3.0), _subclass(LinkSpec)(0.21, 0.0, 0.16, 0.0), {"alpha": 0.2}]
+DETECTOR_VALUES = [
+    None, SpdSpec(1e9, 0.059, 1.3e-5, 0.018), _subclass(SpdSpec)(2.5e6, 0.5, 3e-7, 0.018),
+    HomodyneSpec(82e6, 0.8, 0.43), HomodyneSpec(1e6, 0.6, 0.01), _subclass(HomodyneSpec)(1e6, 0.8, 0.01),
+]
+CONFIG_VALUES = [
+    Bb84Config(0.5, 1.22), DecoyConfig(0.73, 0.5, 1.22), GmcsSource(40.0, 0.9, 0.05),
+    _subclass(Bb84Config)(1.0, 1.1), _subclass(GmcsSource)(20.0, 1.0, 0.0), None, {"v": 40.0}, 0.5,
+]
+
+
+def _plan_or_refusal(build, fields):
+    try:
+        return build(fields)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("mode", MODE_VALUES, ids=repr)
+@pytest.mark.parametrize("protocol", PROTOCOL_VALUES, ids=repr)
+def test_scenario_rows_validate_and_plan_as_the_per_call_tables(protocol, mode):
+    # Scenario resolves its (protocol, mode) row once: it refuses with the reference's message, in
+    # the reference's order, or builds the reference's plan, the same objects and the same floats.
+    for link, config, fast, slow in itertools.product(LINK_VALUES, CONFIG_VALUES, DETECTOR_VALUES, DETECTOR_VALUES):
+        fields = dict(protocol=protocol, mode=mode, link=link, config=config, fast=fast, slow=slow)
+        got = _plan_or_refusal(lambda f: Scenario(**f)._plan, fields)
+        want = _plan_or_refusal(lambda f: _reference_plan(SimpleNamespace(**f)), fields)
+        assert got == want, fields
+        if not isinstance(want, str):
+            assert all(map(operator.is_, got[:6], want[:6])), fields

@@ -133,6 +133,13 @@ def test_scan_time_against_this_tree(capsys, parent_unloaded):
     assert all(float(row.split()[-1]) > 0.0 for row in rows)
 
 
+def test_scan_time_on_another_seed(capsys, parent_unloaded):
+    # --seed picks another block of design points; the results still agree.
+    assert scan_time.main([str(ROOT / "src"), "--rounds", "1", "--seed", "7"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[-1].split()[:2] == ["all", str(scan_time.BLOCK)]
+
+
 def test_scan_time_refuses_a_parent_with_other_results(tmp_path, capsys, parent_unloaded):
     # A parent that words a refusal otherwise gives another result, so nothing is timed.
     shutil.copytree(ROOT / "src" / "dualdet", tmp_path / "dualdet")
