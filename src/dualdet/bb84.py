@@ -54,9 +54,9 @@ def _arm(_, spd: SpdSpec, t: float) -> tuple[float, float, float]:
     return gain, e, binary_entropy(e)
 
 
-def _constants(cfg, keyed: SpdSpec) -> tuple[float, float]:
-    """(basis_factor*rep_rate, f_ec): what a BB84 or decoy combine reads from the
-    config and the keyed detector, a left-operand prefix of its formula."""
+def _constants(cfg, keyed: SpdSpec, bounding) -> tuple[float, float]:
+    """(basis_factor*rep_rate, f_ec): what a BB84 or decoy combine reads from the config and the keyed
+    detector, a left-operand prefix of its formula; the bounding detector (None for dual_no_pa) adds none."""
     return cfg.basis_factor * keyed.rep_rate, cfg.f_ec
 
 
@@ -106,7 +106,7 @@ def bb84_rate_dual(keyed: SpdSpec, bounding: SpdSpec, cfg: Bb84Config, t: float)
     """
     check_number("t", t, "in [0, 1]")
     terms = _arm(None, keyed, t)
-    return _combine(_constants(cfg, keyed), terms, terms if bounding is keyed else _arm(None, bounding, t))
+    return _combine(_constants(cfg, keyed, bounding), terms, terms if bounding is keyed else _arm(None, bounding, t))
 
 
 def _noisier(dual: SpdSpec, member: SpdSpec) -> bool:

@@ -79,7 +79,7 @@ def decoy_rate_dual(keyed: SpdSpec, bounding: SpdSpec | None, cfg: DecoyConfig, 
     """
     check_number("t", t, "in [0, 1]")
     terms = _signal(cfg.mu, keyed, t)
-    return _combine(_constants(cfg, keyed), terms, None if bounding is None else _arm(None, bounding, t))
+    return _combine(_constants(cfg, keyed, bounding), terms, None if bounding is None else _arm(None, bounding, t))
 
 
 def _signal(mu: float, spd: SpdSpec, t: float) -> tuple[float, float, float, float]:

@@ -27,11 +27,10 @@ class MismatchedEfficiencyError(DomainError):
     """
 
 
-def _arm(source: GmcsSource, det: HomodyneSpec, t: float) -> tuple[float, float]:
-    """(g, n) of one detector arm: g = t*g_det its overall transmittance and
-    n = eps_det/g_det its excess noise referred to the detector's input
-    before its efficiency, which does not depend on t."""
-    return t * det.g_det, det.eps_det / det.g_det
+def _arm(source: GmcsSource, det: HomodyneSpec, t: float) -> float:
+    """g = t*g_det, the overall transmittance of one detector arm: all of the arm that varies with t. Its
+    excess noise is fixed per detector, and _constants reads it."""
+    return t * det.g_det
 
 
 def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsSource, t: float) -> float:
@@ -40,7 +39,7 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     t, in [0, 1], is the transmittance from the source to either detector. The
     vacuum-noise term is shared (taken from the keyed arm); each arm
     contributes its own excess noise. A single-detector receiver passes
-    one detector twice, and its arm is computed once.
+    one detector twice.
 
     The transmittance form. With g = t*g_det of the keyed arm, in [0, 1],
     a = 1 + eps_det of the keyed arm, e = eps_pre, p = v - 1 + e,
@@ -75,8 +74,7 @@ def gmcs_dr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
     D(L) > 0, then D(L') >= D(L)*t(L)/t(L') at every L' <= L.
     """
     check_number("t", t, "in [0, 1]")
-    terms = _arm(source, keyed, t)
-    return _dr_combine(_constants(source, keyed), terms, terms if bounding is keyed else _arm(source, bounding, t))
+    return _dr_combine(_constants(source, keyed, bounding), _arm(source, keyed, t), None)
 
 
 def _dr_error_scale(source: GmcsSource, keyed: HomodyneSpec) -> float:
@@ -101,19 +99,20 @@ def _dr_error_scale(source: GmcsSource, keyed: HomodyneSpec) -> float:
     return keyed.rep_rate * (1.0 + source.v + math.log2(source.v))
 
 
-def _constants(source: GmcsSource, keyed: HomodyneSpec) -> tuple[float, ...]:
-    """(rep_rate, beta, a = 1 + eps_det, p = v - 1 + e, e = eps_pre, g_det, v, 1/v + e), with the keyed
-    detector's fields: what a DR or RR combine reads from the source and the keyed detector, each a
-    parenthesised subexpression of its formula, so no rounding moves."""
+def _constants(source: GmcsSource, keyed: HomodyneSpec, bounding: HomodyneSpec) -> tuple[float, ...]:
+    """(rep_rate, beta, a = 1 + eps_det, p = v - 1 + e, e = eps_pre, eps_det_b/g_det_b*g_det_k, v, 1/v + e),
+    with the keyed detector's fields but for the bounding detector's input-referred noise eps_det_b/g_det_b
+    times the keyed g_det_k (DR's n*g_det_k, RR's eps_b): what a DR or RR combine reads from the source and the
+    detectors, each a parenthesised subexpression of its formula, so no rounding moves."""
     e, v = source.eps_pre, source.v
-    return keyed.rep_rate, source.beta, 1.0 + keyed.eps_det, v - 1.0 + e, e, keyed.g_det, v, 1.0 / v + e
+    return (keyed.rep_rate, source.beta, 1.0 + keyed.eps_det, v - 1.0 + e, e,
+            bounding.eps_det / bounding.g_det * keyed.g_det, v, 1.0 / v + e)
 
 
-def _dr_combine(constants, keyed_terms, bounding_terms) -> float:
-    """The DR rate from the scenario's _constants, the keyed arm's g and the bounding arm's n (gmcs_dr_rate_dual)."""
-    rep_rate, beta, a, p, e, g_det, v, _ = constants
-    g = keyed_terms[0]
-    n, eg = bounding_terms[1] * g_det, e * g
+def _dr_combine(constants, g, _) -> float:
+    """The DR rate from the scenario's _constants and the keyed arm's g (gmcs_dr_rate_dual)."""
+    rep_rate, beta, a, p, e, n, v, _ = constants
+    eg = e * g
     return rep_rate * (beta * (0.5 * math.log2((a + p * g) / (a + eg)))
                        - 0.5 * math.log2((v * ((1.0 - g) + n + eg) + g) / (1.0 + n + eg)))
 
@@ -159,8 +158,7 @@ def gmcs_rr_rate_dual(keyed: HomodyneSpec, bounding: HomodyneSpec, source: GmcsS
         raise MismatchedEfficiencyError(
             f"detector efficiencies differ: {keyed.g_det} vs {bounding.g_det}"
         )
-    terms = _arm(source, keyed, t)
-    return _rr_combine(_constants(source, keyed), terms, terms if bounding is keyed else _arm(source, bounding, t))
+    return _rr_combine(_constants(source, keyed, bounding), _arm(source, keyed, t), None)
 
 
 def _rr_error_scale(source: GmcsSource, keyed: HomodyneSpec, bounding: HomodyneSpec) -> float:
@@ -190,10 +188,9 @@ def _rr_error_scale(source: GmcsSource, keyed: HomodyneSpec, bounding: HomodyneS
                              + math.log2(1.0 + source.eps_pre))
 
 
-def _rr_combine(constants, keyed_terms, bounding_terms) -> float:
-    """The RR rate from the scenario's _constants, the shared g and the bounding arm's n (gmcs_rr_rate_dual)."""
-    rep_rate, beta, a, p, e, g_det, _, s = constants
-    g = keyed_terms[0]
-    eps_b, pg = bounding_terms[1] * g_det, p * g
+def _rr_combine(constants, g, _) -> float:
+    """The RR rate from the scenario's _constants and the shared g (gmcs_rr_rate_dual)."""
+    rep_rate, beta, a, p, e, eps_b, _, s = constants
+    pg = p * g
     info = 0.5 * (math.log2(1.0 + eps_b + pg) + math.log2((1.0 - g) + eps_b + s * g))
     return rep_rate * (beta * (0.5 * math.log2((a + pg) / (a + e * g))) - info)

@@ -28,9 +28,9 @@ from .core import (
 #: > 0, such that rate/N does not rise with the length, in either sign: the keyed gain for BB84, t for decoy
 #: and GMCS RR, 1 for GMCS DR, whose rate falls; so in every mode the rate is positive on a prefix of lengths
 #: and does not rise there; each bound and proof is in the public kernel's docstring, and constants(config,
-#: keyed detector): the tuple the combine reads, fixed per scenario and shared by twins). An arm returns one
-#: detector's terms; each public kernel (bb84_rate_dual, ...) is the row's arms and combine composed, its
-#: constants built per call.
+#: keyed detector, bounding detector or None): the tuple the combine reads, fixed per scenario). An arm returns
+#: what of one detector varies with t (a GMCS arm is its transmittance; its noise is in the constants); each
+#: public kernel (bb84_rate_dual, ...) is the row's arms and combine composed, its constants built per call.
 _PROTOCOLS = {
     "bb84_single_photon": (bb84.Bb84Config, SpdSpec, bb84._arm, bb84._arm, bb84._combine, lambda cfg: None,
                            bb84._noisier, lambda cfg, keyed, bounding: bb84._error_scale(cfg, keyed),
@@ -95,15 +95,13 @@ class Scenario(Record):
         # Resolve once what evaluate needs besides the length: the receiver
         # optics g_bob and the switch are one factor on the fiber transmittance.
         _, _, keyed, bounding, switched, keyed_arm, bounding_arm, combine, read, constants, _ = validate_scenario(self)
-        factor = self.link.g_bob
-        if switched:
-            factor *= db_to_transmittance(self.link.switch_loss)
+        factor = self.link.g_bob * db_to_transmittance(self.link.switch_loss) if switched else self.link.g_bob
         keyed_det = getattr(self, keyed)
         bounding_det = None if bounding is None else getattr(self, bounding)
         # One detector with one arm function (the BB84 and GMCS single modes): evaluate computes it once.
         shared = bounding_det is keyed_det and bounding_arm is keyed_arm
         plan = (keyed_arm, bounding_arm, combine, keyed_det, bounding_det, self.config, read(self.config),
-                self.link.alpha, factor, shared, constants(self.config, keyed_det))
+                self.link.alpha, factor, shared, constants(self.config, keyed_det, bounding_det))
         object.__setattr__(self, "_plan", plan)
 
     # The searches' constants _error_scale(self), _proof_length(self) and _normalizer(self),
@@ -322,7 +320,7 @@ def scenario_from_dict(data) -> Scenario:
         fast = _parse_detector(detectors[0], 0)
         slow = _parse_detector(detectors[1], 1) if len(detectors) == 2 else None
         # An unknown protocol gets no config; the Scenario constructor reports it.
-        config = _spec(_PROTOCOLS[protocol][0], data["config"], "config") if protocol in _PROTOCOLS else None
+        config = _spec(_PROTOCOLS[protocol][0], data["config"], "config") if protocol in PROTOCOLS else None
         if slow is None and mode in MODES and _ARMS[mode][0] == "slow":  # a lone detector is the mode's keyed one
             fast, slow = None, fast
         return Scenario(protocol, mode, link, config, fast, slow)

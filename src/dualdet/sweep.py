@@ -53,15 +53,21 @@ class RateCurve(Record):
     lengths: tuple[float, ...]
     raw: tuple[float, ...]
 
+    #: The last lengths accepted if an exact tuple of exact floats, which nothing can change: not checked again.
+    _accepted = None
+
     def __post_init__(self) -> None:
-        if len(self.raw) != len(self.lengths):
-            raise DomainError("curve needs one rate per length")
         lengths = self.lengths
-        # Finite ends and strictly increasing pairs leave no NaN or inf inside.
-        if lengths and not (math.isfinite(lengths[0]) and math.isfinite(lengths[-1])):
-            raise DomainError("curve lengths must be finite")
-        if not all(map(operator.lt, lengths, lengths[1:])):
-            raise DomainError("curve lengths must be strictly increasing")
+        if len(self.raw) != len(lengths):
+            raise DomainError("curve needs one rate per length")
+        if lengths is not RateCurve._accepted:  # sweep_preset's three curves share one grid
+            # Finite ends and strictly increasing pairs leave no NaN or inf inside.
+            if lengths and not (math.isfinite(lengths[0]) and math.isfinite(lengths[-1])):
+                raise DomainError("curve lengths must be finite")
+            if not all(map(operator.lt, lengths, lengths[1:])):
+                raise DomainError("curve lengths must be strictly increasing")
+            if lengths.__class__ is tuple and operator.countOf(map(type, lengths), float) == len(lengths):
+                RateCurve._accepted = lengths
 
     @property
     def rates(self) -> tuple[float, ...]:
@@ -433,8 +439,7 @@ def _block_proof(scenarios, point: Callable[[int], float]):
 
 def write_curves_csv(curves: Mapping[str, RateCurve], out: io.TextIOBase) -> None:
     """Write clamped-rate curves keyed by role ('dual', 'fast', 'slow')."""
-    unknown = set(curves) - set(CURVE_ROLES)
-    if unknown:
+    if unknown := set(curves) - set(CURVE_ROLES):
         raise DomainError(f"unknown curve roles: {sorted(unknown)}")
     if not curves:
         raise DomainError("no curves to write")

@@ -217,6 +217,26 @@ def test_gmcs_rate_dual_matches_reference(keyed, other, arms, t, source):
         assert outcome(kernel, keyed, bounding, source, t) == outcome(reference, keyed, bounding, source, t), kernel
 
 
+def test_dr_dual_bounding_noise_keeps_its_rounding():
+    # The bounding detector's eps_det/g_det times the keyed g_det is one of the
+    # scenario's constants, rounded as when the bounding arm returned
+    # n = eps_det/g_det and the combine multiplied it by the keyed g_det. On
+    # these detectors each other order of that product rounds differently, and
+    # so does the rate it gives.
+    source = GmcsSource(v=40.0, beta=1.0, eps_pre=0.05)
+    keyed, bounding = HomodyneSpec(82e6, 0.8, 0.43), HomodyneSpec(1e6, 0.7, 0.11)
+    arm_n = bounding.eps_det / bounding.g_det
+    product = arm_n * keyed.g_det
+    constants = gmcs._constants(source, keyed, bounding)
+    assert constants[5].hex() == product.hex()
+    scenario = Scenario("gmcs_dr", "dual", LinkSpec(alpha=0.21), source, fast=keyed, slow=bounding)
+    rate = gmcs_dr_rate_dual(keyed, bounding, source, 1.0)
+    assert rate.hex() == evaluate(scenario, 0.0).hex() == ref_gmcs_dr_rate_dual(keyed, bounding, source, 1.0).hex()
+    for other in (bounding.eps_det * (keyed.g_det / bounding.g_det), bounding.eps_det * keyed.g_det / bounding.g_det):
+        assert other != product
+        assert gmcs._dr_combine((*constants[:5], other, *constants[6:]), keyed.g_det, None) != rate
+
+
 def test_mismatched_efficiency_message_is_kept():
     source = GmcsSource(v=40.0, beta=1.0, eps_pre=0.05)
     fast, slow = HomodyneSpec(82e6, 0.8, 0.43), HomodyneSpec(1e6, 0.3, 0.01)

@@ -534,8 +534,9 @@ REFUSALS = {
     "other_protocols_kind": (_set(("detectors",), 0, GMCS_RR_DUAL["detectors"][0]),
                              "fast detector kind HomodyneSpec does not match protocol 'bb84_single_photon' "
                              "(expected SpdSpec)"),
-    "protocol_array": (_set((), "protocol", ["bb84_single_photon"]), "malformed scenario: unhashable type: 'list'"),
     # Named by its type, not its repr: an array nested 1,000 deep has a repr of 2,000 characters.
+    "protocol_array": (_set((), "protocol", ["bb84_single_photon"]),
+                       f"unknown protocol of type list; expected one of {PROTOCOLS}"),
     "mode_array": (_set((), "mode", ["dual"]), f"unknown mode of type list; expected one of {MODES}"),
     "mode_null": (_set((), "mode", None), f"unknown mode of type NoneType; expected one of {MODES}"),
 }
@@ -759,7 +760,7 @@ def _reference_plan(s):
         bounding_arm = _no_arm
     shared = bounding_det is keyed_det and bounding_arm is keyed_arm
     return (keyed_arm, bounding_arm, combine, keyed_det, bounding_det, s.config, read(s.config),
-            s.link.alpha, factor, shared, constants(s.config, keyed_det))
+            s.link.alpha, factor, shared, constants(s.config, keyed_det, bounding_det))
 
 
 def _subclass(cls):

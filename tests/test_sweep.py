@@ -5,7 +5,9 @@ import io
 import itertools
 import json
 import math
+import operator
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -174,6 +176,90 @@ def test_rates_clamp_to_positive_zero():
     rates = RateCurve((0.0, 1.0, 2.0, 3.0), (-0.0, 0.0, 5e-324, -2.5)).rates
     assert rates == (0.0, 0.0, 5e-324, 0.0)
     assert [math.copysign(1.0, r) for r in rates] == [1.0, 1.0, 1.0, 1.0]
+
+
+def _count_pair_checks(monkeypatch) -> list:
+    """A list that grows by one for each pair compared in dualdet.sweep's pairwise operator.lt passes."""
+    pairs = []
+
+    def lt(a, b):
+        pairs.append((a, b))
+        return a < b
+
+    monkeypatch.setattr(dualdet.sweep, "operator", SimpleNamespace(**{**vars(operator), "lt": lt}))
+    return pairs
+
+
+def test_a_curve_on_the_kept_grid_skips_only_its_grid_checks(monkeypatch):
+    # The grid object the last accepted curve kept is not checked again; an
+    # equal but distinct tuple is, and the one-rate-per-length check always runs.
+    grid = tuple(length_grid(0.0, 3.0, 1.0))
+    pairs = _count_pair_checks(monkeypatch)
+    RateCurve(grid, (1.0,) * 4)
+    assert RateCurve._accepted is grid and len(pairs) == 3
+    RateCurve(grid, (2.0,) * 4)
+    assert len(pairs) == 3
+    equal = tuple(list(grid))
+    assert equal == grid and equal is not grid
+    RateCurve(equal, (1.0,) * 4)
+    assert len(pairs) == 6 and RateCurve._accepted is equal
+    with pytest.raises(DomainError, match="^curve needs one rate per length$"):
+        RateCurve(equal, (1.0,) * 3)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0.0, 2.0, 1.0, 3.0), "strictly increasing"),
+    ((0.0, 1.0, 1.0, 3.0), "strictly increasing"),
+    ((0.0, math.nan, 2.0, 3.0), "strictly increasing"),
+    ((0.0, 1.0, 2.0, math.inf), "finite"),
+    ((math.nan, 1.0, 2.0, 3.0), "finite"),
+], ids=["decreasing", "repeated", "nan-inside", "inf-last", "nan-first"])
+def test_a_bad_grid_right_after_an_accepted_one_is_refused(bad, message):
+    good = tuple(length_grid(0.0, 3.0, 1.0))
+    RateCurve(good, (1.0,) * 4)
+    assert RateCurve._accepted is good
+    with pytest.raises(DomainError, match=message):
+        RateCurve(bad, (1.0,) * 4)
+    assert RateCurve._accepted is good
+
+
+class _Float(float):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+@pytest.mark.parametrize("grid", [
+    [0.0, 1.0, 2.0], (0, 1.0, 2.0), (0.0, _Float(1.0), 2.0), _Tuple((0.0, 1.0, 2.0)),
+], ids=["list", "int-item", "float-subclass-item", "tuple-subclass"])
+def test_only_an_exact_tuple_of_exact_floats_is_kept(monkeypatch, grid):
+    # Anything else may change under a kept reference, so each curve on it checks it.
+    monkeypatch.setattr(RateCurve, "_accepted", None)
+    pairs = _count_pair_checks(monkeypatch)
+    for checks in (1, 2):
+        RateCurve(grid, (1.0,) * 3)
+        assert RateCurve._accepted is None and len(pairs) == 2 * checks
+
+
+def test_a_list_grid_changed_after_its_curve_is_checked_again():
+    grid = [0.0, 1.0, 2.0]
+    RateCurve(grid, (1.0,) * 3)
+    grid[1] = 5.0
+    with pytest.raises(DomainError, match="strictly increasing"):
+        RateCurve(grid, (1.0,) * 3)
+
+
+def test_sweep_preset_checks_its_grid_once_per_call(monkeypatch, fig1):
+    # Each call builds a fresh grid and checks it once, for its three curves;
+    # nothing is remembered from one call to the next.
+    points = len(length_grid(fig1.l_min, fig1.l_max, fig1.step))
+    pairs = _count_pair_checks(monkeypatch)
+    for calls in (1, 2):
+        curves = sweep_preset(fig1)
+        assert len(pairs) == calls * (points - 1)
+        assert RateCurve._accepted is curves["dual"].lengths
 
 
 def test_sweep_preset_shares_one_grid(fig1):
