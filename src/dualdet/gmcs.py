@@ -100,10 +100,9 @@ def _dr_error_scale(source: GmcsSource, keyed: HomodyneSpec) -> float:
 
 
 def _constants(source: GmcsSource, keyed: HomodyneSpec, bounding: HomodyneSpec) -> tuple[float, ...]:
-    """(rep_rate, beta, a = 1 + eps_det, p = v - 1 + e, e = eps_pre, eps_det_b/g_det_b*g_det_k, v, 1/v + e),
-    with the keyed detector's fields but for the bounding detector's input-referred noise eps_det_b/g_det_b
-    times the keyed g_det_k (DR's n*g_det_k, RR's eps_b): what a DR or RR combine reads from the source and the
-    detectors, each a parenthesised subexpression of its formula, so no rounding moves."""
+    """(rep_rate, beta, a = 1 + eps_det, p = v - 1 + e, e = eps_pre, eps_det_b/g_det_b*g_det_k, v, 1/v + e):
+    what a DR or RR combine reads from the source and the detectors, each a parenthesised subexpression of its
+    formula, so no rounding moves; all the keyed detector's but the bounding one's noise (DR's n, RR's eps_b)."""
     e, v = source.eps_pre, source.v
     return (keyed.rep_rate, source.beta, 1.0 + keyed.eps_det, v - 1.0 + e, e,
             bounding.eps_det / bounding.g_det * keyed.g_det, v, 1.0 / v + e)

@@ -53,21 +53,19 @@ class RateCurve(Record):
     lengths: tuple[float, ...]
     raw: tuple[float, ...]
 
-    #: The last lengths accepted if an exact tuple of exact floats, which nothing can change: not checked again.
+    #: The grid tuple sweep_preset's first curve checked, while it builds the other two on it; None otherwise.
     _accepted = None
 
     def __post_init__(self) -> None:
         lengths = self.lengths
         if len(self.raw) != len(lengths):
             raise DomainError("curve needs one rate per length")
-        if lengths is not RateCurve._accepted:  # sweep_preset's three curves share one grid
+        if lengths is not RateCurve._accepted:
             # Finite ends and strictly increasing pairs leave no NaN or inf inside.
             if lengths and not (math.isfinite(lengths[0]) and math.isfinite(lengths[-1])):
                 raise DomainError("curve lengths must be finite")
             if not all(map(operator.lt, lengths, lengths[1:])):
                 raise DomainError("curve lengths must be strictly increasing")
-            if lengths.__class__ is tuple and operator.countOf(map(type, lengths), float) == len(lengths):
-                RateCurve._accepted = lengths
 
     @property
     def rates(self) -> tuple[float, ...]:
@@ -468,5 +466,10 @@ def save_curves_csv(curves: Mapping[str, RateCurve], path: str | os.PathLike) ->
 def sweep_preset(preset) -> dict[str, RateCurve]:
     """Sweep the preset's three scenarios over its one grid, keyed by role."""
     lengths = tuple(length_grid(preset.l_min, preset.l_max, preset.step))
-    raws = _raw_rates([preset.scenarios[role] for role in CURVE_ROLES], lengths)
-    return {role: RateCurve(lengths, raw) for role, raw in zip(CURVE_ROLES, raws)}
+    first, *raws = _raw_rates([preset.scenarios[role] for role in CURVE_ROLES], lengths)
+    dual = RateCurve(lengths, first)  # checks the grid; the other two curves on that same tuple do not
+    RateCurve._accepted = lengths
+    try:
+        return dict(zip(CURVE_ROLES, (dual, *[RateCurve(lengths, raw) for raw in raws])))
+    finally:
+        RateCurve._accepted = None  # nothing is kept after the call

@@ -190,21 +190,25 @@ def _count_pair_checks(monkeypatch) -> list:
     return pairs
 
 
-def test_a_curve_on_the_kept_grid_skips_only_its_grid_checks(monkeypatch):
-    # The grid object the last accepted curve kept is not checked again; an
-    # equal but distinct tuple is, and the one-rate-per-length check always runs.
+def test_a_curve_on_the_accepted_grid_skips_only_its_grid_checks(monkeypatch):
+    # A curve checks its grid and keeps nothing. While RateCurve._accepted holds
+    # that grid object, as it does between sweep_preset's curves, a curve on it
+    # is not checked again; an equal but distinct tuple is, and the
+    # one-rate-per-length check always runs.
     grid = tuple(length_grid(0.0, 3.0, 1.0))
     pairs = _count_pair_checks(monkeypatch)
     RateCurve(grid, (1.0,) * 4)
-    assert RateCurve._accepted is grid and len(pairs) == 3
+    assert RateCurve._accepted is None and len(pairs) == 3
+    monkeypatch.setattr(RateCurve, "_accepted", grid)
     RateCurve(grid, (2.0,) * 4)
     assert len(pairs) == 3
     equal = tuple(list(grid))
     assert equal == grid and equal is not grid
     RateCurve(equal, (1.0,) * 4)
-    assert len(pairs) == 6 and RateCurve._accepted is equal
-    with pytest.raises(DomainError, match="^curve needs one rate per length$"):
-        RateCurve(equal, (1.0,) * 3)
+    assert len(pairs) == 6 and RateCurve._accepted is grid
+    for lengths in (grid, equal):
+        with pytest.raises(DomainError, match="^curve needs one rate per length$"):
+            RateCurve(lengths, (1.0,) * 3)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -214,10 +218,10 @@ def test_a_curve_on_the_kept_grid_skips_only_its_grid_checks(monkeypatch):
     ((0.0, 1.0, 2.0, math.inf), "finite"),
     ((math.nan, 1.0, 2.0, 3.0), "finite"),
 ], ids=["decreasing", "repeated", "nan-inside", "inf-last", "nan-first"])
-def test_a_bad_grid_right_after_an_accepted_one_is_refused(bad, message):
+def test_a_bad_grid_right_after_an_accepted_one_is_refused(monkeypatch, bad, message):
     good = tuple(length_grid(0.0, 3.0, 1.0))
     RateCurve(good, (1.0,) * 4)
-    assert RateCurve._accepted is good
+    monkeypatch.setattr(RateCurve, "_accepted", good)
     with pytest.raises(DomainError, match=message):
         RateCurve(bad, (1.0,) * 4)
     assert RateCurve._accepted is good
@@ -232,11 +236,11 @@ class _Tuple(tuple):
 
 
 @pytest.mark.parametrize("grid", [
-    [0.0, 1.0, 2.0], (0, 1.0, 2.0), (0.0, _Float(1.0), 2.0), _Tuple((0.0, 1.0, 2.0)),
-], ids=["list", "int-item", "float-subclass-item", "tuple-subclass"])
-def test_only_an_exact_tuple_of_exact_floats_is_kept(monkeypatch, grid):
-    # Anything else may change under a kept reference, so each curve on it checks it.
-    monkeypatch.setattr(RateCurve, "_accepted", None)
+    (0.0, 1.0, 2.0), [0.0, 1.0, 2.0], (0, 1.0, 2.0), (0.0, _Float(1.0), 2.0), _Tuple((0.0, 1.0, 2.0)),
+], ids=["tuple", "list", "int-item", "float-subclass-item", "tuple-subclass"])
+def test_a_curve_keeps_no_grid(monkeypatch, grid):
+    # Only sweep_preset sets RateCurve._accepted, so a curve built on its own
+    # keeps no reference, and each curve on the same grid checks it.
     pairs = _count_pair_checks(monkeypatch)
     for checks in (1, 2):
         RateCurve(grid, (1.0,) * 3)
@@ -257,9 +261,23 @@ def test_sweep_preset_checks_its_grid_once_per_call(monkeypatch, fig1):
     points = len(length_grid(fig1.l_min, fig1.l_max, fig1.step))
     pairs = _count_pair_checks(monkeypatch)
     for calls in (1, 2):
-        curves = sweep_preset(fig1)
-        assert len(pairs) == calls * (points - 1)
-        assert RateCurve._accepted is curves["dual"].lengths
+        sweep_preset(fig1)
+        assert len(pairs) == calls * (points - 1) and RateCurve._accepted is None
+
+
+def test_nothing_is_kept_after_sweep_or_sweep_preset_returns(monkeypatch, fig1):
+    # The largest grid is 1,000,001 floats: holding it after the call would keep about 32 MB.
+    sweep(fig1.scenarios["dual"], 0.0, 10.0, 1.0)
+    assert RateCurve._accepted is None
+    sweep_preset(fig1)
+    assert RateCurve._accepted is None
+    # A curve that raises between the first and the last leaves nothing kept either.
+    raw_rates = dualdet.sweep._raw_rates
+    monkeypatch.setattr(dualdet.sweep, "_raw_rates", lambda scenarios, lengths: [
+        *raw_rates(scenarios, lengths)[:2], (0.0,)])
+    with pytest.raises(DomainError, match="^curve needs one rate per length$"):
+        sweep_preset(fig1)
+    assert RateCurve._accepted is None
 
 
 def test_sweep_preset_shares_one_grid(fig1):

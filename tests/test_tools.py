@@ -162,27 +162,6 @@ def test_figure_time_against_this_tree(capsys, parent_unloaded):
     assert all(float(row.split()[-1]) > 0.0 for row in rows)
 
 
-def test_figure_time_times_only_the_listed_figures(capsys, parent_unloaded):
-    # --figures 5,6,7: one round, a row for each listed preset, then their summed row.
-    assert figure_time.main([str(ROOT / "src"), "--rounds", "1", "--figures", "5,6,7"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["figure", "parent", "us", "tree", "us", "ratio"]
-    assert [row.split()[0] for row in rows] == ["5", "6", "7", "all"]
-
-
-@pytest.mark.parametrize("figures, message", [
-    ("5,x", "argument --figures: expected comma-separated figure ids, got '5,x'"),
-    ("", "argument --figures: expected comma-separated figure ids, got ''"),
-    ("5,10", "unknown figure ids [10]; expected some of [1, 2, 3, 4, 5, 6, 7, 8, 9]"),
-])
-def test_figure_time_refuses_a_figure_list_it_cannot_read(capsys, parent_unloaded, figures, message):
-    # A usage error, exit 2, before anything is timed.
-    with pytest.raises(SystemExit) as info:
-        figure_time.main([str(ROOT / "src"), "--rounds", "1", "--figures", figures])
-    assert info.value.code == 2
-    assert capsys.readouterr().err.rstrip().endswith(message)
-
-
 def test_figure_time_refuses_a_parent_with_other_csv(tmp_path, capsys, parent_unloaded):
     # A parent that prints rates to another precision writes other CSV text, so nothing is timed.
     shutil.copytree(ROOT / "src" / "dualdet", tmp_path / "dualdet")

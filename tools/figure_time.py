@@ -4,21 +4,19 @@ PARENT_SRC is a parent tree's src directory, the one that holds dualdet/.
 Its package is loaded as dualdet_parent beside this tree's src/dualdet
 (search_time.load_parent). The op is the figures op: sweep_preset of one
 of the nine figure presets, then write_curves_csv into memory. Each tree's
-nine presets are built once, as the benchmark builds them. --figures picks
-the presets to check and time, as comma-separated ids (default all nine).
-The tool checks that both trees write the same CSV text for each of them,
-and stops with exit status 1 if one differs. It then times ROUNDS rounds as
-search_time does: each round runs every op of both trees once, in an order
-shuffled per round, so drift in the machine's speed falls on both trees
-alike. It prints, per preset, the p10 time of each tree and the ratio of
-this tree's to the parent's, then the summed p10 ratio over the presets
-timed. A ratio below 1 means this tree is faster.
+nine presets are built once, as the benchmark builds them. The tool checks
+that both trees write the same CSV text for every preset, and stops with
+exit status 1 if one differs. It then times ROUNDS rounds as search_time
+does: each round runs every op of both trees once, in an order shuffled per
+round, so drift in the machine's speed falls on both trees alike. It prints,
+per preset, the p10 time of each tree and the ratio of this tree's to the
+parent's, then the summed p10 ratio over all nine. A ratio below 1 means
+this tree is faster.
 
 Run from the repository root, against a copy of the parent commit's src:
 
     mkdir -p ../parent && git archive HEAD~1 src | tar -x -C ../parent
     python3 tools/figure_time.py ../parent/src --rounds 200
-    python3 tools/figure_time.py ../parent/src --rounds 200 --figures 5,6,7
 """
 
 from __future__ import annotations
@@ -48,28 +46,17 @@ def figure_ops(package: str) -> dict[int, tuple]:
     return {fig_id: (op, (presets.figure_preset(fig_id),)) for fig_id in presets.FIGURE_IDS}
 
 
-def figure_list(text: str) -> list[int]:
-    """The figure ids of a comma-separated list such as 5,6,7, each once, in order."""
-    try:
-        return list(dict.fromkeys(int(part) for part in text.split(",")))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated figure ids, got {text!r}") from None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent_src", help="the parent tree's src directory, which holds dualdet/")
     parser.add_argument("--rounds", type=int, default=200, help="timed rounds (default 200)")
-    parser.add_argument("--figures", type=figure_list, help="comma-separated figure ids to time (default all nine)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     load_parent(args.parent_src)
 
     ops = {"parent": figure_ops(PARENT), "tree": figure_ops("dualdet")}
-    fig_ids, differ = args.figures or list(ops["tree"]), []
-    if unknown := [fig_id for fig_id in fig_ids if fig_id not in ops["tree"]]:
-        parser.error(f"unknown figure ids {unknown}; expected some of {list(ops['tree'])}")
+    fig_ids, differ = list(ops["tree"]), []
     for fig_id in fig_ids:
         parent, tree = (function(*call_args) for function, call_args in (ops["parent"][fig_id], ops["tree"][fig_id]))
         if parent != tree:
